@@ -139,6 +139,11 @@ class DistilledDataset:
             raise InputError("distilled inputs do not match the task shape")
         if not np.all(np.isfinite(self.inputs)):
             raise InputError("distilled inputs must be finite")
+        if self.labels.shape != (len(self.inputs),):
+            raise InputError("one label per distilled input required")
+        if self.labels.size and not (0 <= self.labels.min() <= self.labels.max()
+                                     < self.num_classes):
+            raise InputError("distilled labels out of range")
 
     def to_bytes(self) -> bytes:
         out = [DISTILLED_MAGIC, struct.pack("<B", DISTILLED_VERSION)]

@@ -23,6 +23,7 @@ from . import model as mdl
 from . import numerics as nm
 from .distill import DistilledDataset
 from .errors import (
+    DegenerateInputError,
     FormatError,
     IncompatibleModulesError,
     InputError,
@@ -276,26 +277,155 @@ def optimize_coefficients(objective: Callable[[np.ndarray], float],
     return best["x"], float(best["value"]), trace
 
 
+class LinearDeltas:
+    """Per-layer deltas linear in the coefficients: sum_k w_k * terms[k][layer].
+
+    A mixture round has two terms: the frozen history and the branch.
+    """
+
+    def __init__(self, terms: Sequence[dict[int, np.ndarray]]):
+        shapes = {lid: d.shape for term in terms for lid, d in term.items()}
+        self._stacks = {lid: np.stack([term.get(lid, np.zeros(shape, nm.DTYPE))
+                                       for term in terms])
+                        for lid, shape in shapes.items()}
+
+    def layer_delta(self, lid: int, w: np.ndarray) -> np.ndarray | None:
+        stack = self._stacks.get(lid)
+        return None if stack is None else np.tensordot(w, stack, axes=1)
+
+    def project_first(self, x: np.ndarray) -> np.ndarray | None:
+        """x @ D_k.T for every term's layer-0 delta, stacked to [k, n, out]."""
+        stack = self._stacks.get(0)
+        return None if stack is None else x @ stack.transpose(0, 2, 1)
+
+    def first_layer(self, projected: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.tensordot(w, projected, axes=1)
+
+
+class FactoredDeltas:
+    """Per-layer deltas of combined factors: (alpha/r) (sum_k w_k B_k)(sum_k w_k A_k).
+
+    Parameter fusion is the two-module case; the joint search gives every
+    module its own coefficient.
+    """
+
+    def __init__(self, plugins: Sequence[PluginModule]):
+        _check_compatible(plugins)
+        self._a, self._b, self._scale = {}, {}, {}
+        for lid, ref in plugins[0].adapters.items():
+            self._a[lid] = np.stack([p.adapters[lid].a.data for p in plugins])
+            self._b[lid] = np.stack([p.adapters[lid].b.data for p in plugins])
+            self._scale[lid] = nm.DTYPE(ref.scaling())
+
+    def layer_delta(self, lid: int, w: np.ndarray) -> np.ndarray | None:
+        if lid not in self._a:
+            return None
+        b = np.tensordot(w, self._b[lid], axes=1) * self._scale[lid]
+        return b @ np.tensordot(w, self._a[lid], axes=1)
+
+    def project_first(self, x: np.ndarray) -> np.ndarray | None:
+        """x @ A_k.T for every module's layer-0 factor, stacked to [k, n, r]."""
+        return x @ self._a[0].transpose(0, 2, 1) if 0 in self._a else None
+
+    def first_layer(self, projected: np.ndarray, w: np.ndarray) -> np.ndarray:
+        b = np.tensordot(w, self._b[0], axes=1) * self._scale[0]
+        return np.tensordot(w, projected, axes=1) @ b.T
+
+
+class StackedGuidance:
+    """All guidance rows in one batch, with the work fixed within a round done once.
+
+    Built once per round: the stacked rows X, X @ W0.T + b0, the layer-0
+    projections of X that ``deltas`` needs, and the normalized label rows of
+    every task concatenated into one head, each row masked to its own task's
+    columns. A forward pass at coefficients w then costs one tanh, the
+    remaining layers with their small deltas formed directly, and one cosine
+    head over every row.
+    """
+
+    def __init__(self, base: BaseEncoder, guidance: Sequence[GuidanceSet],
+                 deltas: LinearDeltas | FactoredDeltas, temperature: float):
+        if not guidance:
+            raise InputError("guidance data required for coefficient optimization")
+        x = np.concatenate([np.asarray(data.inputs, dtype=nm.DTYPE) for data, _ in guidance])
+        first = base.layers[0]
+        self._pre0 = x @ first.weight.data.T + first.bias.data
+        self._projected = deltas.project_first(x)
+        self._layers = base.layers[1:]
+        self._deltas = deltas
+
+        rows = np.concatenate([table.rows.data for _, table in guidance]).astype(np.float64)
+        self._head = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).T / temperature
+        counts = np.array([len(data.labels) for data, _ in guidance])
+        if not counts.all():
+            raise InputError("every guidance set needs at least one row")
+        classes = np.array([table.num_classes for _, table in guidance])
+        task = np.repeat(np.arange(len(guidance)), counts)
+        # row i keeps only its own task's columns of the head, padded to the
+        # largest class count; padding is -inf, so exp and argmax ignore it
+        local = np.arange(classes.max())
+        own = local < classes[task, None]
+        self._columns = (np.cumsum(classes) - classes)[task, None] + np.where(own, local, 0)
+        self._padding = np.where(own, 0.0, -np.inf)
+        self._labels = np.concatenate([data.labels for data, _ in guidance])
+        if np.any((self._labels < 0) | (self._labels >= classes[task])):
+            raise InputError("guidance label outside its task's classes")
+        self._rows = np.arange(len(task))
+        # the loss is a mean over tasks of each task's mean, not a mean over rows
+        self._row_weight = 1.0 / (counts[task] * len(guidance))
+        self._task_start = np.cumsum(counts) - counts
+        self._counts = counts
+        self._names = [table.task_name for _, table in guidance]
+
+    def logits(self, w: np.ndarray) -> np.ndarray:
+        """[rows, most classes of any task] logits of each row's own task;
+        columns past that task's class count are -inf."""
+        w = np.asarray(w, dtype=nm.DTYPE)
+        h = self._pre0
+        if self._projected is not None:
+            h = h + self._deltas.first_layer(self._projected, w)
+        for lid, layer in enumerate(self._layers, start=1):
+            weight = layer.weight.data
+            delta = self._deltas.layer_delta(lid, w)
+            if delta is not None:
+                weight = weight + delta
+            h = np.tanh(h) @ weight.T + layer.bias.data
+        e = h.astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", e, e))[:, None]
+        if np.any(norms < 1e-12):
+            raise DegenerateInputError("zero-norm embedding in cosine head")
+        logits = np.take_along_axis(e @ self._head, self._columns, axis=1)
+        return logits / norms + self._padding
+
+    def loss(self, w: np.ndarray) -> float:
+        """Mean over tasks of the mean cross-entropy of each task's rows."""
+        z = self.logits(w)
+        zmax = z.max(axis=1, keepdims=True)
+        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        return float((lse - z[self._rows, self._labels]) @ self._row_weight)
+
+    def accuracies(self, w: np.ndarray) -> dict[str, float]:
+        """Guidance accuracy per task name, rounded to six decimals."""
+        hits = self.logits(w).argmax(axis=1) == self._labels
+        per_task = np.add.reduceat(hits, self._task_start) / self._counts
+        return {name: round(float(acc), 6) for name, acc in zip(self._names, per_task)}
+
+
 def guidance_objective(base: BaseEncoder, guidance: Sequence[GuidanceSet],
-                       deltas_for: Callable[[np.ndarray], dict[int, np.ndarray]],
-                       l1_lambda: float,
+                       deltas: LinearDeltas | FactoredDeltas, l1_lambda: float,
                        temperature: float = mdl.DEFAULT_TEMPERATURE) -> Callable:
-    """Mean per-task cross-entropy on distilled sets plus l1 * sum |w|."""
-    if not guidance:
-        raise InputError("guidance data required for coefficient optimization")
+    """Mean per-task cross-entropy on distilled sets plus l1 * sum |w|.
+
+    The returned function also carries ``accuracies(w)``, the per-task
+    guidance accuracy from the same stacked forward pass. It is a function
+    attribute, so wrappers made with ``functools.wraps`` keep it.
+    """
+    stacked = StackedGuidance(base, guidance, deltas, temperature)
 
     def objective(w: np.ndarray) -> float:
-        deltas = deltas_for(w)
-        losses = []
-        for distilled, table in guidance:
-            emb = mdl.encode_np(base, deltas, distilled.inputs)
-            logits = mdl.cosine_logits_np(emb, table, temperature)
-            z = logits.astype(np.float64)
-            zmax = z.max(axis=1, keepdims=True)
-            lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-            losses.append(float(np.mean(lse - z[np.arange(len(z)), distilled.labels])))
-        return float(np.mean(losses)) + l1_lambda * float(np.abs(w).sum())
+        return stacked.loss(w) + l1_lambda * float(np.abs(w).sum())
 
+    objective.accuracies = stacked.accuracies
     return objective
 
 
@@ -304,32 +434,38 @@ class MergeOutcome:
     coefficients: MergeCoefficients
     objective_value: float
     trace: list[dict]
+    metrics_pre: dict[str, float]  # guidance accuracy per task at (1, 0)
+    metrics_post: dict[str, float]  # and at the chosen coefficients
+
+
+def _search_round(base: BaseEncoder, guidance: Sequence[GuidanceSet],
+                  deltas: LinearDeltas | FactoredDeltas, config: CoeffOptimConfig,
+                  temperature: float) -> MergeOutcome:
+    """Search (w, w') for one merge round; (1, 0) keeps the main item as it is."""
+    objective = guidance_objective(base, guidance, deltas, config.l1_lambda, temperature)
+    best, value, trace = optimize_coefficients(objective, config, n_vars=2)
+    return MergeOutcome(MergeCoefficients(float(best[0]), float(best[1])), value, trace,
+                        objective.accuracies(np.array([1.0, 0.0])),
+                        objective.accuracies(best))
 
 
 def merge_round_fusion(base: BaseEncoder, item: ForgeItem, branch: PluginModule,
-                       guidance: Sequence[GuidanceSet],
-                       config: CoeffOptimConfig) -> tuple[ForgeItem, MergeOutcome]:
+                       guidance: Sequence[GuidanceSet], config: CoeffOptimConfig,
+                       temperature: float = mdl.DEFAULT_TEMPERATURE,
+                       ) -> tuple[ForgeItem, MergeOutcome]:
     """Optimize (w, w'), then fuse the branch into the main plugin module."""
     if item.kind != "fused":
         raise InputError("fusion round requires a fused main item")
-    if not guidance:
-        raise InputError("fusion round requires guidance data")
-
-    def deltas_for(w: np.ndarray) -> dict[int, np.ndarray]:
-        merged = fuse(item.plugin, branch, MergeCoefficients(float(w[0]), float(w[1])))
-        return merged.layer_deltas()
-
-    objective = guidance_objective(base, guidance, deltas_for, config.l1_lambda)
-    best, value, trace = optimize_coefficients(objective, config, n_vars=2)
-    coeffs = MergeCoefficients(float(best[0]), float(best[1]))
-    fused = fuse(item.plugin, branch, coeffs)
-    new_item = ForgeItem("fused", item.round + 1, plugin=fused)
-    return new_item, MergeOutcome(coeffs, value, trace)
+    outcome = _search_round(base, guidance, FactoredDeltas([item.plugin, branch]),
+                            config, temperature)
+    fused = fuse(item.plugin, branch, outcome.coefficients)
+    return ForgeItem("fused", item.round + 1, plugin=fused), outcome
 
 
 def merge_round_mixture(base: BaseEncoder, item: ForgeItem, branch: PluginModule,
-                        guidance: Sequence[GuidanceSet],
-                        config: CoeffOptimConfig) -> tuple[ForgeItem, MergeOutcome]:
+                        guidance: Sequence[GuidanceSet], config: CoeffOptimConfig,
+                        temperature: float = mdl.DEFAULT_TEMPERATURE,
+                        ) -> tuple[ForgeItem, MergeOutcome]:
     """Optimize (w, w') with history frozen; rescale history by w, append branch.
 
     Flattened bookkeeping: nested application of the output rule gives every
@@ -337,25 +473,14 @@ def merge_round_mixture(base: BaseEncoder, item: ForgeItem, branch: PluginModule
     """
     if item.kind != "mixture":
         raise InputError("mixture round requires a mixture main item")
-    if not guidance:
-        raise InputError("mixture round requires guidance data")
-    branch_delta = {lid: ad.effective_delta() for lid, ad in branch.adapters.items()}
     main_delta = mixture_deltas(item.entries) if item.entries else {}
-
-    def deltas_for(w: np.ndarray) -> dict[int, np.ndarray]:
-        out = {lid: nm.DTYPE(w[0]) * d for lid, d in main_delta.items()}
-        for lid, d in branch_delta.items():
-            scaled = nm.DTYPE(w[1]) * d
-            out[lid] = out[lid] + scaled if lid in out else scaled
-        return out
-
-    objective = guidance_objective(base, guidance, deltas_for, config.l1_lambda)
-    best, value, trace = optimize_coefficients(objective, config, n_vars=2)
-    coeffs = MergeCoefficients(float(best[0]), float(best[1]))
+    outcome = _search_round(base, guidance,
+                            LinearDeltas([main_delta, branch.layer_deltas()]),
+                            config, temperature)
+    coeffs = outcome.coefficients
     entries = [(plugin, coeff * coeffs.w_main) for plugin, coeff in item.entries]
     entries.append((branch, coeffs.w_branch))
-    new_item = ForgeItem("mixture", item.round + 1, entries=entries)
-    return new_item, MergeOutcome(coeffs, value, trace)
+    return ForgeItem("mixture", item.round + 1, entries=entries), outcome
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +501,8 @@ def baseline_lorahub(base: BaseEncoder, plugins: Sequence[PluginModule],
     """One-shot joint optimization of one coefficient per module."""
     if not plugins:
         raise InputError("joint merging needs at least one plugin module")
-    if not guidance:
-        raise InputError("joint merging requires guidance data")
-    _check_compatible(plugins)
-
-    def deltas_for(w: np.ndarray) -> dict[int, np.ndarray]:
-        return combine_plugins(plugins, list(w)).layer_deltas()
-
-    objective = guidance_objective(base, guidance, deltas_for, config.l1_lambda)
+    objective = guidance_objective(base, guidance, FactoredDeltas(plugins),
+                                   config.l1_lambda)
     best, _, trace = optimize_coefficients(objective, config, n_vars=len(plugins))
     merged = combine_plugins(plugins, list(best))
     return merged, best, trace

@@ -17,10 +17,13 @@ import fcntl
 import hashlib
 import json
 import os
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import merge as mrg
 from .datasets import TaskSpec
@@ -33,7 +36,7 @@ from .errors import (
     NothingToMergeError,
     ValidationError,
 )
-from .evaluation import evaluate_deltas
+from .evaluation import evaluate_deltas  # noqa: F401 - perfbench/tracing.py patches this name
 from .merge import CoeffOptimConfig, ForgeItem, GuidanceSet
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule
 
@@ -175,9 +178,17 @@ class Repository:
         if target.exists():
             return object_id
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.parent / f".tmp-{os.getpid()}-{object_id[:12]}"
-        tmp.write_bytes(data)
-        os.replace(tmp, target)  # atomic; concurrent writers race benignly
+        # one temp file per writer, so threads storing the same bytes never
+        # share a name; all_object_ids skips the .tmp- prefix
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=target.parent)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), 0o644)  # mkstemp creates owner-only files
+                fh.write(data)
+            os.replace(tmp, target)  # atomic; concurrent writers race benignly
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return object_id
 
     def read_object(self, object_id: str) -> bytes:
@@ -246,6 +257,9 @@ class Repository:
             d, k = base.layer_dims(lid)
             if ad.b.shape != (d, ad.rank) or ad.a.shape != (ad.rank, k):
                 raise ValidationError(f"plugin shape mismatch on layer {lid}")
+            if not (np.isfinite(ad.a.data).all() and np.isfinite(ad.b.data).all()):
+                # a NaN or Inf weight would make every later merge objective NaN
+                raise ValidationError(f"plugin weights on layer {lid} are not finite")
             if self.strategy == "fusion" and ad.rank != self.config["rank"]:
                 # parameter fusion needs rank-aligned factors; reject now
                 # rather than poisoning the head of the merge queue
@@ -259,7 +273,12 @@ class Repository:
             raise ValidationError("distilled class count does not match the task")
         if distilled.inputs.shape[1] != task.flat_dim:
             raise ValidationError("distilled inputs do not match the task shape")
-        if distilled.labels.max(initial=0) >= task.num_classes:
+        if not np.isfinite(distilled.inputs).all():
+            raise ValidationError("distilled inputs are not finite")
+        labels = distilled.labels
+        if labels.shape != (len(distilled.inputs),):
+            raise ValidationError("one distilled label per distilled input required")
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= task.num_classes:
             raise ValidationError("distilled labels out of range")
 
     def _next_queue_path(self) -> Path:
@@ -368,15 +387,10 @@ class Repository:
             records = self.merge_records()
             guidance = self._guidance_from(records, [payload])
             item = self.current_item()
-            config = self.coeff_config()
-            metrics_pre = self._guidance_metrics(item, guidance)
-            if self.strategy == "fusion":
-                new_item, outcome = mrg.merge_round_fusion(
-                    self.base, item, branch, guidance, config)
-            else:
-                new_item, outcome = mrg.merge_round_mixture(
-                    self.base, item, branch, guidance, config)
-            metrics_post = self._guidance_metrics(new_item, guidance)
+            merge_round = (mrg.merge_round_fusion if self.strategy == "fusion"
+                           else mrg.merge_round_mixture)
+            new_item, outcome = merge_round(self.base, item, branch, guidance,
+                                            self.coeff_config(), self.config["temperature"])
             item_id = self.store_object(new_item.to_bytes())
             ref = self._read_ref()
             merge_commit = self._append_commit(ref["head"], "registry", "merge", {
@@ -395,8 +409,8 @@ class Repository:
                       "commit_id": merge_commit.id,
                       "trace": outcome.trace,
                       "guidance_ids": [g[0].content_id() for g in guidance],
-                      "metrics_pre": metrics_pre,
-                      "metrics_post": metrics_post,
+                      "metrics_pre": outcome.metrics_pre,
+                      "metrics_post": outcome.metrics_post,
                       "timestamp": time.time()}
             self._append_merge_record(record)
             self._write_ref({**ref, "item_id": item_id, "round": new_item.round,
@@ -408,15 +422,6 @@ class Repository:
         out = []
         while self.pending():
             out.append(self.merge_next())
-        return out
-
-    def _guidance_metrics(self, item: ForgeItem, guidance: list[GuidanceSet]) -> dict:
-        out = {}
-        for distilled, table in guidance:
-            data_view = _distilled_as_dataset(distilled)
-            acc, _ = evaluate_deltas(self.base, item.deltas(), table, data_view,
-                                     self.config["temperature"])
-            out[distilled.task_name] = round(acc, 6)
         return out
 
     # -- history -----------------------------------------------------------
@@ -460,12 +465,6 @@ class Repository:
         for object_id in ids:
             self.read_object(object_id)
         return len(ids)
-
-
-def _distilled_as_dataset(distilled: DistilledDataset):
-    from .datasets import LabeledDataset
-
-    return LabeledDataset(distilled.inputs, distilled.labels, None, split="guidance")
 
 
 def init_repo(path: str | Path, base_seed: int, strategy: str, **kwargs) -> Repository:

@@ -134,6 +134,33 @@ class TestExitCodes:
                      "--distilled", str(distilled), "--task", "B-toy",
                      "--data", str(data_dir)]) == 2
 
+    def test_poison_contribution_is_two_and_queues_nothing(self, tmp_path, data_dir):
+        import numpy as np
+
+        from forge import numerics as nm
+        from forge.datasets import load_dataset
+        from forge.distill import DistilledDataset
+        from forge.model import BaseEncoder, PluginModule
+
+        repo = tmp_path / "repo"
+        assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
+        spec, _ = load_dataset(data_dir / "B-toy" / "train.fgd")
+        plugin = PluginModule.fresh(BaseEncoder.from_seed(5), 16, 16.0, nm.make_rng(0))
+        plugin.adapters[0].b.data[3, 2] = np.nan
+        plugin_path = tmp_path / "nan.fgm"
+        plugin_path.write_bytes(plugin.to_bytes())
+        distilled = DistilledDataset(spec.name, spec.num_classes, 1, spec.input_shape,
+                                     np.zeros((spec.num_classes, spec.flat_dim)),
+                                     np.arange(spec.num_classes))
+        distilled_path = tmp_path / "d.fgd"
+        distilled_path.write_bytes(distilled.to_bytes())
+        objects_before = sorted((repo / "objects").rglob("*"))
+        assert main(["commit", str(repo), "--plugin", str(plugin_path),
+                     "--distilled", str(distilled_path), "--task", "B-toy",
+                     "--data", str(data_dir)]) == 2
+        assert sorted((repo / "objects").rglob("*")) == objects_before
+        assert list((repo / "queue").iterdir()) == []
+
     def test_runtime_error_is_three(self, tmp_path):
         # missing repo directory surfaces as a validation-or-runtime failure
         code = main(["merge", str(tmp_path / "missing-repo")])

@@ -367,3 +367,184 @@ class TestForgeItemSerialization:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ParameterError):
             ForgeItem("other", 0)
+
+
+def reference_objective(base, guidance, deltas_for, l1_lambda,
+                        temperature=model.DEFAULT_TEMPERATURE):
+    """The per-task loop the stacked objective replaced: one encode and one
+    cosine head per guidance set, then the mean of the per-task means."""
+    def objective(w):
+        deltas = deltas_for(w)
+        losses = []
+        for distilled, table in guidance:
+            emb = model.encode_np(base, deltas, distilled.inputs)
+            z = model.cosine_logits_np(emb, table, temperature).astype(np.float64)
+            zmax = z.max(axis=1, keepdims=True)
+            lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+            losses.append(float(np.mean(lse - z[np.arange(len(z)), distilled.labels])))
+        return float(np.mean(losses)) + l1_lambda * float(np.abs(w).sum())
+
+    return objective
+
+
+def mixed_guidance(enc, rng):
+    """A 2-class task with 5 rows per class and a 3-class task with 2 per class."""
+    from forge.distill import DistilledDataset
+    from forge.model import LabelEmbeddingTable
+
+    out = []
+    for name, labels, ipc in (("two", ["left tone", "right tone"], 5),
+                              ("three", ["low", "mid", "high"], 2)):
+        table = LabelEmbeddingTable(name, labels, enc.embed_dim)
+        inputs = rng.normal(size=(ipc * len(labels), enc.input_dim)).astype(np.float32)
+        y = np.repeat(np.arange(len(labels)), ipc)
+        out.append((DistilledDataset(name, len(labels), ipc, (1, enc.input_dim), inputs, y),
+                    table))
+    return out
+
+
+def as_dataset(distilled):
+    from forge.datasets import LabeledDataset
+
+    return LabeledDataset(distilled.inputs, distilled.labels)
+
+
+ENCODER_DIMS = {"1-layer": (24, 8), "2-layer": (24, 12, 8)}
+
+
+class TestStackedObjective:
+    """The stacked objective against the per-task reference loop."""
+
+    def build(self, depth, seed):
+        rng = nm.make_rng(seed)
+        enc = BaseEncoder.from_seed(seed, ENCODER_DIMS[depth])
+        plugins = [random_plugin(enc, rng, rank=3, alpha=3.0) for _ in range(3)]
+        return rng, enc, plugins, mixed_guidance(enc, rng)
+
+    def assert_matches(self, rng, new, old, n_vars):
+        for _ in range(12):
+            w = rng.uniform(0.0, 2.0, size=n_vars)
+            want = old(w)
+            assert abs(new(w) - want) <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    def test_fusion_matches_reference(self, depth):
+        rng, enc, (main, branch, _), guidance = self.build(depth, 30)
+        new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas([main, branch]),
+                                       0.05)
+        old = reference_objective(enc, guidance, lambda w: merge.fuse(
+            main, branch, MergeCoefficients(w[0], w[1])).layer_deltas(), 0.05)
+        self.assert_matches(rng, new, old, 2)
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    def test_mixture_matches_reference(self, depth):
+        rng, enc, (p1, p2, branch), guidance = self.build(depth, 31)
+        main = merge.mixture_deltas([(p1, 0.6), (p2, 1.3)])
+        new = merge.guidance_objective(
+            enc, guidance, merge.LinearDeltas([main, branch.layer_deltas()]), 0.05)
+
+        def deltas_for(w):
+            return merge.mixture_deltas([(p1, 0.6 * w[0]), (p2, 1.3 * w[0]),
+                                         (branch, w[1])])
+
+        self.assert_matches(rng, new, reference_objective(enc, guidance, deltas_for, 0.05),
+                            2)
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    def test_joint_matches_reference(self, depth):
+        rng, enc, plugins, guidance = self.build(depth, 32)
+        new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas(plugins), 0.05)
+        old = reference_objective(
+            enc, guidance, lambda w: merge.combine_plugins(plugins, list(w)).layer_deltas(),
+            0.05)
+        self.assert_matches(rng, new, old, 3)
+
+    def test_tasks_weigh_equally_whatever_their_row_counts(self):
+        # the mean over all ten rows differs from the mean of the two task
+        # means; the objective must give the latter
+        rng, enc, plugins, guidance = self.build("2-layer", 33)
+        new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas(plugins), 0.0)
+        w = np.array([0.4, 1.1, 0.7])
+        deltas = merge.combine_plugins(plugins, list(w)).layer_deltas()
+        per_row, per_task = [], []
+        for distilled, table in guidance:
+            one = reference_objective(enc, [(distilled, table)], lambda _: deltas, 0.0)(w)
+            per_task.append(one)
+            per_row.extend([one] * len(distilled.labels))
+        assert new(w) == pytest.approx(np.mean(per_task), rel=1e-6)
+        assert abs(np.mean(per_row) - np.mean(per_task)) > 1e-3
+
+    def test_temperature_reaches_the_head(self):
+        rng, enc, plugins, guidance = self.build("2-layer", 34)
+        deltas_for = lambda w: merge.combine_plugins(plugins, list(w)).layer_deltas()
+        w = np.array([0.9, 0.2, 1.4])
+        for temperature in (0.07, 0.5):
+            new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas(plugins),
+                                           0.05, temperature)
+            old = reference_objective(enc, guidance, deltas_for, 0.05, temperature)
+            assert new(w) == pytest.approx(old(w), rel=1e-6)
+
+    def test_zero_norm_embedding_rejected(self):
+        from forge.errors import DegenerateInputError
+
+        enc = scalar_base(1.0)
+        guidance = make_guidance_dim(enc, nm.make_rng(35))
+        guidance[0][0].inputs[:] = 0.0
+        objective = merge.guidance_objective(
+            enc, guidance, merge.LinearDeltas([{}, {0: np.zeros((1, 1), np.float32)}]), 0.0)
+        with pytest.raises(DegenerateInputError):
+            objective(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_its_task_rejected(self, label):
+        from forge.datasets import LabeledDataset
+
+        rng, enc, plugins, guidance = self.build("1-layer", 38)
+        distilled, table = guidance[0]  # two classes, next to a three-class task
+        raw = LabeledDataset(distilled.inputs, distilled.labels.copy())
+        raw.labels[0] = label
+        with pytest.raises(InputError):
+            merge.guidance_objective(enc, [(raw, table), guidance[1]],
+                                     merge.FactoredDeltas(plugins), 0.0)
+
+    def test_empty_guidance_set_rejected(self):
+        from forge.datasets import LabeledDataset
+
+        rng, enc, plugins, guidance = self.build("1-layer", 39)
+        empty = LabeledDataset(np.zeros((0, enc.input_dim)), np.zeros(0))
+        with pytest.raises(InputError):
+            merge.guidance_objective(enc, [guidance[0], (empty, guidance[1][1])],
+                                     merge.FactoredDeltas(plugins), 0.0)
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_round_metrics_equal_evaluate_deltas(self, depth, strategy):
+        from forge.evaluation import evaluate_deltas
+
+        rng, enc, (p1, p2, branch), guidance = self.build(depth, 36)
+        if strategy == "fusion":
+            item = ForgeItem("fused", 2, plugin=merge.fuse(p1, p2, MergeCoefficients(0.7, 0.9)))
+            new_item, outcome = merge.merge_round_fusion(
+                enc, item, branch, guidance, CoeffOptimConfig(max_iterations=12))
+        else:
+            item = ForgeItem("mixture", 2, entries=[(p1, 0.7), (p2, 0.9)])
+            new_item, outcome = merge.merge_round_mixture(
+                enc, item, branch, guidance, CoeffOptimConfig(max_iterations=12))
+        for metrics, state in ((outcome.metrics_pre, item),
+                               (outcome.metrics_post, new_item)):
+            want = {table.task_name: round(evaluate_deltas(
+                enc, state.deltas(), table, as_dataset(distilled))[0], 6)
+                for distilled, table in guidance}
+            assert metrics == want
+
+    def test_first_mixture_round_metrics_use_the_bare_base(self):
+        from forge.evaluation import evaluate_deltas
+
+        rng, enc, (_, _, branch), guidance = self.build("2-layer", 37)
+        genesis = ForgeItem.genesis("mixture", enc, rank=3, alpha=3.0)
+        _, outcome = merge.merge_round_mixture(enc, genesis, branch, guidance,
+                                               CoeffOptimConfig(max_iterations=6))
+        assert outcome.metrics_pre == {
+            table.task_name: round(evaluate_deltas(enc, None, table,
+                                                   as_dataset(distilled))[0], 6)
+            for distilled, table in guidance}

@@ -1,13 +1,17 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from forge import merge, model
 from forge import numerics as nm
 from forge.datasets import TaskSpec
 from forge.distill import DistilledDataset
 from forge.errors import (
     ConflictError,
+    InputError,
     IntegrityError,
     LockHeldError,
     NothingToMergeError,
@@ -132,6 +136,31 @@ class TestCommit:
         repo.merge_next()
         assert repo.current_round() == 1
 
+    @pytest.mark.parametrize("factor,bad", [("a", np.nan), ("b", np.inf)])
+    def test_non_finite_plugin_refused_before_storing(self, tmp_path, factor, bad):
+        repo = make_repo(tmp_path / "repo")
+        before = repo.all_object_ids()
+        contrib = make_contribution(repo.base, "t1", ["red", "blue"])
+        getattr(contrib.plugin.adapters[1], factor).data[0, 0] = bad
+        with pytest.raises(ValidationError):
+            repo.commit_contribution(contrib)
+        assert repo.all_object_ids() == before
+        assert repo.pending() == []
+
+    def test_negative_distilled_label_refused_before_storing(self, tmp_path):
+        repo = make_repo(tmp_path / "repo")
+        before = repo.all_object_ids()
+        contrib = make_contribution(repo.base, "t1", ["red", "blue"])
+        contrib.distilled.labels[0] = -1
+        with pytest.raises(ValidationError):
+            repo.commit_contribution(contrib)
+        assert repo.all_object_ids() == before
+        assert repo.pending() == []
+
+    def test_distilled_set_with_negative_label_cannot_be_built(self):
+        with pytest.raises(InputError):
+            DistilledDataset("t", 2, 1, (1, 3), np.zeros((2, 3)), np.array([0, -1]))
+
     def test_init_over_file_is_conflict(self, tmp_path):
         target = tmp_path / "not-a-dir"
         target.write_text("occupied")
@@ -174,6 +203,51 @@ class TestMerge:
         repo.merge_next()
         after = repo.read_object(commit.payload["plugin_id"])
         assert before == after
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_merge_runs_no_per_task_encoder_pass(self, tmp_path, monkeypatch, strategy):
+        repo = make_repo(tmp_path / "repo", strategy=strategy)
+        for i, name in enumerate(("t1", "t2", "t3")):
+            repo.commit_contribution(make_contribution(
+                repo.base, name, [f"{name} a", f"{name} b"], seed=i))
+        calls = []
+        encode_np = model.encode_np
+        monkeypatch.setattr(model, "encode_np",
+                            lambda *a, **k: calls.append(1) or encode_np(*a, **k))
+        repo.merge_all()
+        assert repo.current_round() == 3
+        assert calls == []
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_search_scores_at_the_repository_temperature(self, tmp_path, strategy):
+        from test_merge import reference_objective
+
+        repo = Repository.init(tmp_path / "repo", SEED, strategy, rank=RANK, alpha=ALPHA,
+                               temperature=0.2, coeff=fast_coeff())
+        contribs = [make_contribution(repo.base, name, [f"{name} a", f"{name} b", "c"],
+                                      seed=i) for i, name in enumerate(("t1", "t2"))]
+        for contrib in contribs:
+            repo.commit_contribution(contrib)
+        repo.merge_all()
+        record = repo.merge_records()[1]
+        item, branch = repo.checkout(1), contribs[1].plugin
+        guidance = [(c.distilled, model.LabelEmbeddingTable(c.task.name, c.task.labels,
+                                                            repo.base.embed_dim))
+                    for c in contribs]
+
+        def deltas_for(w):
+            if strategy == "fusion":
+                return merge.fuse(item.plugin, branch,
+                                  merge.MergeCoefficients(w[0], w[1])).layer_deltas()
+            return merge.mixture_deltas([(p, c * w[0]) for p, c in item.entries]
+                                        + [(branch, w[1])])
+
+        w = np.array([record["w_main"], record["w_branch"]])
+        l1 = repo.coeff_config().l1_lambda
+        at = {t: reference_objective(repo.base, guidance, deltas_for, l1, t)(w)
+              for t in (0.2, model.DEFAULT_TEMPERATURE)}
+        assert record["objective"] == pytest.approx(at[0.2], rel=1e-6)
+        assert abs(record["objective"] - at[model.DEFAULT_TEMPERATURE]) > 1e-3
 
     def test_lock_conflict(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
@@ -256,3 +330,50 @@ class TestHistory:
         assert repo.verify_objects() > 0
         repo.merge_all()
         repo.replay()
+
+
+class TestObjectStore:
+    def test_threads_storing_identical_bytes(self, tmp_path):
+        repo = make_repo(tmp_path / "repo")
+        n_threads, trials = 8, 30
+        errors = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(trials):
+                data = f"object of trial {trial}".encode() * 64
+                barrier = threading.Barrier(n_threads)
+
+                def worker():
+                    try:
+                        barrier.wait(timeout=10)
+                        repo.store_object(data)
+                    except Exception as exc:  # noqa: BLE001 - collected and asserted
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert repo.read_object(hashlib.sha256(data).hexdigest()) == data
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert list((repo.root / "objects").rglob(".tmp-*")) == []
+        assert repo.verify_objects() == len(repo.all_object_ids())
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import os
+
+        repo = make_repo(tmp_path / "repo")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            repo.store_object(b"never lands")
+        assert list((repo.root / "objects").rglob(".tmp-*")) == []
+        assert hashlib.sha256(b"never lands").hexdigest() not in repo.all_object_ids()
