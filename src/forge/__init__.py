@@ -13,9 +13,7 @@ from .merge import (
     baseline_lorahub,
     baseline_modelsoup,
     fuse,
-    merge_round_fusion,
-    merge_round_mixture,
-    mixture_forward,
+    merge_round,
     optimize_coefficients,
 )
 from .model import (
@@ -25,7 +23,7 @@ from .model import (
     PluginModule,
     TrainConfig,
     classify,
-    forward,
+    encode,
     init_adapter,
     train_plugin,
 )
@@ -40,9 +38,8 @@ __all__ = [
     "LabelEmbeddingTable", "LabeledDataset", "LoraAdapter", "MergeCoefficients",
     "MetricsReport", "PluginModule", "Repository", "SgdState", "TaskSpec",
     "Tensor", "TrainConfig", "accuracy", "auc", "baseline_lorahub",
-    "baseline_modelsoup", "classify", "distill_dataset", "eval_distilled",
-    "finite_difference_grad", "forward", "fuse", "generate_tasks",
-    "group_aggregate", "init_adapter", "init_repo", "make_rng",
-    "merge_round_fusion", "merge_round_mixture", "mixture_forward",
+    "baseline_modelsoup", "classify", "distill_dataset", "encode", "eval_distilled",
+    "finite_difference_grad", "fuse", "generate_tasks", "group_aggregate",
+    "init_adapter", "init_repo", "make_rng", "merge_round",
     "optimize_coefficients", "sgd_step", "split_by_group", "train_plugin",
 ]

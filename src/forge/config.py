@@ -19,8 +19,7 @@ DEFAULTS: dict[str, dict] = {
     "train": {"epochs": 100, "learning_rate": 0.01, "momentum": 0.9,
               "weight_decay": 5e-4, "batch_size": 64, "temperature": 0.07},
     "distill": {"iterations": 5000, "ipc": 20, "syn_lr": 1.0, "syn_lr_final": 0.1,
-                "inner_steps": 1, "dsa": True, "eval_iterations": 1000,
-                "init_from_real": False, "persist_adapter": False},
+                "dsa": True, "eval_iterations": 1000, "init_from_real": False},
     "merge": {"max_iterations": 40, "init_value": 0.5, "l1_lambda": 0.05,
               "box_min": 0.0, "box_max": 2.0, "allow_negative": False},
     "run": {"seed": 0, "author": "anon"},
@@ -110,10 +109,9 @@ class RunConfig:
     def distill_config(self, **overrides) -> DistillConfig:
         d, a, t = self.values["distill"], self.values["adapter"], self.values["train"]
         kwargs = dict(iterations=d["iterations"], ipc=d["ipc"], syn_lr=d["syn_lr"],
-                      syn_lr_final=d["syn_lr_final"], inner_steps=d["inner_steps"],
-                      dsa_enabled=d["dsa"], eval_iterations=d["eval_iterations"],
+                      syn_lr_final=d["syn_lr_final"], dsa_enabled=d["dsa"],
+                      eval_iterations=d["eval_iterations"],
                       init_from_real=d["init_from_real"],
-                      persist_adapter=d["persist_adapter"],
                       rank=a["rank"], alpha=a["alpha"],
                       inner_lr=t["learning_rate"], inner_momentum=t["momentum"],
                       inner_weight_decay=t["weight_decay"],

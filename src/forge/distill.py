@@ -95,9 +95,7 @@ class DistillConfig:
     ipc: int = 20
     syn_lr: float = 1.0
     syn_lr_final: float = 0.1
-    inner_steps: int = 1
     dsa_enabled: bool = True
-    persist_adapter: bool = False  # listing re-inits the adapter every step
     init_from_real: bool = False
     real_batch_per_class: int = 64
     max_shift: int = 2
@@ -214,8 +212,8 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
 
     Each step draws a fresh random adapter as the feature extractor, samples
     a per-class real minibatch and the synthetic set, applies one shared
-    augmentation to both sides, updates the synthetic inputs on the matching
-    loss, then gives the adapter its own update step on the synthetic data.
+    augmentation to both sides, and updates the synthetic inputs on the
+    matching loss. The adapter is never trained.
     """
     num_classes = spec.num_classes
     side = spec.input_shape
@@ -237,22 +235,10 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
     syn = Tensor(syn0.copy(), requires_grad=True)
     syn_labels = np.repeat(np.arange(num_classes, dtype=np.int64), config.ipc)
 
-    table = LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
     syn_state = nm.SgdState(learning_rate=config.syn_lr)
-    plugin: PluginModule | None = None
-    inner_state: nm.SgdState | None = None
-
-    def feature_fn(batch_flat: Tensor, current: PluginModule) -> Tensor:
-        paths = {lid: [(ad, 1.0)] for lid, ad in current.adapters.items()}
-        return mdl.encode(base, batch_flat, paths)
 
     for step in range(config.iterations):
-        if plugin is None or not config.persist_adapter:
-            plugin = random_feature_plugin(base, config.rank, config.alpha, rng)
-            for p in plugin.parameters():
-                p.requires_grad = True
-            inner_state = nm.SgdState(config.inner_lr, config.inner_momentum,
-                                      config.inner_weight_decay)
+        plugin = random_feature_plugin(base, config.rank, config.alpha, rng)
         step_params = None
         if config.dsa_enabled:
             step_params = DsaParams.sample(rng, config.max_shift,
@@ -273,25 +259,12 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
             syn_by_class[cls] = syn_c
 
         loss = dm_loss(real_by_class, syn_by_class,
-                       lambda t: feature_fn(t, plugin))
+                       lambda t: mdl.encode(base, t, plugin))
         syn.zero_grad()
-        for p in plugin.parameters():
-            p.zero_grad()
         loss.backward()
         syn_state.learning_rate = _cosine_lr(step, config.iterations,
                                              config.syn_lr, config.syn_lr_final)
         nm.sgd_step([syn], None, syn_state)
-
-        # adapter refinement on the synthetic set (cross-entropy)
-        for _ in range(config.inner_steps):
-            xb = Tensor(syn.data.copy())
-            emb = feature_fn(xb, plugin)
-            logits = mdl.classify(emb, table, config.temperature)
-            inner_loss = nm.softmax_cross_entropy(logits, syn_labels)
-            for p in plugin.parameters():
-                p.zero_grad()
-            inner_loss.backward()
-            nm.sgd_step(plugin.parameters(), None, inner_state)
 
     return DistilledDataset(spec.name, num_classes, config.ipc, tuple(side),
                             syn.data.copy(), syn_labels)

@@ -4,7 +4,9 @@ Fusion composes parameters: per layer, new A = w*A_main + w'*A_branch and
 new B = w*B_main + w'*B_branch, so the resulting delta B@A carries the
 quadratic cross terms of the two modules. Mixture leaves parameters alone
 and forms the output as the coefficient-weighted sum of every module's
-adapter-path output on top of the frozen base.
+adapter-path output on top of the frozen base. ``ForgeItem.merged`` is the
+one implementation of a round for either strategy; merging and replay both
+call it.
 
 Coefficients are found by a derivative-free simplex search over a box,
 minimizing cross-entropy on distilled guidance data plus an L1 penalty.
@@ -119,18 +121,6 @@ def fuse(main: PluginModule, branch: PluginModule,
     return combine_plugins([main, branch], [coeffs.w_main, coeffs.w_branch])
 
 
-def mixture_forward(base: BaseEncoder, entries: Sequence[tuple[PluginModule, float]],
-                    x: Tensor) -> Tensor:
-    """Embedding with each module's adapter-path output weighted and summed."""
-    paths: dict[int, list] = {}
-    for plugin, coeff in entries:
-        for lid, ad in plugin.adapters.items():
-            if lid >= len(base.layers):
-                raise IncompatibleModulesError(f"plugin targets missing layer {lid}")
-            paths.setdefault(lid, []).append((ad, float(coeff)))
-    return mdl.encode(base, x, paths)
-
-
 def mixture_deltas(entries: Sequence[tuple[PluginModule, float]]) -> dict[int, np.ndarray]:
     """Effective per-layer weight delta of a coefficient-weighted mixture."""
     out: dict[int, np.ndarray] = {}
@@ -177,6 +167,26 @@ class ForgeItem:
             return self.plugin.layer_deltas()
         return mixture_deltas(self.entries) if self.entries else None
 
+    def search_deltas(self, branch: PluginModule) -> "LinearDeltas | FactoredDeltas":
+        """Per-layer deltas of the next round as functions of (w, w')."""
+        if self.kind == "fused":
+            return FactoredDeltas([self.plugin, branch])
+        return LinearDeltas([self.deltas() or {}, branch.layer_deltas()])
+
+    def merged(self, branch: PluginModule, coeffs: MergeCoefficients) -> "ForgeItem":
+        """The next round's item: fuse the branch into the plugin, or rescale
+        the history by w and append the branch at w'.
+
+        Flattened mixture bookkeeping: nested application of the output rule
+        gives every previous entry an effective coefficient multiplied by
+        this round's w.
+        """
+        if self.kind == "fused":
+            return ForgeItem("fused", self.round + 1, plugin=fuse(self.plugin, branch, coeffs))
+        entries = [(plugin, coeff * coeffs.w_main) for plugin, coeff in self.entries]
+        entries.append((branch, coeffs.w_branch))
+        return ForgeItem("mixture", self.round + 1, entries=entries)
+
     def to_bytes(self) -> bytes:
         out = [FORGE_ITEM_MAGIC,
                struct.pack("<BBI", FORGE_ITEM_VERSION,
@@ -197,30 +207,33 @@ class ForgeItem:
                    plugin_loader: Callable[[str], PluginModule] | None = None) -> "ForgeItem":
         if buf[:4] != FORGE_ITEM_MAGIC:
             raise FormatError("bad forge item magic")
-        if len(buf) < 10:
+        if len(buf) < 14:
             raise FormatError("truncated forge item header")
-        version, kind_tag, round_no = struct.unpack_from("<BBI", buf, 4)
+        version, kind_tag, round_no, count = struct.unpack_from("<BBII", buf, 4)
         if version != FORGE_ITEM_VERSION:
             raise FormatError(f"unsupported forge item version {version}")
-        offset = 10
-        if kind_tag == 0:
-            (size,) = struct.unpack_from("<I", buf, offset)
-            offset += 4
-            plugin = PluginModule.from_bytes(buf[offset:offset + size])
-            return cls("fused", round_no, plugin=plugin)
-        (count,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if plugin_loader is None and count:
-            raise FormatError("mixture item needs a plugin loader to resolve ids")
-        entries = []
-        for _ in range(count):
-            if len(buf) < offset + 40:
-                raise FormatError("truncated mixture entry")
-            plugin_id = buf[offset:offset + 32].hex()
-            (coeff,) = struct.unpack_from("<d", buf, offset + 32)
-            offset += 40
-            entries.append((plugin_loader(plugin_id), coeff))
-        return cls("mixture", round_no, entries=entries)
+        if kind_tag not in (0, 1):
+            raise FormatError(f"unknown forge item kind tag {kind_tag}")
+        offset = 14
+        if kind_tag == 0:  # count is the plugin payload size
+            plugin = PluginModule.from_bytes(buf[offset:offset + count])
+            item = cls("fused", round_no, plugin=plugin)
+            offset += count
+        else:  # count is the number of entries
+            if plugin_loader is None and count:
+                raise FormatError("mixture item needs a plugin loader to resolve ids")
+            entries = []
+            for _ in range(count):
+                if len(buf) < offset + 40:
+                    raise FormatError("truncated mixture entry")
+                plugin_id = buf[offset:offset + 32].hex()
+                (coeff,) = struct.unpack_from("<d", buf, offset + 32)
+                offset += 40
+                entries.append((plugin_loader(plugin_id), coeff))
+            item = cls("mixture", round_no, entries=entries)
+        if offset != len(buf):
+            raise FormatError("trailing bytes after forge item payload")
+        return item
 
 
 # ---------------------------------------------------------------------------
@@ -438,49 +451,21 @@ class MergeOutcome:
     metrics_post: dict[str, float]  # and at the chosen coefficients
 
 
-def _search_round(base: BaseEncoder, guidance: Sequence[GuidanceSet],
-                  deltas: LinearDeltas | FactoredDeltas, config: CoeffOptimConfig,
-                  temperature: float) -> MergeOutcome:
-    """Search (w, w') for one merge round; (1, 0) keeps the main item as it is."""
-    objective = guidance_objective(base, guidance, deltas, config.l1_lambda, temperature)
-    best, value, trace = optimize_coefficients(objective, config, n_vars=2)
-    return MergeOutcome(MergeCoefficients(float(best[0]), float(best[1])), value, trace,
-                        objective.accuracies(np.array([1.0, 0.0])),
-                        objective.accuracies(best))
+def merge_round(base: BaseEncoder, item: ForgeItem, branch: PluginModule,
+                guidance: Sequence[GuidanceSet], config: CoeffOptimConfig,
+                temperature: float = mdl.DEFAULT_TEMPERATURE,
+                ) -> tuple[ForgeItem, MergeOutcome]:
+    """Search (w, w') for one merge round, then merge the branch into ``item``.
 
-
-def merge_round_fusion(base: BaseEncoder, item: ForgeItem, branch: PluginModule,
-                       guidance: Sequence[GuidanceSet], config: CoeffOptimConfig,
-                       temperature: float = mdl.DEFAULT_TEMPERATURE,
-                       ) -> tuple[ForgeItem, MergeOutcome]:
-    """Optimize (w, w'), then fuse the branch into the main plugin module."""
-    if item.kind != "fused":
-        raise InputError("fusion round requires a fused main item")
-    outcome = _search_round(base, guidance, FactoredDeltas([item.plugin, branch]),
-                            config, temperature)
-    fused = fuse(item.plugin, branch, outcome.coefficients)
-    return ForgeItem("fused", item.round + 1, plugin=fused), outcome
-
-
-def merge_round_mixture(base: BaseEncoder, item: ForgeItem, branch: PluginModule,
-                        guidance: Sequence[GuidanceSet], config: CoeffOptimConfig,
-                        temperature: float = mdl.DEFAULT_TEMPERATURE,
-                        ) -> tuple[ForgeItem, MergeOutcome]:
-    """Optimize (w, w') with history frozen; rescale history by w, append branch.
-
-    Flattened bookkeeping: nested application of the output rule gives every
-    previous entry an effective coefficient multiplied by this round's w.
+    (1, 0) keeps the main item as it is.
     """
-    if item.kind != "mixture":
-        raise InputError("mixture round requires a mixture main item")
-    main_delta = mixture_deltas(item.entries) if item.entries else {}
-    outcome = _search_round(base, guidance,
-                            LinearDeltas([main_delta, branch.layer_deltas()]),
-                            config, temperature)
-    coeffs = outcome.coefficients
-    entries = [(plugin, coeff * coeffs.w_main) for plugin, coeff in item.entries]
-    entries.append((branch, coeffs.w_branch))
-    return ForgeItem("mixture", item.round + 1, entries=entries), outcome
+    objective = guidance_objective(base, guidance, item.search_deltas(branch),
+                                   config.l1_lambda, temperature)
+    best, value, trace = optimize_coefficients(objective, config, n_vars=2)
+    coeffs = MergeCoefficients(float(best[0]), float(best[1]))
+    outcome = MergeOutcome(coeffs, value, trace, objective.accuracies(np.array([1.0, 0.0])),
+                           objective.accuracies(best))
+    return item.merged(branch, coeffs), outcome
 
 
 # ---------------------------------------------------------------------------

@@ -246,14 +246,14 @@ def _validate_plugin(base: BaseEncoder, plugin: PluginModule) -> None:
             raise ShapeError(f"adapter for layer {lid} has shape mismatch")
 
 
-def encode(base: BaseEncoder, x: Tensor,
-           paths: dict[int, list[tuple[LoraAdapter, float]]] | None = None,
+def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
            training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Batched embedding of [n, input_dim]; adapter paths add weighted deltas.
-
-    ``paths`` maps layer_id to (adapter, coefficient) pairs whose outputs are
-    scaled and summed on top of the frozen layer output.
-    """
+    """Batched embedding of [n, input_dim]; an attached plugin adds each
+    adapter's side path on top of the frozen layer it targets."""
+    adapters = {}
+    if plugin is not None:
+        _validate_plugin(base, plugin)
+        adapters = plugin.adapters
     if x.data.ndim == 1:
         x = nm.reshape(x, (1, x.shape[0]))
     if x.shape[1] != base.input_dim:
@@ -262,22 +262,13 @@ def encode(base: BaseEncoder, x: Tensor,
     last = len(base.layers) - 1
     for lid, layer in enumerate(base.layers):
         y = nm.add(nm.matmul(h, nm.transpose(layer.weight)), layer.bias)
-        for adapter, coeff in (paths or {}).get(lid, ()):  # adapter side path
+        adapter = adapters.get(lid)
+        if adapter is not None:  # adapter side path
             hp = nm.dropout(h, adapter.dropout_p, rng, training) if rng is not None else h
             part = nm.matmul(nm.matmul(hp, nm.transpose(adapter.a)), nm.transpose(adapter.b))
-            y = nm.add(y, nm.scale(part, adapter.scaling() * coeff))
+            y = nm.add(y, nm.scale(part, adapter.scaling()))
         h = y if lid == last else nm.tanh(y)
     return h
-
-
-def forward(base: BaseEncoder, plugin: PluginModule | None, x: Tensor,
-            training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Embedding with an optional plugin attached at coefficient 1."""
-    paths = None
-    if plugin is not None:
-        _validate_plugin(base, plugin)
-        paths = {lid: [(ad, 1.0)] for lid, ad in plugin.adapters.items()}
-    return encode(base, x, paths, training=training, rng=rng)
 
 
 def classify(embedding: Tensor, table: LabelEmbeddingTable,
@@ -387,7 +378,7 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
                 break
             idx = order[start:start + config.batch_size]
             xb = Tensor(inputs[idx])
-            emb = forward(base, plugin, xb, training=True, rng=rng)
+            emb = encode(base, xb, plugin, training=True, rng=rng)
             logits = classify(emb, table, config.temperature)
             loss = nm.softmax_cross_entropy(logits, labels[idx])
             for p in params:

@@ -51,9 +51,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backprop from this node; grads accumulate into leaf ``.grad``."""
         if seed is None:
@@ -316,28 +313,6 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
         _accumulate(a, (g - out_data * dot) * inv)
 
     return _node(out_data, (a,), backward)
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine of the angle between two 1-D vectors; scalar in [-1, 1]."""
-    if u.data.ndim != 1 or v.data.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine_similarity expects equal 1-D shapes, got {u.shape}, {v.shape}")
-    u64 = u.data.astype(np.float64)
-    v64 = v.data.astype(np.float64)
-    nu = float(np.linalg.norm(u64))
-    nv = float(np.linalg.norm(v64))
-    if nu < _NORM_EPS or nv < _NORM_EPS:
-        raise DegenerateInputError("cosine_similarity is undefined for zero-norm input")
-    value = float(u64 @ v64 / (nu * nv))
-
-    def backward(g: np.ndarray) -> None:
-        gs = float(g)
-        _accumulate(u, (gs * (v64 / (nu * nv) - value * u64 / (nu * nu))).astype(DTYPE))
-        _accumulate(v, (gs * (u64 / (nu * nv) - value * v64 / (nv * nv))).astype(DTYPE))
-
-    out = _node(np.array(value, dtype=DTYPE), (u, v), backward)
-    out._value = value
-    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -200,9 +200,6 @@ class Repository:
             raise IntegrityError(f"object {object_id} fails its hash check")
         return data
 
-    def has_object(self, object_id: str) -> bool:
-        return self._object_path(object_id).is_file()
-
     def all_object_ids(self) -> list[str]:
         out = []
         objects = self.root / "objects"
@@ -354,8 +351,9 @@ class Repository:
         with open(log, "a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def _guidance_from(self, records: list[dict], extra: list[dict]) -> list[GuidanceSet]:
-        """Distilled sets of previously merged tasks plus the incoming ones."""
+    def _guidance_from(self, records: list[dict], extra: list[dict]) -> dict[str, GuidanceSet]:
+        """Distilled sets of previously merged tasks plus the incoming ones,
+        keyed by distilled id in first-merge order."""
         seen: dict[str, GuidanceSet] = {}
         for doc in [*records, *extra]:
             distilled_id = doc["distilled_id"]
@@ -365,7 +363,7 @@ class Repository:
             task = TaskSpec.from_dict(doc["task"])
             table = LabelEmbeddingTable(task.name, task.labels, self.base.embed_dim)
             seen[distilled_id] = (distilled, table)
-        return list(seen.values())
+        return seen
 
     def current_item(self) -> ForgeItem:
         ref = self._read_ref()
@@ -386,11 +384,9 @@ class Repository:
             branch = self.load_plugin(payload["plugin_id"])
             records = self.merge_records()
             guidance = self._guidance_from(records, [payload])
-            item = self.current_item()
-            merge_round = (mrg.merge_round_fusion if self.strategy == "fusion"
-                           else mrg.merge_round_mixture)
-            new_item, outcome = merge_round(self.base, item, branch, guidance,
-                                            self.coeff_config(), self.config["temperature"])
+            new_item, outcome = mrg.merge_round(self.base, self.current_item(), branch,
+                                                list(guidance.values()), self.coeff_config(),
+                                                self.config["temperature"])
             item_id = self.store_object(new_item.to_bytes())
             ref = self._read_ref()
             merge_commit = self._append_commit(ref["head"], "registry", "merge", {
@@ -408,7 +404,7 @@ class Repository:
             record = {**merge_commit.payload,
                       "commit_id": merge_commit.id,
                       "trace": outcome.trace,
-                      "guidance_ids": [g[0].content_id() for g in guidance],
+                      "guidance_ids": list(guidance),
                       "metrics_pre": outcome.metrics_pre,
                       "metrics_post": outcome.metrics_post,
                       "timestamp": time.time()}
@@ -435,14 +431,8 @@ class Repository:
                                  self.config["rank"], self.config["alpha"])
         for record in records[:round_no]:
             branch = self.load_plugin(record["plugin_id"])
-            coeffs = mrg.MergeCoefficients(record["w_main"], record["w_branch"])
-            if self.strategy == "fusion":
-                fused = mrg.fuse(item.plugin, branch, coeffs)
-                item = ForgeItem("fused", item.round + 1, plugin=fused)
-            else:
-                entries = [(p, c * coeffs.w_main) for p, c in item.entries]
-                entries.append((branch, coeffs.w_branch))
-                item = ForgeItem("mixture", item.round + 1, entries=entries)
+            item = item.merged(branch, mrg.MergeCoefficients(record["w_main"],
+                                                             record["w_branch"]))
             expect = record["item_id"]
             got = hashlib.sha256(item.to_bytes()).hexdigest()
             if got != expect:

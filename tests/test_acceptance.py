@@ -175,8 +175,7 @@ def test_criterion_2_gradient_checks():
     # matching loss w.r.t. synthetic inputs through the adapter feature path
     for trial in range(20):
         plugin = dst.random_feature_plugin(base, 4, 4.0, rng)
-        paths = {lid: [(ad, 1.0)] for lid, ad in plugin.adapters.items()}
-        feature = lambda t: mdl.encode(base, t, paths)
+        feature = lambda t: mdl.encode(base, t, plugin)
         real = {0: Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))}
         syn = Tensor(rng.normal(size=(2, base.input_dim)).astype(np.float32),
                      requires_grad=True)

@@ -72,7 +72,7 @@ class TestDmLoss:
     def test_zero_iff_identical_means(self, base):
         rng = nm.make_rng(3)
         batch = Tensor(rng.normal(size=(6, base.input_dim)).astype(np.float32))
-        feature = lambda t: model.forward(base, None, t)
+        feature = lambda t: model.encode(base, t)
         loss = dst.dm_loss({0: batch}, {0: Tensor(batch.data.copy())}, feature)
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
         # different means on an identity extractor give exactly ||v||^2
@@ -85,14 +85,14 @@ class TestDmLoss:
 
     def test_nonnegative_on_random_inputs(self, base):
         rng = nm.make_rng(4)
-        feature = lambda t: model.forward(base, None, t)
+        feature = lambda t: model.encode(base, t)
         for _ in range(10):
             real = {0: Tensor(rng.normal(size=(5, base.input_dim)).astype(np.float32))}
             syn = {0: Tensor(rng.normal(size=(3, base.input_dim)).astype(np.float32))}
             assert dst.dm_loss(real, syn, feature).item() >= 0.0
 
     def test_missing_class_rejected(self, base):
-        feature = lambda t: model.forward(base, None, t)
+        feature = lambda t: model.encode(base, t)
         x = Tensor(np.ones((2, base.input_dim), np.float32))
         with pytest.raises(InputError):
             dst.dm_loss({0: x, 1: x}, {0: x}, feature)
@@ -100,8 +100,7 @@ class TestDmLoss:
     def test_gradient_through_encoder_matches_finite_differences(self, base):
         rng = nm.make_rng(5)
         plugin = dst.random_feature_plugin(base, 4, 4.0, rng)
-        paths = {lid: [(ad, 1.0)] for lid, ad in plugin.adapters.items()}
-        feature = lambda t: model.encode(base, t, paths)
+        feature = lambda t: model.encode(base, t, plugin)
         real = {0: Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))}
         for _ in range(5):
             syn_arr = rng.normal(size=(2, base.input_dim)).astype(np.float32)
@@ -151,6 +150,24 @@ class TestDistill:
         assert a.to_bytes() == b.to_bytes()
         assert a.content_id() == b.content_id()
 
+    def test_each_iteration_steps_only_the_synthetic_set(self, base, toy_task, monkeypatch):
+        # the random feature adapter is drawn fresh every iteration and never trained
+        spec, data = toy_task
+        calls = []
+        sgd_step = nm.sgd_step
+
+        def counted(params, *args, **kwargs):
+            calls.append(list(params))
+            return sgd_step(params, *args, **kwargs)
+
+        monkeypatch.setattr(nm, "sgd_step", counted)
+        out = dst.distill(spec, data, base, dst.DistillConfig(iterations=4, ipc=2),
+                          nm.make_rng(3))
+        assert len(calls) == 4
+        assert all(len(params) == 1 for params in calls)
+        assert len({id(params[0]) for params in calls}) == 1
+        assert calls[0][0].shape == out.inputs.shape
+
     def test_real_data_and_base_untouched(self, base, toy_task):
         spec, data = toy_task
         before_inputs = data.inputs.tobytes()
@@ -178,8 +195,7 @@ class TestDistill:
             state = nm.SgdState(learning_rate=1.0)
             for step in range(cfg.iterations):
                 plugin = dst.random_feature_plugin(base, cfg.rank, cfg.alpha, rng)
-                paths = {lid: [(ad, 1.0)] for lid, ad in plugin.adapters.items()}
-                feature = lambda t: model.encode(base, t, paths)
+                feature = lambda t: model.encode(base, t, plugin)
                 real_by, syn_by = {}, {}
                 for cls in range(num_classes):
                     take = rng.choice(class_idx[cls], size=min(32, class_idx[cls].size),

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
+import forge
 from forge import merge, model
 from forge import numerics as nm
-from forge.errors import IncompatibleModulesError, InputError, ParameterError
+from forge.errors import FormatError, IncompatibleModulesError, InputError, ParameterError
 from forge.merge import CoeffOptimConfig, ForgeItem, MergeCoefficients
 from forge.model import AffineLayer, BaseEncoder, LoraAdapter, PluginModule
 from forge.numerics import Tensor
@@ -31,6 +34,11 @@ def random_plugin(base, rng, rank=4, alpha=4.0):
         ad.a.data[:] = rng.normal(size=ad.a.shape).astype(np.float32) * 0.2
         ad.b.data[:] = rng.normal(size=ad.b.shape).astype(np.float32) * 0.2
     return plugin
+
+
+def test_every_exported_name_resolves():
+    for name in forge.__all__:
+        assert hasattr(forge, name), name
 
 
 class TestFuse:
@@ -82,28 +90,30 @@ class TestFuse:
 
 
 class TestMixtureForward:
+    """The mixture output rule (``mixture_deltas`` folded in by ``encode_np``)
+    against the tape forward ``encode``."""
+
     def test_single_entry_equals_plain_forward(self, base):
         rng = nm.make_rng(3)
         plugin = random_plugin(base, rng)
-        x = Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))
-        mixed = merge.mixture_forward(base, [(plugin, 1.0)], x).data
-        plain = model.forward(base, plugin, x).data
-        np.testing.assert_allclose(mixed, plain, atol=1e-6)
+        x = rng.normal(size=(4, base.input_dim)).astype(np.float32)
+        mixed = model.encode_np(base, merge.mixture_deltas([(plugin, 1.0)]), x)
+        plain = model.encode(base, Tensor(x), plugin).data
+        np.testing.assert_allclose(mixed, plain, atol=2e-5)
 
     def test_one_by_one_differs_from_fusion(self):
         # same fixture as fusion: mixture delta 0.5*6 + 0.5*20 = 13, not 12
         enc = scalar_base(0.0)
-        x = Tensor([[1.0]])
-        out = merge.mixture_forward(
-            enc, [(scalar_plugin(2, 3), 0.5), (scalar_plugin(4, 5), 0.5)], x)
-        assert out.data[0, 0] == pytest.approx(13.0, rel=1e-6)
+        deltas = merge.mixture_deltas([(scalar_plugin(2, 3), 0.5), (scalar_plugin(4, 5), 0.5)])
+        out = model.encode_np(enc, deltas, np.array([[1.0]], dtype=np.float32))
+        assert out[0, 0] == pytest.approx(13.0, rel=1e-6)
 
     def test_zero_coefficients_equal_base(self, base):
         rng = nm.make_rng(4)
         entries = [(random_plugin(base, rng), 0.0), (random_plugin(base, rng), 0.0)]
-        x = Tensor(rng.normal(size=(3, base.input_dim)).astype(np.float32))
-        mixed = merge.mixture_forward(base, entries, x).data
-        plain = model.forward(base, None, x).data
+        x = rng.normal(size=(3, base.input_dim)).astype(np.float32)
+        mixed = model.encode_np(base, merge.mixture_deltas(entries), x)
+        plain = model.encode(base, Tensor(x)).data
         np.testing.assert_allclose(mixed, plain, atol=1e-6)
 
     def test_linearity_in_each_coefficient(self, base):
@@ -120,8 +130,9 @@ class TestMixtureForward:
         rng = nm.make_rng(6)
         p1 = PluginModule.fresh(base, 4, 4.0, rng)
         p2 = PluginModule.fresh(base, 8, 8.0, rng)
-        x = Tensor(rng.normal(size=(2, base.input_dim)).astype(np.float32))
-        merge.mixture_forward(base, [(p1, 0.5), (p2, 0.5)], x)
+        x = rng.normal(size=(2, base.input_dim)).astype(np.float32)
+        out = model.encode_np(base, merge.mixture_deltas([(p1, 0.5), (p2, 0.5)]), x)
+        assert out.shape == (2, base.embed_dim) and np.isfinite(out).all()
 
 
 class TestOptimizeCoefficients:
@@ -259,7 +270,7 @@ class TestMergeRounds:
         plugin = random_plugin(base, rng)
         item = ForgeItem("fused", 1, plugin=plugin)
         guidance = make_guidance(base, rng)
-        new_item, outcome = merge.merge_round_fusion(
+        new_item, outcome = merge.merge_round(
             base, item, plugin, guidance, CoeffOptimConfig())
         assert new_item.round == 2
         w = outcome.coefficients
@@ -276,15 +287,16 @@ class TestMergeRounds:
         rng = nm.make_rng(13)
         genesis = ForgeItem.genesis("fusion", base, rank=4, alpha=4.0)
         branch = random_plugin(base, rng)
-        fused = merge.fuse(genesis.plugin, branch, MergeCoefficients(0.0, 1.0))
-        assert fused.to_bytes() == branch.to_bytes()
+        item = genesis.merged(branch, MergeCoefficients(0.0, 1.0))
+        assert item.kind == "fused" and item.round == 1
+        assert item.plugin.to_bytes() == branch.to_bytes()
 
     def test_mixture_first_round_single_entry(self, base):
         rng = nm.make_rng(14)
         genesis = ForgeItem.genesis("mixture", base, rank=4, alpha=4.0)
         branch = random_plugin(base, rng)
         guidance = make_guidance(base, rng)
-        new_item, outcome = merge.merge_round_mixture(
+        new_item, outcome = merge.merge_round(
             base, genesis, branch, guidance, CoeffOptimConfig())
         assert new_item.round == 1
         assert len(new_item.entries) == 1
@@ -295,10 +307,12 @@ class TestMergeRounds:
         # (0.5, 0.5) then (0.4, 0.6): effective coefficients [0.2, 0.6]
         rng = nm.make_rng(15)
         p1, p2 = random_plugin(base, rng), random_plugin(base, rng)
-        item = ForgeItem("mixture", 1, entries=[(p1, 0.5)])
-        rescaled = [(p, c * 0.4) for p, c in item.entries] + [(p2, 0.6)]
-        assert rescaled[0][1] == pytest.approx(0.2)
-        assert rescaled[1][1] == pytest.approx(0.6)
+        genesis = ForgeItem.genesis("mixture", base, rank=4, alpha=4.0)
+        item = genesis.merged(p1, MergeCoefficients(0.5, 0.5))
+        item = item.merged(p2, MergeCoefficients(0.4, 0.6))
+        assert item.kind == "mixture" and item.round == 2
+        assert [p for p, _ in item.entries] == [p1, p2]
+        assert [c for _, c in item.entries] == pytest.approx([0.2, 0.6])
 
     def test_mixture_flattened_matches_nested(self, base):
         # flattened coefficients reproduce nested two-term evaluation
@@ -327,7 +341,7 @@ class TestMergeRounds:
         p1, p2 = mk(), mk()
         item = ForgeItem("mixture", 1, entries=[(p1, 0.8)])
         guidance = make_guidance_dim(enc, rng)
-        new_item, outcome = merge.merge_round_mixture(
+        new_item, outcome = merge.merge_round(
             enc, item, p2, guidance, CoeffOptimConfig(max_iterations=10))
         w, wp = outcome.coefficients.w_main, outcome.coefficients.w_branch
         x = rng.normal(size=(4, 10)).astype(np.float32)
@@ -342,7 +356,7 @@ class TestMergeRounds:
         genesis = ForgeItem.genesis("fusion", base, 4, 4.0)
         branch = random_plugin(base, nm.make_rng(18))
         with pytest.raises(InputError):
-            merge.merge_round_fusion(base, genesis, branch, [], CoeffOptimConfig())
+            merge.merge_round(base, genesis, branch, [], CoeffOptimConfig())
 
 
 class TestForgeItemSerialization:
@@ -367,6 +381,28 @@ class TestForgeItemSerialization:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ParameterError):
             ForgeItem("other", 0)
+
+    def test_unknown_kind_tag_rejected(self):
+        # tag 2 with round 0 and no entries would otherwise parse as a mixture
+        buf = merge.FORGE_ITEM_MAGIC + struct.pack("<BBII", merge.FORGE_ITEM_VERSION, 2, 0, 0)
+        with pytest.raises(FormatError):
+            ForgeItem.from_bytes(buf)
+
+    @pytest.mark.parametrize("kind", ["fused", "mixture"])
+    def test_trailing_bytes_rejected(self, base, kind):
+        plugin = random_plugin(base, nm.make_rng(21))
+        if kind == "fused":
+            item = ForgeItem("fused", 1, plugin=plugin)
+        else:
+            item = ForgeItem("mixture", 1, entries=[(plugin, 0.5)])
+        with pytest.raises(FormatError):
+            ForgeItem.from_bytes(item.to_bytes() + b"\0", lambda _: plugin)
+
+    def test_header_without_count_rejected(self):
+        buf = merge.FORGE_ITEM_MAGIC + struct.pack("<BBI", merge.FORGE_ITEM_VERSION, 1, 0)
+        assert len(buf) == 10
+        with pytest.raises(FormatError):
+            ForgeItem.from_bytes(buf)
 
 
 def reference_objective(base, guidance, deltas_for, l1_lambda,
@@ -524,12 +560,10 @@ class TestStackedObjective:
         rng, enc, (p1, p2, branch), guidance = self.build(depth, 36)
         if strategy == "fusion":
             item = ForgeItem("fused", 2, plugin=merge.fuse(p1, p2, MergeCoefficients(0.7, 0.9)))
-            new_item, outcome = merge.merge_round_fusion(
-                enc, item, branch, guidance, CoeffOptimConfig(max_iterations=12))
         else:
             item = ForgeItem("mixture", 2, entries=[(p1, 0.7), (p2, 0.9)])
-            new_item, outcome = merge.merge_round_mixture(
-                enc, item, branch, guidance, CoeffOptimConfig(max_iterations=12))
+        new_item, outcome = merge.merge_round(
+            enc, item, branch, guidance, CoeffOptimConfig(max_iterations=12))
         for metrics, state in ((outcome.metrics_pre, item),
                                (outcome.metrics_post, new_item)):
             want = {table.task_name: round(evaluate_deltas(
@@ -542,8 +576,8 @@ class TestStackedObjective:
 
         rng, enc, (_, _, branch), guidance = self.build("2-layer", 37)
         genesis = ForgeItem.genesis("mixture", enc, rank=3, alpha=3.0)
-        _, outcome = merge.merge_round_mixture(enc, genesis, branch, guidance,
-                                               CoeffOptimConfig(max_iterations=6))
+        _, outcome = merge.merge_round(enc, genesis, branch, guidance,
+                                       CoeffOptimConfig(max_iterations=6))
         assert outcome.metrics_pre == {
             table.task_name: round(evaluate_deltas(enc, None, table,
                                                    as_dataset(distilled))[0], 6)

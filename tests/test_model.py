@@ -49,8 +49,8 @@ class TestForward:
         rng = nm.make_rng(3)
         plugin = PluginModule.fresh(base, 16, 16.0, rng)
         x = Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))
-        with_plugin = model.forward(base, plugin, x).data
-        without = model.forward(base, None, x).data
+        with_plugin = model.encode(base, x, plugin).data
+        without = model.encode(base, x).data
         np.testing.assert_allclose(with_plugin, without, atol=1e-6)
 
     def test_one_layer_hand_case(self):
@@ -58,7 +58,7 @@ class TestForward:
         enc = one_by_one_base(1.0)
         ad = model.LoraAdapter(0, Tensor([[3.0]]), Tensor([[2.0]]), rank=1, alpha=1.0)
         plugin = PluginModule({0: ad})
-        out = model.forward(enc, plugin, Tensor([[0.5]]))
+        out = model.encode(enc, Tensor([[0.5]]), plugin)
         assert out.data[0, 0] == pytest.approx(3.5, rel=1e-6)
 
     def test_zero_dropout_training_equals_eval(self, base):
@@ -67,8 +67,8 @@ class TestForward:
         for ad in plugin.adapters.values():
             ad.b.data[:] = rng.normal(size=ad.b.shape).astype(np.float32)
         x = Tensor(rng.normal(size=(3, base.input_dim)).astype(np.float32))
-        train_mode = model.forward(base, plugin, x, training=True, rng=nm.make_rng(9)).data
-        eval_mode = model.forward(base, plugin, x, training=False).data
+        train_mode = model.encode(base, x, plugin, training=True, rng=nm.make_rng(9)).data
+        eval_mode = model.encode(base, x, plugin, training=False).data
         np.testing.assert_array_equal(train_mode, eval_mode)
 
     def test_alpha_linearity(self):
@@ -78,7 +78,7 @@ class TestForward:
         out = {}
         for alpha in (1.0, 2.0):
             ad = model.LoraAdapter(0, Tensor([[3.0]]), Tensor([[2.0]]), 1, alpha)
-            out[alpha] = model.forward(enc, PluginModule({0: ad}), x).data[0, 0] - 1.0
+            out[alpha] = model.encode(enc, x, PluginModule({0: ad})).data[0, 0] - 1.0
         assert out[2.0] == pytest.approx(2 * out[1.0], rel=1e-6)
 
     def test_encode_np_agrees_with_tape_forward(self, base):
@@ -87,7 +87,7 @@ class TestForward:
         for ad in plugin.adapters.values():
             ad.b.data[:] = rng.normal(size=ad.b.shape).astype(np.float32) * 0.1
         x = rng.normal(size=(5, base.input_dim)).astype(np.float32)
-        tape = model.forward(base, plugin, Tensor(x)).data
+        tape = model.encode(base, Tensor(x), plugin).data
         fast = model.encode_np(base, plugin.layer_deltas(), x)
         np.testing.assert_allclose(tape, fast, atol=2e-5)
 

@@ -114,40 +114,6 @@ class TestSoftmaxCrossEntropy:
             nm.softmax_cross_entropy(Tensor(np.zeros((1, 3))), np.array([-1]))
 
 
-class TestCosineSimilarity:
-    def test_identical_vectors(self):
-        u = Tensor(np.array([1.0, 2.0, -3.0], dtype=np.float32))
-        assert nm.cosine_similarity(u, Tensor(u.data.copy())).item() == pytest.approx(1.0)
-
-    def test_orthogonal_vectors(self):
-        u = Tensor(np.array([1.0, 0.0], dtype=np.float32))
-        v = Tensor(np.array([0.0, 1.0], dtype=np.float32))
-        assert nm.cosine_similarity(u, v).item() == pytest.approx(0.0, abs=1e-7)
-
-    def test_hand_value(self):
-        # 4 / (sqrt(5) * sqrt(5)) = 0.8
-        u = Tensor(np.array([1.0, 2.0], dtype=np.float32))
-        v = Tensor(np.array([2.0, 1.0], dtype=np.float32))
-        assert nm.cosine_similarity(u, v).item() == pytest.approx(0.8, abs=1e-6)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            nm.cosine_similarity(Tensor(np.zeros(3)), Tensor(np.ones(3)))
-
-    def test_bounds_and_gradient(self):
-        rng = nm.make_rng(13)
-        for _ in range(20):
-            u = Tensor(rng.uniform(-1, 1, size=6).astype(np.float32) + 0.1, requires_grad=True)
-            v = Tensor(rng.uniform(-1, 1, size=6).astype(np.float32) + 0.1)
-            c = nm.cosine_similarity(u, v)
-            assert -1.0 - 1e-6 <= c.item() <= 1.0 + 1e-6
-            c.backward()
-            fd = nm.finite_difference_grad(
-                lambda t: nm.cosine_similarity(t, v).item(), u, eps=1e-2)
-            assert rel_err(u.grad, fd.data) < 1e-4
-            u.zero_grad()
-
-
 class TestSgd:
     def test_plain_step(self):
         p = Tensor(np.array([1.0], dtype=np.float32))

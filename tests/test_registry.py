@@ -195,6 +195,21 @@ class TestMerge:
         records = repo.merge_all()
         assert [r["task"]["name"] for r in records] == ["first", "second", "third"]
 
+    def test_guidance_ids_are_the_distinct_distilled_ids_in_merge_order(
+            self, tmp_path, monkeypatch):
+        repo = make_repo(tmp_path / "repo")
+        first = make_contribution(repo.base, "t1", ["t1 a", "t1 b"])
+        second = make_contribution(repo.base, "t2", ["t2 a", "t2 b"])
+        ids = [repo.commit_contribution(c).payload["distilled_id"]
+               for c in (first, second, first)]
+        hashed = []
+        content_id = DistilledDataset.content_id
+        monkeypatch.setattr(DistilledDataset, "content_id",
+                            lambda self: hashed.append(1) or content_id(self))
+        records = repo.merge_all()
+        assert [r["guidance_ids"] for r in records] == [ids[:1], ids[:2], ids[:2]]
+        assert hashed == []  # the ids come from the log, not from re-hashing
+
     def test_merge_does_not_mutate_stored_artifacts(self, tmp_path):
         repo = make_repo(tmp_path / "repo", strategy="fusion")
         contrib = make_contribution(repo.base, "t1", ["red", "blue"])
