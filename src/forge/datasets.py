@@ -285,6 +285,11 @@ def dataset_from_bytes(buf: bytes) -> tuple[TaskSpec, LabeledDataset]:
     if offset != len(buf):
         raise FormatError("trailing bytes after dataset payload")
     spec = TaskSpec(name, labels, tuple(shape), grouped=groups is not None)
+    if inputs.shape != (n, spec.flat_dim):
+        raise FormatError(f"dataset inputs have shape {inputs.shape}, "
+                          f"expected {(n, spec.flat_dim)}")
+    if y.size and (y.min() < 0 or y.max() >= num_classes):
+        raise FormatError(f"dataset labels must lie in [0, {num_classes})")
     return spec, LabeledDataset(inputs.data, y, groups, split)
 
 

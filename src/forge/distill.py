@@ -20,9 +20,9 @@ import numpy as np
 from . import evaluation, model as mdl
 from . import numerics as nm
 from .datasets import LabeledDataset, TaskSpec, pack_str, unpack_str
-from .errors import FormatError, InputError, ParameterError
+from .errors import FormatError, InputError, ParameterError, ShapeError
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
-from .numerics import Tensor
+from .numerics import Tensor, _accumulate, _node
 
 DISTILLED_MAGIC = b"FGS1"
 DISTILLED_VERSION = 1
@@ -57,34 +57,71 @@ class DsaParams:
 
 
 def dsa_augment(batch: Tensor, params: DsaParams) -> Tensor:
-    """Apply flip/shift/scale/noise to [n, h, w]; gradient flows to values."""
-    out = batch
+    """Apply flip, shift, scale and noise, in that order, to [n, h, w]; one
+    tape node whose backward is the adjoint of the pixel transforms."""
+    if batch.data.ndim != 3:
+        raise ShapeError(f"dsa_augment expects [n, h, w], got {batch.shape}")
+    _, h, w = batch.shape
+    dy, dx = params.shift
+    dst = (slice(None), slice(max(dy, 0), h + min(dy, 0)), slice(max(dx, 0), w + min(dx, 0)))
+    src = (slice(None), slice(max(-dy, 0), h + min(-dy, 0)),
+           slice(max(-dx, 0), w + min(-dx, 0)))
+    scale = float(params.scale)
+    out = batch.data
     if params.flip:
-        out = nm.flip_w(out)
-    if params.shift != (0, 0):
-        out = nm.shift2d(out, *params.shift)
-    if params.scale != 1.0:
-        out = nm.scale(out, params.scale)
+        out = np.ascontiguousarray(out[..., ::-1])
+    if params.shift != (0, 0):  # zero padding at the edges
+        shifted = np.zeros_like(out)
+        shifted[dst] = out[src]
+        out = shifted
+    if scale != 1.0:
+        out = out * nm.DTYPE(scale)
     if params.noise_std > 0.0:
         noise_rng = nm.make_rng(params.noise_seed)
-        out = nm.add_const(out, noise_rng.normal(0.0, params.noise_std,
-                                                 size=out.shape).astype(nm.DTYPE))
-    return out
+        out = out + noise_rng.normal(0.0, params.noise_std, size=out.shape).astype(nm.DTYPE)
+    if out is batch.data:
+        return batch
+
+    def backward(g: np.ndarray) -> None:
+        if scale != 1.0:
+            g = g * scale
+        if params.shift != (0, 0):
+            full = np.zeros_like(g)
+            full[src] = g[dst]
+            g = full
+        _accumulate(batch, g[..., ::-1] if params.flip else g)
+
+    return _node(out, (batch,), backward)
 
 
 def dm_loss(real_by_class: Mapping[int, Tensor], syn_by_class: Mapping[int, Tensor],
             feature_fn: Callable[[Tensor], Tensor]) -> Tensor:
-    """Sum over classes of || mean features(real) - mean features(syn) ||^2."""
+    """Sum over classes of || mean features(real) - mean features(syn) ||^2,
+    squares summed in float64; one tape node over every class's features."""
     if set(real_by_class) != set(syn_by_class):
         raise InputError("real and synthetic batches cover different classes")
     if not real_by_class:
         raise InputError("no classes to match")
-    terms = []
+    pairs, diffs = [], []
     for cls in sorted(real_by_class):
-        real_mean = nm.mean_rows(feature_fn(real_by_class[cls]))
-        syn_mean = nm.mean_rows(feature_fn(syn_by_class[cls]))
-        terms.append(nm.sq_sum(nm.sub(real_mean, syn_mean)))
-    return nm.scalar_sum(terms)
+        real = feature_fn(real_by_class[cls])
+        syn = feature_fn(syn_by_class[cls])
+        pairs.append((real, syn))
+        diffs.append(real.data.mean(axis=0) - syn.data.mean(axis=0))
+    value = float(sum(float(np.sum(np.square(d, dtype=np.float64))) for d in diffs))
+
+    def backward(g: np.ndarray) -> None:
+        factor = 2.0 * float(g)
+        for (real, syn), d in zip(pairs, diffs):
+            g_mean = factor * d
+            for feat, g_feat in ((real, g_mean), (syn, -g_mean)):
+                if feat.requires_grad:
+                    _accumulate(feat, np.broadcast_to(g_feat / len(feat.data), feat.shape))
+
+    out = _node(np.array(value, dtype=nm.DTYPE), tuple(f for pair in pairs for f in pair),
+                backward)
+    out._value = value
+    return out
 
 
 @dataclass
@@ -232,7 +269,10 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
         syn0 = np.concatenate(rows)
     else:
         syn0 = rng.normal(0.0, 1.0, size=(m, flat)).astype(nm.DTYPE)
-    syn = Tensor(syn0.copy(), requires_grad=True)
+    # one leaf per class: the synthetic-set SGD has no momentum, so updating
+    # the classes separately is elementwise the same as updating one array
+    syn = [Tensor(block.reshape(config.ipc, *side), requires_grad=True)
+           for block in np.split(syn0, num_classes)]
     syn_labels = np.repeat(np.arange(num_classes, dtype=np.int64), config.ipc)
 
     syn_state = nm.SgdState(learning_rate=config.syn_lr)
@@ -250,30 +290,26 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
             idx = class_idx[cls]
             take = rng.choice(idx, size=min(config.real_batch_per_class, idx.size),
                               replace=False)
-            real = Tensor(data.inputs[take])
-            syn_c = nm.slice_rows(syn, cls * config.ipc, (cls + 1) * config.ipc)
+            real = Tensor(data.inputs[take].reshape(-1, *side))
+            syn_c = syn[cls]
             if step_params is not None:
-                real = _augment_flat(real, side, step_params)
-                syn_c = _augment_flat(syn_c, side, step_params)
+                real = dsa_augment(real, step_params)
+                syn_c = dsa_augment(syn_c, step_params)
             real_by_class[cls] = real
             syn_by_class[cls] = syn_c
 
         loss = dm_loss(real_by_class, syn_by_class,
                        lambda t: mdl.encode(base, t, plugin))
-        syn.zero_grad()
+        for t in syn:
+            t.zero_grad()
         loss.backward()
         syn_state.learning_rate = _cosine_lr(step, config.iterations,
                                              config.syn_lr, config.syn_lr_final)
-        nm.sgd_step([syn], None, syn_state)
+        nm.sgd_step(syn, None, syn_state)
 
     return DistilledDataset(spec.name, num_classes, config.ipc, tuple(side),
-                            syn.data.copy(), syn_labels)
-
-
-def _augment_flat(batch: Tensor, side: tuple[int, int], params: DsaParams) -> Tensor:
-    spatial = nm.reshape(batch, (batch.shape[0], side[0], side[1]))
-    out = dsa_augment(spatial, params)
-    return nm.reshape(out, (batch.shape[0], side[0] * side[1]))
+                            np.concatenate([t.data for t in syn]).reshape(m, flat),
+                            syn_labels)
 
 
 def eval_distilled(distilled: DistilledDataset, base: BaseEncoder, spec: TaskSpec,

@@ -24,10 +24,12 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .numerics import Tensor
+from .numerics import Tensor, _accumulate, _node
 
 ENCODER_DIMS = (256, 64, 32)
 DEFAULT_TEMPERATURE = 0.07
+
+_NORM_EPS = 1e-12
 
 PLUGIN_MAGIC = b"FGM1"
 PLUGIN_VERSION = 1
@@ -244,43 +246,105 @@ def _validate_plugin(base: BaseEncoder, plugin: PluginModule) -> None:
         d, k = base.layer_dims(lid)
         if ad.b.shape != (d, ad.rank) or ad.a.shape != (ad.rank, k):
             raise ShapeError(f"adapter for layer {lid} has shape mismatch")
+        if not 0.0 <= ad.dropout_p < 1.0:
+            raise ParameterError(f"adapter for layer {lid} has dropout outside [0, 1)")
 
 
 def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
            training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Batched embedding of [n, input_dim]; an attached plugin adds each
-    adapter's side path on top of the frozen layer it targets."""
+    """Batched embedding of [n, input_dim] rows (an [n, h, w] batch is
+    flattened per row); an attached plugin adds each adapter's side path on
+    top of the frozen layer it targets.
+
+    One tape node covers every layer. Training with an rng applies inverted
+    dropout to each side path's input, one mask per layer in forward order.
+    """
     adapters = {}
     if plugin is not None:
         _validate_plugin(base, plugin)
         adapters = plugin.adapters
-    if x.data.ndim == 1:
-        x = nm.reshape(x, (1, x.shape[0]))
-    if x.shape[1] != base.input_dim:
-        raise ShapeError(f"input dim {x.shape[1]} != encoder input {base.input_dim}")
-    h = x
+    width = int(np.prod(x.shape[1:])) if x.data.ndim > 1 else x.data.size
+    if width != base.input_dim:
+        raise ShapeError(f"input dim {width} != encoder input {base.input_dim}")
+    h = x.data.reshape(-1, width)
     last = len(base.layers) - 1
+    cache = []  # per layer: transposed weight, side-path values, output
     for lid, layer in enumerate(base.layers):
-        y = nm.add(nm.matmul(h, nm.transpose(layer.weight)), layer.bias)
-        adapter = adapters.get(lid)
-        if adapter is not None:  # adapter side path
-            hp = nm.dropout(h, adapter.dropout_p, rng, training) if rng is not None else h
-            part = nm.matmul(nm.matmul(hp, nm.transpose(adapter.a)), nm.transpose(adapter.b))
-            y = nm.add(y, nm.scale(part, adapter.scaling()))
-        h = y if lid == last else nm.tanh(y)
-    return h
+        wt = np.ascontiguousarray(layer.weight.data.T)
+        y = h @ wt + layer.bias.data
+        side = None
+        ad = adapters.get(lid)
+        if ad is not None:
+            mask = None
+            if rng is not None and training and ad.dropout_p > 0.0:
+                mask = (rng.random(h.shape) >= ad.dropout_p).astype(nm.DTYPE) \
+                    / nm.DTYPE(1.0 - ad.dropout_p)
+            hp = h if mask is None else h * mask
+            at = np.ascontiguousarray(ad.a.data.T)
+            bt = np.ascontiguousarray(ad.b.data.T)
+            q = hp @ at
+            scaling = float(ad.scaling())
+            y = y + (q @ bt) * nm.DTYPE(scaling)
+            side = (ad, scaling, mask, hp, q, at, bt)
+        out = y if lid == last else np.tanh(y)
+        cache.append((wt, side, out))
+        h = out
+
+    def backward(g: np.ndarray) -> None:
+        for lid in range(last, -1, -1):
+            wt, side, out = cache[lid]
+            if lid != last:
+                g = g * (1.0 - out * out)
+            need_input = lid > 0 or x.requires_grad
+            g_in = g @ wt.T if need_input else None
+            if side is not None:
+                ad, scaling, mask, hp, q, at, bt = side
+                gp = g * scaling
+                gq = gp @ bt.T
+                if ad.a.requires_grad:
+                    _accumulate(ad.a, (hp.T @ gq).T)
+                if ad.b.requires_grad:
+                    _accumulate(ad.b, (q.T @ gp).T)
+                if need_input:
+                    g_hp = gq @ at.T
+                    g_in = g_in + (g_hp if mask is None else g_hp * mask)
+            g = g_in
+        if x.requires_grad:
+            _accumulate(x, g.reshape(x.shape))
+
+    params = [t for ad in adapters.values() for t in (ad.a, ad.b)]
+    return _node(h, (x, *params), backward)
+
+
+def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit L2 norm (norms in float64), and the float32
+    inverse norms as a column."""
+    norms = np.linalg.norm(a.astype(np.float64), axis=1)
+    if np.any(norms < _NORM_EPS):
+        raise DegenerateInputError("cannot normalize a zero-norm row")
+    inv = (1.0 / norms).astype(nm.DTYPE)[:, None]
+    return a * inv, inv
 
 
 def classify(embedding: Tensor, table: LabelEmbeddingTable,
              temperature: float = DEFAULT_TEMPERATURE) -> Tensor:
-    """Cosine similarity against each label row, divided by temperature."""
+    """Cosine similarity against each label row, divided by temperature; one
+    tape node whose gradient reaches the embedding only."""
     single = embedding.data.ndim == 1
-    e = nm.reshape(embedding, (1, embedding.shape[0])) if single else embedding
+    e = embedding.data.reshape(1, -1) if single else embedding.data
     if e.shape[1] != table.rows.shape[1]:
         raise ShapeError(f"embedding dim {e.shape[1]} != table dim {table.rows.shape[1]}")
-    sims = nm.matmul(nm.l2_normalize_rows(e), nm.transpose(nm.l2_normalize_rows(table.rows)))
-    logits = nm.scale(sims, 1.0 / temperature)
-    return nm.reshape(logits, (table.num_classes,)) if single else logits
+    unit, inv = _unit_rows(e)
+    rows_t = np.ascontiguousarray(_unit_rows(table.rows.data)[0].T)
+    scale = float(1.0 / temperature)
+    logits = (unit @ rows_t) * nm.DTYPE(scale)
+
+    def backward(g: np.ndarray) -> None:
+        g_unit = (g.reshape(logits.shape) * scale) @ rows_t.T
+        dot = np.sum(unit * g_unit, axis=1, keepdims=True)
+        _accumulate(embedding, ((g_unit - unit * dot) * inv).reshape(embedding.shape))
+
+    return _node(logits.reshape(-1) if single else logits, (embedding,), backward)
 
 
 def predict(logits: np.ndarray) -> np.ndarray:

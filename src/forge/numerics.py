@@ -1,10 +1,11 @@
-"""Dense float32 tensors with analytic gradients for one fixed compute graph.
+"""Dense float32 tensors, the gradient tape that chains coarse nodes, the
+softmax cross-entropy loss, SGD with momentum, and the wire format.
 
-The op set covers exactly what the pipelines need: affine layers, tanh,
-row normalization and cosine heads, softmax cross-entropy, the spatial
-transforms used by siamese augmentation, and SGD with momentum. Gradients
-accumulate into ``.grad`` buffers; callers zero them between steps. There
-is no general autodiff beyond these ops.
+A node is one fused forward computation with its own analytic backward
+(the encoder, the cosine head, the augmentation and the matching loss are
+built with ``_node`` in their own modules). ``Tensor.backward`` runs the
+nodes in reverse topological order; gradients accumulate into ``.grad``
+buffers, and callers zero them between steps.
 
 Scalar losses keep a float64 copy of their value (``Tensor.item``) so that
 finite-difference checks are not drowned by float32 rounding of the loss.
@@ -19,11 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, FormatError, ShapeError
+from .errors import FormatError, ShapeError
 
 DTYPE = np.float32
-
-_NORM_EPS = 1e-12
 
 
 class Tensor:
@@ -100,219 +99,8 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
 
 
 # ---------------------------------------------------------------------------
-# ops
+# loss
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of [m,k] and [k,n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
-
-    return _node(np.ascontiguousarray(a.data.T), (a,), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also supports broadcasting a [d] bias over [n,d]."""
-    if a.shape == b.shape:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(a, g)
-            _accumulate(b, g)
-        return _node(a.data + b.data, (a, b), backward)
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
-        return _node(a.data + b.data, (a, b), backward)
-    raise ShapeError(f"add cannot combine shapes {a.shape} and {b.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub expects equal shapes, got {a.shape} and {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _node(a.data - b.data, (a, b), backward)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * s)
-
-    return _node(a.data * DTYPE(s), (a,), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul expects equal shapes, got {a.shape} and {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _node(a.data * b.data, (a, b), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), backward)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    new = a.data.reshape(shape)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _node(np.ascontiguousarray(new), (a,), backward)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim < 1 or not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {a.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        _accumulate(a, full)
-
-    return _node(a.data[start:stop].copy(), (a,), backward)
-
-
-def flip_w(a: Tensor) -> Tensor:
-    """Reverse the last (width) axis; a pure reindexing, gradient flows."""
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g[..., ::-1])
-
-    return _node(np.ascontiguousarray(a.data[..., ::-1]), (a,), backward)
-
-
-def shift2d(a: Tensor, dy: int, dx: int) -> Tensor:
-    """Shift [n,h,w] content by (dy, dx) with zero padding at the edges."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"shift2d expects [n,h,w], got {a.shape}")
-    _, h, w = a.shape
-    out = np.zeros_like(a.data)
-    ys_dst = slice(max(dy, 0), h + min(dy, 0))
-    ys_src = slice(max(-dy, 0), h + min(-dy, 0))
-    xs_dst = slice(max(dx, 0), w + min(dx, 0))
-    xs_src = slice(max(-dx, 0), w + min(-dx, 0))
-    out[:, ys_dst, xs_dst] = a.data[:, ys_src, xs_src]
-
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        full[:, ys_src, xs_src] = g[:, ys_dst, xs_dst]
-        _accumulate(a, full)
-
-    return _node(out, (a,), backward)
-
-
-def add_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """Add a constant array (no gradient into the constant)."""
-    c = np.asarray(c, dtype=DTYPE)
-    if c.shape != a.shape:
-        raise ShapeError(f"add_const expects matching shapes, got {a.shape} and {c.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g)
-
-    return _node(a.data + c, (a,), backward)
-
-
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p == 0.0:
-        return a
-    if not 0.0 <= p < 1.0:
-        raise ShapeError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(a.shape) >= p).astype(DTYPE) / DTYPE(1.0 - p)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * mask)
-
-    return _node(a.data * mask, (a,), backward)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis 0 of an [n,d] tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows expects [n,d], got {a.shape}")
-    n = a.shape[0]
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.broadcast_to(g / n, a.data.shape).astype(DTYPE))
-
-    return _node(a.data.mean(axis=0), (a,), backward)
-
-
-def sq_sum(a: Tensor) -> Tensor:
-    """Sum of squares, accumulated in float64; scalar output."""
-    value = float(np.sum(np.square(a.data, dtype=np.float64)))
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, (2.0 * float(g)) * a.data)
-
-    out = _node(np.array(value, dtype=DTYPE), (a,), backward)
-    out._value = value
-    return out
-
-
-def scalar_sum(terms: Sequence[Tensor]) -> Tensor:
-    """Sum scalar tensors, preserving their float64 values."""
-    if not terms:
-        raise ShapeError("scalar_sum needs at least one term")
-    value = float(sum(t.item() for t in terms))
-
-    def backward(g: np.ndarray) -> None:
-        for t in terms:
-            _accumulate(t, np.asarray(g, dtype=DTYPE).reshape(t.data.shape))
-
-    out = _node(np.array(value, dtype=DTYPE), tuple(terms), backward)
-    out._value = value
-    return out
-
-
-def l2_normalize_rows(a: Tensor) -> Tensor:
-    """Scale each row of [n,d] to unit L2 norm."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows expects [n,d], got {a.shape}")
-    norms = np.linalg.norm(a.data.astype(np.float64), axis=1)
-    if np.any(norms < _NORM_EPS):
-        raise DegenerateInputError("cannot normalize a zero-norm row")
-    inv = (1.0 / norms).astype(DTYPE)[:, None]
-    out_data = a.data * inv
-
-    def backward(g: np.ndarray) -> None:
-        dot = np.sum(out_data * g, axis=1, keepdims=True)
-        _accumulate(a, (g - out_data * dot) * inv)
-
-    return _node(out_data, (a,), backward)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

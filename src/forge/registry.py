@@ -346,6 +346,20 @@ class Repository:
             return []
         return [json.loads(line) for line in log.read_text().splitlines() if line]
 
+    def _records_up_to(self, round_no: int) -> list[dict]:
+        """The merge log's records for rounds 1..round_no. A merge that failed
+        after appending its record but before writing the ref leaves one
+        record past the ref's round; it is cut from the log here, before the
+        next append, and its contribution, still queued, merges again."""
+        records = self.merge_records()
+        if len(records) > round_no:
+            records = records[:round_no]
+            log = self.root / "log" / "merges.jsonl"
+            tmp = log.parent / ".tmp-merges"
+            tmp.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+            os.replace(tmp, log)
+        return records
+
     def _append_merge_record(self, record: dict) -> None:
         log = self.root / "log" / "merges.jsonl"
         with open(log, "a") as fh:
@@ -382,13 +396,13 @@ class Repository:
             commit = self.read_commit(entry["commit_id"])
             payload = commit.payload
             branch = self.load_plugin(payload["plugin_id"])
-            records = self.merge_records()
+            ref = self._read_ref()
+            records = self._records_up_to(ref["round"])
             guidance = self._guidance_from(records, [payload])
             new_item, outcome = mrg.merge_round(self.base, self.current_item(), branch,
                                                 list(guidance.values()), self.coeff_config(),
                                                 self.config["temperature"])
             item_id = self.store_object(new_item.to_bytes())
-            ref = self._read_ref()
             merge_commit = self._append_commit(ref["head"], "registry", "merge", {
                 "round": new_item.round,
                 "strategy": self.strategy,
@@ -423,10 +437,12 @@ class Repository:
     # -- history -----------------------------------------------------------
 
     def checkout(self, round_no: int) -> ForgeItem:
-        """Rebuild the forge item as of ``round_no`` by replaying the log."""
+        """Rebuild the forge item as of ``round_no`` by replaying the log; a
+        record past the main ref's round, left by a failed merge, is no round."""
         records = self.merge_records()
-        if round_no < 0 or round_no > len(records):
-            raise InputError(f"round {round_no} outside [0, {len(records)}]")
+        last = min(len(records), self.current_round())
+        if round_no < 0 or round_no > last:
+            raise InputError(f"round {round_no} outside [0, {last}]")
         item = ForgeItem.genesis(self.strategy, self.base,
                                  self.config["rank"], self.config["alpha"])
         for record in records[:round_no]:

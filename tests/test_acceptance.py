@@ -167,9 +167,11 @@ def test_criterion_2_gradient_checks():
         x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)).astype(np.float32),
                    requires_grad=True)
         params = dst.DsaParams.sample(nm.make_rng(trial))
-        loss_fn = lambda t: nm.sq_sum(dst.dsa_augment(t, params))
-        loss_fn(x).backward()
-        fd = nm.finite_difference_grad(lambda t: loss_fn(t).item(), x, eps=1e-2)
+        out = dst.dsa_augment(x, params)
+        out.backward(2.0 * out.data)  # the gradient of the sum of squares
+        fd = nm.finite_difference_grad(
+            lambda t: float(np.sum(np.square(dst.dsa_augment(t, params).data,
+                                             dtype=np.float64))), x, eps=1e-2)
         ok &= rel_err(x.grad, fd.data) < 1e-4
 
     # matching loss w.r.t. synthetic inputs through the adapter feature path

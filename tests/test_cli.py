@@ -161,6 +161,23 @@ class TestExitCodes:
         assert sorted((repo / "objects").rglob("*")) == objects_before
         assert list((repo / "queue").iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["train-branch", "--epochs", "1"],
+                                         ["distill", "--ipc", "2", "--iters", "2"]])
+    def test_out_of_range_label_in_data_file_is_two(self, tmp_path, data_dir, command):
+        import shutil
+
+        from forge import datasets as dsets
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        spec, train = dsets.load_dataset(data / "M-toy" / "train.fgd")
+        train.labels[0] = 7
+        dsets.save_dataset(data / "M-toy" / "train.fgd", spec, train)
+        out = tmp_path / "artifact"
+        assert main(["--seed", "5", command[0], "--task", "M-toy", "--data", str(data),
+                     "--out", str(out), *command[1:]]) == 2
+        assert not out.exists()
+
     def test_runtime_error_is_three(self, tmp_path):
         # missing repo directory surfaces as a validation-or-runtime failure
         code = main(["merge", str(tmp_path / "missing-repo")])

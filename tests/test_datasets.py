@@ -114,3 +114,18 @@ class TestFileFormat:
         buf[4] = 9
         with pytest.raises(FormatError, match="version"):
             ds.dataset_from_bytes(bytes(buf))
+
+    @pytest.mark.parametrize("bad_label", [2, 7, -1])
+    def test_label_outside_classes_rejected(self, tasks, bad_label):
+        spec, train, _ = tasks[2]
+        labels = train.labels.copy()
+        labels[5] = bad_label
+        buf = ds.dataset_to_bytes(spec, ds.LabeledDataset(train.inputs, labels))
+        with pytest.raises(FormatError, match="labels"):
+            ds.dataset_from_bytes(buf)
+
+    def test_input_width_other_than_shape_rejected(self, tasks):
+        spec, train, _ = tasks[2]
+        narrow = ds.LabeledDataset(train.inputs[:, :200], train.labels)
+        with pytest.raises(FormatError, match="shape"):
+            ds.dataset_from_bytes(ds.dataset_to_bytes(spec, narrow))

@@ -55,11 +55,11 @@ class TestDsaAugment:
                        requires_grad=True)
             params = dst.DsaParams.sample(nm.make_rng(trial))
 
-            def f(t):
-                return nm.sq_sum(dst.dsa_augment(t, params))
-
-            f(x).backward()
-            fd = nm.finite_difference_grad(lambda t: f(t).item(), x, eps=1e-2)
+            out = dst.dsa_augment(x, params)
+            out.backward(2.0 * out.data)  # the gradient of the sum of squares
+            fd = nm.finite_difference_grad(
+                lambda t: float(np.sum(np.square(dst.dsa_augment(t, params).data,
+                                                 dtype=np.float64))), x, eps=1e-2)
             assert rel_err(x.grad, fd.data) < 1e-4
 
     def test_flip_is_reindexing(self):
@@ -163,10 +163,12 @@ class TestDistill:
         monkeypatch.setattr(nm, "sgd_step", counted)
         out = dst.distill(spec, data, base, dst.DistillConfig(iterations=4, ipc=2),
                           nm.make_rng(3))
+        # one leaf per class, the same leaves every iteration
         assert len(calls) == 4
-        assert all(len(params) == 1 for params in calls)
-        assert len({id(params[0]) for params in calls}) == 1
-        assert calls[0][0].shape == out.inputs.shape
+        assert all(len(params) == spec.num_classes for params in calls)
+        assert len({tuple(map(id, params)) for params in calls}) == 1
+        got = np.concatenate([p.data for p in calls[0]]).reshape(out.inputs.shape)
+        np.testing.assert_array_equal(got, out.inputs)
 
     def test_real_data_and_base_untouched(self, base, toy_task):
         spec, data = toy_task
@@ -190,8 +192,8 @@ class TestDistill:
             # reuse distill internals through a manual short loop
             num_classes = spec.num_classes
             class_idx = data.class_indices(num_classes)
-            syn = Tensor(rng.normal(0, 1, size=(num_classes * cfg.ipc, 256)
-                                    ).astype(np.float32), requires_grad=True)
+            syn = [Tensor(rng.normal(0, 1, size=(cfg.ipc, 256)).astype(np.float32),
+                          requires_grad=True) for _ in range(num_classes)]
             state = nm.SgdState(learning_rate=1.0)
             for step in range(cfg.iterations):
                 plugin = dst.random_feature_plugin(base, cfg.rank, cfg.alpha, rng)
@@ -201,12 +203,13 @@ class TestDistill:
                     take = rng.choice(class_idx[cls], size=min(32, class_idx[cls].size),
                                       replace=False)
                     real_by[cls] = Tensor(data.inputs[take])
-                    syn_by[cls] = nm.slice_rows(syn, cls * cfg.ipc, (cls + 1) * cfg.ipc)
+                    syn_by[cls] = syn[cls]
                 loss = dst.dm_loss(real_by, syn_by, feature)
                 losses.append(loss.item())
-                syn.zero_grad()
+                for t in syn:
+                    t.zero_grad()
                 loss.backward()
-                nm.sgd_step([syn], None, state)
+                nm.sgd_step(syn, None, state)
             first = np.mean(losses[:10])
             last = np.mean(losses[-10:])
             if last <= first:

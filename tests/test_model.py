@@ -14,6 +14,11 @@ from forge.model import (
 from forge.numerics import Tensor
 
 
+def rel_err(got, want):
+    denom = max(float(np.linalg.norm(want)), 1e-12)
+    return float(np.linalg.norm(np.asarray(got, np.float64) - np.asarray(want, np.float64))) / denom
+
+
 @pytest.fixture(scope="module")
 def base():
     return BaseEncoder.from_seed(5)
@@ -90,6 +95,39 @@ class TestForward:
         tape = model.encode(base, Tensor(x), plugin).data
         fast = model.encode_np(base, plugin.layer_deltas(), x)
         np.testing.assert_allclose(tape, fast, atol=2e-5)
+
+
+class TestEncodeGradients:
+    def test_adapter_gradients_match_finite_differences(self, base):
+        # every adapter A and B of the two-layer encoder, through encode ->
+        # classify -> cross-entropy in training mode with dropout 0.1; the rng
+        # is reseeded for each evaluation so the dropout masks stay fixed
+        rng = nm.make_rng(2)
+        plugin = PluginModule.fresh(base, 2, 4.0, rng, dropout_p=0.1)
+        for ad in plugin.adapters.values():
+            ad.a.data[:] = rng.normal(0.0, 1.0 / np.sqrt(ad.a.shape[1]), size=ad.a.shape)
+            ad.b.data[:] = rng.normal(0.0, 0.3, size=ad.b.shape)
+        table = LabelEmbeddingTable("t", ["a", "b", "c"], base.embed_dim)
+        x = Tensor(rng.normal(size=(8, base.input_dim)).astype(np.float32))
+        labels = np.arange(8) % 3
+
+        def loss():
+            emb = model.encode(base, x, plugin, training=True, rng=nm.make_rng(99))
+            return nm.softmax_cross_entropy(model.classify(emb, table, 0.5), labels)
+
+        def richardson_fd(t, eps=2e-2):
+            # cancels the O(eps^2) truncation error of central differences,
+            # which float32 rounding keeps from being shrunk through eps alone
+            fd = lambda e: nm.finite_difference_grad(lambda _: loss().item(), t, e).data
+            return (4.0 * fd(eps) - fd(2.0 * eps)) / 3.0
+
+        params = plugin.parameters()
+        for p in params:
+            p.requires_grad = True
+        loss().backward()
+        assert len(params) == 4
+        for p in params:
+            assert rel_err(p.grad, richardson_fd(p)) < 1e-4
 
 
 class TestClassify:

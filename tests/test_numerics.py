@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from forge import distill as dst
+from forge import model
 from forge import numerics as nm
 from forge.errors import DegenerateInputError, FormatError, ShapeError
+from forge.model import AffineLayer, BaseEncoder, LabelEmbeddingTable, PluginModule
 from forge.numerics import Tensor
 
 
@@ -24,54 +27,73 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(got, dtype=np.float64) - np.asarray(want, dtype=np.float64))) / denom
 
 
+def one_layer_base(weight: np.ndarray, bias: np.ndarray | None = None) -> BaseEncoder:
+    weight = np.asarray(weight, dtype=np.float32)
+    if bias is None:
+        bias = np.zeros(weight.shape[0], dtype=np.float32)
+    return BaseEncoder([AffineLayer(Tensor(weight), Tensor(bias))])
+
+
+def sq_sum_value(out: Tensor) -> float:
+    return float(np.sum(np.square(out.data, dtype=np.float64)))
+
+
 class TestMatmul:
+    """The affine products inside the fused encode node."""
+
     def test_one_by_one(self):
-        out = nm.matmul(Tensor([[2.0]]), Tensor([[3.0]]))
+        out = model.encode(one_layer_base([[2.0]]), Tensor([[3.0]]))
         assert out.data[0, 0] == pytest.approx(6.0)
 
     def test_identity(self):
         rng = nm.make_rng(0)
         x = rng.normal(size=(3, 5)).astype(np.float32)
-        out = nm.matmul(Tensor(np.eye(3, dtype=np.float32)), Tensor(x))
+        out = model.encode(one_layer_base(np.eye(5)), Tensor(x))
         np.testing.assert_array_equal(out.data, x)
 
     def test_against_triple_loop_oracle(self):
         rng = nm.make_rng(42)
-        a = rng.normal(size=(4, 5)).astype(np.float32)
-        b = rng.normal(size=(5, 3)).astype(np.float32)
-        out = nm.matmul(Tensor(a), Tensor(b))
-        assert rel_err(out.data, naive_matmul(a, b)) < 1e-6
+        x = rng.normal(size=(4, 5)).astype(np.float32)
+        w = rng.normal(size=(3, 5)).astype(np.float32)
+        b = rng.normal(size=3).astype(np.float32)
+        out = model.encode(one_layer_base(w, b), Tensor(x))
+        assert rel_err(out.data, naive_matmul(x, w.T) + b) < 1e-6
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            nm.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            model.encode(one_layer_base(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
     def test_associativity(self):
+        # the side path (x A^T) B^T against x (B A)^T folded into the weight
         rng = nm.make_rng(7)
         for _ in range(20):
-            a = rng.normal(size=(3, 4)).astype(np.float32)
-            b = rng.normal(size=(4, 5)).astype(np.float32)
-            c = rng.normal(size=(5, 2)).astype(np.float32)
-            left = nm.matmul(nm.matmul(Tensor(a), Tensor(b)), Tensor(c)).data
-            right = nm.matmul(Tensor(a), nm.matmul(Tensor(b), Tensor(c))).data
+            enc = one_layer_base(np.zeros((2, 5)))
+            ad = model.LoraAdapter(0, Tensor(rng.normal(size=(4, 5)).astype(np.float32)),
+                                   Tensor(rng.normal(size=(2, 4)).astype(np.float32)),
+                                   4, 4.0)
+            x = rng.normal(size=(3, 5)).astype(np.float32)
+            left = model.encode(enc, Tensor(x), PluginModule({0: ad})).data
+            right = model.encode_np(enc, {0: ad.effective_delta()}, x)
             assert rel_err(left, right) < 1e-5
 
     def test_backward_matches_finite_differences(self):
         rng = nm.make_rng(3)
-        a = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)).astype(np.float32), requires_grad=True)
+        enc = one_layer_base(rng.normal(size=(2, 4)), rng.normal(size=2))
+        ad = model.LoraAdapter(0, Tensor(rng.normal(size=(2, 4)).astype(np.float32)),
+                               Tensor(rng.normal(size=(2, 2)).astype(np.float32)), 2, 2.0)
+        plugin = PluginModule({0: ad})
+        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+        for t in (ad.a, ad.b):
+            t.requires_grad = True
         w = rng.normal(size=(3, 2)).astype(np.float32)
 
         def loss_fn(_):
-            prod = nm.matmul(a, b)
-            return nm.sq_sum(nm.mul(prod, Tensor(w))).item()
+            return float(np.sum(model.encode(enc, x, plugin).data * w, dtype=np.float64))
 
-        loss = nm.sq_sum(nm.mul(nm.matmul(a, b), Tensor(w)))
-        loss.backward()
-        fd_a = nm.finite_difference_grad(lambda t: loss_fn(t), a, eps=1e-2)
-        fd_b = nm.finite_difference_grad(lambda t: loss_fn(t), b, eps=1e-2)
-        assert rel_err(a.grad, fd_a.data) < 1e-4
-        assert rel_err(b.grad, fd_b.data) < 1e-4
+        model.encode(enc, x, plugin).backward(w)
+        for t in (x, ad.a, ad.b):
+            fd = nm.finite_difference_grad(loss_fn, t, eps=1e-2)
+            assert rel_err(t.grad, fd.data) < 1e-4
 
 
 class TestSoftmaxCrossEntropy:
@@ -173,78 +195,103 @@ class TestFiniteDifference:
 
 
 class TestElementwiseOps:
+    """The behaviours of the former single-op nodes, on the fused nodes."""
+
     def test_tanh_backward(self):
+        # encode's input gradient through the tanh between its two layers
         rng = nm.make_rng(17)
-        x = Tensor(rng.uniform(-1, 1, size=(3, 3)).astype(np.float32), requires_grad=True)
-        nm.sq_sum(nm.tanh(x)).backward()
-        fd = nm.finite_difference_grad(lambda t: nm.sq_sum(nm.tanh(t)).item(), x, eps=1e-2)
+        enc = BaseEncoder.from_seed(17, dims=(6, 5, 4))
+        for layer in enc.layers:
+            layer.bias.data[:] = rng.normal(size=layer.bias.shape)
+        x = Tensor(rng.uniform(-1, 1, size=(3, 6)).astype(np.float32), requires_grad=True)
+        out = model.encode(enc, x)
+        out.backward(2.0 * out.data)
+        fd = nm.finite_difference_grad(lambda t: sq_sum_value(model.encode(enc, t)), x,
+                                       eps=1e-2)
         assert rel_err(x.grad, fd.data) < 1e-4
 
     def test_add_bias_broadcast_backward(self):
+        # the bias reaches every row, and the input gradient holds with it
         rng = nm.make_rng(19)
-        x = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
-        b = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
-        nm.sq_sum(nm.add(x, b)).backward()
-        fd = nm.finite_difference_grad(lambda t: nm.sq_sum(nm.add(x, t)).item(), b, eps=1e-2)
-        assert rel_err(b.grad, fd.data) < 1e-4
+        w = rng.normal(size=(3, 4)).astype(np.float32)
+        b = rng.normal(size=3).astype(np.float32)
+        enc = one_layer_base(w, b)
+        x = Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
+        out = model.encode(enc, x)
+        np.testing.assert_array_equal(out.data, x.data @ np.ascontiguousarray(w.T) + b)
+        out.backward(2.0 * out.data)
+        fd = nm.finite_difference_grad(lambda t: sq_sum_value(model.encode(enc, t)), x,
+                                       eps=1e-2)
+        assert rel_err(x.grad, fd.data) < 1e-4
 
     def test_normalize_rows_backward(self):
         rng = nm.make_rng(29)
+        table = LabelEmbeddingTable("t", ["one", "two", "three"], 4)
         x = Tensor(rng.uniform(0.2, 1.0, size=(3, 4)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
-        nm.sq_sum(nm.mul(nm.l2_normalize_rows(x), w)).backward()
+        w = rng.normal(size=(3, 3)).astype(np.float32)
+        model.classify(x, table, 1.0).backward(w)
         fd = nm.finite_difference_grad(
-            lambda t: nm.sq_sum(nm.mul(nm.l2_normalize_rows(t), w)).item(), x, eps=1e-2)
+            lambda t: float(np.sum(model.classify(t, table, 1.0).data * w,
+                                   dtype=np.float64)), x, eps=1e-2)
         assert rel_err(x.grad, fd.data) < 1e-4
 
     def test_normalize_rows_zero_row_rejected(self):
+        table = LabelEmbeddingTable("t", ["one", "two"], 3)
+        rows = np.ones((2, 3), dtype=np.float32)
+        rows[1] = 0.0
         with pytest.raises(DegenerateInputError):
-            nm.l2_normalize_rows(Tensor(np.zeros((2, 3))))
+            model.classify(Tensor(rows), table)
 
     def test_mean_rows_slice_reshape_backward(self):
+        # per-class means of [n, h, w] leaves that encode flattens per row
         rng = nm.make_rng(31)
-        x = Tensor(rng.normal(size=(6, 4)).astype(np.float32), requires_grad=True)
+        enc = BaseEncoder.from_seed(31, dims=(6, 4))
+        real = Tensor(rng.normal(size=(3, 2, 3)).astype(np.float32), requires_grad=True)
+        syn = Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32), requires_grad=True)
+        feature = lambda t: model.encode(enc, t)
 
-        def f(t):
-            top = nm.mean_rows(nm.slice_rows(t, 0, 3))
-            bot = nm.mean_rows(nm.slice_rows(t, 3, 6))
-            return nm.sq_sum(nm.sub(top, bot))
+        def f(r, s):
+            return dst.dm_loss({0: r}, {0: s}, feature)
 
-        f(x).backward()
-        fd = nm.finite_difference_grad(lambda t: f(t).item(), x, eps=1e-2)
-        assert rel_err(x.grad, fd.data) < 1e-4
+        f(real, syn).backward()
+        for leaf, loss_fn in ((real, lambda t: f(t, syn).item()),
+                              (syn, lambda t: f(real, t).item())):
+            fd = nm.finite_difference_grad(loss_fn, leaf, eps=1e-2)
+            assert rel_err(leaf.grad, fd.data) < 1e-4
 
     def test_flip_and_shift_backward(self):
         rng = nm.make_rng(37)
         x = Tensor(rng.normal(size=(2, 4, 4)).astype(np.float32), requires_grad=True)
-
-        def f(t):
-            return nm.sq_sum(nm.shift2d(nm.flip_w(t), 1, -1))
-
-        f(x).backward()
-        fd = nm.finite_difference_grad(lambda t: f(t).item(), x, eps=1e-2)
+        params = dst.DsaParams(flip=True, shift=(1, -1))
+        out = dst.dsa_augment(x, params)
+        out.backward(2.0 * out.data)
+        fd = nm.finite_difference_grad(
+            lambda t: sq_sum_value(dst.dsa_augment(t, params)), x, eps=1e-2)
         assert rel_err(x.grad, fd.data) < 1e-4
 
     def test_shift_zero_pads(self):
         x = Tensor(np.ones((1, 2, 2), dtype=np.float32))
-        out = nm.shift2d(x, 1, 0)
+        out = dst.dsa_augment(x, dst.DsaParams(shift=(1, 0)))
         np.testing.assert_array_equal(out.data[0], [[0.0, 0.0], [1.0, 1.0]])
 
     def test_gradient_accumulates_until_zeroed(self):
         x = Tensor(np.ones(2, dtype=np.float32).reshape(1, 2), requires_grad=True)
-        nm.sq_sum(x).backward()
+        target = Tensor(np.zeros((1, 2), dtype=np.float32))
+        dst.dm_loss({0: target}, {0: x}, lambda t: t).backward()
         first = x.grad.copy()
-        nm.sq_sum(x).backward()
+        dst.dm_loss({0: target}, {0: x}, lambda t: t).backward()
         np.testing.assert_allclose(x.grad, 2 * first)
         x.zero_grad()
         assert x.grad is None
 
     def test_finite_outputs(self):
         rng = nm.make_rng(41)
+        enc = BaseEncoder.from_seed(41, dims=(5, 5, 5))
+        table = LabelEmbeddingTable("t", [str(i) for i in range(5)], 5)
         x = Tensor(rng.uniform(-1, 1, size=(5, 5)).astype(np.float32))
-        y = nm.tanh(nm.matmul(x, x))
+        y = model.encode(enc, x)
         assert np.all(np.isfinite(y.data))
-        loss = nm.softmax_cross_entropy(nm.mul(y, y), np.arange(5) % 5)
+        loss = nm.softmax_cross_entropy(model.classify(y, table), np.arange(5) % 5)
         assert np.isfinite(loss.item())
 
 

@@ -300,6 +300,41 @@ class TestHistory:
         records = repo.merge_records()
         assert hashlib.sha256(mid.to_bytes()).hexdigest() == records[0]["item_id"]
 
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_ref_write_failure_leaves_a_repository_that_recovers(
+            self, tmp_path, strategy, monkeypatch):
+        clean = self.prepare(tmp_path / "clean", strategy)
+        repo = make_repo(tmp_path / "crashed", strategy=strategy)
+        for i, name in enumerate(("t1", "t2", "t3")):
+            repo.commit_contribution(make_contribution(
+                repo.base, name, [f"{name} a", f"{name} b"], seed=i))
+        repo.merge_next()
+        write_ref = Repository._write_ref
+        calls = []
+
+        def failing_once(self_, doc):
+            calls.append(doc)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            return write_ref(self_, doc)
+
+        monkeypatch.setattr(Repository, "_write_ref", failing_once)
+        with pytest.raises(OSError):
+            repo.merge_next()
+        assert [r["round"] for r in repo.merge_records()] == [1, 2]  # the leftover
+        assert repo.current_round() == 1
+        with pytest.raises(InputError):
+            repo.checkout(2)  # the leftover record's round never happened
+        repo.merge_all()
+        records = repo.merge_records()
+        assert [r["round"] for r in records] == [1, 2, 3]
+        repo.replay()
+        # the same merge commits and items as a history that never failed
+        want = clean.merge_records()
+        assert [r["commit_id"] for r in records] == [r["commit_id"] for r in want]
+        assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
+        assert repo._read_ref() == clean._read_ref()
+
     def test_checkout_out_of_range(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
         with pytest.raises(Exception):
