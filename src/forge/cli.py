@@ -235,7 +235,7 @@ def _cmd_commit(args, config: RunConfig) -> int:
 
 def _cmd_merge(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
-    if not repo.pending():
+    if repo.queue_head() is None:
         print("nothing to merge")
         return 0
     records = repo.merge_all() if (args.all or not args.next) else [repo.merge_next()]

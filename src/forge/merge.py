@@ -290,6 +290,12 @@ def optimize_coefficients(objective: Callable[[np.ndarray], float],
     return best["x"], float(best["value"]), trace
 
 
+def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k w[k] * stack[k]: the one gemm ``np.tensordot(w, stack, 1)`` issues,
+    without its shape handling, so the result is bit-identical."""
+    return np.dot(w[None], stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+
+
 class LinearDeltas:
     """Per-layer deltas linear in the coefficients: sum_k w_k * terms[k][layer].
 
@@ -304,7 +310,7 @@ class LinearDeltas:
 
     def layer_delta(self, lid: int, w: np.ndarray) -> np.ndarray | None:
         stack = self._stacks.get(lid)
-        return None if stack is None else np.tensordot(w, stack, axes=1)
+        return None if stack is None else _weighted_sum(w, stack)
 
     def project_first(self, x: np.ndarray) -> np.ndarray | None:
         """x @ D_k.T for every term's layer-0 delta, stacked to [k, n, out]."""
@@ -312,7 +318,7 @@ class LinearDeltas:
         return None if stack is None else x @ stack.transpose(0, 2, 1)
 
     def first_layer(self, projected: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.tensordot(w, projected, axes=1)
+        return _weighted_sum(w, projected)
 
 
 class FactoredDeltas:
@@ -333,16 +339,16 @@ class FactoredDeltas:
     def layer_delta(self, lid: int, w: np.ndarray) -> np.ndarray | None:
         if lid not in self._a:
             return None
-        b = np.tensordot(w, self._b[lid], axes=1) * self._scale[lid]
-        return b @ np.tensordot(w, self._a[lid], axes=1)
+        b = _weighted_sum(w, self._b[lid]) * self._scale[lid]
+        return b @ _weighted_sum(w, self._a[lid])
 
     def project_first(self, x: np.ndarray) -> np.ndarray | None:
         """x @ A_k.T for every module's layer-0 factor, stacked to [k, n, r]."""
         return x @ self._a[0].transpose(0, 2, 1) if 0 in self._a else None
 
     def first_layer(self, projected: np.ndarray, w: np.ndarray) -> np.ndarray:
-        b = np.tensordot(w, self._b[0], axes=1) * self._scale[0]
-        return np.tensordot(w, projected, axes=1) @ b.T
+        b = _weighted_sum(w, self._b[0]) * self._scale[0]
+        return _weighted_sum(w, projected) @ b.T
 
 
 class StackedGuidance:
@@ -378,12 +384,16 @@ class StackedGuidance:
         # largest class count; padding is -inf, so exp and argmax ignore it
         local = np.arange(classes.max())
         own = local < classes[task, None]
-        self._columns = (np.cumsum(classes) - classes)[task, None] + np.where(own, local, 0)
+        columns = (np.cumsum(classes) - classes)[task, None] + np.where(own, local, 0)
         self._padding = np.where(own, 0.0, -np.inf)
         self._labels = np.concatenate([data.labels for data, _ in guidance])
         if np.any((self._labels < 0) | (self._labels >= classes[task])):
             raise InputError("guidance label outside its task's classes")
-        self._rows = np.arange(len(task))
+        # flat indices into the row-major [rows, head columns] scores and the
+        # [rows, own columns] logits, so one evaluation gathers with take
+        rows = np.arange(len(task))
+        self._flat_columns = rows[:, None] * self._head.shape[1] + columns
+        self._flat_labels = rows * columns.shape[1] + self._labels
         # the loss is a mean over tasks of each task's mean, not a mean over rows
         self._row_weight = 1.0 / (counts[task] * len(guidance))
         self._task_start = np.cumsum(counts) - counts
@@ -407,15 +417,14 @@ class StackedGuidance:
         norms = np.sqrt(np.einsum("ij,ij->i", e, e))[:, None]
         if np.any(norms < 1e-12):
             raise DegenerateInputError("zero-norm embedding in cosine head")
-        logits = np.take_along_axis(e @ self._head, self._columns, axis=1)
-        return logits / norms + self._padding
+        return (e @ self._head).take(self._flat_columns) / norms + self._padding
 
     def loss(self, w: np.ndarray) -> float:
         """Mean over tasks of the mean cross-entropy of each task's rows."""
         z = self.logits(w)
         zmax = z.max(axis=1, keepdims=True)
         lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        return float((lse - z[self._rows, self._labels]) @ self._row_weight)
+        return float((lse - z.take(self._flat_labels)) @ self._row_weight)
 
     def accuracies(self, w: np.ndarray) -> dict[str, float]:
         """Guidance accuracy per task name, rounded to six decimals."""

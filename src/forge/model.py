@@ -97,15 +97,21 @@ class LabelEmbeddingTable:
     tasks share an embedding, mimicking a frozen text encoder.
     """
 
-    def __init__(self, task_name: str, labels: list[str], embed_dim: int):
+    def __init__(self, task_name: str, labels: list[str], embed_dim: int,
+                 drawn: dict[str, np.ndarray] | None = None):
+        """``drawn`` maps label text to its row for tables built together at
+        one ``embed_dim``: a label met again reuses its row, not a new draw."""
         if len(labels) < 2:
             raise ParameterError("a task needs at least two labels")
         if len(set(labels)) != len(labels):
             raise ParameterError("labels must be distinct")
         self.task_name = task_name
         self.labels = list(labels)
-        rows = np.stack([self._embed_label(text, embed_dim) for text in labels])
-        self.rows = Tensor(rows)
+        drawn = {} if drawn is None else drawn
+        for text in labels:
+            if text not in drawn:
+                drawn[text] = self._embed_label(text, embed_dim)
+        self.rows = Tensor(np.stack([drawn[text] for text in labels]))
 
     @staticmethod
     def _embed_label(text: str, embed_dim: int) -> np.ndarray:

@@ -144,8 +144,8 @@ class Repository:
             "base_seed": int(base_seed), "strategy": strategy,
             "base_hash": base.param_hash(), "item_id": item_id,
         })
-        repo._write_ref({"item_id": item_id, "round": 0,
-                         "genesis": genesis_commit.id, "head": genesis_commit.id})
+        repo._write_ref({"item_id": item_id, "round": 0, "genesis": genesis_commit.id,
+                         "head": genesis_commit.id, "guidance": []})
         return repo
 
     # -- basics ------------------------------------------------------------
@@ -279,10 +279,15 @@ class Repository:
             raise ValidationError("distilled labels out of range")
 
     def _next_queue_path(self) -> Path:
+        """A new queue file whose number no entry of this repository had, so
+        the ref's consumed entry names one enqueue and never a later one."""
         queue = self.root / "queue"
         while True:
             existing = [int(p.stem) for p in queue.glob("*.json")]
-            seq = max(existing, default=0) + 1
+            # read after listing: a merge writes the ref naming its entry
+            # before it unlinks that entry, so the entry shows in one of them
+            consumed = self._read_ref().get("consumed")
+            seq = max([*existing, consumed["seq"] if consumed else 0]) + 1
             candidate = queue / f"{seq:06d}.json"
             try:
                 fd = os.open(candidate, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -314,14 +319,22 @@ class Repository:
                                      "timestamp": commit.timestamp}))
         return commit
 
+    @staticmethod
+    def _queue_doc(path: Path) -> dict:
+        doc = json.loads(path.read_text())
+        doc["seq"] = int(path.stem)
+        return doc
+
     def pending(self) -> list[dict]:
-        queue = self.root / "queue"
-        out = []
-        for path in sorted(queue.glob("*.json")):
-            doc = json.loads(path.read_text())
-            doc["seq"] = int(path.stem)
-            out.append(doc)
-        return out
+        return [self._queue_doc(path) for path in sorted((self.root / "queue").glob("*.json"))]
+
+    def queue_head(self) -> dict | None:
+        """The oldest queued entry, or None; no other queue file is read."""
+        path = min((self.root / "queue").glob("*.json"), default=None)
+        return None if path is None else self._queue_doc(path)
+
+    def _unlink_queued(self, entry: dict) -> None:
+        (self.root / "queue" / f"{entry['seq']:06d}.json").unlink()
 
     # -- merging -----------------------------------------------------------
 
@@ -346,38 +359,36 @@ class Repository:
             return []
         return [json.loads(line) for line in log.read_text().splitlines() if line]
 
-    def _records_up_to(self, round_no: int) -> list[dict]:
-        """The merge log's records for rounds 1..round_no. A merge that failed
-        after appending its record but before writing the ref leaves one
-        record past the ref's round; it is cut from the log here, before the
-        next append, and its contribution, still queued, merges again."""
-        records = self.merge_records()
-        if len(records) > round_no:
-            records = records[:round_no]
-            log = self.root / "log" / "merges.jsonl"
+    def _trim_log(self, round_no: int) -> None:
+        """Keep the merge log's first round_no lines, counted, not parsed. A
+        merge that failed after appending its record but before writing the
+        ref leaves one record past the ref's round; it is cut from the log
+        here, before the next append, and its contribution, still queued,
+        merges again."""
+        log = self.root / "log" / "merges.jsonl"
+        if not log.is_file():
+            return
+        lines = log.read_bytes().splitlines(keepends=True)
+        if len(lines) > round_no:
             tmp = log.parent / ".tmp-merges"
-            tmp.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+            tmp.write_bytes(b"".join(lines[:round_no]))
             os.replace(tmp, log)
-        return records
 
     def _append_merge_record(self, record: dict) -> None:
         log = self.root / "log" / "merges.jsonl"
         with open(log, "a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def _guidance_from(self, records: list[dict], extra: list[dict]) -> dict[str, GuidanceSet]:
-        """Distilled sets of previously merged tasks plus the incoming ones,
-        keyed by distilled id in first-merge order."""
-        seen: dict[str, GuidanceSet] = {}
-        for doc in [*records, *extra]:
-            distilled_id = doc["distilled_id"]
-            if distilled_id in seen:
-                continue
-            distilled = self.load_distilled(distilled_id)
+    def _guidance_from(self, listing: list[dict]) -> list[GuidanceSet]:
+        """The distilled set and label table of each guidance list entry."""
+        drawn: dict[str, np.ndarray] = {}  # label text -> row, one draw per text
+        out = []
+        for doc in listing:
             task = TaskSpec.from_dict(doc["task"])
-            table = LabelEmbeddingTable(task.name, task.labels, self.base.embed_dim)
-            seen[distilled_id] = (distilled, table)
-        return seen
+            out.append((self.load_distilled(doc["distilled_id"]),
+                        LabelEmbeddingTable(task.name, task.labels, self.base.embed_dim,
+                                            drawn)))
+        return out
 
     def current_item(self) -> ForgeItem:
         ref = self._read_ref()
@@ -387,20 +398,30 @@ class Repository:
         return int(self._read_ref()["round"])
 
     def merge_next(self) -> dict:
-        """Merge the oldest queued contribution into the main branch."""
+        """Merge the oldest queued contribution into the main branch.
+
+        A round reads the main ref, the queue head, the contribution, the
+        current item and the guidance sets the ref lists; it never parses the
+        merge log, except once to build the list for a ref that lacks it.
+        """
         with self._main_lock():
-            entries = self.pending()
-            if not entries:
+            ref = self._read_ref()
+            entry = self.queue_head()
+            if entry is not None and _consumed(entry) == ref.get("consumed"):
+                # its round committed, then the merge failed before this unlink
+                self._unlink_queued(entry)
+                entry = self.queue_head()
+            if entry is None:
                 raise NothingToMergeError("contribution queue is empty")
-            entry = entries[0]
             commit = self.read_commit(entry["commit_id"])
             payload = commit.payload
             branch = self.load_plugin(payload["plugin_id"])
-            ref = self._read_ref()
-            records = self._records_up_to(ref["round"])
-            guidance = self._guidance_from(records, [payload])
+            self._trim_log(ref["round"])
+            prior = ref["guidance"] if "guidance" in ref else self.merge_records()
+            listing = _guidance_list([*prior, payload])
             new_item, outcome = mrg.merge_round(self.base, self.current_item(), branch,
-                                                list(guidance.values()), self.coeff_config(),
+                                                self._guidance_from(listing),
+                                                self.coeff_config(),
                                                 self.config["temperature"])
             item_id = self.store_object(new_item.to_bytes())
             merge_commit = self._append_commit(ref["head"], "registry", "merge", {
@@ -418,20 +439,24 @@ class Repository:
             record = {**merge_commit.payload,
                       "commit_id": merge_commit.id,
                       "trace": outcome.trace,
-                      "guidance_ids": list(guidance),
+                      "guidance_ids": [doc["distilled_id"] for doc in listing],
                       "metrics_pre": outcome.metrics_pre,
                       "metrics_post": outcome.metrics_post,
                       "timestamp": time.time()}
             self._append_merge_record(record)
             self._write_ref({**ref, "item_id": item_id, "round": new_item.round,
-                             "head": merge_commit.id})
-            (self.root / "queue" / f"{entry['seq']:06d}.json").unlink()
+                             "head": merge_commit.id, "guidance": listing,
+                             "consumed": _consumed(entry)})
+            self._unlink_queued(entry)
             return record
 
     def merge_all(self) -> list[dict]:
         out = []
-        while self.pending():
-            out.append(self.merge_next())
+        while self.queue_head() is not None:
+            try:
+                out.append(self.merge_next())
+            except NothingToMergeError:  # the head was the entry of a committed round
+                break
         return out
 
     # -- history -----------------------------------------------------------
@@ -471,6 +496,19 @@ class Repository:
         for object_id in ids:
             self.read_object(object_id)
         return len(ids)
+
+
+def _consumed(entry: dict) -> dict:
+    """How the main ref names the queue entry a round merged."""
+    return {"commit_id": entry["commit_id"], "seq": entry["seq"]}
+
+
+def _guidance_list(docs: list[dict]) -> list[dict]:
+    """Distinct distilled ids in first-merge order, each with its task spec."""
+    tasks: dict[str, dict] = {}
+    for doc in docs:
+        tasks.setdefault(doc["distilled_id"], doc["task"])
+    return [{"distilled_id": distilled_id, "task": task} for distilled_id, task in tasks.items()]
 
 
 def init_repo(path: str | Path, base_seed: int, strategy: str, **kwargs) -> Repository:

@@ -582,3 +582,104 @@ class TestStackedObjective:
             table.task_name: round(evaluate_deltas(enc, None, table,
                                                    as_dataset(distilled))[0], 6)
             for distilled, table in guidance}
+
+
+class TensordotLinearDeltas(merge.LinearDeltas):
+    """The tensordot formulas the lean evaluation replaced."""
+
+    def layer_delta(self, lid, w):
+        stack = self._stacks.get(lid)
+        return None if stack is None else np.tensordot(w, stack, axes=1)
+
+    def first_layer(self, projected, w):
+        return np.tensordot(w, projected, axes=1)
+
+
+class TensordotFactoredDeltas(merge.FactoredDeltas):
+    """The tensordot formulas the lean evaluation replaced."""
+
+    def layer_delta(self, lid, w):
+        if lid not in self._a:
+            return None
+        b = np.tensordot(w, self._b[lid], axes=1) * self._scale[lid]
+        return b @ np.tensordot(w, self._a[lid], axes=1)
+
+    def first_layer(self, projected, w):
+        b = np.tensordot(w, self._b[0], axes=1) * self._scale[0]
+        return np.tensordot(w, projected, axes=1) @ b.T
+
+
+class TakeAlongAxisGuidance(merge.StackedGuidance):
+    """The stacked pass with the take_along_axis and fancy-index gathers the
+    lean evaluation replaced."""
+
+    def __init__(self, base, guidance, deltas, temperature):
+        super().__init__(base, guidance, deltas, temperature)
+        classes = np.array([table.num_classes for _, table in guidance])
+        counts = np.array([len(data.labels) for data, _ in guidance])
+        task = np.repeat(np.arange(len(guidance)), counts)
+        local = np.arange(classes.max())
+        own = local < classes[task, None]
+        self._columns = (np.cumsum(classes) - classes)[task, None] + np.where(own, local, 0)
+        self._rows = np.arange(len(task))
+
+    def logits(self, w):
+        w = np.asarray(w, dtype=nm.DTYPE)
+        h = self._pre0
+        if self._projected is not None:
+            h = h + self._deltas.first_layer(self._projected, w)
+        for lid, layer in enumerate(self._layers, start=1):
+            weight = layer.weight.data
+            delta = self._deltas.layer_delta(lid, w)
+            if delta is not None:
+                weight = weight + delta
+            h = np.tanh(h) @ weight.T + layer.bias.data
+        e = h.astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", e, e))[:, None]
+        logits = np.take_along_axis(e @ self._head, self._columns, axis=1)
+        return logits / norms + self._padding
+
+    def loss(self, w):
+        z = self.logits(w)
+        zmax = z.max(axis=1, keepdims=True)
+        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        return float((lse - z[self._rows, self._labels]) @ self._row_weight)
+
+
+class TestLeanEvaluation:
+    """One evaluation gives the same bits as the formulas it replaced."""
+
+    def assert_identical(self, enc, guidance, lean, reference, n_vars, seed):
+        new = merge.StackedGuidance(enc, guidance, lean, 0.07)
+        old = TakeAlongAxisGuidance(enc, guidance, reference, 0.07)
+        rng = nm.make_rng(seed)
+        for w in [np.array([1.0] + [0.0] * (n_vars - 1)),
+                  *rng.uniform(0.0, 2.0, size=(40, n_vars))]:
+            assert new.loss(w) == old.loss(w)
+            assert new.accuracies(w) == old.accuracies(w)
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    def test_fusion(self, depth):
+        rng, enc, (main, branch, _), guidance = TestStackedObjective().build(depth, 40)
+        self.assert_identical(enc, guidance, merge.FactoredDeltas([main, branch]),
+                              TensordotFactoredDeltas([main, branch]), 2, 41)
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    def test_mixture(self, depth):
+        rng, enc, (p1, p2, branch), guidance = TestStackedObjective().build(depth, 42)
+        terms = [merge.mixture_deltas([(p1, 0.6), (p2, 1.3)]), branch.layer_deltas()]
+        self.assert_identical(enc, guidance, merge.LinearDeltas(terms),
+                              TensordotLinearDeltas(terms), 2, 43)
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    def test_first_mixture_round(self, depth):
+        rng, enc, (_, _, branch), guidance = TestStackedObjective().build(depth, 44)
+        terms = [{}, branch.layer_deltas()]
+        self.assert_identical(enc, guidance, merge.LinearDeltas(terms),
+                              TensordotLinearDeltas(terms), 2, 45)
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    def test_joint(self, depth):
+        rng, enc, plugins, guidance = TestStackedObjective().build(depth, 46)
+        self.assert_identical(enc, guidance, merge.FactoredDeltas(plugins),
+                              TensordotFactoredDeltas(plugins), 3, 47)

@@ -208,7 +208,51 @@ class TestMerge:
                             lambda self: hashed.append(1) or content_id(self))
         records = repo.merge_all()
         assert [r["guidance_ids"] for r in records] == [ids[:1], ids[:2], ids[:2]]
-        assert hashed == []  # the ids come from the log, not from re-hashing
+        assert hashed == []  # the ids come from the main ref, not from re-hashing
+
+    def test_round_reads_only_what_changed(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        repo = make_repo(tmp_path / "repo")
+        specs = [("t1", ["red", "blue"]), ("t2", ["red", "green", "blue"]),
+                 ("t3", ["green", "grey"]), ("t4", ["blue", "grey", "white"])]
+        for i, (name, labels) in enumerate(specs):
+            repo.commit_contribution(make_contribution(repo.base, name, labels, seed=i))
+
+        def no_log_parse(self_):
+            raise AssertionError("merge_next parsed the merge log")
+
+        queue_reads, drawn = [], []
+        read_text = Path.read_text
+        embed = model.LabelEmbeddingTable._embed_label
+
+        def counted_read(self_, *args, **kwargs):
+            if self_.parent.name == "queue":
+                queue_reads.append(self_.name)
+            return read_text(self_, *args, **kwargs)
+
+        monkeypatch.setattr(Repository, "merge_records", no_log_parse)
+        monkeypatch.setattr(Path, "read_text", counted_read)
+        monkeypatch.setattr(model.LabelEmbeddingTable, "_embed_label", staticmethod(
+            lambda text, dim: drawn.append(text) or embed(text, dim)))
+        for round_no, (name, labels) in enumerate(specs, start=1):
+            queue_reads.clear()
+            drawn.clear()
+            assert repo.merge_next()["round"] == round_no
+            assert queue_reads == [f"{round_no:06d}.json"]
+            texts = [text for _, ls in specs[:round_no] for text in ls]
+            assert drawn == list(dict.fromkeys(texts))  # one draw per distinct text
+
+    def test_merged_contribution_committed_again_merges_again(self, tmp_path):
+        repo = make_repo(tmp_path / "repo")
+        contrib = make_contribution(repo.base, "t1", ["red", "blue"])
+        first = repo.commit_contribution(contrib)
+        repo.merge_next()
+        assert repo.pending() == []
+        again = repo.commit_contribution(contrib)
+        assert again.id == first.id
+        assert [r["round"] for r in repo.merge_all()] == [2]
+        assert repo.pending() == []
 
     def test_merge_does_not_mutate_stored_artifacts(self, tmp_path):
         repo = make_repo(tmp_path / "repo", strategy="fusion")
@@ -333,6 +377,65 @@ class TestHistory:
         want = clean.merge_records()
         assert [r["commit_id"] for r in records] == [r["commit_id"] for r in want]
         assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
+        assert repo._read_ref() == clean._read_ref()
+
+    @pytest.mark.parametrize("failing_round", [2, 3])
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_queue_unlink_failure_never_merges_twice(
+            self, tmp_path, strategy, failing_round, monkeypatch):
+        from pathlib import Path
+
+        clean = self.prepare(tmp_path / "clean", strategy)
+        repo = make_repo(tmp_path / "crashed", strategy=strategy)
+        for i, name in enumerate(("t1", "t2", "t3")):
+            repo.commit_contribution(make_contribution(
+                repo.base, name, [f"{name} a", f"{name} b"], seed=i))
+        for _ in range(failing_round - 1):
+            repo.merge_next()
+        unlink = Path.unlink
+        failed = []
+
+        def failing_once(self_, *args, **kwargs):
+            if self_.parent.name == "queue" and not failed:
+                failed.append(self_.name)
+                raise OSError("I/O error")
+            return unlink(self_, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", failing_once)
+        with pytest.raises(OSError):
+            repo.merge_next()
+        assert repo.current_round() == failing_round  # the round committed
+        assert failed == [f"{failing_round:06d}.json"]  # and its entry is still queued
+        repo.merge_all()
+        assert repo.pending() == []
+        records = repo.merge_records()
+        assert [r["round"] for r in records] == [1, 2, 3]
+        repo.replay()
+        want = clean.merge_records()
+        assert [r["commit_id"] for r in records] == [r["commit_id"] for r in want]
+        assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
+        assert repo._read_ref() == clean._read_ref()
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_ref_without_guidance_list_is_upgraded(self, tmp_path, strategy):
+        import json
+
+        clean = self.prepare(tmp_path / "clean", strategy)
+        repo = make_repo(tmp_path / "old", strategy=strategy)
+        for i, name in enumerate(("t1", "t2", "t3")):
+            repo.commit_contribution(make_contribution(
+                repo.base, name, [f"{name} a", f"{name} b"], seed=i))
+        repo.merge_next()
+        repo.merge_next()
+        ref_path = repo.root / "refs" / "main"
+        old = json.loads(ref_path.read_text())
+        del old["guidance"]  # as a forge from before the list was kept wrote it
+        ref_path.write_text(json.dumps(old, sort_keys=True))
+        repo.merge_next()
+        records = repo.merge_records()
+        want = clean.merge_records()
+        for key in ("commit_id", "item_id", "guidance_ids"):
+            assert [r[key] for r in records] == [r[key] for r in want]
         assert repo._read_ref() == clean._read_ref()
 
     def test_checkout_out_of_range(self, tmp_path):
