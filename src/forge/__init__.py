@@ -28,7 +28,7 @@ from .model import (
     train_plugin,
 )
 from .numerics import SgdState, Tensor, finite_difference_grad, make_rng, sgd_step
-from .registry import BranchContribution, Commit, Repository, init_repo
+from .registry import BranchContribution, Commit, Repository
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "Tensor", "TrainConfig", "accuracy", "auc", "baseline_lorahub",
     "baseline_modelsoup", "classify", "distill_dataset", "encode", "eval_distilled",
     "finite_difference_grad", "fuse", "generate_tasks", "group_aggregate",
-    "init_adapter", "init_repo", "make_rng", "merge_round",
-    "optimize_coefficients", "sgd_step", "split_by_group", "train_plugin",
+    "init_adapter", "make_rng", "merge_round", "optimize_coefficients", "sgd_step",
+    "split_by_group", "train_plugin",
 ]

@@ -6,9 +6,11 @@ union of distilled sets seen in prior merge rounds plus the incoming one.
 
 Storage model: artifacts and commits live under ``objects/`` keyed by the
 SHA-256 of their bytes, so concurrent writes are idempotent and raw task
-data never enters the repository. Timestamps live in queue entries and the
-merge log, never inside hashed objects, which keeps replay stable. Merges
-serialize on an advisory lock; commits do not.
+data never enters the repository. The merge commits, hash-chained from the
+main ref's head to genesis, are the history; the merge log is a record of
+it. Timestamps live in queue entries and the log, never inside hashed
+objects, which keeps replay stable. Merges serialize on an advisory lock;
+commits do not.
 """
 
 from __future__ import annotations
@@ -239,6 +241,21 @@ class Repository:
     def read_commit(self, commit_id: str) -> Commit:
         return Commit.from_bytes(self.read_object(commit_id))
 
+    def _merge_payloads(self, ref: dict) -> list[dict]:
+        """The payloads of the merge commits from genesis to ``ref``'s head,
+        oldest first; each commit is hash-checked on its way."""
+        payloads, commit_id = [], ref["head"]
+        while commit_id != ref["genesis"]:
+            commit = self.read_commit(commit_id)
+            if commit.kind != "merge":
+                raise IntegrityError(f"commit {commit_id} on the main chain is no merge")
+            payloads.append(commit.payload)
+            commit_id = commit.parent
+        payloads.reverse()
+        if [p["round"] for p in payloads] != list(range(1, ref["round"] + 1)):
+            raise IntegrityError(f"the main chain does not run rounds 1..{ref['round']}")
+        return payloads
+
     # -- contributions -----------------------------------------------------
 
     def _validate_contribution(self, contribution: BranchContribution) -> None:
@@ -359,21 +376,6 @@ class Repository:
             return []
         return [json.loads(line) for line in log.read_text().splitlines() if line]
 
-    def _trim_log(self, round_no: int) -> None:
-        """Keep the merge log's first round_no lines, counted, not parsed. A
-        merge that failed after appending its record but before writing the
-        ref leaves one record past the ref's round; it is cut from the log
-        here, before the next append, and its contribution, still queued,
-        merges again."""
-        log = self.root / "log" / "merges.jsonl"
-        if not log.is_file():
-            return
-        lines = log.read_bytes().splitlines(keepends=True)
-        if len(lines) > round_no:
-            tmp = log.parent / ".tmp-merges"
-            tmp.write_bytes(b"".join(lines[:round_no]))
-            os.replace(tmp, log)
-
     def _append_merge_record(self, record: dict) -> None:
         log = self.root / "log" / "merges.jsonl"
         with open(log, "a") as fh:
@@ -401,8 +403,9 @@ class Repository:
         """Merge the oldest queued contribution into the main branch.
 
         A round reads the main ref, the queue head, the contribution, the
-        current item and the guidance sets the ref lists; it never parses the
-        merge log, except once to build the list for a ref that lacks it.
+        current item and the guidance sets the ref lists (a ref without the
+        list gets it from the merge commits). The ref write commits the round;
+        a merge failing after it loses at most the round's log record.
         """
         with self._main_lock():
             ref = self._read_ref()
@@ -416,8 +419,7 @@ class Repository:
             commit = self.read_commit(entry["commit_id"])
             payload = commit.payload
             branch = self.load_plugin(payload["plugin_id"])
-            self._trim_log(ref["round"])
-            prior = ref["guidance"] if "guidance" in ref else self.merge_records()
+            prior = ref["guidance"] if "guidance" in ref else self._merge_payloads(ref)
             listing = _guidance_list([*prior, payload])
             new_item, outcome = mrg.merge_round(self.base, self.current_item(), branch,
                                                 self._guidance_from(listing),
@@ -443,10 +445,10 @@ class Repository:
                       "metrics_pre": outcome.metrics_pre,
                       "metrics_post": outcome.metrics_post,
                       "timestamp": time.time()}
-            self._append_merge_record(record)
             self._write_ref({**ref, "item_id": item_id, "round": new_item.round,
                              "head": merge_commit.id, "guidance": listing,
                              "consumed": _consumed(entry)})
+            self._append_merge_record(record)
             self._unlink_queued(entry)
             return record
 
@@ -461,32 +463,33 @@ class Repository:
 
     # -- history -----------------------------------------------------------
 
-    def checkout(self, round_no: int) -> ForgeItem:
-        """Rebuild the forge item as of ``round_no`` by replaying the log; a
-        record past the main ref's round, left by a failed merge, is no round."""
-        records = self.merge_records()
-        last = min(len(records), self.current_round())
-        if round_no < 0 or round_no > last:
-            raise InputError(f"round {round_no} outside [0, {last}]")
+    def checkout(self, round_no: int, ref: dict | None = None) -> ForgeItem:
+        """Rebuild the forge item as of ``round_no`` by replaying the merge
+        commit chain of ``ref`` (the main ref, read now if not given) from
+        genesis; each round's item must match the id its commit records."""
+        ref = self._read_ref() if ref is None else ref
+        payloads = self._merge_payloads(ref)
+        if round_no < 0 or round_no > len(payloads):
+            raise InputError(f"round {round_no} outside [0, {len(payloads)}]")
         item = ForgeItem.genesis(self.strategy, self.base,
                                  self.config["rank"], self.config["alpha"])
-        for record in records[:round_no]:
-            branch = self.load_plugin(record["plugin_id"])
-            item = item.merged(branch, mrg.MergeCoefficients(record["w_main"],
-                                                             record["w_branch"]))
-            expect = record["item_id"]
+        for payload in payloads[:round_no]:
+            branch = self.load_plugin(payload["plugin_id"])
+            item = item.merged(branch, mrg.MergeCoefficients(payload["w_main"],
+                                                             payload["w_branch"]))
+            expect = payload["item_id"]
             got = hashlib.sha256(item.to_bytes()).hexdigest()
             if got != expect:
                 raise IntegrityError(
-                    f"replay of round {item.round} produced {got}, log says {expect}")
+                    f"replay of round {item.round} produced {got}, its commit says {expect}")
         return item
 
     def replay(self) -> ForgeItem:
-        """Replay the full log and check it matches the live main ref."""
-        item = self.checkout(self.current_round())
+        """Replay the main ref's whole merge commit chain and check it reaches
+        the ref's item; a merge committing meanwhile does not matter."""
         ref = self._read_ref()
-        got = hashlib.sha256(item.to_bytes()).hexdigest()
-        if got != ref["item_id"]:
+        item = self.checkout(ref["round"], ref)
+        if hashlib.sha256(item.to_bytes()).hexdigest() != ref["item_id"]:
             raise IntegrityError("replayed item does not match the main ref")
         return item
 
@@ -509,7 +512,3 @@ def _guidance_list(docs: list[dict]) -> list[dict]:
     for doc in docs:
         tasks.setdefault(doc["distilled_id"], doc["task"])
     return [{"distilled_id": distilled_id, "task": task} for distilled_id, task in tasks.items()]
-
-
-def init_repo(path: str | Path, base_seed: int, strategy: str, **kwargs) -> Repository:
-    return Repository.init(path, base_seed, strategy, **kwargs)

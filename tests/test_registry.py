@@ -318,11 +318,16 @@ class TestMerge:
 
 
 class TestHistory:
-    def prepare(self, tmp_path, strategy):
-        repo = make_repo(tmp_path / f"repo-{strategy}", strategy=strategy)
+    def queued(self, path, strategy):
+        """A repository with the three contributions of ``prepare`` queued."""
+        repo = make_repo(path, strategy=strategy)
         for i, name in enumerate(("t1", "t2", "t3")):
             repo.commit_contribution(make_contribution(
                 repo.base, name, [f"{name} a", f"{name} b"], seed=i))
+        return repo
+
+    def prepare(self, tmp_path, strategy):
+        repo = self.queued(tmp_path / f"repo-{strategy}", strategy)
         repo.merge_all()
         return repo
 
@@ -365,10 +370,10 @@ class TestHistory:
         monkeypatch.setattr(Repository, "_write_ref", failing_once)
         with pytest.raises(OSError):
             repo.merge_next()
-        assert [r["round"] for r in repo.merge_records()] == [1, 2]  # the leftover
+        assert [r["round"] for r in repo.merge_records()] == [1]
         assert repo.current_round() == 1
         with pytest.raises(InputError):
-            repo.checkout(2)  # the leftover record's round never happened
+            repo.checkout(2)  # round 2 never committed
         repo.merge_all()
         records = repo.merge_records()
         assert [r["round"] for r in records] == [1, 2, 3]
@@ -378,6 +383,111 @@ class TestHistory:
         assert [r["commit_id"] for r in records] == [r["commit_id"] for r in want]
         assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
         assert repo._read_ref() == clean._read_ref()
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_record_append_failure_loses_only_the_record(
+            self, tmp_path, strategy, monkeypatch):
+        clean = self.prepare(tmp_path / "clean", strategy)
+        repo = self.queued(tmp_path / "crashed", strategy)
+        repo.merge_next()
+        append = Repository._append_merge_record
+        failed = []
+
+        def failing_once(self_, record):
+            if not failed:
+                failed.append(record["round"])
+                raise OSError("disk full")
+            return append(self_, record)
+
+        monkeypatch.setattr(Repository, "_append_merge_record", failing_once)
+        with pytest.raises(OSError):
+            repo.merge_next()
+        assert failed == [2]
+        assert repo.current_round() == 2  # the ref write committed the round
+        repo.replay()
+        assert [r["round"] for r in repo.merge_all()] == [3]  # round 2 not merged again
+        assert repo.pending() == []
+        repo.replay()
+        ref = repo._read_ref()
+        assert ref == clean._read_ref()
+        assert repo._merge_payloads(ref) == clean._merge_payloads(ref)
+        assert repo.all_object_ids() == clean.all_object_ids()
+
+        def logged(records):
+            return [{k: v for k, v in r.items() if k != "timestamp"} for r in records]
+
+        assert logged(repo.merge_records()) == logged(
+            r for r in clean.merge_records() if r["round"] != 2)  # lacks only round 2
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_history_needs_no_merge_log(self, tmp_path, strategy, monkeypatch):
+        import json
+
+        clean = self.prepare(tmp_path / "clean", strategy)
+        want = [r["item_id"] for r in clean.merge_records()]
+        repo = self.queued(tmp_path / "nolog", strategy)
+        repo.merge_next()
+        repo.merge_next()
+        (repo.root / "log" / "merges.jsonl").unlink()
+        ref_path = repo.root / "refs" / "main"
+        old = json.loads(ref_path.read_text())
+        del old["guidance"]  # the list then comes from the merge commits alone
+        ref_path.write_text(json.dumps(old, sort_keys=True))
+
+        def no_log_parse(self_):
+            raise AssertionError("the merge log was parsed")
+
+        monkeypatch.setattr(Repository, "merge_records", no_log_parse)
+        repo.merge_next()
+        assert repo._read_ref() == clean._read_ref()
+        assert hashlib.sha256(repo.replay().to_bytes()).hexdigest() == want[-1]
+        for round_no, item_id in enumerate(want, start=1):
+            assert hashlib.sha256(repo.checkout(round_no).to_bytes()).hexdigest() == item_id
+
+    def test_replay_reads_the_ref_once(self, tmp_path):
+        repo = self.queued(tmp_path / "repo", "fusion")
+        repo.merge_next()
+        repo.merge_next()
+        before = repo._read_ref()
+        other = Repository(repo.root)
+        load_plugin = repo.load_plugin
+
+        def merging_meanwhile(object_id):
+            if other.current_round() == 2:
+                other.merge_next()  # commits round 3 while the replay runs
+            return load_plugin(object_id)
+
+        repo.load_plugin = merging_meanwhile
+        item = repo.replay()
+        assert repo.current_round() == 3
+        assert hashlib.sha256(item.to_bytes()).hexdigest() == before["item_id"]
+
+    @pytest.mark.parametrize("tamper", ["round+1", "round-1", "head=contribution"])
+    def test_ref_that_disagrees_with_the_chain_is_refused(self, tmp_path, tamper):
+        import json
+
+        repo = self.prepare(tmp_path, "fusion")
+        ref_path = repo.root / "refs" / "main"
+        ref = json.loads(ref_path.read_text())
+        if tamper == "head=contribution":
+            ref["head"] = ref["consumed"]["commit_id"]
+        else:
+            ref["round"] += 1 if tamper == "round+1" else -1
+        ref_path.write_text(json.dumps(ref, sort_keys=True))
+        for round_no in (0, 1):
+            with pytest.raises(IntegrityError):
+                repo.checkout(round_no)
+        with pytest.raises(IntegrityError):
+            repo.replay()
+
+    def test_missing_merge_commit_is_refused(self, tmp_path):
+        repo = self.prepare(tmp_path, "mixture")
+        middle = repo.read_commit(repo._read_ref()["head"]).parent
+        repo._object_path(middle).unlink()
+        with pytest.raises(IntegrityError):
+            repo.checkout(1)
+        with pytest.raises(IntegrityError):
+            repo.replay()
 
     @pytest.mark.parametrize("failing_round", [2, 3])
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
@@ -440,8 +550,9 @@ class TestHistory:
 
     def test_checkout_out_of_range(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
-        with pytest.raises(Exception):
-            repo.checkout(99)
+        for round_no in (99, 4, -1):
+            with pytest.raises(InputError):
+                repo.checkout(round_no)
 
     def test_store_objects_all_verify(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
