@@ -46,7 +46,27 @@ _VALIDATION_ERRORS = (ValidationError, IntegrityError, FormatError, InputError,
                       ParameterError, ShapeError, ConflictError)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_GLOBAL_VALUE_FLAGS = ("--config", "--seed", "--author")
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The subcommand of ``argv`` when only global flags with their values
+    come before it; None otherwise (help, unknown flags or commands)."""
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg in _GLOBAL_VALUE_FLAGS:
+            i += 2
+        elif arg.partition("=")[0] in _GLOBAL_VALUE_FLAGS:  # --seed=3
+            i += 1
+        else:
+            return arg if arg in _COMMANDS else None
+    return None
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or one with only ``command``'s subparser: the same
+    parse, help and errors for a line that names that command."""
     # global flags work both before and after the subcommand; the SUPPRESS
     # defaults stop the subparser from clobbering values parsed at top level
     common = argparse.ArgumentParser(add_help=False)
@@ -64,67 +84,58 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument("--seed", type=int, help=f"global seed (or {SEED_ENV_VAR})")
     parser.add_argument("--author", help="contributor tag for commits")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", parents=[common],
-                       help="write the seeded synthetic tasks")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("init", parents=[common], help="create a repository")
-    p.add_argument("repo")
-    p.add_argument("--strategy", choices=("fusion", "mixture"), required=True)
-
-    p = sub.add_parser("train-branch", parents=[common],
-                       help="train a plugin module on one task")
-    p.add_argument("--task", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-
-    p = sub.add_parser("distill", parents=[common],
-                       help="distill one task's training data")
-    p.add_argument("--task", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--ipc", type=int)
-    p.add_argument("--iters", type=int)
-
-    p = sub.add_parser("commit", parents=[common],
-                       help="push a plugin + distilled set")
-    p.add_argument("repo")
-    p.add_argument("--plugin", required=True)
-    p.add_argument("--distilled", required=True)
-    p.add_argument("--task", required=True)
-    p.add_argument("--data", required=True)
-
-    p = sub.add_parser("merge", parents=[common],
-                       help="merge pending contributions")
-    p.add_argument("repo")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true")
-    group.add_argument("--next", action="store_true")
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate the main branch on tasks")
-    p.add_argument("repo")
-    p.add_argument("--tasks", required=True, help="comma-separated task names")
-    p.add_argument("--data", required=True)
-    p.add_argument("--round", type=int, default=None)
-
-    p = sub.add_parser("experiment", parents=[common],
-                       help="run a comparison experiment")
-    p.add_argument("kind", choices=("orders", "baselines"))
-    p.add_argument("workdir")
-    p.add_argument("--seeds", type=int, default=3, help="number of seeds")
-    p.add_argument("--fast", action="store_true",
-                   help="reduced budgets for smoke runs")
-
-    p = sub.add_parser("checkout", parents=[common],
-                       help="materialize a historical forge item")
-    p.add_argument("repo")
-    p.add_argument("--round", type=int, required=True)
-    p.add_argument("--out", required=True)
+    # the metavar keeps every command in the usage line of a one-command parser
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _add_arguments(name, sub.add_parser(name, parents=[common],
+                                            help=_COMMANDS[name][1]))
     return parser
+
+
+def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
+    if command == "gen-data":
+        p.add_argument("--out", required=True)
+    elif command == "init":
+        p.add_argument("repo")
+        p.add_argument("--strategy", choices=("fusion", "mixture"), required=True)
+    elif command == "train-branch":
+        p.add_argument("--task", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--epochs", type=int)
+    elif command == "distill":
+        p.add_argument("--task", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--ipc", type=int)
+        p.add_argument("--iters", type=int)
+    elif command == "commit":
+        p.add_argument("repo")
+        p.add_argument("--plugin", required=True)
+        p.add_argument("--distilled", required=True)
+        p.add_argument("--task", required=True)
+        p.add_argument("--data", required=True)
+    elif command == "merge":
+        p.add_argument("repo")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--all", action="store_true")
+        group.add_argument("--next", action="store_true")
+    elif command == "eval":
+        p.add_argument("repo")
+        p.add_argument("--tasks", required=True, help="comma-separated task names")
+        p.add_argument("--data", required=True)
+        p.add_argument("--round", type=int, default=None)
+    elif command == "experiment":
+        p.add_argument("kind", choices=("orders", "baselines"))
+        p.add_argument("workdir")
+        p.add_argument("--seeds", type=int, default=3, help="number of seeds")
+        p.add_argument("--fast", action="store_true",
+                       help="reduced budgets for smoke runs")
+    elif command == "checkout":
+        p.add_argument("repo")
+        p.add_argument("--round", type=int, required=True)
+        p.add_argument("--out", required=True)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -299,28 +310,29 @@ def _cmd_checkout(args, config: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "init": _cmd_init,
-    "train-branch": _cmd_train_branch,
-    "distill": _cmd_distill,
-    "commit": _cmd_commit,
-    "merge": _cmd_merge,
-    "eval": _cmd_eval,
-    "experiment": _cmd_experiment,
-    "checkout": _cmd_checkout,
+_COMMANDS = {  # name: (handler, help), in the order help lists them
+    "gen-data": (_cmd_gen_data, "write the seeded synthetic tasks"),
+    "init": (_cmd_init, "create a repository"),
+    "train-branch": (_cmd_train_branch, "train a plugin module on one task"),
+    "distill": (_cmd_distill, "distill one task's training data"),
+    "commit": (_cmd_commit, "push a plugin + distilled set"),
+    "merge": (_cmd_merge, "merge pending contributions"),
+    "eval": (_cmd_eval, "evaluate the main branch on tasks"),
+    "experiment": (_cmd_experiment, "run a comparison experiment"),
+    "checkout": (_cmd_checkout, "materialize a historical forge item"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(_named_command(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
         config = _load_run_config(args)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command][0](args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -55,13 +55,30 @@ class DsaParams:
             noise_std=noise_std,
         )
 
+    def noise(self, rows: int, shape: tuple[int, int]) -> np.ndarray:
+        """The [rows, h, w] float32 noise of ``noise_seed``. numpy's normal
+        stream is prefix-stable, so its first n rows are the noise of any
+        n-row batch augmented with these parameters."""
+        rng = nm.make_rng(self.noise_seed)
+        return rng.normal(0.0, self.noise_std, size=(rows, *shape)).astype(nm.DTYPE)
 
-def dsa_augment(batch: Tensor, params: DsaParams) -> Tensor:
+
+def dsa_augment(batch: Tensor, params: DsaParams,
+                noise: np.ndarray | None = None) -> Tensor:
     """Apply flip, shift, scale and noise, in that order, to [n, h, w]; one
-    tape node whose backward is the adjoint of the pixel transforms."""
+    tape node whose backward is the adjoint of the pixel transforms.
+
+    ``noise`` is a ``params.noise(rows, (h, w))`` draw with rows >= n, of
+    which the first n rows are added; without it the noise is drawn here.
+    Both give the same bytes, so a caller augmenting several batches with
+    one ``params`` draws once for the longest batch.
+    """
     if batch.data.ndim != 3:
         raise ShapeError(f"dsa_augment expects [n, h, w], got {batch.shape}")
-    _, h, w = batch.shape
+    n, h, w = batch.shape
+    if noise is not None and (noise.ndim != 3 or len(noise) < n
+                              or noise.shape[1:] != (h, w)):
+        raise ShapeError(f"noise {noise.shape} does not cover a batch of {batch.shape}")
     dy, dx = params.shift
     dst = (slice(None), slice(max(dy, 0), h + min(dy, 0)), slice(max(dx, 0), w + min(dx, 0)))
     src = (slice(None), slice(max(-dy, 0), h + min(-dy, 0)),
@@ -77,8 +94,9 @@ def dsa_augment(batch: Tensor, params: DsaParams) -> Tensor:
     if scale != 1.0:
         out = out * nm.DTYPE(scale)
     if params.noise_std > 0.0:
-        noise_rng = nm.make_rng(params.noise_seed)
-        out = out + noise_rng.normal(0.0, params.noise_std, size=out.shape).astype(nm.DTYPE)
+        if noise is None:
+            noise = params.noise(n, (h, w))
+        out = out + noise[:n]
     if out is batch.data:
         return batch
 
@@ -276,13 +294,18 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
     syn_labels = np.repeat(np.arange(num_classes, dtype=np.int64), config.ipc)
 
     syn_state = nm.SgdState(learning_rate=config.syn_lr)
+    # one noise draw per step covers the longest batch, real or synthetic
+    noise_rows = max(config.ipc, *(min(config.real_batch_per_class, idx.size)
+                                   for idx in class_idx))
 
     for step in range(config.iterations):
         plugin = random_feature_plugin(base, config.rank, config.alpha, rng)
-        step_params = None
+        step_params = noise = None
         if config.dsa_enabled:
             step_params = DsaParams.sample(rng, config.max_shift,
                                            config.scale_range, config.noise_std)
+            if step_params.noise_std > 0.0:
+                noise = step_params.noise(noise_rows, side)
 
         real_by_class: dict[int, Tensor] = {}
         syn_by_class: dict[int, Tensor] = {}
@@ -293,8 +316,8 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
             real = Tensor(data.inputs[take].reshape(-1, *side))
             syn_c = syn[cls]
             if step_params is not None:
-                real = dsa_augment(real, step_params)
-                syn_c = dsa_augment(syn_c, step_params)
+                real = dsa_augment(real, step_params, noise)
+                syn_c = dsa_augment(syn_c, step_params, noise)
             real_by_class[cls] = real
             syn_by_class[cls] = syn_c
 

@@ -58,6 +58,8 @@ class BaseEncoder:
         if not layers:
             raise ParameterError("encoder needs at least one layer")
         self.layers = layers
+        # the weights never change, so encode's contiguous W.T is made once
+        self.weights_t = [np.ascontiguousarray(layer.weight.data.T) for layer in layers]
 
     @classmethod
     def from_seed(cls, seed: int, dims: tuple[int, ...] = ENCODER_DIMS) -> "BaseEncoder":
@@ -275,8 +277,7 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
     h = x.data.reshape(-1, width)
     last = len(base.layers) - 1
     cache = []  # per layer: transposed weight, side-path values, output
-    for lid, layer in enumerate(base.layers):
-        wt = np.ascontiguousarray(layer.weight.data.T)
+    for lid, (layer, wt) in enumerate(zip(base.layers, base.weights_t)):
         y = h @ wt + layer.bias.data
         side = None
         ad = adapters.get(lid)
@@ -332,16 +333,25 @@ def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a * inv, inv
 
 
+def _label_head(table: LabelEmbeddingTable) -> np.ndarray:
+    """The table's rows at unit norm, transposed: [embed_dim, classes]."""
+    return np.ascontiguousarray(_unit_rows(table.rows.data)[0].T)
+
+
 def classify(embedding: Tensor, table: LabelEmbeddingTable,
              temperature: float = DEFAULT_TEMPERATURE) -> Tensor:
     """Cosine similarity against each label row, divided by temperature; one
     tape node whose gradient reaches the embedding only."""
+    return _cosine_head(embedding, _label_head(table), temperature)
+
+
+def _cosine_head(embedding: Tensor, rows_t: np.ndarray, temperature: float) -> Tensor:
+    """``classify`` against a prepared ``_label_head``."""
     single = embedding.data.ndim == 1
     e = embedding.data.reshape(1, -1) if single else embedding.data
-    if e.shape[1] != table.rows.shape[1]:
-        raise ShapeError(f"embedding dim {e.shape[1]} != table dim {table.rows.shape[1]}")
+    if e.shape[1] != rows_t.shape[0]:
+        raise ShapeError(f"embedding dim {e.shape[1]} != table dim {rows_t.shape[0]}")
     unit, inv = _unit_rows(e)
-    rows_t = np.ascontiguousarray(_unit_rows(table.rows.data)[0].T)
     scale = float(1.0 / temperature)
     logits = (unit @ rows_t) * nm.DTYPE(scale)
 
@@ -351,11 +361,6 @@ def classify(embedding: Tensor, table: LabelEmbeddingTable,
         _accumulate(embedding, ((g_unit - unit * dot) * inv).reshape(embedding.shape))
 
     return _node(logits.reshape(-1) if single else logits, (embedding,), backward)
-
-
-def predict(logits: np.ndarray) -> np.ndarray:
-    """Argmax with lowest-index tie-break."""
-    return np.argmax(logits, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +443,7 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
     for p in params:
         p.requires_grad = True
     state = nm.SgdState(config.learning_rate, config.momentum, config.weight_decay)
+    head = _label_head(table)
 
     steps_done = 0
     budget = iterations if iterations is not None else config.epochs * max(1, -(-n // config.batch_size))
@@ -449,7 +455,7 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
             idx = order[start:start + config.batch_size]
             xb = Tensor(inputs[idx])
             emb = encode(base, xb, plugin, training=True, rng=rng)
-            logits = classify(emb, table, config.temperature)
+            logits = _cosine_head(emb, head, config.temperature)
             loss = nm.softmax_cross_entropy(logits, labels[idx])
             for p in params:
                 p.zero_grad()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from forge import cli
 from forge.cli import main
 from forge.config import DEFAULTS, RunConfig
 from forge.errors import UsageError
@@ -12,6 +13,43 @@ def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     assert main(["--seed", "5", "gen-data", "--out", str(out)]) == 0
     return out
+
+
+def parse_exit(parser, argv, capsys):
+    """Exit code, stdout and stderr of a parse that exits (help or error)."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParser:
+    """``main`` builds only the subparser of the command it is given; help,
+    errors and parsed values must be those of the full parser."""
+
+    EXITING = [["--help"], ["-h", "init"], ["frobnicate"], [], ["--seed", "3"],
+               ["init", "r"], ["--seed", "x", "merge", "r"], ["merge", "r", "--bogus"],
+               ["merge", "r", "--all", "--next"], ["--config", "--seed", "eval"],
+               ["--seed", "3", "commit", "--help"], ["--author=a", "checkout", "--help"]]
+
+    @pytest.mark.parametrize("argv", EXITING + [[name, "--help"] for name in
+                                                cli._COMMANDS])
+    def test_help_and_errors_match_the_full_parser(self, argv, capsys):
+        lazy = parse_exit(cli._build_parser(cli._named_command(argv)), argv, capsys)
+        assert lazy == parse_exit(cli._build_parser(), argv, capsys)
+
+    def test_parsed_values_match_the_full_parser(self):
+        argv = ["--seed", "4", "merge", "--author", "ann", "repo", "--next"]
+        lazy = cli._build_parser(cli._named_command(argv)).parse_args(argv)
+        assert vars(lazy) == vars(cli._build_parser().parse_args(argv))
+
+    def test_command_found_past_global_flags_only(self):
+        assert cli._named_command(["--seed", "3", "--config", "c.ini", "merge", "r"]) == "merge"
+        assert cli._named_command(["--author=a", "eval"]) == "eval"
+        assert cli._named_command(["--seed", "init", "x"]) is None
+        assert cli._named_command(["-h", "init"]) is None
+        assert cli._named_command(["--se", "3", "init"]) is None
+        assert cli._named_command(["frobnicate"]) is None
 
 
 class TestConfig:

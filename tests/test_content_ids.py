@@ -12,12 +12,19 @@ import pytest
 from forge import distill as dst
 from forge import model
 from forge import numerics as nm
-from forge.datasets import generate_tasks
+from forge.datasets import LabeledDataset, generate_tasks
 
 PLUGIN_ID = "214802c97d622080ba68e2bdb10ac714b55d134ad0431727426af0ceb3f03309"
 DISTILLED_IDS = {
     False: "3e90d2c17a5f67745ed0c6bde4187e978709dba1a0d9db800e62423995006c55",
     True: "b4a1c7f10a2f95ebfe7b92a69ce7910a653c6c97cb15b6b64a778184939358af",
+}
+# recorded before a distill step drew its augmentation noise once for every
+# batch: each case stresses one way the batches of a step differ in length
+EDGE_DISTILLED_IDS = {
+    "ipc-above-real-batch": "9ae2b44194f511756f0e23a7687e8ea1a41a1fbbb5e18ef193fd16b07d0e7b19",
+    "short-real-class": "b8fba3d70835f5347f42b642e57b6b91e2c863dbadbb04a8d6c82b4e4d83ed55",
+    "dsa-off": "12e99160b08e73d6b03fa4732fa02e4f6ea6e52d1a0f9f49ca91cd283dd74a4c",
 }
 
 
@@ -45,3 +52,19 @@ def test_seeded_distill_id(m_toy, init_from_real):
     distilled = dst.distill(spec, train, base, config, nm.make_rng(12))
     assert np.all(np.isfinite(distilled.inputs))
     assert distilled.content_id() == DISTILLED_IDS[init_from_real]
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_DISTILLED_IDS))
+def test_seeded_distill_id_edge_cases(m_toy, case):
+    base, spec, train = m_toy
+    if case == "ipc-above-real-batch":  # the synthetic batch is the longer one
+        config = dst.DistillConfig(iterations=20, ipc=8, real_batch_per_class=5)
+    elif case == "short-real-class":  # class 1 has 10 rows, class 0 a full batch
+        keep = np.concatenate([np.flatnonzero(train.labels == 0),
+                               np.flatnonzero(train.labels == 1)[:10]])
+        train = LabeledDataset(train.inputs[keep], train.labels[keep])
+        config = dst.DistillConfig(iterations=20, ipc=3, real_batch_per_class=16)
+    else:
+        config = dst.DistillConfig(iterations=20, ipc=3, dsa_enabled=False)
+    distilled = dst.distill(spec, train, base, config, nm.make_rng(12))
+    assert distilled.content_id() == EDGE_DISTILLED_IDS[case]

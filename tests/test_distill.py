@@ -5,7 +5,7 @@ from forge import datasets as dsets
 from forge import distill as dst
 from forge import model
 from forge import numerics as nm
-from forge.errors import FormatError, InputError, ParameterError
+from forge.errors import FormatError, InputError, ParameterError, ShapeError
 from forge.numerics import Tensor
 
 
@@ -50,17 +50,37 @@ class TestDsaAugment:
 
     def test_gradient_matches_finite_differences(self):
         rng = nm.make_rng(2)
-        for trial in range(20):
+        for trial in range(40):  # odd trials pass in a longer noise draw
             x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)).astype(np.float32),
                        requires_grad=True)
-            params = dst.DsaParams.sample(nm.make_rng(trial))
+            params = dst.DsaParams.sample(nm.make_rng(trial // 2))
+            noise = params.noise(5, (4, 4)) if trial % 2 else None
 
-            out = dst.dsa_augment(x, params)
+            out = dst.dsa_augment(x, params, noise)
             out.backward(2.0 * out.data)  # the gradient of the sum of squares
             fd = nm.finite_difference_grad(
-                lambda t: float(np.sum(np.square(dst.dsa_augment(t, params).data,
+                lambda t: float(np.sum(np.square(dst.dsa_augment(t, params, noise).data,
                                                  dtype=np.float64))), x, eps=1e-2)
             assert rel_err(x.grad, fd.data) < 1e-4
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("shift", [(0, 0), (2, -1)])
+    @pytest.mark.parametrize("scale", [1.0, 0.85])
+    def test_passed_noise_is_the_reseeded_draw(self, flip, shift, scale):
+        params = dst.DsaParams(flip, shift, scale, noise_seed=77, noise_std=0.01)
+        noise = params.noise(64, (16, 16))  # one draw for the longest batch
+        rng = nm.make_rng(3)
+        for n in (dst.DistillConfig().ipc, 64):
+            x = Tensor(rng.normal(size=(n, 16, 16)).astype(np.float32))
+            np.testing.assert_array_equal(dst.dsa_augment(x, params, noise).data,
+                                          dst.dsa_augment(x, params).data)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (4, 4, 5), (4, 16), (4, 4, 4, 1)])
+    def test_noise_not_covering_the_batch_rejected(self, shape):
+        x = Tensor(np.ones((4, 4, 4), dtype=np.float32))
+        params = dst.DsaParams(noise_seed=1, noise_std=0.01)
+        with pytest.raises(ShapeError):
+            dst.dsa_augment(x, params, np.zeros(shape, dtype=np.float32))
 
     def test_flip_is_reindexing(self):
         x = Tensor(np.arange(8, dtype=np.float32).reshape(1, 2, 4))
