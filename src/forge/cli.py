@@ -229,16 +229,28 @@ def _cmd_distill(args, config: RunConfig) -> int:
     return 0
 
 
+def _training_meta(meta_path: Path, config: RunConfig) -> dict:
+    """The ``config`` object of a plugin's sidecar, or this run's effective
+    config when the plugin has no sidecar."""
+    if not meta_path.is_file():
+        return config.effective()
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise ValidationError(f"{meta_path} is not JSON: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise ValidationError(f"{meta_path} has no \"config\" object")
+    return meta["config"]
+
+
 def _cmd_commit(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
     spec, _, _ = _load_task(args.data, args.task)
     plugin = PluginModule.from_bytes(Path(args.plugin).read_bytes(), [spec.name])
     distilled = DistilledDataset.from_bytes(Path(args.distilled).read_bytes())
-    meta_path = Path(args.plugin + ".meta.json")
-    training_meta = (json.loads(meta_path.read_text())["config"]
-                     if meta_path.is_file() else config.effective())
     commit = repo.commit_contribution(BranchContribution(
-        spec, plugin, distilled, author=config.author, training_meta=training_meta))
+        spec, plugin, distilled, author=config.author,
+        training_meta=_training_meta(Path(args.plugin + ".meta.json"), config)))
     print(f"committed {commit.id[:12]} for {spec.name} "
           f"({len(repo.pending())} pending)")
     return 0

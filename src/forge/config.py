@@ -120,12 +120,8 @@ class RunConfig:
         return DistillConfig(**kwargs)
 
     def coeff_config(self, **overrides) -> CoeffOptimConfig:
-        m = self.values["merge"]
-        kwargs = dict(max_iterations=m["max_iterations"], init_value=m["init_value"],
-                      l1_lambda=m["l1_lambda"], box_min=m["box_min"],
-                      box_max=m["box_max"], allow_negative=m["allow_negative"])
-        kwargs.update(overrides)
-        return CoeffOptimConfig(**kwargs)
+        # the [merge] keys are CoeffOptimConfig's fields
+        return CoeffOptimConfig(**{**self.values["merge"], **overrides})
 
     @property
     def seed(self) -> int:

@@ -440,29 +440,31 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
     if plugin is None:
         plugin = PluginModule.fresh(base, config.rank, config.alpha, rng, config.dropout_p)
     params = plugin.parameters()
-    for p in params:
-        p.requires_grad = True
     state = nm.SgdState(config.learning_rate, config.momentum, config.weight_decay)
     head = _label_head(table)
 
     steps_done = 0
     budget = iterations if iterations is not None else config.epochs * max(1, -(-n // config.batch_size))
-    while steps_done < budget:
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            if steps_done >= budget:
-                break
-            idx = order[start:start + config.batch_size]
-            xb = Tensor(inputs[idx])
-            emb = encode(base, xb, plugin, training=True, rng=rng)
-            logits = _cosine_head(emb, head, config.temperature)
-            loss = nm.softmax_cross_entropy(logits, labels[idx])
-            for p in params:
-                p.zero_grad()
-            loss.backward()
-            nm.sgd_step(params, None, state)
-            steps_done += 1
     for p in params:
-        p.requires_grad = False
+        p.requires_grad = True
+    try:
+        while steps_done < budget:
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                if steps_done >= budget:
+                    break
+                idx = order[start:start + config.batch_size]
+                xb = Tensor(inputs[idx])
+                emb = encode(base, xb, plugin, training=True, rng=rng)
+                logits = _cosine_head(emb, head, config.temperature)
+                loss = nm.softmax_cross_entropy(logits, labels[idx])
+                for p in params:
+                    p.zero_grad()
+                loss.backward()
+                nm.sgd_step(params, None, state)
+                steps_done += 1
+    finally:
+        for p in params:
+            p.requires_grad = False
     plugin.task_tags = sorted(set(plugin.task_tags) | {table.task_name})
     return plugin

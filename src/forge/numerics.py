@@ -1,11 +1,13 @@
-"""Dense float32 tensors, the gradient tape that chains coarse nodes, the
+"""Dense float32 tensors, the gradient hand-off that chains coarse nodes, the
 softmax cross-entropy loss, SGD with momentum, and the wire format.
 
 A node is one fused forward computation with its own analytic backward
 (the encoder, the cosine head, the augmentation and the matching loss are
-built with ``_node`` in their own modules). ``Tensor.backward`` runs the
-nodes in reverse topological order; gradients accumulate into ``.grad``
-buffers, and callers zero them between steps.
+built with ``_node`` in their own modules). There is no graph walk: a
+node's backward hands each input's gradient straight to ``_accumulate``,
+which runs the input's own backward at once if a node made it, or adds the
+gradient to ``.grad`` if it is a leaf. Only leaves hold ``.grad``; callers
+zero them between steps.
 
 Scalar losses keep a float64 copy of their value (``Tensor.item``) so that
 finite-difference checks are not drowned by float32 rounding of the loss.
@@ -26,15 +28,14 @@ DTYPE = np.float32
 
 
 class Tensor:
-    """Dense float32 array plus an optional same-shape gradient buffer."""
+    """Dense float32 array plus, on a leaf, an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_value")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_value")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._value: float | None = None  # float64 value for scalar losses
 
@@ -51,49 +52,42 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Backprop from this node; grads accumulate into leaf ``.grad``."""
+        """Backprop from this tensor; grads accumulate into leaf ``.grad``.
+
+        Each node hands its inputs' gradients straight on, depth first, with
+        no topological order. A node consumed by k others therefore runs its
+        backward k times, once per consumer's gradient; that sums to the
+        right leaf gradients because every backward is linear in its
+        incoming gradient.
+        """
         if seed is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without seed requires a scalar output")
             seed = np.ones_like(self.data)
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
         _accumulate(self, np.asarray(seed, dtype=DTYPE).reshape(self.data.shape))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _accumulate(t: Tensor, delta: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += delta
+    """Pass ``delta``, the gradient of ``t``'s shape, on to ``t``: into the
+    backward of the node that made it, or into ``t.grad`` on a leaf."""
+    if t._backward is not None:
+        # C order: an F-ordered gradient (np.broadcast_to's, say) would send
+        # the node's matmuls down another BLAS path and change float32 bits
+        t._backward(np.array(delta, dtype=DTYPE, order="C"))
+    elif t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += delta
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...],
+def _node(data: np.ndarray, inputs: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = any(t.requires_grad for t in inputs)
     if out.requires_grad:
-        out._parents = parents
         out._backward = backward
     return out
 

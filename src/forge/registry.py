@@ -22,7 +22,7 @@ import os
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -126,14 +126,7 @@ class Repository:
             "rank": int(rank),
             "alpha": float(alpha),
             "temperature": float(temperature),
-            "coeff": {
-                "max_iterations": coeff.max_iterations,
-                "init_value": coeff.init_value,
-                "l1_lambda": coeff.l1_lambda,
-                "box_min": coeff.box_min,
-                "box_max": coeff.box_max,
-                "allow_negative": coeff.allow_negative,
-            },
+            "coeff": asdict(coeff),
         }
         if extra_config:
             config["run_config"] = extra_config
@@ -163,11 +156,7 @@ class Repository:
         return self.config["strategy"]
 
     def coeff_config(self) -> CoeffOptimConfig:
-        c = self.config["coeff"]
-        return CoeffOptimConfig(max_iterations=c["max_iterations"],
-                                init_value=c["init_value"], l1_lambda=c["l1_lambda"],
-                                box_min=c["box_min"], box_max=c["box_max"],
-                                allow_negative=c["allow_negative"])
+        return CoeffOptimConfig(**self.config["coeff"])
 
     # -- object store ------------------------------------------------------
 

@@ -199,6 +199,35 @@ class TestExitCodes:
         assert sorted((repo / "objects").rglob("*")) == objects_before
         assert list((repo / "queue").iterdir()) == []
 
+    @pytest.mark.parametrize("sidecar", ["not json {", '{"id": "x", "task": "B-toy"}',
+                                         '["config"]', '{"config": 3}'])
+    def test_malformed_plugin_sidecar_is_two_and_queues_nothing(self, tmp_path, data_dir,
+                                                                sidecar, capsys):
+        import numpy as np
+
+        from forge import numerics as nm
+        from forge.datasets import load_dataset
+        from forge.distill import DistilledDataset
+        from forge.model import BaseEncoder, PluginModule
+
+        repo = tmp_path / "repo"
+        assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
+        spec, _ = load_dataset(data_dir / "B-toy" / "train.fgd")
+        plugin = PluginModule.fresh(BaseEncoder.from_seed(5), 16, 16.0, nm.make_rng(0))
+        plugin_path = tmp_path / "p.fgm"
+        plugin_path.write_bytes(plugin.to_bytes())
+        (tmp_path / "p.fgm.meta.json").write_text(sidecar)
+        distilled = DistilledDataset(spec.name, spec.num_classes, 1, spec.input_shape,
+                                     np.ones((spec.num_classes, spec.flat_dim)),
+                                     np.arange(spec.num_classes))
+        distilled_path = tmp_path / "d.fgd"
+        distilled_path.write_bytes(distilled.to_bytes())
+        assert main(["commit", str(repo), "--plugin", str(plugin_path),
+                     "--distilled", str(distilled_path), "--task", "B-toy",
+                     "--data", str(data_dir)]) == 2
+        assert "p.fgm.meta.json" in capsys.readouterr().err
+        assert list((repo / "queue").iterdir()) == []
+
     @pytest.mark.parametrize("command", [["train-branch", "--epochs", "1"],
                                          ["distill", "--ipc", "2", "--iters", "2"]])
     def test_out_of_range_label_in_data_file_is_two(self, tmp_path, data_dir, command):

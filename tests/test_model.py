@@ -224,6 +224,16 @@ class TestTrainPlugin:
         second = model.train_plugin(base, table, x, y, cfg, nm.make_rng(77))
         assert first.to_bytes() == second.to_bytes()
 
+    def test_failed_training_leaves_parameters_frozen(self, base):
+        # all-zero inputs give zero embeddings, which the cosine head rejects
+        plugin = PluginModule.fresh(base, 4, 8.0, nm.make_rng(15))
+        table = LabelEmbeddingTable("t", ["a", "b"], base.embed_dim)
+        with pytest.raises(DegenerateInputError):
+            model.train_plugin(base, table, np.zeros((4, base.input_dim)),
+                               np.zeros(4, dtype=np.int64), TrainConfig(epochs=1),
+                               nm.make_rng(0), plugin=plugin)
+        assert not any(p.requires_grad for p in plugin.parameters())
+
 
 class TestPluginSerialization:
     def test_round_trip_and_stable_id(self, base):

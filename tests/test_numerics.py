@@ -295,6 +295,50 @@ class TestElementwiseOps:
         assert np.isfinite(loss.item())
 
 
+class TestHandOff:
+    """Backward hands each gradient straight to the node that made its input."""
+
+    def test_node_consumed_twice_gets_both_gradients(self):
+        # one augmented batch is encoded once per class, so its node runs its
+        # backward once for each encode
+        rng = nm.make_rng(43)
+        enc = BaseEncoder.from_seed(43, dims=(6, 4))
+        x = Tensor(rng.normal(size=(3, 2, 3)).astype(np.float32), requires_grad=True)
+        real = {c: Tensor(rng.normal(size=(4, 2, 3)).astype(np.float32)) for c in (0, 1)}
+        params = dst.DsaParams(flip=True, shift=(1, 0), scale=1.1)
+
+        def f(t):
+            y = dst.dsa_augment(t, params)
+            return dst.dm_loss(real, {0: y, 1: y}, lambda s: model.encode(enc, s))
+
+        f(x).backward()
+        fd = nm.finite_difference_grad(lambda t: f(t).item(), x, eps=1e-2)
+        assert rel_err(x.grad, fd.data) < 1e-4
+
+    def test_only_leaves_hold_gradients(self):
+        rng = nm.make_rng(47)
+        enc = BaseEncoder.from_seed(47, dims=(5, 4))
+        plugin = PluginModule.fresh(enc, 2, 2.0, rng)
+        for p in plugin.parameters():
+            p.requires_grad = True
+        table = LabelEmbeddingTable("t", ["a", "b", "c"], 4)
+        x = Tensor(rng.normal(size=(3, 5)).astype(np.float32), requires_grad=True)
+        emb = model.encode(enc, x, plugin)
+        logits = model.classify(emb, table)
+        loss = nm.softmax_cross_entropy(logits, np.array([0, 1, 2]))
+        loss.backward()
+        assert emb.grad is None and logits.grad is None and loss.grad is None
+        assert x.grad is not None and x.grad.shape == x.shape
+        assert all(p.grad is not None for p in plugin.parameters())
+        assert all(layer.weight.grad is None for layer in enc.layers)
+
+    def test_backward_without_gradient_is_a_no_op(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        loss = nm.softmax_cross_entropy(x, np.array([0, 1]))
+        loss.backward()
+        assert x.grad is None and loss.grad is None
+
+
 class TestRng:
     def test_same_seed_same_stream(self):
         a = nm.make_rng(123).normal(size=100)

@@ -66,6 +66,13 @@ class TestInit:
         with pytest.raises(ConflictError):
             make_repo(tmp_path / "repo")
 
+    def test_coeff_config_round_trips(self, tmp_path):
+        coeff = CoeffOptimConfig(max_iterations=7, init_value=0.25, l1_lambda=0.0,
+                                 box_min=-1.0, box_max=3.0, allow_negative=True)
+        Repository.init(tmp_path / "repo", SEED, "fusion", rank=RANK, alpha=ALPHA,
+                        coeff=coeff)
+        assert Repository(tmp_path / "repo").coeff_config() == coeff
+
     def test_fusion_genesis_is_zero_plugin(self, tmp_path):
         repo = make_repo(tmp_path / "repo", strategy="fusion")
         item = repo.current_item()
