@@ -154,7 +154,12 @@ def _load_task(data_dir: str, task: str) -> tuple[dsets.TaskSpec, dsets.LabeledD
     manifest = root / "manifest.json"
     if not manifest.is_file():
         raise InputError(f"no dataset manifest under {root}")
-    doc = json.loads(manifest.read_text())
+    try:
+        doc = json.loads(manifest.read_text())
+    except ValueError as exc:
+        raise InputError(f"{manifest} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), dict):
+        raise InputError(f"{manifest} has no \"tasks\" object")
     if task not in doc["tasks"]:
         raise InputError(f"unknown task {task!r}; have {sorted(doc['tasks'])}")
     spec_train, train = dsets.load_dataset(root / task / "train.fgd")

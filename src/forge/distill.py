@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import numerics as nm
 from .datasets import LabeledDataset, TaskSpec, pack_str, unpack_str
 from .errors import FormatError, InputError, ParameterError, ShapeError
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
-from .numerics import Tensor, _accumulate, _node
+from .numerics import Tensor
 
 DISTILLED_MAGIC = b"FGS1"
 DISTILLED_VERSION = 1
@@ -66,7 +66,8 @@ class DsaParams:
 def dsa_augment(batch: Tensor, params: DsaParams,
                 noise: np.ndarray | None = None) -> Tensor:
     """Apply flip, shift, scale and noise, in that order, to [n, h, w]; one
-    tape node whose backward is the adjoint of the pixel transforms.
+    tape node whose backward returns the batch's gradient through the
+    adjoint of the pixel transforms. The identity transform returns ``batch``.
 
     ``noise`` is a ``params.noise(rows, (h, w))`` draw with rows >= n, of
     which the first n rows are added; without it the noise is drawn here.
@@ -100,44 +101,40 @@ def dsa_augment(batch: Tensor, params: DsaParams,
     if out is batch.data:
         return batch
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> np.ndarray:
         if scale != 1.0:
             g = g * scale
         if params.shift != (0, 0):
             full = np.zeros_like(g)
             full[src] = g[dst]
             g = full
-        _accumulate(batch, g[..., ::-1] if params.flip else g)
+        return g[..., ::-1] if params.flip else g
 
-    return _node(out, (batch,), backward)
+    return Tensor(out, backward)
 
 
-def dm_loss(real_by_class: Mapping[int, Tensor], syn_by_class: Mapping[int, Tensor],
-            feature_fn: Callable[[Tensor], Tensor]) -> Tensor:
-    """Sum over classes of || mean features(real) - mean features(syn) ||^2,
-    squares summed in float64; one tape node over every class's features."""
-    if set(real_by_class) != set(syn_by_class):
+def dm_loss(real_features: Mapping[int, np.ndarray],
+            syn_features: Mapping[int, Tensor]) -> Tensor:
+    """Sum over classes of || mean real features - mean synthetic features ||^2,
+    squares summed in float64; one tape node whose backward returns the
+    gradients of the synthetic features, in sorted class order. The real
+    features are constants."""
+    if set(real_features) != set(syn_features):
         raise InputError("real and synthetic batches cover different classes")
-    if not real_by_class:
+    if not real_features:
         raise InputError("no classes to match")
-    pairs, diffs = [], []
-    for cls in sorted(real_by_class):
-        real = feature_fn(real_by_class[cls])
-        syn = feature_fn(syn_by_class[cls])
-        pairs.append((real, syn))
-        diffs.append(real.data.mean(axis=0) - syn.data.mean(axis=0))
+    classes = sorted(real_features)
+    syn_shapes = [syn_features[cls].shape for cls in classes]
+    diffs = [np.asarray(real_features[cls]).mean(axis=0)
+             - syn_features[cls].data.mean(axis=0) for cls in classes]
     value = float(sum(float(np.sum(np.square(d, dtype=np.float64))) for d in diffs))
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> list[np.ndarray]:
         factor = 2.0 * float(g)
-        for (real, syn), d in zip(pairs, diffs):
-            g_mean = factor * d
-            for feat, g_feat in ((real, g_mean), (syn, -g_mean)):
-                if feat.requires_grad:
-                    _accumulate(feat, np.broadcast_to(g_feat / len(feat.data), feat.shape))
+        return [np.broadcast_to(-(factor * d) / shape[0], shape)
+                for shape, d in zip(syn_shapes, diffs)]
 
-    out = _node(np.array(value, dtype=nm.DTYPE), tuple(f for pair in pairs for f in pair),
-                backward)
+    out = Tensor(np.array(value, dtype=nm.DTYPE), backward)
     out._value = value
     return out
 
@@ -289,8 +286,7 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
         syn0 = rng.normal(0.0, 1.0, size=(m, flat)).astype(nm.DTYPE)
     # one leaf per class: the synthetic-set SGD has no momentum, so updating
     # the classes separately is elementwise the same as updating one array
-    syn = [Tensor(block.reshape(config.ipc, *side), requires_grad=True)
-           for block in np.split(syn0, num_classes)]
+    syn = [Tensor(block.reshape(config.ipc, *side)) for block in np.split(syn0, num_classes)]
     syn_labels = np.repeat(np.arange(num_classes, dtype=np.int64), config.ipc)
 
     syn_state = nm.SgdState(learning_rate=config.syn_lr)
@@ -307,8 +303,7 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
             if step_params.noise_std > 0.0:
                 noise = step_params.noise(noise_rows, side)
 
-        real_by_class: dict[int, Tensor] = {}
-        syn_by_class: dict[int, Tensor] = {}
+        real_features, syn_features, syn_aug = {}, {}, []
         for cls in range(num_classes):
             idx = class_idx[cls]
             take = rng.choice(idx, size=min(config.real_batch_per_class, idx.size),
@@ -318,17 +313,17 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
             if step_params is not None:
                 real = dsa_augment(real, step_params, noise)
                 syn_c = dsa_augment(syn_c, step_params, noise)
-            real_by_class[cls] = real
-            syn_by_class[cls] = syn_c
+            real_features[cls] = mdl.encode(base, real, plugin).data
+            syn_aug.append(syn_c)
+            syn_features[cls] = mdl.encode(base, syn_c, plugin)
 
-        loss = dm_loss(real_by_class, syn_by_class,
-                       lambda t: mdl.encode(base, t, plugin))
-        for t in syn:
-            t.zero_grad()
-        loss.backward()
+        # one chain per class's leaf: dm_loss -> encode -> dsa_augment
+        loss = dm_loss(real_features, syn_features)
+        grads = [aug.backward(feat.backward(g)) for aug, feat, g
+                 in zip(syn_aug, syn_features.values(), loss.backward())]
         syn_state.learning_rate = _cosine_lr(step, config.iterations,
                                              config.syn_lr, config.syn_lr_final)
-        nm.sgd_step(syn, None, syn_state)
+        nm.sgd_step(syn, grads, syn_state)
 
     return DistilledDataset(spec.name, num_classes, config.ipc, tuple(side),
                             np.concatenate([t.data for t in syn]).reshape(m, flat),

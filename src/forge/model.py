@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .numerics import Tensor, _accumulate, _node
+from .numerics import Tensor
 
 ENCODER_DIMS = (256, 64, 32)
 DEFAULT_TEMPERATURE = 0.07
@@ -266,6 +266,9 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
 
     One tape node covers every layer. Training with an rng applies inverted
     dropout to each side path's input, one mask per layer in forward order.
+    The node's backward returns what the caller trains: when ``training``,
+    the gradients of ``plugin.parameters()`` in that order; otherwise the
+    gradient of ``x``.
     """
     adapters = {}
     if plugin is not None:
@@ -292,35 +295,34 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
             q = hp @ at
             scaling = float(ad.scaling())
             y = y + (q @ bt) * nm.DTYPE(scaling)
-            side = (ad, scaling, mask, hp, q, at, bt)
+            side = (scaling, mask, hp, q, at, bt)
         out = y if lid == last else np.tanh(y)
         cache.append((wt, side, out))
         h = out
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> list[np.ndarray] | np.ndarray:
+        grads = []  # (A, B) per adapted layer, last layer first
         for lid in range(last, -1, -1):
             wt, side, out = cache[lid]
             if lid != last:
                 g = g * (1.0 - out * out)
-            need_input = lid > 0 or x.requires_grad
+            need_input = lid > 0 or not training
             g_in = g @ wt.T if need_input else None
             if side is not None:
-                ad, scaling, mask, hp, q, at, bt = side
+                scaling, mask, hp, q, at, bt = side
                 gp = g * scaling
                 gq = gp @ bt.T
-                if ad.a.requires_grad:
-                    _accumulate(ad.a, (hp.T @ gq).T)
-                if ad.b.requires_grad:
-                    _accumulate(ad.b, (q.T @ gp).T)
+                if training:
+                    grads.append(((hp.T @ gq).T, (q.T @ gp).T))
                 if need_input:
                     g_hp = gq @ at.T
                     g_in = g_in + (g_hp if mask is None else g_hp * mask)
             g = g_in
-        if x.requires_grad:
-            _accumulate(x, g.reshape(x.shape))
+        if training:
+            return [t for pair in reversed(grads) for t in pair]
+        return g.reshape(x.shape)
 
-    params = [t for ad in adapters.values() for t in (ad.a, ad.b)]
-    return _node(h, (x, *params), backward)
+    return Tensor(h, backward)
 
 
 def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +343,7 @@ def _label_head(table: LabelEmbeddingTable) -> np.ndarray:
 def classify(embedding: Tensor, table: LabelEmbeddingTable,
              temperature: float = DEFAULT_TEMPERATURE) -> Tensor:
     """Cosine similarity against each label row, divided by temperature; one
-    tape node whose gradient reaches the embedding only."""
+    tape node whose backward returns the embedding's gradient."""
     return _cosine_head(embedding, _label_head(table), temperature)
 
 
@@ -355,12 +357,12 @@ def _cosine_head(embedding: Tensor, rows_t: np.ndarray, temperature: float) -> T
     scale = float(1.0 / temperature)
     logits = (unit @ rows_t) * nm.DTYPE(scale)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> np.ndarray:
         g_unit = (g.reshape(logits.shape) * scale) @ rows_t.T
         dot = np.sum(unit * g_unit, axis=1, keepdims=True)
-        _accumulate(embedding, ((g_unit - unit * dot) * inv).reshape(embedding.shape))
+        return ((g_unit - unit * dot) * inv).reshape(embedding.shape)
 
-    return _node(logits.reshape(-1) if single else logits, (embedding,), backward)
+    return Tensor(logits.reshape(-1) if single else logits, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -445,26 +447,16 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
 
     steps_done = 0
     budget = iterations if iterations is not None else config.epochs * max(1, -(-n // config.batch_size))
-    for p in params:
-        p.requires_grad = True
-    try:
-        while steps_done < budget:
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                if steps_done >= budget:
-                    break
-                idx = order[start:start + config.batch_size]
-                xb = Tensor(inputs[idx])
-                emb = encode(base, xb, plugin, training=True, rng=rng)
-                logits = _cosine_head(emb, head, config.temperature)
-                loss = nm.softmax_cross_entropy(logits, labels[idx])
-                for p in params:
-                    p.zero_grad()
-                loss.backward()
-                nm.sgd_step(params, None, state)
-                steps_done += 1
-    finally:
-        for p in params:
-            p.requires_grad = False
+    while steps_done < budget:
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            if steps_done >= budget:
+                break
+            idx = order[start:start + config.batch_size]
+            emb = encode(base, Tensor(inputs[idx]), plugin, training=True, rng=rng)
+            logits = _cosine_head(emb, head, config.temperature)
+            loss = nm.softmax_cross_entropy(logits, labels[idx])
+            nm.sgd_step(params, emb.backward(logits.backward(loss.backward())), state)
+            steps_done += 1
     plugin.task_tags = sorted(set(plugin.task_tags) | {table.task_name})
     return plugin

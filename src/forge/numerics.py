@@ -3,11 +3,11 @@ softmax cross-entropy loss, SGD with momentum, and the wire format.
 
 A node is one fused forward computation with its own analytic backward
 (the encoder, the cosine head, the augmentation and the matching loss are
-built with ``_node`` in their own modules). There is no graph walk: a
-node's backward hands each input's gradient straight to ``_accumulate``,
-which runs the input's own backward at once if a node made it, or adds the
-gradient to ``.grad`` if it is a leaf. Only leaves hold ``.grad``; callers
-zero them between steps.
+built in their own modules as ``Tensor(data, backward)``). A node's backward
+takes the gradient of its output and returns the gradients of its inputs;
+there is no graph and no gradient state. The caller chains the nodes it
+built, handing each result to ``Tensor.backward`` of the tensor it belongs
+to, and passes the last result to ``sgd_step``.
 
 Scalar losses keep a float64 copy of their value (``Tensor.item``) so that
 finite-difference checks are not drowned by float32 rounding of the loss.
@@ -28,15 +28,14 @@ DTYPE = np.float32
 
 
 class Tensor:
-    """Dense float32 array plus, on a leaf, an optional gradient buffer."""
+    """Dense float32 array plus, on a node's output, that node's backward."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_value")
+    __slots__ = ("data", "_backward", "_value")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data,
+                 backward: Callable[[np.ndarray], np.ndarray | list[np.ndarray]] | None = None):
         self.data = np.asarray(data, dtype=DTYPE, order="C")
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward = backward
         self._value: float | None = None  # float64 value for scalar losses
 
     @property
@@ -48,48 +47,23 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return self._value if self._value is not None else float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self, seed: np.ndarray | None = None) -> None:
-        """Backprop from this tensor; grads accumulate into leaf ``.grad``.
-
-        Each node hands its inputs' gradients straight on, depth first, with
-        no topological order. A node consumed by k others therefore runs its
-        backward k times, once per consumer's gradient; that sums to the
-        right leaf gradients because every backward is linear in its
-        incoming gradient.
+    def backward(self, g: np.ndarray | None = None) -> np.ndarray | list[np.ndarray]:
+        """Hand ``g``, the gradient of a loss with respect to this tensor (1
+        for a scalar when omitted), to the backward of the node that made the
+        tensor, and return what it returns: the gradients of that node's
+        inputs. A leaf was made by no node, so it returns ``g`` itself.
         """
-        if seed is None:
+        if g is None:
             if self.data.size != 1:
-                raise ShapeError("backward() without seed requires a scalar output")
-            seed = np.ones_like(self.data)
-        _accumulate(self, np.asarray(seed, dtype=DTYPE).reshape(self.data.shape))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _accumulate(t: Tensor, delta: np.ndarray) -> None:
-    """Pass ``delta``, the gradient of ``t``'s shape, on to ``t``: into the
-    backward of the node that made it, or into ``t.grad`` on a leaf."""
-    if t._backward is not None:
+                raise ShapeError("backward() without a gradient requires a scalar output")
+            g = np.ones_like(self.data)
         # C order: an F-ordered gradient (np.broadcast_to's, say) would send
         # the node's matmuls down another BLAS path and change float32 bits
-        t._backward(np.array(delta, dtype=DTYPE, order="C"))
-    elif t.requires_grad:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += delta
+        g = np.array(g, dtype=DTYPE, order="C").reshape(self.data.shape)
+        return g if self._backward is None else self._backward(g)
 
-
-def _node(data: np.ndarray, inputs: tuple[Tensor, ...],
-          backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data)
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    def __repr__(self) -> str:
+        return f"Tensor(shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +80,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean NLL of softmax(logits) at ``labels``; grad is (softmax - onehot)/n."""
+    """Mean NLL of softmax(logits) at ``labels``; the backward returns the
+    logits' gradient, (softmax - onehot)/n."""
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy expects [n,c] logits, got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
@@ -121,12 +96,12 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     value = float(np.mean(lse - z[np.arange(n), labels]))
     probs = np.exp(z - lse[:, None]).astype(DTYPE)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> np.ndarray:
         grad = probs.copy()
         grad[np.arange(n), labels] -= 1.0
-        _accumulate(logits, grad * (float(g) / n))
+        return grad * (float(g) / n)
 
-    out = _node(np.array(value, dtype=DTYPE), (logits,), backward)
+    out = Tensor(np.array(value, dtype=DTYPE), backward)
     out._value = value
     return out
 
@@ -157,18 +132,17 @@ class SgdState:
             raise ShapeError("weight_decay must be non-negative")
 
 
-def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray] | None,
+def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
              state: SgdState) -> Sequence[Tensor]:
-    """One in-place update; pass the same param sequence every step."""
-    if grads is None:
-        grads = [p.grad for p in params]
+    """One in-place update with one gradient per parameter; pass the same
+    param sequence every step."""
+    if len(grads) != len(params):
+        raise ShapeError("one gradient per parameter required")
     if not state.velocities:
         state.velocities = [np.zeros_like(p.data) for p in params]
     if len(state.velocities) != len(params):
         raise ShapeError("velocity buffers do not match the parameter list")
     for p, g, v in zip(params, grads, state.velocities):
-        if g is None:
-            g = np.zeros_like(p.data)
         g = np.asarray(g, dtype=DTYPE)
         if g.shape != p.data.shape or v.shape != p.data.shape:
             raise ShapeError("gradient/velocity shape does not match parameter")

@@ -263,12 +263,23 @@ class Repository:
             if not (np.isfinite(ad.a.data).all() and np.isfinite(ad.b.data).all()):
                 # a NaN or Inf weight would make every later merge objective NaN
                 raise ValidationError(f"plugin weights on layer {lid} are not finite")
+            if ad.rank < 1 or not (np.isfinite(ad.alpha) and ad.alpha > 0):
+                # every later merge would scale this adapter by alpha/rank
+                raise ValidationError(
+                    f"plugin on layer {lid} needs rank >= 1 and a finite positive "
+                    f"alpha, got rank {ad.rank} and alpha {ad.alpha}")
             if self.strategy == "fusion" and ad.rank != self.config["rank"]:
                 # parameter fusion needs rank-aligned factors; reject now
                 # rather than poisoning the head of the merge queue
                 raise ValidationError(
                     f"fusion repository expects rank {self.config['rank']}, "
                     f"got {ad.rank} on layer {lid}")
+            if self.strategy == "fusion" and \
+                    np.float32(ad.alpha) != np.float32(self.config["alpha"]):
+                # and alpha-aligned ones, compared as a stored plugin holds alpha
+                raise ValidationError(
+                    f"fusion repository expects alpha {self.config['alpha']}, "
+                    f"got {ad.alpha} on layer {lid}")
         distilled = contribution.distilled
         if distilled.task_name != task.name:
             raise ValidationError("distilled set was built for a different task")

@@ -137,13 +137,12 @@ def test_criterion_2_gradient_checks():
 
     # cross-entropy w.r.t. logits
     for _ in range(20):
-        z = Tensor(rng.uniform(-1, 1, size=(4, 3)).astype(np.float32),
-                   requires_grad=True)
+        z = Tensor(rng.uniform(-1, 1, size=(4, 3)).astype(np.float32))
         labels = rng.integers(0, 3, size=4)
-        nm.softmax_cross_entropy(z, labels).backward()
+        grad = nm.softmax_cross_entropy(z, labels).backward()
         fd = nm.finite_difference_grad(
             lambda t: nm.softmax_cross_entropy(t, labels).item(), z, eps=2e-2)
-        ok &= rel_err(z.grad, fd.data) < 1e-4
+        ok &= rel_err(grad, fd.data) < 1e-4
 
     # cosine head: CE of cosine logits w.r.t. the embedding. Checked at
     # temperature 0.5: the backward path is identical at any temperature
@@ -151,40 +150,40 @@ def test_criterion_2_gradient_checks():
     # oracle itself ill-conditioned in float32.
     table = mdl.LabelEmbeddingTable("probe", ["one pattern", "two pattern"], 8)
     for _ in range(20):
-        e = Tensor(rng.uniform(-1, 1, size=(3, 8)).astype(np.float32) + 0.2,
-                   requires_grad=True)
+        e = Tensor(rng.uniform(-1, 1, size=(3, 8)).astype(np.float32) + 0.2)
         labels = rng.integers(0, 2, size=3)
 
         def head_loss(t):
             return nm.softmax_cross_entropy(mdl.classify(t, table, 0.5), labels)
 
-        head_loss(e).backward()
+        logits = mdl.classify(e, table, 0.5)
+        grad = logits.backward(nm.softmax_cross_entropy(logits, labels).backward())
         fd = nm.finite_difference_grad(lambda t: head_loss(t).item(), e, eps=5e-3)
-        ok &= rel_err(e.grad, fd.data) < 1e-4
+        ok &= rel_err(grad, fd.data) < 1e-4
 
     # DSA transforms
     for trial in range(20):
-        x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)).astype(np.float32),
-                   requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)).astype(np.float32))
         params = dst.DsaParams.sample(nm.make_rng(trial))
         out = dst.dsa_augment(x, params)
-        out.backward(2.0 * out.data)  # the gradient of the sum of squares
+        grad = out.backward(2.0 * out.data)  # the gradient of the sum of squares
         fd = nm.finite_difference_grad(
             lambda t: float(np.sum(np.square(dst.dsa_augment(t, params).data,
                                              dtype=np.float64))), x, eps=1e-2)
-        ok &= rel_err(x.grad, fd.data) < 1e-4
+        ok &= rel_err(grad, fd.data) < 1e-4
 
     # matching loss w.r.t. synthetic inputs through the adapter feature path
     for trial in range(20):
         plugin = dst.random_feature_plugin(base, 4, 4.0, rng)
         feature = lambda t: mdl.encode(base, t, plugin)
-        real = {0: Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))}
-        syn = Tensor(rng.normal(size=(2, base.input_dim)).astype(np.float32),
-                     requires_grad=True)
-        dst.dm_loss(real, {0: syn}, feature).backward()
+        real = {0: feature(Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))).data}
+        syn = Tensor(rng.normal(size=(2, base.input_dim)).astype(np.float32))
+        feat = feature(syn)
+        (g_feat,) = dst.dm_loss(real, {0: feat}).backward()
+        grad = feat.backward(g_feat)
         fd = nm.finite_difference_grad(
-            lambda t: dst.dm_loss(real, {0: t}, feature).item(), syn, eps=5e-2)
-        ok &= rel_err(syn.grad, fd.data) < 1e-4
+            lambda t: dst.dm_loss(real, {0: feature(t)}).item(), syn, eps=5e-2)
+        ok &= rel_err(grad, fd.data) < 1e-4
 
     report("criterion 2: analytic gradients match finite differences (4 x 20 fixtures)",
            ok, time.time() - start, 10.0)

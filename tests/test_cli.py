@@ -228,6 +228,20 @@ class TestExitCodes:
         assert "p.fgm.meta.json" in capsys.readouterr().err
         assert list((repo / "queue").iterdir()) == []
 
+    @pytest.mark.parametrize("manifest", ["not json {", '{"seed": 5}', '{"tasks": 3}',
+                                          '["tasks"]'])
+    def test_malformed_dataset_manifest_is_two(self, tmp_path, data_dir, manifest, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "manifest.json").write_text(manifest)
+        out = tmp_path / "plugin.fgm"
+        assert main(["--seed", "5", "train-branch", "--task", "M-toy", "--data", str(data),
+                     "--out", str(out), "--epochs", "1"]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["train-branch", "--epochs", "1"],
                                          ["distill", "--ipc", "2", "--iters", "2"]])
     def test_out_of_range_label_in_data_file_is_two(self, tmp_path, data_dir, command):

@@ -51,17 +51,16 @@ class TestDsaAugment:
     def test_gradient_matches_finite_differences(self):
         rng = nm.make_rng(2)
         for trial in range(40):  # odd trials pass in a longer noise draw
-            x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)).astype(np.float32),
-                       requires_grad=True)
+            x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)).astype(np.float32))
             params = dst.DsaParams.sample(nm.make_rng(trial // 2))
             noise = params.noise(5, (4, 4)) if trial % 2 else None
 
             out = dst.dsa_augment(x, params, noise)
-            out.backward(2.0 * out.data)  # the gradient of the sum of squares
+            grad = out.backward(2.0 * out.data)  # the gradient of the sum of squares
             fd = nm.finite_difference_grad(
                 lambda t: float(np.sum(np.square(dst.dsa_augment(t, params, noise).data,
                                                  dtype=np.float64))), x, eps=1e-2)
-            assert rel_err(x.grad, fd.data) < 1e-4
+            assert rel_err(grad, fd.data) < 1e-4
 
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("shift", [(0, 0), (2, -1)])
@@ -92,55 +91,53 @@ class TestDmLoss:
     def test_zero_iff_identical_means(self, base):
         rng = nm.make_rng(3)
         batch = Tensor(rng.normal(size=(6, base.input_dim)).astype(np.float32))
-        feature = lambda t: model.encode(base, t)
-        loss = dst.dm_loss({0: batch}, {0: Tensor(batch.data.copy())}, feature)
+        loss = dst.dm_loss({0: model.encode(base, batch).data},
+                           {0: model.encode(base, Tensor(batch.data.copy()))})
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
-        # different means on an identity extractor give exactly ||v||^2
+        # different means as features give exactly ||v||^2
         mu = rng.normal(size=(1, 8)).astype(np.float32)
         v = rng.normal(size=(1, 8)).astype(np.float32)
-        loss2 = dst.dm_loss({0: Tensor(mu)}, {0: Tensor(mu + v)}, lambda t: t)
+        loss2 = dst.dm_loss({0: mu}, {0: Tensor(mu + v)})
         assert loss2.item() == pytest.approx(float(np.sum(v.astype(np.float64) ** 2)),
                                              rel=1e-5)
         assert loss2.item() > 0
 
     def test_nonnegative_on_random_inputs(self, base):
         rng = nm.make_rng(4)
-        feature = lambda t: model.encode(base, t)
+        feature = lambda a: model.encode(base, Tensor(a))
         for _ in range(10):
-            real = {0: Tensor(rng.normal(size=(5, base.input_dim)).astype(np.float32))}
-            syn = {0: Tensor(rng.normal(size=(3, base.input_dim)).astype(np.float32))}
-            assert dst.dm_loss(real, syn, feature).item() >= 0.0
+            real = {0: feature(rng.normal(size=(5, base.input_dim))).data}
+            syn = {0: feature(rng.normal(size=(3, base.input_dim)))}
+            assert dst.dm_loss(real, syn).item() >= 0.0
 
     def test_missing_class_rejected(self, base):
-        feature = lambda t: model.encode(base, t)
-        x = Tensor(np.ones((2, base.input_dim), np.float32))
+        x = model.encode(base, Tensor(np.ones((2, base.input_dim), np.float32)))
         with pytest.raises(InputError):
-            dst.dm_loss({0: x, 1: x}, {0: x}, feature)
+            dst.dm_loss({0: x.data, 1: x.data}, {0: x})
 
     def test_gradient_through_encoder_matches_finite_differences(self, base):
         rng = nm.make_rng(5)
         plugin = dst.random_feature_plugin(base, 4, 4.0, rng)
         feature = lambda t: model.encode(base, t, plugin)
-        real = {0: Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))}
+        real = {0: feature(Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))).data}
         for _ in range(5):
-            syn_arr = rng.normal(size=(2, base.input_dim)).astype(np.float32)
-            syn = Tensor(syn_arr, requires_grad=True)
-            loss = dst.dm_loss(real, {0: syn}, feature)
-            loss.backward()
+            syn = Tensor(rng.normal(size=(2, base.input_dim)).astype(np.float32))
+            feat = feature(syn)
+            (g_feat,) = dst.dm_loss(real, {0: feat}).backward()
+            grad = feat.backward(g_feat)
             fd = nm.finite_difference_grad(
-                lambda t: dst.dm_loss(real, {0: t}, feature).item(), syn, eps=5e-2)
-            assert rel_err(syn.grad, fd.data) < 1e-4
+                lambda t: dst.dm_loss(real, {0: feature(t)}).item(), syn, eps=5e-2)
+            assert rel_err(grad, fd.data) < 1e-4
 
     def test_single_item_step_follows_analytic_gradient(self):
         # identity extractor, no augmentation: grad = 2 (s - mu)
         rng = nm.make_rng(6)
         mu = rng.normal(size=(4, 8)).astype(np.float32)
         s0 = rng.normal(size=(1, 8)).astype(np.float32)
-        s = Tensor(s0.copy(), requires_grad=True)
-        loss = dst.dm_loss({0: Tensor(mu)}, {0: s}, lambda t: t)
-        loss.backward()
+        s = Tensor(s0.copy())
+        loss = dst.dm_loss({0: mu}, {0: s})
         lr = 0.25
-        nm.sgd_step([s], None, nm.SgdState(learning_rate=lr))
+        nm.sgd_step([s], loss.backward(), nm.SgdState(learning_rate=lr))
         want = s0 - lr * 2.0 * (s0 - mu.mean(axis=0, keepdims=True))
         np.testing.assert_allclose(s.data, want, atol=1e-5)
 
@@ -212,8 +209,8 @@ class TestDistill:
             # reuse distill internals through a manual short loop
             num_classes = spec.num_classes
             class_idx = data.class_indices(num_classes)
-            syn = [Tensor(rng.normal(0, 1, size=(cfg.ipc, 256)).astype(np.float32),
-                          requires_grad=True) for _ in range(num_classes)]
+            syn = [Tensor(rng.normal(0, 1, size=(cfg.ipc, 256)).astype(np.float32))
+                   for _ in range(num_classes)]
             state = nm.SgdState(learning_rate=1.0)
             for step in range(cfg.iterations):
                 plugin = dst.random_feature_plugin(base, cfg.rank, cfg.alpha, rng)
@@ -222,14 +219,12 @@ class TestDistill:
                 for cls in range(num_classes):
                     take = rng.choice(class_idx[cls], size=min(32, class_idx[cls].size),
                                       replace=False)
-                    real_by[cls] = Tensor(data.inputs[take])
-                    syn_by[cls] = syn[cls]
-                loss = dst.dm_loss(real_by, syn_by, feature)
+                    real_by[cls] = feature(Tensor(data.inputs[take])).data
+                    syn_by[cls] = feature(syn[cls])
+                loss = dst.dm_loss(real_by, syn_by)
                 losses.append(loss.item())
-                for t in syn:
-                    t.zero_grad()
-                loss.backward()
-                nm.sgd_step(syn, None, state)
+                grads = [syn_by[cls].backward(g) for cls, g in enumerate(loss.backward())]
+                nm.sgd_step(syn, grads, state)
             first = np.mean(losses[:10])
             last = np.mean(losses[-10:])
             if last <= first:

@@ -111,9 +111,13 @@ class TestEncodeGradients:
         x = Tensor(rng.normal(size=(8, base.input_dim)).astype(np.float32))
         labels = np.arange(8) % 3
 
-        def loss():
+        def forward():
             emb = model.encode(base, x, plugin, training=True, rng=nm.make_rng(99))
-            return nm.softmax_cross_entropy(model.classify(emb, table, 0.5), labels)
+            logits = model.classify(emb, table, 0.5)
+            return emb, logits, nm.softmax_cross_entropy(logits, labels)
+
+        def loss():
+            return forward()[2]
 
         def richardson_fd(t, eps=2e-2):
             # cancels the O(eps^2) truncation error of central differences,
@@ -122,12 +126,13 @@ class TestEncodeGradients:
             return (4.0 * fd(eps) - fd(2.0 * eps)) / 3.0
 
         params = plugin.parameters()
-        for p in params:
-            p.requires_grad = True
-        loss().backward()
+        emb, logits, out = forward()
+        grads = emb.backward(logits.backward(out.backward()))
         assert len(params) == 4
-        for p in params:
-            assert rel_err(p.grad, richardson_fd(p)) < 1e-4
+        # in plugin.parameters() order: the four shapes are distinct
+        assert [g.shape for g in grads] == [p.shape for p in params]
+        for p, g in zip(params, grads):
+            assert rel_err(g, richardson_fd(p)) < 1e-4
 
 
 class TestClassify:
@@ -223,16 +228,6 @@ class TestTrainPlugin:
         first = model.train_plugin(base, table, x, y, cfg, nm.make_rng(77))
         second = model.train_plugin(base, table, x, y, cfg, nm.make_rng(77))
         assert first.to_bytes() == second.to_bytes()
-
-    def test_failed_training_leaves_parameters_frozen(self, base):
-        # all-zero inputs give zero embeddings, which the cosine head rejects
-        plugin = PluginModule.fresh(base, 4, 8.0, nm.make_rng(15))
-        table = LabelEmbeddingTable("t", ["a", "b"], base.embed_dim)
-        with pytest.raises(DegenerateInputError):
-            model.train_plugin(base, table, np.zeros((4, base.input_dim)),
-                               np.zeros(4, dtype=np.int64), TrainConfig(epochs=1),
-                               nm.make_rng(0), plugin=plugin)
-        assert not any(p.requires_grad for p in plugin.parameters())
 
 
 class TestPluginSerialization:

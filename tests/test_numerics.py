@@ -82,18 +82,18 @@ class TestMatmul:
         ad = model.LoraAdapter(0, Tensor(rng.normal(size=(2, 4)).astype(np.float32)),
                                Tensor(rng.normal(size=(2, 2)).astype(np.float32)), 2, 2.0)
         plugin = PluginModule({0: ad})
-        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
-        for t in (ad.a, ad.b):
-            t.requires_grad = True
+        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
         w = rng.normal(size=(3, 2)).astype(np.float32)
 
         def loss_fn(_):
             return float(np.sum(model.encode(enc, x, plugin).data * w, dtype=np.float64))
 
-        model.encode(enc, x, plugin).backward(w)
-        for t in (x, ad.a, ad.b):
+        # the input's gradient outside training, the adapter's in training
+        g_x = model.encode(enc, x, plugin).backward(w)
+        g_a, g_b = model.encode(enc, x, plugin, training=True).backward(w)
+        for t, g in ((x, g_x), (ad.a, g_a), (ad.b, g_b)):
             fd = nm.finite_difference_grad(loss_fn, t, eps=1e-2)
-            assert rel_err(t.grad, fd.data) < 1e-4
+            assert rel_err(g, fd.data) < 1e-4
 
 
 class TestSoftmaxCrossEntropy:
@@ -111,23 +111,21 @@ class TestSoftmaxCrossEntropy:
         rng = nm.make_rng(5)
         z = rng.normal(size=(4, 3)).astype(np.float32)
         labels = np.array([0, 2, 1, 1])
-        logits = Tensor(z, requires_grad=True)
-        loss = nm.softmax_cross_entropy(logits, labels)
-        loss.backward()
+        grad = nm.softmax_cross_entropy(Tensor(z), labels).backward()
         probs = nm.softmax(z)
         onehot = np.eye(3, dtype=np.float32)[labels]
-        np.testing.assert_allclose(logits.grad, (probs - onehot) / 4, atol=1e-6)
+        np.testing.assert_allclose(grad, (probs - onehot) / 4, atol=1e-6)
 
     def test_gradient_matches_finite_differences(self):
         rng = nm.make_rng(11)
         for _ in range(20):
             z = rng.uniform(-1, 1, size=(4, 3)).astype(np.float32)
             labels = rng.integers(0, 3, size=4)
-            logits = Tensor(z, requires_grad=True)
-            nm.softmax_cross_entropy(logits, labels).backward()
+            logits = Tensor(z)
+            grad = nm.softmax_cross_entropy(logits, labels).backward()
             fd = nm.finite_difference_grad(
                 lambda t: nm.softmax_cross_entropy(t, labels).item(), logits, eps=2e-2)
-            assert rel_err(logits.grad, fd.data) < 1e-4
+            assert rel_err(grad, fd.data) < 1e-4
 
     def test_out_of_range_label(self):
         with pytest.raises(IndexError):
@@ -187,11 +185,11 @@ class TestFiniteDifference:
         rng = nm.make_rng(23)
         z = rng.uniform(-1, 1, size=(3, 4)).astype(np.float32)
         labels = np.array([1, 3, 0])
-        logits = Tensor(z, requires_grad=True)
-        nm.softmax_cross_entropy(logits, labels).backward()
+        logits = Tensor(z)
+        grad = nm.softmax_cross_entropy(logits, labels).backward()
         fd = nm.finite_difference_grad(
             lambda t: nm.softmax_cross_entropy(t, labels).item(), logits, eps=2e-2)
-        assert rel_err(logits.grad, fd.data) < 1e-4
+        assert rel_err(grad, fd.data) < 1e-4
 
 
 class TestElementwiseOps:
@@ -203,12 +201,12 @@ class TestElementwiseOps:
         enc = BaseEncoder.from_seed(17, dims=(6, 5, 4))
         for layer in enc.layers:
             layer.bias.data[:] = rng.normal(size=layer.bias.shape)
-        x = Tensor(rng.uniform(-1, 1, size=(3, 6)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, size=(3, 6)).astype(np.float32))
         out = model.encode(enc, x)
-        out.backward(2.0 * out.data)
+        grad = out.backward(2.0 * out.data)
         fd = nm.finite_difference_grad(lambda t: sq_sum_value(model.encode(enc, t)), x,
                                        eps=1e-2)
-        assert rel_err(x.grad, fd.data) < 1e-4
+        assert rel_err(grad, fd.data) < 1e-4
 
     def test_add_bias_broadcast_backward(self):
         # the bias reaches every row, and the input gradient holds with it
@@ -216,24 +214,24 @@ class TestElementwiseOps:
         w = rng.normal(size=(3, 4)).astype(np.float32)
         b = rng.normal(size=3).astype(np.float32)
         enc = one_layer_base(w, b)
-        x = Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
         out = model.encode(enc, x)
         np.testing.assert_array_equal(out.data, x.data @ np.ascontiguousarray(w.T) + b)
-        out.backward(2.0 * out.data)
+        grad = out.backward(2.0 * out.data)
         fd = nm.finite_difference_grad(lambda t: sq_sum_value(model.encode(enc, t)), x,
                                        eps=1e-2)
-        assert rel_err(x.grad, fd.data) < 1e-4
+        assert rel_err(grad, fd.data) < 1e-4
 
     def test_normalize_rows_backward(self):
         rng = nm.make_rng(29)
         table = LabelEmbeddingTable("t", ["one", "two", "three"], 4)
-        x = Tensor(rng.uniform(0.2, 1.0, size=(3, 4)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.uniform(0.2, 1.0, size=(3, 4)).astype(np.float32))
         w = rng.normal(size=(3, 3)).astype(np.float32)
-        model.classify(x, table, 1.0).backward(w)
+        grad = model.classify(x, table, 1.0).backward(w)
         fd = nm.finite_difference_grad(
             lambda t: float(np.sum(model.classify(t, table, 1.0).data * w,
                                    dtype=np.float64)), x, eps=1e-2)
-        assert rel_err(x.grad, fd.data) < 1e-4
+        assert rel_err(grad, fd.data) < 1e-4
 
     def test_normalize_rows_zero_row_rejected(self):
         table = LabelEmbeddingTable("t", ["one", "two"], 3)
@@ -243,46 +241,39 @@ class TestElementwiseOps:
             model.classify(Tensor(rows), table)
 
     def test_mean_rows_slice_reshape_backward(self):
-        # per-class means of [n, h, w] leaves that encode flattens per row
+        # per-class means of [n, h, w] leaves that encode flattens per row;
+        # the loss is symmetric, so each batch takes its turn as the
+        # synthetic side, the one dm_loss differentiates
         rng = nm.make_rng(31)
         enc = BaseEncoder.from_seed(31, dims=(6, 4))
-        real = Tensor(rng.normal(size=(3, 2, 3)).astype(np.float32), requires_grad=True)
-        syn = Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32), requires_grad=True)
-        feature = lambda t: model.encode(enc, t)
+        real = Tensor(rng.normal(size=(3, 2, 3)).astype(np.float32))
+        syn = Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32))
 
-        def f(r, s):
-            return dst.dm_loss({0: r}, {0: s}, feature)
+        def f(fixed, t):
+            feat = model.encode(enc, t)
+            return feat, dst.dm_loss({0: model.encode(enc, fixed).data}, {0: feat})
 
-        f(real, syn).backward()
-        for leaf, loss_fn in ((real, lambda t: f(t, syn).item()),
-                              (syn, lambda t: f(real, t).item())):
-            fd = nm.finite_difference_grad(loss_fn, leaf, eps=1e-2)
-            assert rel_err(leaf.grad, fd.data) < 1e-4
+        for leaf, fixed in ((real, syn), (syn, real)):
+            feat, loss = f(fixed, leaf)
+            (g_feat,) = loss.backward()
+            grad = feat.backward(g_feat)
+            fd = nm.finite_difference_grad(lambda t: f(fixed, t)[1].item(), leaf, eps=1e-2)
+            assert rel_err(grad, fd.data) < 1e-4
 
     def test_flip_and_shift_backward(self):
         rng = nm.make_rng(37)
-        x = Tensor(rng.normal(size=(2, 4, 4)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 4, 4)).astype(np.float32))
         params = dst.DsaParams(flip=True, shift=(1, -1))
         out = dst.dsa_augment(x, params)
-        out.backward(2.0 * out.data)
+        grad = out.backward(2.0 * out.data)
         fd = nm.finite_difference_grad(
             lambda t: sq_sum_value(dst.dsa_augment(t, params)), x, eps=1e-2)
-        assert rel_err(x.grad, fd.data) < 1e-4
+        assert rel_err(grad, fd.data) < 1e-4
 
     def test_shift_zero_pads(self):
         x = Tensor(np.ones((1, 2, 2), dtype=np.float32))
         out = dst.dsa_augment(x, dst.DsaParams(shift=(1, 0)))
         np.testing.assert_array_equal(out.data[0], [[0.0, 0.0], [1.0, 1.0]])
-
-    def test_gradient_accumulates_until_zeroed(self):
-        x = Tensor(np.ones(2, dtype=np.float32).reshape(1, 2), requires_grad=True)
-        target = Tensor(np.zeros((1, 2), dtype=np.float32))
-        dst.dm_loss({0: target}, {0: x}, lambda t: t).backward()
-        first = x.grad.copy()
-        dst.dm_loss({0: target}, {0: x}, lambda t: t).backward()
-        np.testing.assert_allclose(x.grad, 2 * first)
-        x.zero_grad()
-        assert x.grad is None
 
     def test_finite_outputs(self):
         rng = nm.make_rng(41)
@@ -296,47 +287,34 @@ class TestElementwiseOps:
 
 
 class TestHandOff:
-    """Backward hands each gradient straight to the node that made its input."""
+    """Each backward returns its inputs' gradients for the caller to hand on."""
 
     def test_node_consumed_twice_gets_both_gradients(self):
-        # one augmented batch is encoded once per class, so its node runs its
-        # backward once for each encode
+        # one augmented batch encoded once per class: its backward runs once
+        # for each encode, and the two gradients sum
         rng = nm.make_rng(43)
         enc = BaseEncoder.from_seed(43, dims=(6, 4))
-        x = Tensor(rng.normal(size=(3, 2, 3)).astype(np.float32), requires_grad=True)
-        real = {c: Tensor(rng.normal(size=(4, 2, 3)).astype(np.float32)) for c in (0, 1)}
+        x = Tensor(rng.normal(size=(3, 2, 3)).astype(np.float32))
+        real = {c: model.encode(enc, Tensor(rng.normal(size=(4, 2, 3)).astype(np.float32))).data
+                for c in (0, 1)}
         params = dst.DsaParams(flip=True, shift=(1, 0), scale=1.1)
 
         def f(t):
             y = dst.dsa_augment(t, params)
-            return dst.dm_loss(real, {0: y, 1: y}, lambda s: model.encode(enc, s))
+            feats = {0: model.encode(enc, y), 1: model.encode(enc, y)}
+            return y, feats, dst.dm_loss(real, feats)
 
-        f(x).backward()
-        fd = nm.finite_difference_grad(lambda t: f(t).item(), x, eps=1e-2)
-        assert rel_err(x.grad, fd.data) < 1e-4
+        y, feats, loss = f(x)
+        grad = sum(y.backward(feats[c].backward(g)) for c, g in zip((0, 1), loss.backward()))
+        fd = nm.finite_difference_grad(lambda t: f(t)[2].item(), x, eps=1e-2)
+        assert rel_err(grad, fd.data) < 1e-4
 
-    def test_only_leaves_hold_gradients(self):
-        rng = nm.make_rng(47)
-        enc = BaseEncoder.from_seed(47, dims=(5, 4))
-        plugin = PluginModule.fresh(enc, 2, 2.0, rng)
-        for p in plugin.parameters():
-            p.requires_grad = True
-        table = LabelEmbeddingTable("t", ["a", "b", "c"], 4)
-        x = Tensor(rng.normal(size=(3, 5)).astype(np.float32), requires_grad=True)
-        emb = model.encode(enc, x, plugin)
-        logits = model.classify(emb, table)
-        loss = nm.softmax_cross_entropy(logits, np.array([0, 1, 2]))
-        loss.backward()
-        assert emb.grad is None and logits.grad is None and loss.grad is None
-        assert x.grad is not None and x.grad.shape == x.shape
-        assert all(p.grad is not None for p in plugin.parameters())
-        assert all(layer.weight.grad is None for layer in enc.layers)
-
-    def test_backward_without_gradient_is_a_no_op(self):
+    def test_leaf_returns_its_own_gradient(self):
         x = Tensor(np.ones((2, 3), dtype=np.float32))
-        loss = nm.softmax_cross_entropy(x, np.array([0, 1]))
-        loss.backward()
-        assert x.grad is None and loss.grad is None
+        g = np.asfortranarray(np.arange(6, dtype=np.float64).reshape(2, 3))
+        got = x.backward(g)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, g)
 
 
 class TestRng:

@@ -154,6 +154,26 @@ class TestCommit:
         assert repo.all_object_ids() == before
         assert repo.pending() == []
 
+    @pytest.mark.parametrize("strategy,bad", [("fusion", {"alpha": ALPHA * 2}),
+                                              ("mixture", {"alpha": float("nan")}),
+                                              ("mixture", {"alpha": -ALPHA}),
+                                              ("mixture", {"rank": 0})])
+    def test_bad_alpha_or_rank_refused_and_the_queue_still_merges(self, tmp_path,
+                                                                  strategy, bad):
+        repo = make_repo(tmp_path / "repo", strategy=strategy)
+        contrib = make_contribution(repo.base, "t1", ["red", "blue"])
+        for lid, ad in contrib.plugin.adapters.items():
+            ad.alpha = bad.get("alpha", ad.alpha)
+            if "rank" in bad:
+                d, k = repo.base.layer_dims(lid)
+                ad.rank, ad.a, ad.b = 0, nm.Tensor(np.zeros((0, k))), nm.Tensor(np.zeros((d, 0)))
+        with pytest.raises(ValidationError):
+            repo.commit_contribution(contrib)
+        assert repo.pending() == []
+        repo.commit_contribution(make_contribution(repo.base, "t2", ["red", "blue"]))
+        assert repo.merge_next()["round"] == 1
+        assert repo.pending() == []
+
     def test_negative_distilled_label_refused_before_storing(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
         before = repo.all_object_ids()
