@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import model as mdl
 from . import numerics as nm
@@ -65,10 +64,19 @@ class CoeffOptimConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
+        # a NaN here makes every merge objective NaN; an infinite box fills
+        # the start simplex with inf and NaN
+        for name in ("init_value", "l1_lambda", "box_min", "box_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.l1_lambda < 0:
             raise ParameterError("l1_lambda must be non-negative")
         if self.box_min >= self.box_max:
             raise ParameterError("empty coefficient box")
+        lo, hi = self.bounds()
+        if not lo <= self.init_value <= hi:
+            # the search starts from init_value and never leaves the box
+            raise ParameterError(f"init_value {self.init_value} outside the box [{lo}, {hi}]")
 
     def bounds(self) -> tuple[float, float]:
         lo = -self.box_max if self.allow_negative else self.box_min
@@ -245,49 +253,92 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _nelder_mead(f: Callable[[np.ndarray], float], simplex: np.ndarray,
+                 lo: float, hi: float) -> None:
+    """Bounded Nelder-Mead from ``simplex`` until the simplex collapses;
+    ``f`` ends the search sooner by raising.
+
+    The steps are those of scipy 1.17's ``minimize(method="Nelder-Mead")``
+    with bounds: reflect 1, expand 2, contract 0.5, shrink 0.5, every new
+    vertex clipped to [lo, hi], the vertices ordered by ``np.argsort`` (which
+    need not be stable, so ties fall as they do in scipy), and a stop once
+    every vertex lies within 1e-8 of the best and its value within 1e-10.
+    Given the same objective, ``f`` sees the same points in the same order.
+    """
+    sim = np.array(simplex, dtype=np.float64)
+    fsim = np.array([f(x) for x in sim])
+    n = sim.shape[1]
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if (np.abs(sim[1:] - sim[0]).max() <= 1e-8
+                and np.abs(fsim[1:] - fsim[0]).max() <= 1e-10):
+            return
+        xbar = sim[:-1].sum(axis=0) / n
+        worst = sim[-1]
+        xr = np.clip(2.0 * xbar - worst, lo, hi)
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = np.clip(3.0 * xbar - 2.0 * worst, lo, hi)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction, toward the reflection
+                xc = np.clip(1.5 * xbar - 0.5 * worst, lo, hi)
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction, toward the worst vertex
+                xc = np.clip(0.5 * xbar + 0.5 * worst, lo, hi)
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink every vertex halfway to the best
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = f(sim[j])
+
+
 def optimize_coefficients(objective: Callable[[np.ndarray], float],
                           config: CoeffOptimConfig,
                           n_vars: int = 2) -> tuple[np.ndarray, float, list[dict]]:
     """Budgeted simplex search over the box; returns the best point seen.
 
-    The trace records every evaluated candidate and never exceeds the
-    budget (the simplex solver may try to overshoot maxfev during shrink
-    steps, so the cap is enforced here). The initial point is always
-    evaluated first, so the result can never be worse than the start.
+    The trace records every evaluated candidate, in order, and never exceeds
+    the budget: the evaluation past it ends the search. The initial point is
+    evaluated first, so the result can never be worse than the start; it is
+    also the search's first vertex, so the trace holds it twice. Evaluating
+    it once would give each round one more step, but would move the
+    coefficients and content ids of every stored history, so it stays.
+    The best point is the first one with the lowest value.
     """
     lo, hi = config.bounds()
     x0 = np.full(n_vars, config.init_value, dtype=np.float64)
     trace: list[dict] = []
-    best = {"x": x0.copy(), "value": None}
 
-    def wrapped(x: np.ndarray) -> float:
+    def evaluate(x: np.ndarray) -> float:
         if len(trace) >= config.max_iterations:
             raise _BudgetExhausted
-        x = np.clip(x, lo, hi)
         value = float(objective(x))
         if np.isnan(value):
             raise InputError("objective returned NaN")
         trace.append({"point": [float(v) for v in x], "value": value})
-        if best["value"] is None or value < best["value"]:
-            best["x"] = x.copy()
-            best["value"] = value
         return value
 
-    wrapped(x0)
-    if config.max_iterations > 1:
-        step = 0.35 * (hi - lo) / 2.0
-        simplex = np.tile(x0, (n_vars + 1, 1))
-        for i in range(n_vars):
-            up = x0[i] + step
-            simplex[i + 1, i] = up if up <= hi else x0[i] - step
-        try:
-            minimize(wrapped, x0, method="Nelder-Mead", bounds=[(lo, hi)] * n_vars,
-                     options={"maxfev": config.max_iterations - 1,
-                              "initial_simplex": simplex,
-                              "xatol": 1e-8, "fatol": 1e-10})
-        except _BudgetExhausted:
-            pass
-    return best["x"], float(best["value"]), trace
+    step = 0.35 * (hi - lo) / 2.0
+    simplex = np.tile(x0, (n_vars + 1, 1))
+    for i in range(n_vars):
+        up = x0[i] + step
+        simplex[i + 1, i] = up if up <= hi else x0[i] - step
+    try:
+        evaluate(x0)
+        _nelder_mead(evaluate, simplex, lo, hi)
+    except _BudgetExhausted:
+        pass
+    best = min(trace, key=lambda entry: entry["value"])
+    return np.array(best["point"]), best["value"], trace
 
 
 def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:

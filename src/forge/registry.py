@@ -295,23 +295,33 @@ class Repository:
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= task.num_classes:
             raise ValidationError("distilled labels out of range")
 
-    def _next_queue_path(self) -> Path:
-        """A new queue file whose number no entry of this repository had, so
-        the ref's consumed entry names one enqueue and never a later one."""
+    def _enqueue(self, doc: dict) -> None:
+        """Queue ``doc`` under a number no entry of this repository had, so
+        the ref's consumed entry names one enqueue and never a later one.
+
+        The doc is written in full before it takes its number: a commit that
+        dies on the way leaves at most a ``.tmp-`` file, never an empty entry
+        at the head of the queue.
+        """
         queue = self.root / "queue"
-        while True:
-            existing = [int(p.stem) for p in queue.glob("*.json")]
-            # read after listing: a merge writes the ref naming its entry
-            # before it unlinks that entry, so the entry shows in one of them
-            consumed = self._read_ref().get("consumed")
-            seq = max([*existing, consumed["seq"] if consumed else 0]) + 1
-            candidate = queue / f"{seq:06d}.json"
-            try:
-                fd = os.open(candidate, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                continue
-            os.close(fd)
-            return candidate
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=queue)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fh.fileno(), 0o644)  # mkstemp creates owner-only files
+                fh.write(json.dumps(doc))
+            while True:
+                existing = [int(p.stem) for p in queue.glob("*.json")]
+                # read after listing: a merge writes the ref naming its entry
+                # before it unlinks that entry, so the entry shows in one of them
+                consumed = self._read_ref().get("consumed")
+                seq = max([*existing, consumed["seq"] if consumed else 0]) + 1
+                try:
+                    os.link(tmp, queue / f"{seq:06d}.json")
+                    return
+                except FileExistsError:
+                    continue
+        finally:
+            os.unlink(tmp)
 
     def commit_contribution(self, contribution: BranchContribution) -> Commit:
         """Store artifacts content-addressed and queue the commit (FIFO).
@@ -331,9 +341,7 @@ class Repository:
         }
         genesis = self._read_ref()["genesis"]
         commit = self._append_commit(genesis, contribution.author, "contribution", payload)
-        entry = self._next_queue_path()
-        entry.write_text(json.dumps({"commit_id": commit.id,
-                                     "timestamp": commit.timestamp}))
+        self._enqueue({"commit_id": commit.id, "timestamp": commit.timestamp})
         return commit
 
     @staticmethod

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,51 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "round 1" in out
 
+    def test_pipeline_runs_with_scipy_unimportable(self, tmp_path, data_dir):
+        # the same init, commits, merges and checkout in this process and in
+        # one where importing scipy fails must store the same items
+        artifacts = []
+        for task in ("B-toy", "M-toy"):
+            plugin, distilled = tmp_path / f"{task}.fgm", tmp_path / f"{task}.fgd"
+            assert main(["--seed", "5", "train-branch", "--task", task, "--data",
+                         str(data_dir), "--out", str(plugin), "--epochs", "3"]) == 0
+            assert main(["--seed", "5", "distill", "--task", task, "--data", str(data_dir),
+                         "--out", str(distilled), "--ipc", "2", "--iters", "10"]) == 0
+            artifacts.append((task, plugin, distilled))
+
+        def commands(repo):
+            return [["--seed", "5", "init", "--strategy", "fusion", str(repo)],
+                    *[["commit", str(repo), "--plugin", str(plugin), "--distilled",
+                       str(distilled), "--task", task, "--data", str(data_dir)]
+                      for task, plugin, distilled in artifacts],
+                    ["merge", str(repo), "--all"],
+                    ["checkout", str(repo), "--round", "1", "--out", str(repo) + ".fgi"]]
+
+        def item_ids(repo):
+            ref = json.loads((repo / "refs" / "main").read_text())
+            return ref["round"], ref["item_id"], Path(str(repo) + ".fgi").read_bytes()
+
+        assert [main(argv) for argv in commands(tmp_path / "here")] == [0] * 5
+        script = ("import json, sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from forge.cli import main\n"
+                  "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script,
+                              json.dumps(commands(tmp_path / "there"))],
+                             env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout.splitlines()[-1]) == [0] * 5
+        assert item_ids(tmp_path / "there") == item_ids(tmp_path / "here")
+        assert item_ids(tmp_path / "here")[0] == 2
+
+        imported = subprocess.run(
+            [sys.executable, "-c", "import sys, forge.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert imported.stdout.strip() == "[]"
+
     def test_merge_empty_queue_is_notice_not_error(self, tmp_path, capsys):
         repo = tmp_path / "repo"
         assert main(["--seed", "3", "init", "--strategy", "fusion", str(repo)]) == 0
@@ -258,6 +307,13 @@ class TestExitCodes:
         assert main(["--seed", "5", command[0], "--task", "M-toy", "--data", str(data),
                      "--out", str(out), *command[1:]]) == 2
         assert not out.exists()
+
+    def test_init_with_nan_l1_lambda_is_two_and_creates_nothing(self, tmp_path):
+        ini = tmp_path / "nan.ini"
+        ini.write_text("[merge]\nl1_lambda = nan\n")
+        repo = tmp_path / "repo"
+        assert main(["--config", str(ini), "init", "--strategy", "fusion", str(repo)]) == 2
+        assert not repo.exists()
 
     def test_runtime_error_is_three(self, tmp_path):
         # missing repo directory surfaces as a validation-or-runtime failure

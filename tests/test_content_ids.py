@@ -1,7 +1,11 @@
-"""Content ids of seeded training and distillation runs, pinned to values
-recorded before the encoder, cosine head, augmentation and matching loss
-became fused tape nodes. Any change to the float32 operation order of a
-forward or backward pass moves these ids.
+"""Content ids of seeded training, distillation and merge runs.
+
+The training and distillation ids were recorded before the encoder, cosine
+head, augmentation and matching loss became fused tape nodes; any change to
+the float32 operation order of a forward or backward pass moves them. The
+merge ids were recorded while scipy's Nelder-Mead ran the coefficient
+search; any change to the search's steps, its order of evaluations or the
+guidance objective moves them.
 
 The values were recorded on x86-64 with numpy's bundled OpenBLAS; a BLAS
 whose kernels sum in another order gives other ids for the same code."""
@@ -13,6 +17,8 @@ from forge import distill as dst
 from forge import model
 from forge import numerics as nm
 from forge.datasets import LabeledDataset, generate_tasks
+from forge.distill import DistilledDataset
+from forge.registry import BranchContribution, Repository
 
 PLUGIN_ID = "214802c97d622080ba68e2bdb10ac714b55d134ad0431727426af0ceb3f03309"
 DISTILLED_IDS = {
@@ -25,6 +31,19 @@ EDGE_DISTILLED_IDS = {
     "ipc-above-real-batch": "9ae2b44194f511756f0e23a7687e8ea1a41a1fbbb5e18ef193fd16b07d0e7b19",
     "short-real-class": "b8fba3d70835f5347f42b642e57b6b91e2c863dbadbb04a8d6c82b4e4d83ed55",
     "dsa-off": "12e99160b08e73d6b03fa4732fa02e4f6ea6e52d1a0f9f49ca91cd283dd74a4c",
+}
+
+# each round's merge commit id, then the final item id, of a three-round
+# history merged with the default 40-evaluation coefficient search
+MERGE_IDS = {
+    "fusion": (["06ab5983464ae5bcc6ecdd59da42c48f190a7820a1ab2b32ea7737fa42283d30",
+                "50ffef951875649d959d5d037aedf3d7f972053bfdd21dfbfc5a1d65e1f955b5",
+                "e6fdb17c4fb4e9d22c6729b405e005721f490c60f7a73eebfb8420eeb92872a5"],
+               "c217e7618724c052c2d855488362140fb5e3f139464139ce895d5f1cb160b454"),
+    "mixture": (["7170b94f60761a60ec6a15305b0752bd083c02fbfba96b85ab03ca17a559d1f3",
+                 "56a2bd582caa58787ec02ab8661a408438cab9eab0449233ff7a52267c5ba60b",
+                 "92f73d4844e5960253ba7082555e15deefebf816b3afcc9126828457ff7672d7"],
+                "10ebcc15595559fb32971aeec82d1c191d414689953fd024b4275c67b6285600"),
 }
 
 
@@ -68,3 +87,36 @@ def test_seeded_distill_id_edge_cases(m_toy, case):
         config = dst.DistillConfig(iterations=20, ipc=3, dsa_enabled=False)
     distilled = dst.distill(spec, train, base, config, nm.make_rng(12))
     assert distilled.content_id() == EDGE_DISTILLED_IDS[case]
+
+
+@pytest.fixture(scope="module")
+def history_contributions():
+    """One seeded plugin per toy task, each with four training rows per class
+    as its distilled set, all on the base encoder of seed 13."""
+    base = model.BaseEncoder.from_seed(13)
+    out = []
+    for k, (spec, train, _) in enumerate(generate_tasks(1)):
+        table = model.LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
+        config = model.TrainConfig(epochs=2, rank=4, alpha=4.0)
+        plugin = model.train_plugin(base, table, train.inputs, train.labels, config,
+                                    nm.make_rng(20 + k))
+        keep = np.concatenate([np.flatnonzero(train.labels == c)[:4]
+                               for c in range(spec.num_classes)])
+        distilled = DistilledDataset(spec.name, spec.num_classes, 4, spec.input_shape,
+                                     train.inputs[keep], train.labels[keep])
+        out.append(BranchContribution(spec, plugin, distilled, author=f"branch-{k}"))
+    return out
+
+
+@pytest.mark.parametrize("strategy", sorted(MERGE_IDS))
+def test_seeded_merge_history_ids(tmp_path, history_contributions, strategy):
+    repo = Repository.init(tmp_path / "repo", 13, strategy, rank=4, alpha=4.0)
+    assert repo.coeff_config().max_iterations == 40
+    for contribution in history_contributions:
+        repo.commit_contribution(contribution)
+    records = repo.merge_all()
+    # every round leaves the start point, so the ids pin the search's steps
+    assert all((r["w_main"], r["w_branch"]) != (0.5, 0.5) for r in records)
+    commit_ids, item_id = MERGE_IDS[strategy]
+    assert [r["commit_id"] for r in records] == commit_ids
+    assert records[-1]["item_id"] == item_id

@@ -135,6 +135,25 @@ class TestMixtureForward:
         assert out.shape == (2, base.embed_dim) and np.isfinite(out).all()
 
 
+class TestCoeffOptimConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("l1_lambda", float("nan")), ("box_max", float("nan")),
+        ("box_min", float("nan")), ("init_value", float("nan")),
+        ("box_max", float("inf")), ("box_min", float("-inf")),
+        ("init_value", float("inf")), ("init_value", 2.5), ("init_value", -0.1)])
+    def test_values_that_break_every_merge_rejected(self, field, value):
+        with pytest.raises(ParameterError):
+            CoeffOptimConfig(**{field: value})
+
+    def test_init_outside_a_negative_box_rejected(self):
+        with pytest.raises(ParameterError):
+            CoeffOptimConfig(init_value=-2.5, allow_negative=True)
+
+    @pytest.mark.parametrize("init_value", [-2.0, -0.5, 0.0, 2.0])
+    def test_init_anywhere_in_the_box_accepted(self, init_value):
+        CoeffOptimConfig(init_value=init_value, allow_negative=True)
+
+
 class TestOptimizeCoefficients:
     def test_convex_bowl(self):
         objective = lambda w: (w[0] - 0.3) ** 2 + (w[1] - 0.7) ** 2
@@ -683,3 +702,131 @@ class TestLeanEvaluation:
         rng, enc, plugins, guidance = TestStackedObjective().build(depth, 46)
         self.assert_identical(enc, guidance, merge.FactoredDeltas(plugins),
                               TensordotFactoredDeltas(plugins), 3, 47)
+
+
+def scipy_optimize_coefficients(minimize, objective, config, n_vars=2):
+    """``optimize_coefficients`` as it was when scipy's Nelder-Mead ran the
+    search: the reference the search in forge must match point for point."""
+    lo, hi = config.bounds()
+    x0 = np.full(n_vars, config.init_value, dtype=np.float64)
+    trace = []
+    best = {"x": x0.copy(), "value": None}
+
+    def wrapped(x):
+        if len(trace) >= config.max_iterations:
+            raise merge._BudgetExhausted
+        x = np.clip(x, lo, hi)
+        value = float(objective(x))
+        if np.isnan(value):
+            raise InputError("objective returned NaN")
+        trace.append({"point": [float(v) for v in x], "value": value})
+        if best["value"] is None or value < best["value"]:
+            best["x"] = x.copy()
+            best["value"] = value
+        return value
+
+    wrapped(x0)
+    if config.max_iterations > 1:
+        step = 0.35 * (hi - lo) / 2.0
+        simplex = np.tile(x0, (n_vars + 1, 1))
+        for i in range(n_vars):
+            up = x0[i] + step
+            simplex[i + 1, i] = up if up <= hi else x0[i] - step
+        try:
+            minimize(wrapped, x0, method="Nelder-Mead", bounds=[(lo, hi)] * n_vars,
+                     options={"maxfev": config.max_iterations - 1,
+                              "initial_simplex": simplex,
+                              "xatol": 1e-8, "fatol": 1e-10})
+        except merge._BudgetExhausted:
+            pass
+    return best["x"], float(best["value"]), trace
+
+
+def random_search_case(seed):
+    """A seeded box, budget, start point and objective: a bowl whose centre
+    may lie outside the box, its plateaus, a rugged bowl, a slope into a
+    corner, or a constant where every vertex ties."""
+    rng = np.random.default_rng(seed)
+    n_vars = int(rng.integers(2, 6))
+    hi = float(rng.uniform(0.5, 3.0))
+    box_min = hi - float(rng.uniform(0.2, 4.0))
+    allow_negative = bool(rng.random() < 0.3)
+    lo = -hi if allow_negative else box_min
+    config = CoeffOptimConfig(max_iterations=int(rng.integers(1, 80)),
+                              init_value=float(rng.choice([lo, hi, rng.uniform(lo, hi)])),
+                              box_min=box_min, box_max=hi, allow_negative=allow_negative)
+    assert config.bounds() == (lo, hi)
+    centre = rng.uniform(lo - 0.5, hi + 0.5, size=n_vars)
+    scale = rng.uniform(0.2, 3.0, size=n_vars)
+    kind = ("bowl", "plateau", "rugged", "slope", "ties")[seed % 5]
+
+    def objective(w):
+        bowl = float(scale @ (w - centre) ** 2) + 0.05 * float(np.abs(w).sum())
+        if kind == "plateau":
+            return float(np.floor(bowl * 4.0) / 4.0)
+        if kind == "rugged":
+            return bowl + 0.3 * float(np.sin(9.0 * w).sum())
+        if kind == "slope":
+            return float(scale @ w)
+        return 1.0 if kind == "ties" else bowl
+
+    return objective, config, n_vars
+
+
+class TestMatchesScipy:
+    """The search evaluates the points scipy 1.17's bounded Nelder-Mead did,
+    in the same order, and picks the same best point."""
+
+    @pytest.fixture(scope="class")
+    def minimize(self):
+        return pytest.importorskip("scipy.optimize").minimize
+
+    def assert_same(self, minimize, objective, config, n_vars):
+        best, value, trace = merge.optimize_coefficients(objective, config, n_vars)
+        want_best, want_value, want_trace = scipy_optimize_coefficients(
+            minimize, objective, config, n_vars)
+        assert trace == want_trace
+        assert np.array_equal(best, want_best) and value == want_value
+        return trace
+
+    def test_random_objectives(self, minimize):
+        stopped_early = []
+        for seed in range(600):
+            objective, config, n_vars = random_search_case(seed)
+            trace = self.assert_same(minimize, objective, config, n_vars)
+            stopped_early.append(len(trace) < config.max_iterations)
+        # the cases end both ways: by converging and by the budget
+        assert 0 < sum(stopped_early) < len(stopped_early)
+
+    def test_kinked_objectives_run_to_the_tolerances(self, minimize):
+        # at a kink the values stay apart while the simplex collapses onto
+        # it, so the value tolerance decides when these searches stop
+        converged = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n_vars = int(rng.integers(2, 4))
+            centre = rng.uniform(0.2, 1.8, size=n_vars)
+            scale = rng.uniform(0.2, 3.0, size=n_vars)
+            config = CoeffOptimConfig(max_iterations=250)
+            trace = self.assert_same(minimize, lambda w: float(scale @ np.abs(w - centre)),
+                                     config, n_vars)
+            converged += len(trace) < config.max_iterations
+        assert converged > 0
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    @pytest.mark.parametrize("kind", ["fusion", "mixture", "first-mixture-round", "joint"])
+    def test_guidance_objectives(self, minimize, kind, depth):
+        for seed in (50, 51):
+            rng, enc, (p1, p2, branch), guidance = TestStackedObjective().build(depth, seed)
+            if kind == "fusion":
+                deltas = merge.FactoredDeltas([p1, branch])
+            elif kind == "mixture":
+                deltas = merge.LinearDeltas([merge.mixture_deltas([(p1, 0.6), (p2, 1.3)]),
+                                             branch.layer_deltas()])
+            elif kind == "first-mixture-round":
+                deltas = merge.LinearDeltas([{}, branch.layer_deltas()])
+            else:
+                deltas = merge.FactoredDeltas([p1, p2, branch])
+            objective = merge.guidance_objective(enc, guidance, deltas, 0.05)
+            n_vars = 3 if kind == "joint" else 2
+            self.assert_same(minimize, objective, CoeffOptimConfig(), n_vars)

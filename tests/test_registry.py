@@ -174,6 +174,30 @@ class TestCommit:
         assert repo.merge_next()["round"] == 1
         assert repo.pending() == []
 
+    def test_commit_failing_to_write_its_queue_doc_blocks_nothing(self, tmp_path,
+                                                                   monkeypatch):
+        import json
+
+        repo = make_repo(tmp_path / "repo")
+        dumps = json.dumps
+
+        def failing_for_queue_docs(obj, *args, **kwargs):
+            if isinstance(obj, dict) and set(obj) == {"commit_id", "timestamp"}:
+                raise OSError("killed while writing the queue entry")
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", failing_for_queue_docs)
+        with pytest.raises(OSError):
+            repo.commit_contribution(make_contribution(repo.base, "t1", ["red", "blue"]))
+        monkeypatch.setattr(json, "dumps", dumps)
+        assert list((repo.root / "queue").iterdir()) == []
+        assert repo.pending() == []
+        assert repo.merge_all() == []
+        commit = repo.commit_contribution(make_contribution(repo.base, "t2", ["red", "blue"]))
+        assert [doc["commit_id"] for doc in repo.pending()] == [commit.id]
+        assert [r["contribution_commit"] for r in repo.merge_all()] == [commit.id]
+        assert repo.pending() == []
+
     def test_negative_distilled_label_refused_before_storing(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
         before = repo.all_object_ids()
