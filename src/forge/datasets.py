@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import FormatError, InputError
+from .errors import InputError
 from .numerics import Tensor
 
 INPUT_SIDE = 16
@@ -217,16 +217,6 @@ def pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def unpack_str(buf: bytes, offset: int) -> tuple[str, int]:
-    if len(buf) < offset + 4:
-        raise FormatError("truncated string length")
-    (n,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    if len(buf) < offset + n:
-        raise FormatError("truncated string payload")
-    return buf[offset:offset + n].decode("utf-8"), offset + n
-
-
 def dataset_to_bytes(spec: TaskSpec, data: LabeledDataset) -> bytes:
     flags = 1 if data.group_ids is not None else 0
     out = [DATASET_MAGIC, struct.pack("<BB", DATASET_VERSION, flags)]
@@ -245,52 +235,25 @@ def dataset_to_bytes(spec: TaskSpec, data: LabeledDataset) -> bytes:
 
 
 def dataset_from_bytes(buf: bytes) -> tuple[TaskSpec, LabeledDataset]:
-    if buf[:4] != DATASET_MAGIC:
-        raise FormatError("bad dataset magic")
-    if len(buf) < 6:
-        raise FormatError("truncated dataset header")
-    version, flags = struct.unpack_from("<BB", buf, 4)
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}")
-    offset = 6
-    name, offset = unpack_str(buf, offset)
-    if len(buf) < offset + 4:
-        raise FormatError("truncated class count")
-    (num_classes,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    labels = []
-    for _ in range(num_classes):
-        label, offset = unpack_str(buf, offset)
-        labels.append(label)
-    if len(buf) < offset + 8:
-        raise FormatError("truncated input shape")
-    shape = struct.unpack_from("<II", buf, offset)
-    offset += 8
-    split, offset = unpack_str(buf, offset)
-    if len(buf) < offset + 4:
-        raise FormatError("truncated item count")
-    (n,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    if len(buf) < offset + 8 * n:
-        raise FormatError("truncated label array")
-    y = np.frombuffer(buf, dtype="<i8", count=n, offset=offset).copy()
-    offset += 8 * n
-    groups = None
-    if flags & 1:
-        if len(buf) < offset + 8 * n:
-            raise FormatError("truncated group array")
-        groups = np.frombuffer(buf, dtype="<i8", count=n, offset=offset).copy()
-        offset += 8 * n
-    inputs, offset = nm.tensor_from_bytes(buf, offset)
-    if offset != len(buf):
-        raise FormatError("trailing bytes after dataset payload")
-    spec = TaskSpec(name, labels, tuple(shape), grouped=groups is not None)
+    r = nm.Reader(buf, "dataset")
+    r.header(DATASET_MAGIC, DATASET_VERSION)
+    (flags,) = r.unpack("<B")
+    name = r.str()
+    (num_classes,) = r.unpack("<I")
+    labels = [r.str() for _ in range(num_classes)]
+    shape = r.unpack("<II")
+    split = r.str()
+    (n,) = r.unpack("<I")
+    y = r.array("<i8", n)
+    groups = r.array("<i8", n) if flags & 1 else None
+    inputs = r.tensor(2)
+    r.end()
+    spec = TaskSpec(name, labels, shape, grouped=groups is not None)
     if inputs.shape != (n, spec.flat_dim):
-        raise FormatError(f"dataset inputs have shape {inputs.shape}, "
-                          f"expected {(n, spec.flat_dim)}")
+        raise r.error(f"inputs have shape {inputs.shape}, expected {(n, spec.flat_dim)}")
     if y.size and (y.min() < 0 or y.max() >= num_classes):
-        raise FormatError(f"dataset labels must lie in [0, {num_classes})")
-    return spec, LabeledDataset(inputs.data, y, groups, split)
+        raise r.error(f"labels must lie in [0, {num_classes})")
+    return spec, LabeledDataset(inputs, y, groups, split)
 
 
 def save_dataset(path, spec: TaskSpec, data: LabeledDataset) -> None:

@@ -19,13 +19,19 @@ import numpy as np
 
 from . import evaluation, model as mdl
 from . import numerics as nm
-from .datasets import LabeledDataset, TaskSpec, pack_str, unpack_str
-from .errors import FormatError, InputError, ParameterError, ShapeError
+from .datasets import LabeledDataset, TaskSpec, pack_str
+from .errors import InputError, ParameterError, ShapeError
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
 from .numerics import Tensor
 
 DISTILLED_MAGIC = b"FGS1"
 DISTILLED_VERSION = 1
+
+# the augmentation each step samples, and the batch size of eval_distilled
+DSA_MAX_SHIFT = 2
+DSA_SCALE_RANGE = (0.8, 1.2)
+DSA_NOISE_STD = 0.01
+EVAL_BATCH_SIZE = 64
 
 
 @dataclass
@@ -43,16 +49,14 @@ class DsaParams:
         return cls()
 
     @classmethod
-    def sample(cls, rng: np.random.Generator, max_shift: int = 2,
-               scale_range: tuple[float, float] = (0.8, 1.2),
-               noise_std: float = 0.01) -> "DsaParams":
+    def sample(cls, rng: np.random.Generator) -> "DsaParams":
         return cls(
             flip=bool(rng.random() < 0.5),
-            shift=(int(rng.integers(-max_shift, max_shift + 1)),
-                   int(rng.integers(-max_shift, max_shift + 1))),
-            scale=float(rng.uniform(*scale_range)),
+            shift=(int(rng.integers(-DSA_MAX_SHIFT, DSA_MAX_SHIFT + 1)),
+                   int(rng.integers(-DSA_MAX_SHIFT, DSA_MAX_SHIFT + 1))),
+            scale=float(rng.uniform(*DSA_SCALE_RANGE)),
             noise_seed=int(rng.integers(0, 2 ** 31)),
-            noise_std=noise_std,
+            noise_std=DSA_NOISE_STD,
         )
 
     def noise(self, rows: int, shape: tuple[int, int]) -> np.ndarray:
@@ -150,9 +154,6 @@ class DistillConfig:
     dsa_enabled: bool = True
     init_from_real: bool = False
     real_batch_per_class: int = 64
-    max_shift: int = 2
-    scale_range: tuple[float, float] = (0.8, 1.2)
-    noise_std: float = 0.01
     rank: int = 16
     alpha: float = 16.0
     inner_lr: float = 0.01
@@ -160,7 +161,6 @@ class DistillConfig:
     inner_weight_decay: float = 5e-4
     temperature: float = mdl.DEFAULT_TEMPERATURE
     eval_iterations: int = 1000
-    eval_batch_size: int = 64
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -206,29 +206,14 @@ class DistilledDataset:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "DistilledDataset":
-        if buf[:4] != DISTILLED_MAGIC:
-            raise FormatError("bad distilled-set magic")
-        if len(buf) < 5:
-            raise FormatError("truncated distilled-set header")
-        (version,) = struct.unpack_from("<B", buf, 4)
-        if version != DISTILLED_VERSION:
-            raise FormatError(f"unsupported distilled-set version {version}")
-        offset = 5
-        name, offset = unpack_str(buf, offset)
-        if len(buf) < offset + 20:
-            raise FormatError("truncated distilled-set counts")
-        num_classes, ipc, n = struct.unpack_from("<III", buf, offset)
-        offset += 12
-        shape = struct.unpack_from("<II", buf, offset)
-        offset += 8
-        if len(buf) < offset + 8 * n:
-            raise FormatError("truncated distilled labels")
-        labels = np.frombuffer(buf, dtype="<i8", count=n, offset=offset).copy()
-        offset += 8 * n
-        inputs, offset = nm.tensor_from_bytes(buf, offset)
-        if offset != len(buf):
-            raise FormatError("trailing bytes after distilled payload")
-        return cls(name, num_classes, ipc, tuple(shape), inputs.data, labels)
+        r = nm.Reader(buf, "distilled set")
+        r.header(DISTILLED_MAGIC, DISTILLED_VERSION)
+        name = r.str()
+        num_classes, ipc, n, h, w = r.unpack("<IIIII")
+        labels = r.array("<i8", n)
+        inputs = r.tensor(2)
+        r.end()
+        return cls(name, num_classes, ipc, (h, w), inputs, labels)
 
     def content_id(self) -> str:
         return hashlib.sha256(self.to_bytes()).hexdigest()
@@ -298,10 +283,8 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
         plugin = random_feature_plugin(base, config.rank, config.alpha, rng)
         step_params = noise = None
         if config.dsa_enabled:
-            step_params = DsaParams.sample(rng, config.max_shift,
-                                           config.scale_range, config.noise_std)
-            if step_params.noise_std > 0.0:
-                noise = step_params.noise(noise_rows, side)
+            step_params = DsaParams.sample(rng)
+            noise = step_params.noise(noise_rows, side)
 
         real_features, syn_features, syn_aug = {}, {}, []
         for cls in range(num_classes):
@@ -340,7 +323,7 @@ def eval_distilled(distilled: DistilledDataset, base: BaseEncoder, spec: TaskSpe
     train_cfg = TrainConfig(
         epochs=1, learning_rate=config.inner_lr, momentum=config.inner_momentum,
         weight_decay=config.inner_weight_decay,
-        batch_size=min(config.eval_batch_size, len(distilled.inputs)),
+        batch_size=min(EVAL_BATCH_SIZE, len(distilled.inputs)),
         rank=config.rank, alpha=config.alpha, dropout_p=0.0,
         temperature=config.temperature)
     plugin = mdl.train_plugin(base, table, distilled.inputs, distilled.labels,

@@ -25,7 +25,6 @@ from . import numerics as nm
 from .distill import DistilledDataset
 from .errors import (
     DegenerateInputError,
-    FormatError,
     IncompatibleModulesError,
     InputError,
     ParameterError,
@@ -213,35 +212,22 @@ class ForgeItem:
     @classmethod
     def from_bytes(cls, buf: bytes,
                    plugin_loader: Callable[[str], PluginModule] | None = None) -> "ForgeItem":
-        if buf[:4] != FORGE_ITEM_MAGIC:
-            raise FormatError("bad forge item magic")
-        if len(buf) < 14:
-            raise FormatError("truncated forge item header")
-        version, kind_tag, round_no, count = struct.unpack_from("<BBII", buf, 4)
-        if version != FORGE_ITEM_VERSION:
-            raise FormatError(f"unsupported forge item version {version}")
-        if kind_tag not in (0, 1):
-            raise FormatError(f"unknown forge item kind tag {kind_tag}")
-        offset = 14
+        r = nm.Reader(buf, "forge item")
+        r.header(FORGE_ITEM_MAGIC, FORGE_ITEM_VERSION)
+        kind_tag, round_no, count = r.unpack("<BII")
         if kind_tag == 0:  # count is the plugin payload size
-            plugin = PluginModule.from_bytes(buf[offset:offset + count])
-            item = cls("fused", round_no, plugin=plugin)
-            offset += count
-        else:  # count is the number of entries
-            if plugin_loader is None and count:
-                raise FormatError("mixture item needs a plugin loader to resolve ids")
-            entries = []
-            for _ in range(count):
-                if len(buf) < offset + 40:
-                    raise FormatError("truncated mixture entry")
-                plugin_id = buf[offset:offset + 32].hex()
-                (coeff,) = struct.unpack_from("<d", buf, offset + 32)
-                offset += 40
-                entries.append((plugin_loader(plugin_id), coeff))
-            item = cls("mixture", round_no, entries=entries)
-        if offset != len(buf):
-            raise FormatError("trailing bytes after forge item payload")
-        return item
+            plugin = PluginModule.from_bytes(r.take(count))
+            r.end()
+            return cls("fused", round_no, plugin=plugin)
+        if kind_tag != 1:
+            raise r.error(f"unknown kind tag {kind_tag}")
+        # count is the number of entries
+        if plugin_loader is None and count:
+            raise r.error("a mixture item needs a plugin loader to resolve ids")
+        refs = [r.unpack("<32sd") for _ in range(count)]  # raw plugin id, coefficient
+        r.end()
+        return cls("mixture", round_no,
+                   entries=[(plugin_loader(raw.hex()), coeff) for raw, coeff in refs])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 from . import numerics as nm
 from .errors import (
     DegenerateInputError,
-    FormatError,
     InputError,
     ParameterError,
     ShapeError,
@@ -220,27 +219,20 @@ class PluginModule:
 
     @classmethod
     def from_bytes(cls, buf: bytes, task_tags: list[str] | None = None) -> "PluginModule":
-        if buf[:4] != PLUGIN_MAGIC:
-            raise FormatError("bad plugin magic")
-        if len(buf) < 9:
-            raise FormatError("truncated plugin header")
-        version, count = struct.unpack_from("<BI", buf, 4)
-        if version != PLUGIN_VERSION:
-            raise FormatError(f"unsupported plugin version {version}")
-        offset = 9
+        r = nm.Reader(buf, "plugin module")
+        r.header(PLUGIN_MAGIC, PLUGIN_VERSION)
+        (count,) = r.unpack("<I")
         adapters: dict[int, LoraAdapter] = {}
         for _ in range(count):
-            if len(buf) < offset + 12:
-                raise FormatError("truncated adapter entry")
-            lid, rank, alpha = struct.unpack_from("<IIf", buf, offset)
-            offset += 12
-            a, offset = nm.tensor_from_bytes(buf, offset)
-            b, offset = nm.tensor_from_bytes(buf, offset)
+            lid, rank, alpha = r.unpack("<IIf")
+            a, b = r.tensor(2), r.tensor(2)
             if a.shape[0] != rank or b.shape[1] != rank:
-                raise FormatError("adapter tensor shapes disagree with rank")
-            adapters[lid] = LoraAdapter(lid, a, b, rank, alpha)
-        if offset != len(buf):
-            raise FormatError("trailing bytes after plugin payload")
+                raise r.error("adapter tensor shapes disagree with rank")
+            if lid in adapters:
+                # the later adapter would replace the earlier one
+                raise r.error(f"layer {lid} has two adapters")
+            adapters[lid] = LoraAdapter(lid, Tensor(a), Tensor(b), rank, alpha)
+        r.end()
         return cls(adapters, task_tags)
 
     def content_id(self) -> str:

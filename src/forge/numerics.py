@@ -16,6 +16,7 @@ finite-difference checks are not drowned by float32 rounding of the loss.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -204,24 +205,72 @@ def tensor_to_bytes(t: Tensor) -> bytes:
     return header + t.data.astype("<f4").tobytes(order="C")
 
 
-def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
-    """Parse one serialized tensor, returning it and the next offset."""
-    if buf[offset:offset + 4] != TENSOR_MAGIC:
-        raise FormatError("bad tensor magic")
-    offset += 4
-    if len(buf) < offset + 4:
-        raise FormatError("truncated tensor header")
-    (rank,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    if rank > 8:
-        raise FormatError(f"implausible tensor rank {rank}")
-    if len(buf) < offset + 4 * rank:
-        raise FormatError("truncated tensor dims")
-    dims = struct.unpack_from(f"<{rank}I", buf, offset) if rank else ()
-    offset += 4 * rank
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    nbytes = 4 * count
-    if len(buf) < offset + nbytes:
-        raise FormatError("truncated tensor payload")
-    data = np.frombuffer(buf, dtype="<f4", count=count, offset=offset).reshape(dims)
-    return Tensor(data.copy()), offset + nbytes
+class Reader:
+    """Cursor over the bytes of one artifact; every read is bounds-checked.
+
+    A short read, a string that is not UTF-8, a bad tensor header or a byte
+    left after ``end`` raises ``FormatError`` naming ``artifact``. Fields
+    are little-endian, as the writers pack them.
+    """
+
+    def __init__(self, buf: bytes, artifact: str):
+        self.buf = memoryview(buf)
+        self.artifact = artifact
+        self.pos = 0
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"{self.artifact}: {message}")
+
+    def _advance(self, n: int) -> int:
+        """Move past ``n`` bytes and return where they start."""
+        start = self.pos
+        if n > len(self.buf) - start:
+            raise self.error(f"truncated at byte {start}: {n} bytes wanted, "
+                             f"{len(self.buf) - start} left")
+        self.pos = start + n
+        return start
+
+    def header(self, magic: bytes, version: int) -> None:
+        """The magic, then a u8 version that must equal ``version``."""
+        if self.take(len(magic)) != magic:
+            raise self.error("bad magic")
+        (got,) = self.unpack("<B")
+        if got != version:
+            raise self.error(f"unsupported version {got}")
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt)))
+
+    def take(self, n: int) -> bytes:
+        return bytes(self.buf[self._advance(n):self.pos])
+
+    def str(self) -> str:
+        """A u32 length, then that many bytes of UTF-8."""
+        (n,) = self.unpack("<I")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"string before byte {self.pos} is not UTF-8") from exc
+
+    def array(self, dtype: str, n: int) -> np.ndarray:
+        """``n`` items of ``dtype``, copied out of the buffer."""
+        dtype = np.dtype(dtype)
+        start = self._advance(n * dtype.itemsize)
+        return np.frombuffer(self.buf[start:self.pos], dtype=dtype).copy()
+
+    def tensor(self, ndim: int | None = None) -> np.ndarray:
+        """One ``tensor_to_bytes`` record as a float32 array of rank ``ndim``,
+        or of any rank up to 8 when ``ndim`` is None."""
+        if self.take(4) != TENSOR_MAGIC:
+            raise self.error(f"bad tensor magic before byte {self.pos}")
+        (rank,) = self.unpack("<I")
+        if rank > 8 if ndim is None else rank != ndim:
+            want = "at most 8" if ndim is None else ndim
+            raise self.error(f"tensor of rank {rank}, expected {want}")
+        dims = self.unpack(f"<{rank}I")
+        # Python ints: a product of u32 dims never wraps
+        return self.array("<f4", math.prod(dims)).reshape(dims)
+
+    def end(self) -> None:
+        if self.pos != len(self.buf):
+            raise self.error(f"{len(self.buf) - self.pos} trailing bytes")

@@ -43,6 +43,7 @@ from .merge import CoeffOptimConfig, ForgeItem, GuidanceSet
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule
 
 REPO_FORMAT_VERSION = 1
+REF_KEYS = ("item_id", "round", "genesis", "head", "guidance")  # what init writes
 
 
 def _canonical_json(payload: dict) -> bytes:
@@ -97,7 +98,12 @@ class Repository:
         config_path = self.root / "forge.json"
         if not config_path.is_file():
             raise InputError(f"no repository at {self.root}")
-        self.config = json.loads(config_path.read_text())
+        try:
+            self.config = json.loads(config_path.read_text())
+        except ValueError as exc:
+            raise InputError(f"{config_path} is not JSON: {exc}") from exc
+        if not isinstance(self.config, dict):
+            raise InputError(f"{config_path} is not a JSON object")
         if self.config.get("format") != REPO_FORMAT_VERSION:
             raise InputError("unsupported repository format")
         self._base: BaseEncoder | None = None
@@ -212,7 +218,13 @@ class Repository:
         ref = self.root / "refs" / "main"
         if not ref.is_file():
             raise IntegrityError("missing main ref")
-        return json.loads(ref.read_text())
+        try:
+            doc = json.loads(ref.read_text())
+        except ValueError as exc:
+            raise IntegrityError(f"main ref is not JSON: {exc}") from exc
+        if not isinstance(doc, dict) or any(key not in doc for key in REF_KEYS):
+            raise IntegrityError(f"main ref is not an object with keys {', '.join(REF_KEYS)}")
+        return doc
 
     def _write_ref(self, doc: dict) -> None:
         ref = self.root / "refs" / "main"
@@ -280,6 +292,12 @@ class Repository:
                 raise ValidationError(
                     f"fusion repository expects alpha {self.config['alpha']}, "
                     f"got {ad.alpha} on layer {lid}")
+        if self.strategy == "fusion" and list(contribution.plugin.adapters) != \
+                list(range(len(base.layers))):
+            # fuse needs every layer in both factors; a gap fails every later merge
+            raise ValidationError(
+                f"fusion repository expects an adapter on each of layers "
+                f"0..{len(base.layers) - 1}, got {list(contribution.plugin.adapters)}")
         distilled = contribution.distilled
         if distilled.task_name != task.name:
             raise ValidationError("distilled set was built for a different task")
@@ -411,9 +429,9 @@ class Repository:
         """Merge the oldest queued contribution into the main branch.
 
         A round reads the main ref, the queue head, the contribution, the
-        current item and the guidance sets the ref lists (a ref without the
-        list gets it from the merge commits). The ref write commits the round;
-        a merge failing after it loses at most the round's log record.
+        current item and the guidance sets the ref lists. The ref write
+        commits the round; a merge failing after it loses at most the round's
+        log record.
         """
         with self._main_lock():
             ref = self._read_ref()
@@ -427,8 +445,7 @@ class Repository:
             commit = self.read_commit(entry["commit_id"])
             payload = commit.payload
             branch = self.load_plugin(payload["plugin_id"])
-            prior = ref["guidance"] if "guidance" in ref else self._merge_payloads(ref)
-            listing = _guidance_list([*prior, payload])
+            listing = _guidance_list([*ref["guidance"], payload])
             new_item, outcome = mrg.merge_round(self.base, self.current_item(), branch,
                                                 self._guidance_from(listing),
                                                 self.coeff_config(),

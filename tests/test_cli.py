@@ -308,6 +308,14 @@ class TestExitCodes:
                      "--out", str(out), *command[1:]]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", ["not json {", '["format"]'])
+    def test_repository_config_not_an_object_is_two(self, tmp_path, config, capsys):
+        repo = tmp_path / "repo"
+        assert main(["--seed", "3", "init", "--strategy", "fusion", str(repo)]) == 0
+        (repo / "forge.json").write_text(config)
+        assert main(["merge", str(repo)]) == 2
+        assert "forge.json" in capsys.readouterr().err
+
     def test_init_with_nan_l1_lambda_is_two_and_creates_nothing(self, tmp_path):
         ini = tmp_path / "nan.ini"
         ini.write_text("[merge]\nl1_lambda = nan\n")

@@ -261,7 +261,7 @@ class TestEvalDistilled:
         table = model.LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
         train_cfg = model.TrainConfig(
             epochs=1, learning_rate=cfg.inner_lr, momentum=cfg.inner_momentum,
-            weight_decay=cfg.inner_weight_decay, batch_size=min(cfg.eval_batch_size, 16),
+            weight_decay=cfg.inner_weight_decay, batch_size=min(dst.EVAL_BATCH_SIZE, 16),
             rank=cfg.rank, alpha=cfg.alpha, dropout_p=0.0)
         plugin = model.train_plugin(base, table, subset, labels, train_cfg,
                                     nm.make_rng(8), iterations=200)

@@ -335,16 +335,17 @@ class TestSerialization:
         for shape in [(3,), (2, 4), (2, 3, 4), ()]:
             t = Tensor(rng.normal(size=shape).astype(np.float32))
             buf = nm.tensor_to_bytes(t)
-            back, offset = nm.tensor_from_bytes(buf)
-            assert offset == len(buf)
-            assert back.data.shape == t.data.shape
-            assert back.data.tobytes() == t.data.tobytes()
+            r = nm.Reader(buf, "tensor")
+            back = r.tensor(len(shape))
+            r.end()
+            assert back.shape == t.data.shape
+            assert back.tobytes() == t.data.tobytes()
 
     def test_bad_magic(self):
-        with pytest.raises(FormatError):
-            nm.tensor_from_bytes(b"NOPE" + b"\x00" * 16)
+        with pytest.raises(FormatError, match="tensor magic"):
+            nm.Reader(b"NOPE" + b"\x00" * 16, "tensor").tensor()
 
     def test_truncated_payload(self):
         buf = nm.tensor_to_bytes(Tensor(np.ones((2, 2), dtype=np.float32)))
-        with pytest.raises(FormatError):
-            nm.tensor_from_bytes(buf[:-3])
+        with pytest.raises(FormatError, match="truncated"):
+            nm.Reader(buf[:-3], "tensor").tensor()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 import threading
 
@@ -134,6 +135,22 @@ class TestCommit:
         contrib.plugin = other
         with pytest.raises(ValidationError):
             repo.commit_contribution(contrib)
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_plugin_skipping_a_layer_is_refused_by_fusion_only(self, tmp_path, strategy):
+        repo = make_repo(tmp_path / "repo", strategy=strategy)
+        partial = make_contribution(repo.base, "t1", ["red", "blue"])
+        del partial.plugin.adapters[1]
+        if strategy == "fusion":
+            # fuse needs both layers; queued, it would fail every later merge
+            with pytest.raises(ValidationError, match="each of layers"):
+                repo.commit_contribution(partial)
+        else:
+            repo.commit_contribution(partial)
+        repo.commit_contribution(make_contribution(repo.base, "t2", ["green", "grey"], seed=1))
+        repo.merge_all()
+        assert repo.pending() == []
+        assert repo.current_round() == (1 if strategy == "fusion" else 2)
 
     def test_mixture_repo_accepts_heterogeneous_ranks(self, tmp_path):
         repo = make_repo(tmp_path / "repo", strategy="mixture")
@@ -472,18 +489,12 @@ class TestHistory:
 
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
     def test_history_needs_no_merge_log(self, tmp_path, strategy, monkeypatch):
-        import json
-
         clean = self.prepare(tmp_path / "clean", strategy)
         want = [r["item_id"] for r in clean.merge_records()]
         repo = self.queued(tmp_path / "nolog", strategy)
         repo.merge_next()
         repo.merge_next()
         (repo.root / "log" / "merges.jsonl").unlink()
-        ref_path = repo.root / "refs" / "main"
-        old = json.loads(ref_path.read_text())
-        del old["guidance"]  # the list then comes from the merge commits alone
-        ref_path.write_text(json.dumps(old, sort_keys=True))
 
         def no_log_parse(self_):
             raise AssertionError("the merge log was parsed")
@@ -577,27 +588,27 @@ class TestHistory:
         assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
         assert repo._read_ref() == clean._read_ref()
 
-    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
-    def test_ref_without_guidance_list_is_upgraded(self, tmp_path, strategy):
-        import json
+    @pytest.mark.parametrize("damage", [
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "guidance"}),
+        lambda doc: json.dumps(doc)[:-1],
+        lambda doc: json.dumps([doc])], ids=["without guidance", "not JSON", "JSON list"])
+    def test_malformed_ref_exits_two_and_changes_nothing(self, tmp_path, damage):
+        from forge.cli import main
 
-        clean = self.prepare(tmp_path / "clean", strategy)
-        repo = make_repo(tmp_path / "old", strategy=strategy)
-        for i, name in enumerate(("t1", "t2", "t3")):
-            repo.commit_contribution(make_contribution(
-                repo.base, name, [f"{name} a", f"{name} b"], seed=i))
-        repo.merge_next()
+        repo = self.queued(tmp_path / "repo", "fusion")
         repo.merge_next()
         ref_path = repo.root / "refs" / "main"
-        old = json.loads(ref_path.read_text())
-        del old["guidance"]  # as a forge from before the list was kept wrote it
-        ref_path.write_text(json.dumps(old, sort_keys=True))
-        repo.merge_next()
-        records = repo.merge_records()
-        want = clean.merge_records()
-        for key in ("commit_id", "item_id", "guidance_ids"):
-            assert [r[key] for r in records] == [r[key] for r in want]
-        assert repo._read_ref() == clean._read_ref()
+        ref_path.write_text(damage(json.loads(ref_path.read_text())))
+
+        def files():
+            return {p: p.read_bytes() for p in sorted(repo.root.rglob("*")) if p.is_file()}
+
+        before = files()
+        out = tmp_path / "item.fgi"
+        assert main(["merge", str(repo.root), "--all"]) == 2
+        assert main(["checkout", str(repo.root), "--round", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert files() == before
 
     def test_checkout_out_of_range(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
