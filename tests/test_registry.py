@@ -588,14 +588,11 @@ class TestHistory:
         assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
         assert repo._read_ref() == clean._read_ref()
 
-    @pytest.mark.parametrize("damage", [
-        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "guidance"}),
-        lambda doc: json.dumps(doc)[:-1],
-        lambda doc: json.dumps([doc])], ids=["without guidance", "not JSON", "JSON list"])
-    def test_malformed_ref_exits_two_and_changes_nothing(self, tmp_path, damage):
+    def check_malformed_ref_is_refused(self, tmp_path, strategy, damage):
+        """``merge --all`` and ``checkout`` exit 2 on a damaged ref and change no byte."""
         from forge.cli import main
 
-        repo = self.queued(tmp_path / "repo", "fusion")
+        repo = self.queued(tmp_path / "repo", strategy)
         repo.merge_next()
         ref_path = repo.root / "refs" / "main"
         ref_path.write_text(damage(json.loads(ref_path.read_text())))
@@ -609,6 +606,18 @@ class TestHistory:
         assert main(["checkout", str(repo.root), "--round", "1", "--out", str(out)]) == 2
         assert not out.exists()
         assert files() == before
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_ref_without_guidance_list_is_refused(self, tmp_path, strategy):
+        self.check_malformed_ref_is_refused(
+            tmp_path, strategy,
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "guidance"}))
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: json.dumps(doc)[:-1],
+        lambda doc: json.dumps([doc])], ids=["not JSON", "JSON list"])
+    def test_malformed_ref_exits_two_and_changes_nothing(self, tmp_path, damage):
+        self.check_malformed_ref_is_refused(tmp_path, "fusion", damage)
 
     def test_checkout_out_of_range(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
