@@ -30,6 +30,7 @@ from .distill import DistilledDataset
 from .errors import (
     ConflictError,
     FormatError,
+    IncompatibleModulesError,
     InputError,
     IntegrityError,
     NothingToMergeError,
@@ -43,7 +44,7 @@ from .model import PluginModule
 from .registry import BranchContribution, Repository
 
 _VALIDATION_ERRORS = (ValidationError, IntegrityError, FormatError, InputError,
-                      ParameterError, ShapeError, ConflictError)
+                      ParameterError, ShapeError, ConflictError, IncompatibleModulesError)
 
 
 _GLOBAL_VALUE_FLAGS = ("--config", "--seed", "--author")
@@ -154,12 +155,7 @@ def _load_task(data_dir: str, task: str) -> tuple[dsets.TaskSpec, dsets.LabeledD
     manifest = root / "manifest.json"
     if not manifest.is_file():
         raise InputError(f"no dataset manifest under {root}")
-    try:
-        doc = json.loads(manifest.read_text())
-    except ValueError as exc:
-        raise InputError(f"{manifest} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), dict):
-        raise InputError(f"{manifest} has no \"tasks\" object")
+    doc = nm.json_object(manifest.read_bytes(), str(manifest), {"tasks": dict}, InputError)
     if task not in doc["tasks"]:
         raise InputError(f"unknown task {task!r}; have {sorted(doc['tasks'])}")
     spec_train, train = dsets.load_dataset(root / task / "train.fgd")
@@ -235,29 +231,24 @@ def _cmd_distill(args, config: RunConfig) -> int:
 
 
 def _training_meta(meta_path: Path, config: RunConfig) -> dict:
-    """The ``config`` object of a plugin's sidecar, or this run's effective
-    config when the plugin has no sidecar."""
+    """The ``config`` of a plugin's sidecar, or this run's effective config without one."""
     if not meta_path.is_file():
         return config.effective()
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as exc:
-        raise ValidationError(f"{meta_path} is not JSON: {exc}") from exc
-    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
-        raise ValidationError(f"{meta_path} has no \"config\" object")
-    return meta["config"]
+    return nm.json_object(meta_path.read_bytes(), str(meta_path), {"config": dict},
+                          ValidationError)["config"]
 
 
 def _cmd_commit(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
     spec, _, _ = _load_task(args.data, args.task)
-    plugin = PluginModule.from_bytes(Path(args.plugin).read_bytes(), [spec.name])
+    plugin = PluginModule.from_bytes(Path(args.plugin).read_bytes())
     distilled = DistilledDataset.from_bytes(Path(args.distilled).read_bytes())
     commit = repo.commit_contribution(BranchContribution(
         spec, plugin, distilled, author=config.author,
         training_meta=_training_meta(Path(args.plugin + ".meta.json"), config)))
-    print(f"committed {commit.id[:12]} for {spec.name} "
-          f"({len(repo.pending())} pending)")
+    # counted, not parsed: a bad earlier entry is the next merge's to report
+    queued = len(list((repo.root / "queue").glob("*.json")))
+    print(f"committed {commit.id[:12]} for {spec.name} ({queued} pending)")
     return 0
 
 

@@ -63,17 +63,21 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise UsageError(f"cannot read config file {path}")
         config = cls()
-        for section in parser.sections():
-            if section not in DEFAULTS:
-                raise UsageError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                if key not in DEFAULTS[section]:
-                    raise UsageError(f"unknown config key [{section}] {key}")
-                config.values[section][key] = _coerce(section, key, raw)
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise UsageError(f"cannot read config file {path}")
+            for section in parser.sections():
+                if section not in DEFAULTS:
+                    raise UsageError(f"unknown config section [{section}]")
+                for key, raw in parser.items(section):
+                    if key not in DEFAULTS[section]:
+                        raise UsageError(f"unknown config key [{section}] {key}")
+                    config.values[section][key] = _coerce(section, key, raw)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # no section header, a repeated key or section, a line without
+            # "=", a bad "%" interpolation, or bytes that are not UTF-8
+            raise UsageError(f"config file {path}: {exc}") from exc
         return config
 
     def set(self, section: str, key: str, value) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import InputError
+from .errors import FormatError, InputError
 from .numerics import Tensor
 
 INPUT_SIDE = 16
@@ -47,8 +47,12 @@ class TaskSpec:
                 "input_shape": list(self.input_shape), "grouped": self.grouped}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(d["name"], list(d["labels"]), tuple(d["input_shape"]), bool(d["grouped"]))
+    def from_dict(cls, d) -> "TaskSpec":
+        d = nm.json_fields(d, "task spec", {"name": str, "labels": list, "input_shape": list,
+                                            "grouped": bool}, FormatError)
+        if not all(isinstance(label, str) for label in d["labels"]):
+            raise FormatError(f"task spec {d['name']!r} has a label that is not text")
+        return cls(d["name"], list(d["labels"]), tuple(d["input_shape"]), d["grouped"])
 
 
 @dataclass

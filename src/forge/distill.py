@@ -45,10 +45,6 @@ class DsaParams:
     noise_std: float = 0.0
 
     @classmethod
-    def identity(cls) -> "DsaParams":
-        return cls()
-
-    @classmethod
     def sample(cls, rng: np.random.Generator) -> "DsaParams":
         return cls(
             flip=bool(rng.random() < 0.5),

@@ -26,17 +26,9 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)
-        i = j
-    return ranks
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # a run of c tied scores ending at rank e shares the rank e - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:

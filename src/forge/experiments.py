@@ -63,22 +63,19 @@ def prepare_branch_artifacts(base: BaseEncoder, seed: int,
 
 def evaluate_deltas_on_tasks(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
                              artifacts: dict[str, BranchArtifacts],
-                             report: MetricsReport,
-                             temperature: float = mdl.DEFAULT_TEMPERATURE) -> MetricsReport:
+                             report: MetricsReport) -> MetricsReport:
     for name, art in artifacts.items():
-        acc, auc_value = evaluate_deltas(base, deltas, table_for(base, art.spec),
-                                         art.test, temperature)
+        acc, auc_value = evaluate_deltas(base, deltas, table_for(base, art.spec), art.test)
         report.add(name, acc, auc_value)
     return report
 
 
 def merge_in_order(workdir: Path, base_seed: int, strategy: str,
                    artifacts: dict[str, BranchArtifacts], order: list[str],
-                   coeff: CoeffOptimConfig, rank: int, alpha: float,
-                   run_config: dict | None = None) -> Repository:
+                   coeff: CoeffOptimConfig, rank: int, alpha: float) -> Repository:
     """Fresh repository, commits in the given order, merge everything."""
     repo = Repository.init(workdir, base_seed, strategy, rank=rank, alpha=alpha,
-                           coeff=coeff, extra_config=run_config)
+                           coeff=coeff)
     for name in order:
         art = artifacts[name]
         repo.commit_contribution(BranchContribution(
@@ -91,21 +88,12 @@ def merge_in_order(workdir: Path, base_seed: int, strategy: str,
 class ExperimentSettings:
     """Desk-scale defaults for the experiment harnesses."""
 
-    base_seed: int = 0
     seeds: tuple[int, ...] = (1, 2, 3)
     train: TrainConfig = field(default_factory=TrainConfig)
     distill: DistillConfig = field(
         default_factory=lambda: DistillConfig(iterations=500, ipc=10,
                                               eval_iterations=300))
     coeff: CoeffOptimConfig = field(default_factory=CoeffOptimConfig)
-
-    @property
-    def rank(self) -> int:
-        return self.train.rank
-
-    @property
-    def alpha(self) -> float:
-        return self.train.alpha
 
 
 def run_order_experiment(workdir: str | Path, settings: ExperimentSettings,
@@ -129,8 +117,8 @@ def run_order_experiment(workdir: str | Path, settings: ExperimentSettings,
                 base = BaseEncoder.from_seed(seed)
                 tag = f"{strategy}-{'_'.join(n[0] for n in order)}-s{seed}"
                 repo = merge_in_order(workdir / tag, seed, strategy, prepared[seed],
-                                      order, settings.coeff, settings.rank,
-                                      settings.alpha)
+                                      order, settings.coeff, settings.train.rank,
+                                      settings.train.alpha)
                 report = MetricsReport(strategy, order, seed)
                 evaluate_deltas_on_tasks(base, repo.current_item().deltas(),
                                          prepared[seed], report)
@@ -139,21 +127,20 @@ def run_order_experiment(workdir: str | Path, settings: ExperimentSettings,
     return runs, summary
 
 
-def summarize_orders(runs: list[MetricsReport]) -> list[dict]:
-    rows = []
-    keys = sorted({(r.strategy, tuple(r.order)) for r in runs})
-    for strategy, order in keys:
-        cell = [r for r in runs if r.strategy == strategy and tuple(r.order) == order]
-        accs = np.array([r.avg_acc for r in cell])
-        aucs = np.array([r.avg_auc for r in cell])
-        rows.append({
-            "strategy": strategy,
-            "order": "->".join(n[0] for n in order),
-            "avg_acc_mean": float(accs.mean()), "avg_acc_std": float(accs.std()),
+def _summary_row(label: dict, cell: list[dict]) -> dict:
+    """``label`` plus the mean and std of the average ACC and AUC of ``cell``'s runs."""
+    accs = np.array([r["avg_acc"] for r in cell])
+    aucs = np.array([r["avg_auc"] for r in cell])
+    return {**label, "avg_acc_mean": float(accs.mean()), "avg_acc_std": float(accs.std()),
             "avg_auc_mean": float(aucs.mean()), "avg_auc_std": float(aucs.std()),
-            "seeds": len(cell),
-        })
-    return rows
+            "seeds": len(cell)}
+
+
+def summarize_orders(runs: list[MetricsReport]) -> list[dict]:
+    return [_summary_row({"strategy": strategy, "order": "->".join(n[0] for n in order)},
+                        [r.to_dict() for r in runs
+                         if r.strategy == strategy and tuple(r.order) == order])
+            for strategy, order in sorted({(r.strategy, tuple(r.order)) for r in runs})]
 
 
 def _ten_percent_guidance(artifacts: dict[str, BranchArtifacts], base: BaseEncoder,
@@ -222,8 +209,8 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
 
         for strategy in ("fusion", "mixture"):
             repo = merge_in_order(workdir / f"{strategy}-s{seed}", seed, strategy,
-                                  artifacts, order, settings.coeff, settings.rank,
-                                  settings.alpha)
+                                  artifacts, order, settings.coeff,
+                                  settings.train.rank, settings.train.alpha)
             per_method[strategy] = evaluate_deltas_on_tasks(
                 base, repo.current_item().deltas(), artifacts,
                 MetricsReport(strategy, order, seed))
@@ -231,18 +218,8 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
         for method in methods:
             runs.append(per_method[method].to_dict())
 
-    summary = []
-    for method in methods:
-        cell = [r for r in runs if r["strategy"] == method]
-        accs = np.array([r["avg_acc"] for r in cell])
-        aucs = np.array([r["avg_auc"] for r in cell])
-        summary.append({"method": method,
-                        "avg_acc_mean": float(accs.mean()),
-                        "avg_acc_std": float(accs.std()),
-                        "avg_auc_mean": float(aucs.mean()),
-                        "avg_auc_std": float(aucs.std()),
-                        "seeds": len(cell)})
-    return runs, summary
+    return runs, [_summary_row({"method": method}, [r for r in runs if r["strategy"] == method])
+                  for method in methods]
 
 
 def write_report(report_dir: str | Path, experiment: str, runs: list,

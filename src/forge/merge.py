@@ -118,8 +118,7 @@ def combine_plugins(plugins: Sequence[PluginModule],
             b += nm.DTYPE(w) * ad.b.data
         adapters[lid] = mdl.LoraAdapter(lid, Tensor(a), Tensor(b), ref.rank,
                                         ref.alpha, ref.dropout_p)
-    tags = sorted({t for p in plugins for t in p.task_tags})
-    return PluginModule(adapters, tags)
+    return PluginModule(adapters)
 
 
 def fuse(main: PluginModule, branch: PluginModule,

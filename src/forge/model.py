@@ -169,11 +169,10 @@ def init_adapter(layer_id: int, d: int, k: int, r: int, alpha: float,
 class PluginModule:
     """The commit unit: one adapter per targeted base layer."""
 
-    def __init__(self, adapters: dict[int, LoraAdapter], task_tags: list[str] | None = None):
+    def __init__(self, adapters: dict[int, LoraAdapter]):
         if not adapters:
             raise ParameterError("plugin module needs at least one adapter")
         self.adapters = dict(sorted(adapters.items()))
-        self.task_tags = list(task_tags or [])
 
     @classmethod
     def fresh(cls, base: BaseEncoder, rank: int, alpha: float,
@@ -218,7 +217,7 @@ class PluginModule:
         return b"".join(out)
 
     @classmethod
-    def from_bytes(cls, buf: bytes, task_tags: list[str] | None = None) -> "PluginModule":
+    def from_bytes(cls, buf: bytes) -> "PluginModule":
         r = nm.Reader(buf, "plugin module")
         r.header(PLUGIN_MAGIC, PLUGIN_VERSION)
         (count,) = r.unpack("<I")
@@ -233,7 +232,7 @@ class PluginModule:
                 raise r.error(f"layer {lid} has two adapters")
             adapters[lid] = LoraAdapter(lid, Tensor(a), Tensor(b), rank, alpha)
         r.end()
-        return cls(adapters, task_tags)
+        return cls(adapters)
 
     def content_id(self) -> str:
         return hashlib.sha256(self.to_bytes()).hexdigest()
@@ -417,7 +416,6 @@ class TrainConfig:
 def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
                  inputs: np.ndarray, labels: np.ndarray,
                  config: TrainConfig, rng: np.random.Generator,
-                 plugin: PluginModule | None = None,
                  iterations: int | None = None) -> PluginModule:
     """Train adapters on one task; base and label rows stay frozen.
 
@@ -431,8 +429,7 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
         raise InputError("cannot train on an empty dataset")
     if labels.shape != (n,):
         raise ShapeError("labels do not match inputs")
-    if plugin is None:
-        plugin = PluginModule.fresh(base, config.rank, config.alpha, rng, config.dropout_p)
+    plugin = PluginModule.fresh(base, config.rank, config.alpha, rng, config.dropout_p)
     params = plugin.parameters()
     state = nm.SgdState(config.learning_rate, config.momentum, config.weight_decay)
     head = _label_head(table)
@@ -450,5 +447,4 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
             loss = nm.softmax_cross_entropy(logits, labels[idx])
             nm.sgd_step(params, emb.backward(logits.backward(loss.backward())), state)
             steps_done += 1
-    plugin.task_tags = sorted(set(plugin.task_tags) | {table.task_name})
     return plugin

@@ -1,5 +1,6 @@
 """Dense float32 tensors, the gradient hand-off that chains coarse nodes, the
-softmax cross-entropy loss, SGD with momentum, and the wire format.
+softmax cross-entropy loss, SGD with momentum, the wire format, and the
+checked reader of every JSON document forge reads.
 
 A node is one fused forward computation with its own analytic backward
 (the encoder, the cosine head, the augmentation and the matching loss are
@@ -16,6 +17,7 @@ finite-difference checks are not drowned by float32 rounding of the loss.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -274,3 +276,29 @@ class Reader:
     def end(self) -> None:
         if self.pos != len(self.buf):
             raise self.error(f"{len(self.buf) - self.pos} trailing bytes")
+
+
+NUMBER = (int, float)  # a JSON number; a bool is none
+
+
+def json_fields(doc, what: str, fields: dict, error: type[Exception]) -> dict:
+    """``doc`` if it is a dict holding each key of ``fields`` at its type (a
+    type or a tuple of types; bool passes only for bool); else ``error``."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} is not a JSON object")
+    for key, kind in fields.items():
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if key not in doc or not isinstance(doc[key], kinds) or \
+                isinstance(doc[key], bool) and bool not in kinds:
+            raise error(f"{what} needs {key!r} as {' or '.join(k.__name__ for k in kinds)}")
+    return doc
+
+
+def json_object(text: str | bytes, what: str, fields: dict,
+                error: type[Exception]) -> dict:
+    """The JSON object in ``text``, checked by ``json_fields``."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{what} is not JSON: {exc}") from exc
+    return json_fields(doc, what, fields, error)

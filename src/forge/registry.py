@@ -18,6 +18,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -41,9 +42,18 @@ from .errors import (
 from .evaluation import evaluate_deltas  # noqa: F401 - perfbench/tracing.py patches this name
 from .merge import CoeffOptimConfig, ForgeItem, GuidanceSet
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule
+from .numerics import NUMBER, json_fields, json_object
 
 REPO_FORMAT_VERSION = 1
-REF_KEYS = ("item_id", "round", "genesis", "head", "guidance")  # what init writes
+# the fields forge reads from each JSON document it writes, at their types
+CONFIG_KEYS = {"format": int, "base_seed": int, "strategy": str, "rank": int,
+               "alpha": NUMBER, "temperature": NUMBER, "coeff": dict}
+COEFF_KEYS = {"max_iterations": int, "init_value": NUMBER, "l1_lambda": NUMBER,
+              "box_min": NUMBER, "box_max": NUMBER, "allow_negative": bool}
+REF_KEYS = {"item_id": str, "round": int, "genesis": str, "head": str, "guidance": list}
+GUIDANCE_KEYS = {"distilled_id": str, "task": dict}
+CONSUMED_KEYS = {"commit_id": str, "seq": int}
+COMMIT_KEYS = {"parent": (str, type(None)), "author": str, "kind": str, "payload": dict}
 
 
 def _canonical_json(payload: dict) -> bytes:
@@ -72,11 +82,11 @@ class Commit:
                                 "kind": self.kind, "payload": self.payload})
 
     @classmethod
-    def from_bytes(cls, buf: bytes, timestamp: float | None = None) -> "Commit":
-        doc = json.loads(buf.decode("utf-8"))
+    def from_bytes(cls, buf: bytes) -> "Commit":
+        doc = json_object(buf, f"commit {hashlib.sha256(buf).hexdigest()}", COMMIT_KEYS,
+                          IntegrityError)
         commit_id = cls.compute_id(doc["parent"], doc["author"], doc["kind"], doc["payload"])
-        return cls(commit_id, doc["parent"], doc["author"], doc["kind"],
-                   doc["payload"], timestamp)
+        return cls(commit_id, doc["parent"], doc["author"], doc["kind"], doc["payload"])
 
 
 @dataclass
@@ -98,14 +108,8 @@ class Repository:
         config_path = self.root / "forge.json"
         if not config_path.is_file():
             raise InputError(f"no repository at {self.root}")
-        try:
-            self.config = json.loads(config_path.read_text())
-        except ValueError as exc:
-            raise InputError(f"{config_path} is not JSON: {exc}") from exc
-        if not isinstance(self.config, dict):
-            raise InputError(f"{config_path} is not a JSON object")
-        if self.config.get("format") != REPO_FORMAT_VERSION:
-            raise InputError("unsupported repository format")
+        self.config = _check_config(json_object(config_path.read_bytes(), str(config_path),
+                                                CONFIG_KEYS, InputError))
         self._base: BaseEncoder | None = None
 
     # -- creation ----------------------------------------------------------
@@ -120,11 +124,6 @@ class Repository:
             raise ConflictError(f"{path} exists and is not a directory")
         if path.is_dir() and any(path.iterdir()):
             raise ConflictError(f"{path} already exists and is not empty")
-        if strategy not in ("fusion", "mixture"):
-            raise InputError(f"unknown strategy {strategy!r}")
-        coeff = coeff or CoeffOptimConfig()
-        for sub in ("objects", "refs", "log", "queue", "locks"):
-            (path / sub).mkdir(parents=True, exist_ok=True)
         config = {
             "format": REPO_FORMAT_VERSION,
             "base_seed": int(base_seed),
@@ -132,10 +131,13 @@ class Repository:
             "rank": int(rank),
             "alpha": float(alpha),
             "temperature": float(temperature),
-            "coeff": asdict(coeff),
+            "coeff": asdict(coeff or CoeffOptimConfig()),
         }
         if extra_config:
             config["run_config"] = extra_config
+        _check_config(config)  # refuse before the first directory exists
+        for sub in ("objects", "refs", "log", "queue", "locks"):
+            (path / sub).mkdir(parents=True, exist_ok=True)
         (path / "forge.json").write_text(json.dumps(config, indent=2, sort_keys=True))
         repo = cls(path)
         base = repo.base
@@ -218,12 +220,13 @@ class Repository:
         ref = self.root / "refs" / "main"
         if not ref.is_file():
             raise IntegrityError("missing main ref")
-        try:
-            doc = json.loads(ref.read_text())
-        except ValueError as exc:
-            raise IntegrityError(f"main ref is not JSON: {exc}") from exc
-        if not isinstance(doc, dict) or any(key not in doc for key in REF_KEYS):
-            raise IntegrityError(f"main ref is not an object with keys {', '.join(REF_KEYS)}")
+        doc = json_object(ref.read_bytes(), "main ref", REF_KEYS, IntegrityError)
+        if "consumed" in doc:
+            json_fields(doc["consumed"], "main ref's consumed entry", CONSUMED_KEYS,
+                        IntegrityError)
+        for entry in doc["guidance"]:
+            TaskSpec.from_dict(json_fields(entry, "main ref's guidance entry",
+                                           GUIDANCE_KEYS, IntegrityError)["task"])
         return doc
 
     def _write_ref(self, doc: dict) -> None:
@@ -349,6 +352,7 @@ class Repository:
         ids (and the object store) independent of commit interleaving.
         """
         self._validate_contribution(contribution)
+        genesis = self._read_ref()["genesis"]  # a bad ref refuses before any store
         plugin_id = self.store_object(contribution.plugin.to_bytes())
         distilled_id = self.store_object(contribution.distilled.to_bytes())
         payload = {
@@ -357,14 +361,14 @@ class Repository:
             "distilled_id": distilled_id,
             "training_meta": contribution.training_meta,
         }
-        genesis = self._read_ref()["genesis"]
         commit = self._append_commit(genesis, contribution.author, "contribution", payload)
         self._enqueue({"commit_id": commit.id, "timestamp": commit.timestamp})
         return commit
 
     @staticmethod
     def _queue_doc(path: Path) -> dict:
-        doc = json.loads(path.read_text())
+        doc = json_object(path.read_bytes(), f"queue entry {path.name}",
+                          {"commit_id": str}, IntegrityError)
         doc["seq"] = int(path.stem)
         return doc
 
@@ -443,6 +447,9 @@ class Repository:
             if entry is None:
                 raise NothingToMergeError("contribution queue is empty")
             commit = self.read_commit(entry["commit_id"])
+            if commit.kind != "contribution":
+                raise IntegrityError(f"queue entry {entry['seq']:06d} names {commit.kind} "
+                                     f"commit {commit.id}, not a contribution")
             payload = commit.payload
             branch = self.load_plugin(payload["plugin_id"])
             listing = _guidance_list([*ref["guidance"], payload])
@@ -524,6 +531,23 @@ class Repository:
         for object_id in ids:
             self.read_object(object_id)
         return len(ids)
+
+
+def _check_config(config: dict) -> dict:
+    """``config`` if a repository holding it can merge, else ``InputError``."""
+    for key, need, ok in (
+            ("format", REPO_FORMAT_VERSION, config["format"] == REPO_FORMAT_VERSION),
+            ("strategy", "fusion or mixture", config["strategy"] in ("fusion", "mixture")),
+            ("rank", ">= 1", config["rank"] >= 1),
+            *((key, "finite and > 0", math.isfinite(config[key]) and config[key] > 0)
+              for key in ("alpha", "temperature"))):
+        if not ok:
+            raise InputError(f"repository {key} must be {need}, got {config[key]!r}")
+    try:
+        CoeffOptimConfig(**json_fields(config["coeff"], "coeff", COEFF_KEYS, InputError))
+    except TypeError as exc:  # a key CoeffOptimConfig does not have
+        raise InputError(f"coeff: {exc}") from exc
+    return config
 
 
 def _consumed(entry: dict) -> dict:

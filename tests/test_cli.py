@@ -97,6 +97,21 @@ class TestConfig:
         with pytest.raises(UsageError):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("text", [
+        b"epochs = 7\n", b"[train]\nepochs = 7\nepochs = 8\n",
+        b"[train]\nepochs = 7\n[train]\nmomentum = 0.5\n", b"[train]\nepochs\n",
+        b"[run]\nauthor = \xff\n",
+    ], ids=["no section header", "repeated key", "repeated section", "key without =",
+            "not UTF-8"])
+    def test_malformed_file_is_a_usage_error(self, tmp_path, text):
+        path = tmp_path / "run.ini"
+        path.write_bytes(text)
+        with pytest.raises(UsageError):
+            RunConfig.from_file(path)
+        out = tmp_path / "data"
+        assert main(["--config", str(path), "gen-data", "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_full_scripted_pipeline(self, tmp_path, data_dir, capsys):
@@ -322,6 +337,46 @@ class TestExitCodes:
         repo = tmp_path / "repo"
         assert main(["--config", str(ini), "init", "--strategy", "fusion", str(repo)]) == 2
         assert not repo.exists()
+
+    @pytest.mark.parametrize("setting", ["[adapter]\nrank = 0\n", "[train]\ntemperature = 0\n",
+                                         "[adapter]\nalpha = inf\n"],
+                             ids=["rank 0", "temperature 0", "alpha inf"])
+    def test_init_of_a_repository_that_could_not_merge_is_two_and_creates_nothing(
+            self, tmp_path, setting, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(setting)
+        repo = tmp_path / "repo"
+        assert main(["--config", str(ini), "init", "--strategy", "fusion", str(repo)]) == 2
+        assert setting.split()[1] in capsys.readouterr().err
+        assert not repo.exists()
+
+    def test_commit_behind_a_malformed_queue_entry_is_zero(self, tmp_path, data_dir, capsys):
+        import numpy as np
+
+        from forge import numerics as nm
+        from forge.datasets import load_dataset
+        from forge.distill import DistilledDataset
+        from forge.model import BaseEncoder, PluginModule
+
+        repo = tmp_path / "repo"
+        assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
+        spec, _ = load_dataset(data_dir / "B-toy" / "train.fgd")
+        plugin = PluginModule.fresh(BaseEncoder.from_seed(5), 16, 16.0, nm.make_rng(0))
+        (tmp_path / "p.fgm").write_bytes(plugin.to_bytes())
+        (tmp_path / "d.fgd").write_bytes(DistilledDataset(
+            spec.name, spec.num_classes, 1, spec.input_shape,
+            np.ones((spec.num_classes, spec.flat_dim)), np.arange(spec.num_classes)).to_bytes())
+        argv = ["commit", str(repo), "--plugin", str(tmp_path / "p.fgm"), "--distilled",
+                str(tmp_path / "d.fgd"), "--task", "B-toy", "--data", str(data_dir)]
+        assert main(argv) == 0
+        (repo / "queue" / "000001.json").write_text("{")
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "(2 pending)" in capsys.readouterr().out
+        assert sorted(p.name for p in (repo / "queue").iterdir()) == ["000001.json",
+                                                                       "000002.json"]
+        assert main(["merge", str(repo)]) == 2
+        assert "000001.json" in capsys.readouterr().err
 
     def test_runtime_error_is_three(self, tmp_path):
         # missing repo directory surfaces as a validation-or-runtime failure

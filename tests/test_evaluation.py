@@ -20,6 +20,21 @@ def brute_force_auc(scores, positives):
     return total / (len(pos) * len(neg))
 
 
+def loop_tie_ranks(scores):
+    """Tie-averaged 1-based ranks by walking each run of equal sorted scores."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j < scores.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j + 1)
+        i = j
+    return ranks
+
+
 class TestAccuracy:
     def test_all_correct(self):
         assert ev.accuracy(np.array([1, 0, 2]), np.array([1, 0, 2])) == 1.0
@@ -64,6 +79,15 @@ class TestAuc:
             got = ev.auc(scores, labels)
             want = brute_force_auc(scores, labels.astype(bool))
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_tie_ranks_equal_the_run_walk(self):
+        rng = nm.make_rng(2)
+        for trial in range(300):
+            n = int(rng.integers(1, 300))
+            scores = rng.normal(size=n)
+            if trial % 2:
+                scores = np.round(scores, 1)  # many ties
+            assert np.array_equal(ev._tie_averaged_ranks(scores), loop_tie_ranks(scores))
 
     def test_monotone_transform_invariance(self):
         rng = nm.make_rng(1)

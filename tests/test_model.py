@@ -210,7 +210,6 @@ class TestTrainPlugin:
         assert (preds == y).mean() >= 0.95
         assert base.param_hash() == base_hash
         assert table.param_hash() == table_hash
-        assert plugin.task_tags == ["sep"]
 
     def test_empty_dataset_rejected(self, base):
         table = LabelEmbeddingTable("t", ["a", "b"], base.embed_dim)
@@ -244,7 +243,7 @@ class TestPluginSerialization:
     def test_identical_parameters_identical_ids(self, base):
         rng = nm.make_rng(13)
         plugin = PluginModule.fresh(base, 4, 8.0, rng)
-        clone = PluginModule.from_bytes(plugin.to_bytes(), task_tags=["different tag"])
+        clone = PluginModule.from_bytes(plugin.to_bytes())
         assert clone.content_id() == plugin.content_id()
 
     def test_tampered_bytes_change_id(self, base):

@@ -40,7 +40,6 @@ def make_contribution(base, name, labels, author="alice", seed=0):
     plugin = PluginModule.fresh(base, RANK, ALPHA, rng)
     for ad in plugin.adapters.values():
         ad.b.data[:] = rng.normal(size=ad.b.shape).astype(np.float32) * 0.1
-    plugin.task_tags = [name]
     task = TaskSpec(name, list(labels))
     ipc = 3
     inputs = rng.normal(size=(ipc * len(labels), task.flat_dim)).astype(np.float32)
@@ -73,6 +72,16 @@ class TestInit:
         Repository.init(tmp_path / "repo", SEED, "fusion", rank=RANK, alpha=ALPHA,
                         coeff=coeff)
         assert Repository(tmp_path / "repo").coeff_config() == coeff
+
+    @pytest.mark.parametrize("setting", [{"rank": 0}, {"temperature": 0.0},
+                                         {"alpha": float("nan")}, {"strategy": "soup"}],
+                             ids=["rank 0", "temperature 0", "alpha NaN", "strategy soup"])
+    def test_init_refuses_what_could_not_merge_and_creates_nothing(self, tmp_path, setting):
+        kwargs = {"strategy": "mixture", "rank": RANK, "alpha": ALPHA, **setting}
+        with pytest.raises(InputError):
+            Repository.init(tmp_path / "repo", SEED, kwargs.pop("strategy"), coeff=fast_coeff(),
+                            **kwargs)
+        assert not (tmp_path / "repo").exists()
 
     def test_fusion_genesis_is_zero_plugin(self, tmp_path):
         repo = make_repo(tmp_path / "repo", strategy="fusion")
@@ -215,6 +224,15 @@ class TestCommit:
         assert [r["contribution_commit"] for r in repo.merge_all()] == [commit.id]
         assert repo.pending() == []
 
+    def test_commit_to_a_malformed_ref_stores_nothing(self, tmp_path):
+        repo = make_repo(tmp_path / "repo")
+        (repo.root / "refs" / "main").write_text("[]")
+        before = repo.all_object_ids()
+        with pytest.raises(IntegrityError):
+            repo.commit_contribution(make_contribution(repo.base, "t1", ["a", "b"]))
+        assert repo.all_object_ids() == before
+        assert repo.pending() == []
+
     def test_negative_distilled_label_refused_before_storing(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
         before = repo.all_object_ids()
@@ -291,16 +309,18 @@ class TestMerge:
             raise AssertionError("merge_next parsed the merge log")
 
         queue_reads, drawn = [], []
-        read_text = Path.read_text
         embed = model.LabelEmbeddingTable._embed_label
 
-        def counted_read(self_, *args, **kwargs):
-            if self_.parent.name == "queue":
-                queue_reads.append(self_.name)
-            return read_text(self_, *args, **kwargs)
+        def counted(read):
+            def counted_read(self_, *args, **kwargs):
+                if self_.parent.name == "queue":
+                    queue_reads.append(self_.name)
+                return read(self_, *args, **kwargs)
+            return counted_read
 
         monkeypatch.setattr(Repository, "merge_records", no_log_parse)
-        monkeypatch.setattr(Path, "read_text", counted_read)
+        for name in ("read_text", "read_bytes"):
+            monkeypatch.setattr(Path, name, counted(getattr(Path, name)))
         monkeypatch.setattr(model.LabelEmbeddingTable, "_embed_label", staticmethod(
             lambda text, dim: drawn.append(text) or embed(text, dim)))
         for round_no, (name, labels) in enumerate(specs, start=1):
@@ -375,6 +395,17 @@ class TestMerge:
               for t in (0.2, model.DEFAULT_TEMPERATURE)}
         assert record["objective"] == pytest.approx(at[0.2], rel=1e-6)
         assert abs(record["objective"] - at[model.DEFAULT_TEMPERATURE]) > 1e-3
+
+    def test_queue_entry_naming_no_contribution_is_refused(self, tmp_path):
+        repo = make_repo(tmp_path / "repo")
+        commit = repo.commit_contribution(make_contribution(repo.base, "t1", ["a", "b"]))
+        entry = repo.root / "queue" / "000001.json"
+        for object_id in (commit.payload["plugin_id"], commit.payload["distilled_id"],
+                          repo._read_ref()["genesis"]):
+            entry.write_text(json.dumps({"commit_id": object_id}))
+            with pytest.raises(IntegrityError, match=object_id):
+                repo.merge_next()
+        assert repo.current_round() == 0
 
     def test_lock_conflict(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
