@@ -247,7 +247,7 @@ def _cmd_commit(args, config: RunConfig) -> int:
         spec, plugin, distilled, author=config.author,
         training_meta=_training_meta(Path(args.plugin + ".meta.json"), config)))
     # counted, not parsed: a bad earlier entry is the next merge's to report
-    queued = len(list((repo.root / "queue").glob("*.json")))
+    queued = len(repo.queued_paths())
     print(f"committed {commit.id[:12]} for {spec.name} ({queued} pending)")
     return 0
 

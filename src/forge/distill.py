@@ -2,10 +2,10 @@
 
 Synthetic per-class inputs are optimized so their feature means match the
 per-class feature means of real minibatches under a freshly re-initialized
-adapter each step. The same sampled transform parameters are applied to the
-real and synthetic batch of a step, and every transform is differentiable
-in the input values, so gradients reach the synthetic pixels through the
-augmentation and the feature extractor.
+adapter each step. A step augments the real rows and the synthetic set, each
+one batch of class-major blocks, with one sampled transform and encodes each
+in one call. Every transform is differentiable in the input values, so one
+backward chain per step reaches the synthetic pixels.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import evaluation, model as mdl
 from . import numerics as nm
 from .datasets import LabeledDataset, TaskSpec, pack_str
-from .errors import InputError, ParameterError, ShapeError
+from .errors import InputError, ShapeError
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
 from .numerics import Tensor
 
@@ -69,10 +68,10 @@ def dsa_augment(batch: Tensor, params: DsaParams,
     tape node whose backward returns the batch's gradient through the
     adjoint of the pixel transforms. The identity transform returns ``batch``.
 
-    ``noise`` is a ``params.noise(rows, (h, w))`` draw with rows >= n, of
-    which the first n rows are added; without it the noise is drawn here.
-    Both give the same bytes, so a caller augmenting several batches with
-    one ``params`` draws once for the longest batch.
+    ``noise`` holds at least n rows of noise, of which the first n are
+    added; without it ``params.noise(n, (h, w))`` is drawn here. A longer
+    draw's first n rows are those bytes, so a caller augmenting several
+    batches with one ``params`` draws once and passes rows of that draw.
     """
     if batch.data.ndim != 3:
         raise ShapeError(f"dsa_augment expects [n, h, w], got {batch.shape}")
@@ -113,26 +112,38 @@ def dsa_augment(batch: Tensor, params: DsaParams,
     return Tensor(out, backward)
 
 
-def dm_loss(real_features: Mapping[int, np.ndarray],
-            syn_features: Mapping[int, Tensor]) -> Tensor:
-    """Sum over classes of || mean real features - mean synthetic features ||^2,
-    squares summed in float64; one tape node whose backward returns the
-    gradients of the synthetic features, in sorted class order. The real
-    features are constants."""
-    if set(real_features) != set(syn_features):
-        raise InputError("real and synthetic batches cover different classes")
-    if not real_features:
-        raise InputError("no classes to match")
-    classes = sorted(real_features)
-    syn_shapes = [syn_features[cls].shape for cls in classes]
-    diffs = [np.asarray(real_features[cls]).mean(axis=0)
-             - syn_features[cls].data.mean(axis=0) for cls in classes]
-    value = float(sum(float(np.sum(np.square(d, dtype=np.float64))) for d in diffs))
+def _class_means(features, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Each class block's mean row, with the bits of its ``mean(axis=0)``, and
+    its row count; block c of ``features`` starts at row ``starts[c]``."""
+    features, starts = np.asarray(features), np.asarray(starts)
+    counts = np.append(starts[1:], len(features)) - starts
+    if starts.ndim != 1 or not starts.size or starts[0] != 0 or counts.min() < 1:
+        raise InputError(f"class blocks at {starts.tolist()} do not split {len(features)} rows")
+    # zero rows pad each block to the longest, and adding 0 keeps a sum's bits
+    blocks, width = len(counts), counts.max()
+    rows = np.arange(len(features)) + np.repeat(np.arange(blocks) * width - starts, counts)
+    padded = np.zeros((blocks * width, features.shape[1]), nm.DTYPE)
+    padded[rows] = features
+    return padded.reshape(blocks, width, -1).sum(axis=1) / counts[:, None].astype(nm.DTYPE), counts
 
-    def backward(g: np.ndarray) -> list[np.ndarray]:
+
+def dm_loss(real_features: np.ndarray, real_starts, syn_features: Tensor,
+            syn_starts) -> Tensor:
+    """Sum over classes of || mean real features - mean synthetic features ||^2,
+    squares summed in float64. Each side holds its classes as consecutive
+    row blocks, class c's starting at row ``*_starts[c]``. One tape node whose
+    backward returns the gradient of ``syn_features``; the real features are
+    constants."""
+    real_means, _ = _class_means(real_features, real_starts)
+    syn_means, counts = _class_means(syn_features.data, syn_starts)
+    if len(real_means) != len(syn_means):
+        raise InputError("real and synthetic features hold different numbers of classes")
+    diffs = real_means - syn_means
+    value = float(np.sum(np.square(diffs, dtype=np.float64)))
+
+    def backward(g: np.ndarray) -> np.ndarray:
         factor = 2.0 * float(g)
-        return [np.broadcast_to(-(factor * d) / shape[0], shape)
-                for shape, d in zip(syn_shapes, diffs)]
+        return np.repeat(-(factor * diffs) / counts[:, None].astype(nm.DTYPE), counts, axis=0)
 
     out = Tensor(np.array(value, dtype=nm.DTYPE), backward)
     out._value = value
@@ -159,10 +170,9 @@ class DistillConfig:
     eval_iterations: int = 1000
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ParameterError("distillation needs at least one iteration")
-        if self.ipc < 1:
-            raise ParameterError("ipc must be >= 1")
+        # refused before the first step, not after every iteration has run
+        nm.check_ranges(self, at_least_one=("iterations", "ipc", "real_batch_per_class", "rank"),
+                        positive=("syn_lr", "syn_lr_final", "alpha", "temperature"))
 
 
 @dataclass
@@ -243,14 +253,14 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
             config: DistillConfig, rng: np.random.Generator) -> DistilledDataset:
     """Synthesize ipc items per class by distribution matching.
 
-    Each step draws a fresh random adapter as the feature extractor, samples
-    a per-class real minibatch and the synthetic set, applies one shared
-    augmentation to both sides, and updates the synthetic inputs on the
-    matching loss. The adapter is never trained.
+    Each step draws a fresh random adapter as the feature extractor and a
+    real minibatch per class, applies one shared augmentation to the real
+    rows and to the synthetic set, and updates the synthetic set on the
+    matching loss. Each side is one batch of class-major blocks, augmented
+    and encoded once, so a step runs one backward chain whatever the class
+    count. The adapter is never trained.
     """
-    num_classes = spec.num_classes
-    side = spec.input_shape
-    flat = spec.flat_dim
+    num_classes, side = spec.num_classes, spec.input_shape
     class_idx = data.class_indices(num_classes)
     for cls, idx in enumerate(class_idx):
         if idx.size < 1:
@@ -258,55 +268,43 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
 
     m = num_classes * config.ipc
     if config.init_from_real:
-        rows = []
-        for idx in class_idx:
-            take = rng.choice(idx, size=config.ipc, replace=idx.size < config.ipc)
-            rows.append(data.inputs[take])
-        syn0 = np.concatenate(rows)
+        syn0 = np.concatenate([data.inputs[rng.choice(idx, config.ipc, idx.size < config.ipc)]
+                               for idx in class_idx])
     else:
-        syn0 = rng.normal(0.0, 1.0, size=(m, flat)).astype(nm.DTYPE)
-    # one leaf per class: the synthetic-set SGD has no momentum, so updating
-    # the classes separately is elementwise the same as updating one array
-    syn = [Tensor(block.reshape(config.ipc, *side)) for block in np.split(syn0, num_classes)]
-    syn_labels = np.repeat(np.arange(num_classes, dtype=np.int64), config.ipc)
-
+        syn0 = rng.normal(0.0, 1.0, size=(m, spec.flat_dim)).astype(nm.DTYPE)
+    syn = Tensor(syn0.reshape(m, *side))  # one leaf: class c holds rows c*ipc..
+    syn_starts = np.arange(num_classes) * config.ipc
+    real_sizes = [min(config.real_batch_per_class, idx.size) for idx in class_idx]
+    real_starts = np.cumsum([0, *real_sizes[:-1]])
+    # each block of either side adds the first rows of the step's one noise
+    # draw, as it would augmented on its own
+    noise_rows = max(config.ipc, *real_sizes)
+    real_noise = np.concatenate([np.arange(n) for n in real_sizes])
+    syn_noise = np.tile(np.arange(config.ipc), num_classes)
     syn_state = nm.SgdState(learning_rate=config.syn_lr)
-    # one noise draw per step covers the longest batch, real or synthetic
-    noise_rows = max(config.ipc, *(min(config.real_batch_per_class, idx.size)
-                                   for idx in class_idx))
 
     for step in range(config.iterations):
         plugin = random_feature_plugin(base, config.rank, config.alpha, rng)
-        step_params = noise = None
-        if config.dsa_enabled:
-            step_params = DsaParams.sample(rng)
-            noise = step_params.noise(noise_rows, side)
-
-        real_features, syn_features, syn_aug = {}, {}, []
-        for cls in range(num_classes):
-            idx = class_idx[cls]
-            take = rng.choice(idx, size=min(config.real_batch_per_class, idx.size),
-                              replace=False)
-            real = Tensor(data.inputs[take].reshape(-1, *side))
-            syn_c = syn[cls]
-            if step_params is not None:
-                real = dsa_augment(real, step_params, noise)
-                syn_c = dsa_augment(syn_c, step_params, noise)
-            real_features[cls] = mdl.encode(base, real, plugin).data
-            syn_aug.append(syn_c)
-            syn_features[cls] = mdl.encode(base, syn_c, plugin)
-
-        # one chain per class's leaf: dm_loss -> encode -> dsa_augment
-        loss = dm_loss(real_features, syn_features)
-        grads = [aug.backward(feat.backward(g)) for aug, feat, g
-                 in zip(syn_aug, syn_features.values(), loss.backward())]
+        params = DsaParams.sample(rng) if config.dsa_enabled else None
+        noise = None if params is None else params.noise(noise_rows, side)
+        take = np.concatenate([rng.choice(idx, size=n, replace=False)
+                               for idx, n in zip(class_idx, real_sizes)])
+        real, syn_aug = Tensor(data.inputs[take].reshape(-1, *side)), syn
+        if params is not None:
+            real = dsa_augment(real, params, noise[real_noise])
+            syn_aug = dsa_augment(syn, params, noise[syn_noise])
+        real_features = mdl.encode(base, real, plugin).data
+        syn_features = mdl.encode(base, syn_aug, plugin)
+        loss = dm_loss(real_features, real_starts, syn_features, syn_starts)
+        # one chain for the one leaf: dm_loss -> encode -> dsa_augment
+        grad = syn_aug.backward(syn_features.backward(loss.backward()))
         syn_state.learning_rate = _cosine_lr(step, config.iterations,
                                              config.syn_lr, config.syn_lr_final)
-        nm.sgd_step(syn, grads, syn_state)
+        nm.sgd_step([syn], [grad], syn_state)
 
     return DistilledDataset(spec.name, num_classes, config.ipc, tuple(side),
-                            np.concatenate([t.data for t in syn]).reshape(m, flat),
-                            syn_labels)
+                            syn.data.reshape(m, spec.flat_dim),
+                            np.repeat(np.arange(num_classes), config.ipc))
 
 
 def eval_distilled(distilled: DistilledDataset, base: BaseEncoder, spec: TaskSpec,

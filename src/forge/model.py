@@ -409,8 +409,11 @@ class TrainConfig:
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ParameterError("epochs and batch_size must be >= 1")
+        # a bad value here would train for every step, then write a plugin
+        # that is not finite or fail mid-run
+        nm.check_ranges(self, at_least_one=("epochs", "batch_size", "rank"),
+                        positive=("learning_rate", "alpha", "temperature"),
+                        non_negative=("momentum", "weight_decay"))
 
 
 def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,

@@ -1,6 +1,7 @@
 """Dense float32 tensors, the gradient hand-off that chains coarse nodes, the
-softmax cross-entropy loss, SGD with momentum, the wire format, and the
-checked reader of every JSON document forge reads.
+softmax cross-entropy loss, SGD with momentum, the range check of training
+and distillation settings, the wire format, and the checked reader of every
+JSON document forge reads.
 
 A node is one fused forward computation with its own analytic backward
 (the encoder, the cosine head, the augmentation and the matching loss are
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ParameterError, ShapeError
 
 DTYPE = np.float32
 
@@ -133,6 +134,20 @@ class SgdState:
             raise ShapeError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ShapeError("weight_decay must be non-negative")
+
+
+def check_ranges(config, at_least_one: Sequence[str] = (), positive: Sequence[str] = (),
+                 non_negative: Sequence[str] = ()) -> None:
+    """``ParameterError`` naming the first field of ``config`` outside its
+    range: a count >= 1, a finite number > 0 or a finite number >= 0."""
+    for names, need, ok in ((at_least_one, ">= 1", lambda v: v >= 1),
+                            (positive, "finite and > 0", lambda v: math.isfinite(v) and v > 0),
+                            (non_negative, "finite and >= 0",
+                             lambda v: math.isfinite(v) and v >= 0)):
+        for name in names:
+            value = getattr(config, name)
+            if not ok(value):
+                raise ParameterError(f"{name} must be {need}, got {value!r}")
 
 
 def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 import time
 from contextlib import contextmanager
@@ -54,6 +55,9 @@ REF_KEYS = {"item_id": str, "round": int, "genesis": str, "head": str, "guidance
 GUIDANCE_KEYS = {"distilled_id": str, "task": dict}
 CONSUMED_KEYS = {"commit_id": str, "seq": int}
 COMMIT_KEYS = {"parent": (str, type(None)), "author": str, "kind": str, "payload": dict}
+
+# the names _enqueue gives, f"{seq:06d}.json", and no others
+QUEUE_ENTRY_NAME = re.compile(r"([0-9]{6}|[1-9][0-9]{6,})\.json")
 
 
 def _canonical_json(payload: dict) -> bytes:
@@ -331,7 +335,7 @@ class Repository:
                 os.fchmod(fh.fileno(), 0o644)  # mkstemp creates owner-only files
                 fh.write(json.dumps(doc))
             while True:
-                existing = [int(p.stem) for p in queue.glob("*.json")]
+                existing = [int(p.stem) for p in self.queued_paths()]
                 # read after listing: a merge writes the ref naming its entry
                 # before it unlinks that entry, so the entry shows in one of them
                 consumed = self._read_ref().get("consumed")
@@ -372,13 +376,22 @@ class Repository:
         doc["seq"] = int(path.stem)
         return doc
 
+    def queued_paths(self) -> list[Path]:
+        """The queue's entries, oldest first: the files named by their number
+        as ``_enqueue`` names them, in the order of that number. Nothing else
+        in ``queue/`` is an entry, so a stray file neither blocks nor joins
+        the queue."""
+        paths = (self.root / "queue").iterdir()
+        return sorted((p for p in paths if QUEUE_ENTRY_NAME.fullmatch(p.name)),
+                      key=lambda p: int(p.stem))
+
     def pending(self) -> list[dict]:
-        return [self._queue_doc(path) for path in sorted((self.root / "queue").glob("*.json"))]
+        return [self._queue_doc(path) for path in self.queued_paths()]
 
     def queue_head(self) -> dict | None:
         """The oldest queued entry, or None; no other queue file is read."""
-        path = min((self.root / "queue").glob("*.json"), default=None)
-        return None if path is None else self._queue_doc(path)
+        paths = self.queued_paths()
+        return self._queue_doc(paths[0]) if paths else None
 
     def _unlink_queued(self, entry: dict) -> None:
         (self.root / "queue" / f"{entry['seq']:06d}.json").unlink()

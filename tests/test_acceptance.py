@@ -176,13 +176,12 @@ def test_criterion_2_gradient_checks():
     for trial in range(20):
         plugin = dst.random_feature_plugin(base, 4, 4.0, rng)
         feature = lambda t: mdl.encode(base, t, plugin)
-        real = {0: feature(Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))).data}
+        real = feature(Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))).data
         syn = Tensor(rng.normal(size=(2, base.input_dim)).astype(np.float32))
         feat = feature(syn)
-        (g_feat,) = dst.dm_loss(real, {0: feat}).backward()
-        grad = feat.backward(g_feat)
+        grad = feat.backward(dst.dm_loss(real, [0], feat, [0]).backward())
         fd = nm.finite_difference_grad(
-            lambda t: dst.dm_loss(real, {0: feature(t)}).item(), syn, eps=5e-2)
+            lambda t: dst.dm_loss(real, [0], feature(t), [0]).item(), syn, eps=5e-2)
         ok &= rel_err(grad, fd.data) < 1e-4
 
     report("criterion 2: analytic gradients match finite differences (4 x 20 fixtures)",

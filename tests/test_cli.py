@@ -350,7 +350,32 @@ class TestExitCodes:
         assert setting.split()[1] in capsys.readouterr().err
         assert not repo.exists()
 
-    def test_commit_behind_a_malformed_queue_entry_is_zero(self, tmp_path, data_dir, capsys):
+    @pytest.mark.parametrize("command, setting", [
+        ("distill", "[adapter]\nrank = 0\n"), ("train-branch", "[train]\ntemperature = 0\n"),
+        ("distill", "[distill]\nsyn_lr = nan\n"), ("distill", "[adapter]\nalpha = nan\n"),
+        ("train-branch", "[train]\nlearning_rate = inf\n")],
+        ids=["distill rank 0", "train temperature 0", "distill syn_lr nan",
+             "distill alpha nan", "train learning_rate inf"])
+    def test_bad_setting_is_two_before_the_first_step(self, tmp_path, data_dir, command,
+                                                      setting, monkeypatch, capsys):
+        from forge import model
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(model, "encode", no_step)
+        ini = tmp_path / "bad.ini"
+        ini.write_text(setting)
+        out = tmp_path / "artifact"
+        assert main(["--config", str(ini), "--seed", "5", command, "--task", "M-toy",
+                     "--data", str(data_dir), "--out", str(out)]) == 2
+        assert setting.split()[1] in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def mixture_repo_and_commit_argv(tmp_path, data_dir):
+        """A fresh mixture repository, and the argv of a commit of a fresh
+        plugin with a one-item-per-class distilled set of B-toy to it."""
         import numpy as np
 
         from forge import numerics as nm
@@ -366,8 +391,11 @@ class TestExitCodes:
         (tmp_path / "d.fgd").write_bytes(DistilledDataset(
             spec.name, spec.num_classes, 1, spec.input_shape,
             np.ones((spec.num_classes, spec.flat_dim)), np.arange(spec.num_classes)).to_bytes())
-        argv = ["commit", str(repo), "--plugin", str(tmp_path / "p.fgm"), "--distilled",
-                str(tmp_path / "d.fgd"), "--task", "B-toy", "--data", str(data_dir)]
+        return repo, ["commit", str(repo), "--plugin", str(tmp_path / "p.fgm"), "--distilled",
+                      str(tmp_path / "d.fgd"), "--task", "B-toy", "--data", str(data_dir)]
+
+    def test_commit_behind_a_malformed_queue_entry_is_zero(self, tmp_path, data_dir, capsys):
+        repo, argv = self.mixture_repo_and_commit_argv(tmp_path, data_dir)
         assert main(argv) == 0
         (repo / "queue" / "000001.json").write_text("{")
         capsys.readouterr()
@@ -377,6 +405,31 @@ class TestExitCodes:
                                                                        "000002.json"]
         assert main(["merge", str(repo)]) == 2
         assert "000001.json" in capsys.readouterr().err
+
+    def test_stray_queue_file_is_no_entry_and_entries_merge_by_number(self, tmp_path,
+                                                                      data_dir, capsys):
+        repo, argv = self.mixture_repo_and_commit_argv(tmp_path, data_dir)
+        # names _enqueue never gives, so merging could not unlink them by number
+        strays = [repo / "queue" / name for name in ("notes.json", "7.json", "0000008.json")]
+        for stray in strays:
+            stray.write_text("kept by hand")
+        capsys.readouterr()
+        committed = []
+        for author in ("first", "second"):
+            assert main(["--author", author, *argv]) == 0
+            out = capsys.readouterr().out
+            assert f"({len(committed) + 1} pending)" in out
+            committed.append(out.split()[1])
+            if author == "first":  # the next entry is 1000000, which sorts first as a string
+                (repo / "queue" / "000001.json").rename(repo / "queue" / "999999.json")
+        assert sorted(p.name for p in (repo / "queue").iterdir()) == [
+            "0000008.json", "1000000.json", "7.json", "999999.json", "notes.json"]
+        assert main(["merge", str(repo), "--all"]) == 0
+        merged = [json.loads(line)["contribution_commit"][:12]
+                  for line in (repo / "log" / "merges.jsonl").read_text().splitlines()]
+        assert merged == committed
+        assert sorted((repo / "queue").iterdir()) == sorted(strays)
+        assert all(stray.read_text() == "kept by hand" for stray in strays)
 
     def test_runtime_error_is_three(self, tmp_path):
         # missing repo directory surfaces as a validation-or-runtime failure

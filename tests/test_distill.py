@@ -91,13 +91,13 @@ class TestDmLoss:
     def test_zero_iff_identical_means(self, base):
         rng = nm.make_rng(3)
         batch = Tensor(rng.normal(size=(6, base.input_dim)).astype(np.float32))
-        loss = dst.dm_loss({0: model.encode(base, batch).data},
-                           {0: model.encode(base, Tensor(batch.data.copy()))})
+        loss = dst.dm_loss(model.encode(base, batch).data, [0, 2],
+                           model.encode(base, Tensor(batch.data.copy())), [0, 2])
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
-        # different means as features give exactly ||v||^2
-        mu = rng.normal(size=(1, 8)).astype(np.float32)
-        v = rng.normal(size=(1, 8)).astype(np.float32)
-        loss2 = dst.dm_loss({0: mu}, {0: Tensor(mu + v)})
+        # different means as features give exactly the sum of ||v_c||^2
+        mu = rng.normal(size=(2, 8)).astype(np.float32)
+        v = rng.normal(size=(2, 8)).astype(np.float32)
+        loss2 = dst.dm_loss(mu, [0, 1], Tensor(mu + v), [0, 1])
         assert loss2.item() == pytest.approx(float(np.sum(v.astype(np.float64) ** 2)),
                                              rel=1e-5)
         assert loss2.item() > 0
@@ -106,40 +106,48 @@ class TestDmLoss:
         rng = nm.make_rng(4)
         feature = lambda a: model.encode(base, Tensor(a))
         for _ in range(10):
-            real = {0: feature(rng.normal(size=(5, base.input_dim))).data}
-            syn = {0: feature(rng.normal(size=(3, base.input_dim)))}
-            assert dst.dm_loss(real, syn).item() >= 0.0
+            real = feature(rng.normal(size=(5, base.input_dim))).data
+            syn = feature(rng.normal(size=(4, base.input_dim)))
+            assert dst.dm_loss(real, [0, 3], syn, [0, 2]).item() >= 0.0
 
     def test_missing_class_rejected(self, base):
         x = model.encode(base, Tensor(np.ones((2, base.input_dim), np.float32)))
         with pytest.raises(InputError):
-            dst.dm_loss({0: x.data, 1: x.data}, {0: x})
+            dst.dm_loss(x.data, [0, 1], x, [0])
+
+    @pytest.mark.parametrize("starts", [[1], [0, 0], [0, 2], [[0]], []],
+                             ids=["not from row 0", "empty block", "block past the end",
+                                  "starts not 1-D", "no classes"])
+    def test_blocks_that_do_not_split_the_rows_rejected(self, base, starts):
+        x = model.encode(base, Tensor(np.ones((2, base.input_dim), np.float32)))
+        with pytest.raises(InputError):
+            dst.dm_loss(x.data, starts, x, starts)
 
     def test_gradient_through_encoder_matches_finite_differences(self, base):
         rng = nm.make_rng(5)
         plugin = dst.random_feature_plugin(base, 4, 4.0, rng)
         feature = lambda t: model.encode(base, t, plugin)
-        real = {0: feature(Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))).data}
-        for _ in range(5):
-            syn = Tensor(rng.normal(size=(2, base.input_dim)).astype(np.float32))
+        real = feature(Tensor(rng.normal(size=(7, base.input_dim)).astype(np.float32))).data
+        for _ in range(5):  # two classes: 4 and 3 real rows, 2 synthetic rows each
+            syn = Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))
             feat = feature(syn)
-            (g_feat,) = dst.dm_loss(real, {0: feat}).backward()
-            grad = feat.backward(g_feat)
+            grad = feat.backward(dst.dm_loss(real, [0, 4], feat, [0, 2]).backward())
             fd = nm.finite_difference_grad(
-                lambda t: dst.dm_loss(real, {0: feature(t)}).item(), syn, eps=5e-2)
+                lambda t: dst.dm_loss(real, [0, 4], feature(t), [0, 2]).item(), syn, eps=5e-2)
             assert rel_err(grad, fd.data) < 1e-4
 
     def test_single_item_step_follows_analytic_gradient(self):
-        # identity extractor, no augmentation: grad = 2 (s - mu)
+        # identity extractor, no augmentation, one item per class:
+        # grad of class c's item = 2 (s_c - mu_c)
         rng = nm.make_rng(6)
-        mu = rng.normal(size=(4, 8)).astype(np.float32)
-        s0 = rng.normal(size=(1, 8)).astype(np.float32)
+        real = rng.normal(size=(7, 8)).astype(np.float32)
+        s0 = rng.normal(size=(2, 8)).astype(np.float32)
         s = Tensor(s0.copy())
-        loss = dst.dm_loss({0: mu}, {0: s})
+        loss = dst.dm_loss(real, [0, 4], s, [0, 1])
         lr = 0.25
-        nm.sgd_step([s], loss.backward(), nm.SgdState(learning_rate=lr))
-        want = s0 - lr * 2.0 * (s0 - mu.mean(axis=0, keepdims=True))
-        np.testing.assert_allclose(s.data, want, atol=1e-5)
+        nm.sgd_step([s], [loss.backward()], nm.SgdState(learning_rate=lr))
+        mu = np.stack([real[:4].mean(axis=0), real[4:].mean(axis=0)])
+        np.testing.assert_allclose(s.data, s0 - lr * 2.0 * (s0 - mu), atol=1e-5)
 
 
 class TestDistill:
@@ -150,6 +158,13 @@ class TestDistill:
     def test_zero_ipc_rejected(self):
         with pytest.raises(ParameterError):
             dst.DistillConfig(ipc=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rank", 0), ("real_batch_per_class", 0), ("alpha", float("nan")), ("alpha", 0.0),
+        ("syn_lr", float("nan")), ("syn_lr_final", float("inf")), ("temperature", -1.0)])
+    def test_setting_out_of_range_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            dst.DistillConfig(**{field: value})
 
     def test_empty_class_rejected(self, base, toy_task):
         spec, data = toy_task
@@ -180,12 +195,11 @@ class TestDistill:
         monkeypatch.setattr(nm, "sgd_step", counted)
         out = dst.distill(spec, data, base, dst.DistillConfig(iterations=4, ipc=2),
                           nm.make_rng(3))
-        # one leaf per class, the same leaves every iteration
+        # one leaf holding every class, the same leaf every iteration
         assert len(calls) == 4
-        assert all(len(params) == spec.num_classes for params in calls)
-        assert len({tuple(map(id, params)) for params in calls}) == 1
-        got = np.concatenate([p.data for p in calls[0]]).reshape(out.inputs.shape)
-        np.testing.assert_array_equal(got, out.inputs)
+        assert all(len(params) == 1 for params in calls)
+        assert len({id(params[0]) for params in calls}) == 1
+        np.testing.assert_array_equal(calls[0][0].data.reshape(out.inputs.shape), out.inputs)
 
     def test_real_data_and_base_untouched(self, base, toy_task):
         spec, data = toy_task
@@ -199,35 +213,27 @@ class TestDistill:
     def test_loss_trend_nonincreasing_smoke(self, base, toy_task):
         # first-window vs last-window mean of the matching loss, 10 seeded runs
         spec, data = toy_task
+        class_idx = data.class_indices(spec.num_classes)
+        ipc = 2
+        syn_starts = np.arange(spec.num_classes) * ipc
         wins = 0
         for seed in range(10):
-            losses = []
-            cfg = dst.DistillConfig(iterations=50, ipc=2, dsa_enabled=False)
             rng = nm.make_rng(seed)
-            syn = None
-
-            # reuse distill internals through a manual short loop
-            num_classes = spec.num_classes
-            class_idx = data.class_indices(num_classes)
-            syn = [Tensor(rng.normal(0, 1, size=(cfg.ipc, 256)).astype(np.float32))
-                   for _ in range(num_classes)]
+            losses = []
+            # distill's step without augmentation, as a manual short loop
+            syn = Tensor(rng.normal(0, 1, size=(spec.num_classes * ipc, 256)).astype(np.float32))
             state = nm.SgdState(learning_rate=1.0)
-            for step in range(cfg.iterations):
-                plugin = dst.random_feature_plugin(base, cfg.rank, cfg.alpha, rng)
-                feature = lambda t: model.encode(base, t, plugin)
-                real_by, syn_by = {}, {}
-                for cls in range(num_classes):
-                    take = rng.choice(class_idx[cls], size=min(32, class_idx[cls].size),
-                                      replace=False)
-                    real_by[cls] = feature(Tensor(data.inputs[take])).data
-                    syn_by[cls] = feature(syn[cls])
-                loss = dst.dm_loss(real_by, syn_by)
+            for step in range(50):
+                plugin = dst.random_feature_plugin(base, 16, 16.0, rng)
+                takes = [rng.choice(idx, size=min(32, idx.size), replace=False)
+                         for idx in class_idx]
+                real_starts = np.cumsum([0, *map(len, takes[:-1])])
+                real = model.encode(base, Tensor(data.inputs[np.concatenate(takes)]), plugin)
+                feat = model.encode(base, syn, plugin)
+                loss = dst.dm_loss(real.data, real_starts, feat, syn_starts)
                 losses.append(loss.item())
-                grads = [syn_by[cls].backward(g) for cls, g in enumerate(loss.backward())]
-                nm.sgd_step(syn, grads, state)
-            first = np.mean(losses[:10])
-            last = np.mean(losses[-10:])
-            if last <= first:
+                nm.sgd_step([syn], [feat.backward(loss.backward())], state)
+            if np.mean(losses[-10:]) <= np.mean(losses[:10]):
                 wins += 1
         assert wins >= 8
 
@@ -238,6 +244,76 @@ class TestDistill:
         assert out.inputs.shape == (8, 256)
         assert np.array_equal(out.labels, [0, 0, 0, 0, 1, 1, 1, 1])
         assert np.all(np.isfinite(out.inputs))
+
+
+def per_class_distill(spec, data, base, config, rng):
+    """The distillation step as it ran before it was batched: one synthetic
+    leaf per class, and per class one augment and one encode on each side
+    and one backward chain. It draws from ``rng`` in the order ``distill``
+    does, so the two differ only in float32 rounding. Returns the inputs."""
+    side, class_idx = spec.input_shape, data.class_indices(spec.num_classes)
+    sizes = [min(config.real_batch_per_class, idx.size) for idx in class_idx]
+    if config.init_from_real:
+        syn0 = np.concatenate([data.inputs[rng.choice(idx, size=config.ipc,
+                                                      replace=idx.size < config.ipc)]
+                               for idx in class_idx])
+    else:
+        syn0 = rng.normal(0.0, 1.0, size=(spec.num_classes * config.ipc,
+                                          spec.flat_dim)).astype(np.float32)
+    syn = [Tensor(block.reshape(config.ipc, *side))
+           for block in np.split(syn0, spec.num_classes)]
+    state = nm.SgdState(learning_rate=config.syn_lr)
+    for step in range(config.iterations):
+        plugin = dst.random_feature_plugin(base, config.rank, config.alpha, rng)
+        params = dst.DsaParams.sample(rng) if config.dsa_enabled else None
+        noise = None if params is None else params.noise(max(config.ipc, *sizes), side)
+        grads = []
+        for idx, n, syn_c in zip(class_idx, sizes, syn):
+            real = Tensor(data.inputs[rng.choice(idx, size=n, replace=False)].reshape(-1, *side))
+            if params is not None:
+                real = dst.dsa_augment(real, params, noise)
+                syn_c = dst.dsa_augment(syn_c, params, noise)
+            feat = model.encode(base, syn_c, plugin)
+            d = model.encode(base, real, plugin).data.mean(axis=0) - feat.data.mean(axis=0)
+            g = np.broadcast_to(-(2.0 * d) / config.ipc, feat.shape)
+            grads.append(syn_c.backward(feat.backward(g)))
+        state.learning_rate = dst._cosine_lr(step, config.iterations, config.syn_lr,
+                                             config.syn_lr_final)
+        nm.sgd_step(syn, grads, state)
+    return np.concatenate([t.data for t in syn]).reshape(len(syn0), -1)
+
+
+@pytest.fixture(scope="module")
+def m_toy():
+    spec, train, _ = dsets.generate_tasks(1)[2]
+    return model.BaseEncoder.from_seed(1), spec, train
+
+
+class TestBatchedStep:
+    """``distill`` runs each step once for all classes; it must agree with
+    the per-class step on the configurations whose ids test_content_ids
+    pins, and on a long run."""
+
+    CASES = {
+        "random-init": dict(iterations=20, ipc=3),
+        "init-from-real": dict(iterations=20, ipc=3, init_from_real=True),
+        "ipc-above-real-batch": dict(iterations=20, ipc=8, real_batch_per_class=5),
+        "short-real-class": dict(iterations=20, ipc=3, real_batch_per_class=16),
+        "dsa-off": dict(iterations=20, ipc=3, dsa_enabled=False),
+        "500-iterations-ipc-10": dict(iterations=500, ipc=10),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_per_class_step(self, m_toy, case):
+        base, spec, train = m_toy
+        if case == "short-real-class":  # class 1 has 10 rows, class 0 a full batch
+            keep = np.concatenate([np.flatnonzero(train.labels == 0),
+                                   np.flatnonzero(train.labels == 1)[:10]])
+            train = dsets.LabeledDataset(train.inputs[keep], train.labels[keep])
+        config = dst.DistillConfig(**self.CASES[case])
+        got = dst.distill(spec, train, base, config, nm.make_rng(12)).inputs
+        want = per_class_distill(spec, train, base, config, nm.make_rng(12))
+        assert np.max(np.abs(got - want)) <= 1e-5
 
 
 class TestEvalDistilled:

@@ -193,6 +193,14 @@ class TestTrainPlugin:
         assert cfg.rank == 16 and cfg.alpha == 16.0
         assert cfg.dropout_p == 0.1
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("batch_size", 0), ("rank", 0), ("learning_rate", 0.0),
+        ("learning_rate", float("inf")), ("alpha", float("nan")), ("temperature", 0.0),
+        ("momentum", -0.1), ("momentum", float("nan")), ("weight_decay", float("inf"))])
+    def test_setting_out_of_range_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            TrainConfig(**{field: value})
+
     def test_separable_task_trains_and_base_stays_frozen(self, base):
         rng = nm.make_rng(10)
         n = 60

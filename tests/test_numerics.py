@@ -251,12 +251,11 @@ class TestElementwiseOps:
 
         def f(fixed, t):
             feat = model.encode(enc, t)
-            return feat, dst.dm_loss({0: model.encode(enc, fixed).data}, {0: feat})
+            return feat, dst.dm_loss(model.encode(enc, fixed).data, [0], feat, [0])
 
         for leaf, fixed in ((real, syn), (syn, real)):
             feat, loss = f(fixed, leaf)
-            (g_feat,) = loss.backward()
-            grad = feat.backward(g_feat)
+            grad = feat.backward(loss.backward())
             fd = nm.finite_difference_grad(lambda t: f(fixed, t)[1].item(), leaf, eps=1e-2)
             assert rel_err(grad, fd.data) < 1e-4
 
@@ -290,23 +289,26 @@ class TestHandOff:
     """Each backward returns its inputs' gradients for the caller to hand on."""
 
     def test_node_consumed_twice_gets_both_gradients(self):
-        # one augmented batch encoded once per class: its backward runs once
-        # for each encode, and the two gradients sum
+        # one augmented batch encoded twice, each encode matched to its own
+        # real batch: its backward runs once for each encode, and the two
+        # gradients sum
         rng = nm.make_rng(43)
         enc = BaseEncoder.from_seed(43, dims=(6, 4))
         x = Tensor(rng.normal(size=(3, 2, 3)).astype(np.float32))
-        real = {c: model.encode(enc, Tensor(rng.normal(size=(4, 2, 3)).astype(np.float32))).data
-                for c in (0, 1)}
+        real = [model.encode(enc, Tensor(rng.normal(size=(4, 2, 3)).astype(np.float32))).data
+                for _ in range(2)]
         params = dst.DsaParams(flip=True, shift=(1, 0), scale=1.1)
 
         def f(t):
             y = dst.dsa_augment(t, params)
-            feats = {0: model.encode(enc, y), 1: model.encode(enc, y)}
-            return y, feats, dst.dm_loss(real, feats)
+            feats = [model.encode(enc, y) for _ in real]
+            return y, feats, [dst.dm_loss(r, [0], feat, [0]) for r, feat in zip(real, feats)]
 
-        y, feats, loss = f(x)
-        grad = sum(y.backward(feats[c].backward(g)) for c, g in zip((0, 1), loss.backward()))
-        fd = nm.finite_difference_grad(lambda t: f(t)[2].item(), x, eps=1e-2)
+        y, feats, losses = f(x)
+        grad = sum(y.backward(feat.backward(loss.backward()))
+                   for feat, loss in zip(feats, losses))
+        fd = nm.finite_difference_grad(lambda t: sum(loss.item() for loss in f(t)[2]), x,
+                                       eps=1e-2)
         assert rel_err(grad, fd.data) < 1e-4
 
     def test_leaf_returns_its_own_gradient(self):
