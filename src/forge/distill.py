@@ -84,21 +84,20 @@ def dsa_augment(batch: Tensor, params: DsaParams,
     src = (slice(None), slice(max(-dy, 0), h + min(-dy, 0)),
            slice(max(-dx, 0), w + min(-dx, 0)))
     scale = float(params.scale)
-    out = batch.data
-    if params.flip:
-        out = np.ascontiguousarray(out[..., ::-1])
+    if not (params.flip or params.shift != (0, 0) or scale != 1.0 or params.noise_std > 0.0):
+        return batch
+    out = batch.data[..., ::-1] if params.flip else batch.data
     if params.shift != (0, 0):  # zero padding at the edges
-        shifted = np.zeros_like(out)
+        shifted = np.zeros_like(batch.data)
         shifted[dst] = out[src]
         out = shifted
+    else:
+        out = out.copy()
+    # out is a fresh array here, so scale and noise go in place
     if scale != 1.0:
-        out = out * nm.DTYPE(scale)
+        out *= nm.DTYPE(scale)
     if params.noise_std > 0.0:
-        if noise is None:
-            noise = params.noise(n, (h, w))
-        out = out + noise[:n]
-    if out is batch.data:
-        return batch
+        out += (params.noise(n, (h, w)) if noise is None else noise)[:n]
 
     def backward(g: np.ndarray) -> np.ndarray:
         if scale != 1.0:
