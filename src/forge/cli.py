@@ -29,6 +29,7 @@ from .config import RunConfig, SEED_ENV_VAR
 from .distill import DistilledDataset
 from .errors import (
     ConflictError,
+    DegenerateInputError,
     FormatError,
     IncompatibleModulesError,
     InputError,
@@ -43,8 +44,8 @@ from .evaluation import MetricsReport, evaluate_deltas
 from .model import PluginModule
 from .registry import BranchContribution, Repository
 
-_VALIDATION_ERRORS = (ValidationError, IntegrityError, FormatError, InputError,
-                      ParameterError, ShapeError, ConflictError, IncompatibleModulesError)
+_VALIDATION_ERRORS = (ValidationError, IntegrityError, FormatError, InputError, ParameterError,
+                      ShapeError, ConflictError, IncompatibleModulesError, DegenerateInputError)
 
 
 _GLOBAL_VALUE_FLAGS = ("--config", "--seed", "--author")

@@ -188,6 +188,10 @@ class DistilledDataset:
     def __post_init__(self) -> None:
         self.inputs = np.ascontiguousarray(self.inputs, dtype=nm.DTYPE)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.check()
+
+    def check(self) -> None:
+        """``InputError`` unless the fields still describe a well-formed set."""
         if len(self.inputs) != self.num_classes * self.ipc:
             raise InputError("distilled set size must be ipc * classes")
         if self.inputs.shape[1] != int(np.prod(self.input_shape)):

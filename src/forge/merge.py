@@ -87,13 +87,16 @@ def _check_compatible(plugins: Sequence[PluginModule]) -> None:
     layer_ids = set(first.adapters)
     for other in plugins[1:]:
         if set(other.adapters) != layer_ids:
-            raise IncompatibleModulesError("plugin modules target different layers")
+            raise IncompatibleModulesError(
+                f"plugin modules need an adapter on each of layers {sorted(layer_ids)}, "
+                f"got {sorted(other.adapters)}")
         for lid in layer_ids:
             a, b = first.adapters[lid], other.adapters[lid]
             if a.rank != b.rank:
                 raise IncompatibleModulesError(
                     f"rank mismatch on layer {lid}: {a.rank} vs {b.rank}")
-            if a.alpha != b.alpha:
+            # compared as float32, the way a stored plugin holds alpha
+            if np.float32(a.alpha) != np.float32(b.alpha):
                 raise IncompatibleModulesError(
                     f"alpha mismatch on layer {lid}: {a.alpha} vs {b.alpha}")
             if a.a.shape != b.a.shape or a.b.shape != b.b.shape:

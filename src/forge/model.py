@@ -238,13 +238,17 @@ class PluginModule:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
 
-def _validate_plugin(base: BaseEncoder, plugin: PluginModule) -> None:
+def check_plugin(base: BaseEncoder, plugin: PluginModule) -> None:
+    """Every adapter fits a layer of ``base`` at rank >= 1 and alpha finite > 0."""
     for lid, ad in plugin.adapters.items():
         if lid < 0 or lid >= len(base.layers):
             raise ShapeError(f"adapter targets missing layer {lid}")
         d, k = base.layer_dims(lid)
         if ad.b.shape != (d, ad.rank) or ad.a.shape != (ad.rank, k):
             raise ShapeError(f"adapter for layer {lid} has shape mismatch")
+        if ad.rank < 1 or not 0 < ad.alpha < np.inf:  # NaN fails too
+            raise ParameterError(f"adapter for layer {lid} needs rank >= 1 and a finite "
+                                 f"positive alpha, got rank {ad.rank} and alpha {ad.alpha}")
         if not 0.0 <= ad.dropout_p < 1.0:
             raise ParameterError(f"adapter for layer {lid} has dropout outside [0, 1)")
 
@@ -263,7 +267,7 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
     """
     adapters = {}
     if plugin is not None:
-        _validate_plugin(base, plugin)
+        check_plugin(base, plugin)
         adapters = plugin.adapters
     width = int(np.prod(x.shape[1:])) if x.data.ndim > 1 else x.data.size
     if width != base.input_dim:
@@ -367,6 +371,8 @@ def encode_np(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
     h = np.asarray(x, dtype=nm.DTYPE)
     if h.ndim == 1:
         h = h[None, :]
+    if h.shape[1] != base.input_dim:
+        raise ShapeError(f"input dim {h.shape[1]} != encoder input {base.input_dim}")
     last = len(base.layers) - 1
     for lid, layer in enumerate(base.layers):
         w = layer.weight.data

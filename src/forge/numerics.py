@@ -128,12 +128,9 @@ class SgdState:
     velocities: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ShapeError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ShapeError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ShapeError("weight_decay must be non-negative")
+        check_ranges(self, positive=("learning_rate",), non_negative=("momentum", "weight_decay"))
+        if self.momentum >= 1.0:
+            raise ParameterError(f"momentum must be < 1, got {self.momentum!r}")
 
 
 def check_ranges(config, at_least_one: Sequence[str] = (), positive: Sequence[str] = (),

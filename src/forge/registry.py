@@ -30,10 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import merge as mrg
+from . import model as mdl
 from .datasets import TaskSpec
 from .distill import DistilledDataset
 from .errors import (
     ConflictError,
+    ForgeError,
     InputError,
     IntegrityError,
     LockHeldError,
@@ -55,6 +57,7 @@ REF_KEYS = {"item_id": str, "round": int, "genesis": str, "head": str, "guidance
 GUIDANCE_KEYS = {"distilled_id": str, "task": dict}
 CONSUMED_KEYS = {"commit_id": str, "seq": int}
 COMMIT_KEYS = {"parent": (str, type(None)), "author": str, "kind": str, "payload": dict}
+GENESIS_KEYS = {"base_hash": str, "item_id": str}
 
 # the names _enqueue gives, f"{seq:06d}.json", and no others
 QUEUE_ENTRY_NAME = re.compile(r"([0-9]{6}|[1-9][0-9]{6,})\.json")
@@ -144,9 +147,9 @@ class Repository:
             (path / sub).mkdir(parents=True, exist_ok=True)
         (path / "forge.json").write_text(json.dumps(config, indent=2, sort_keys=True))
         repo = cls(path)
-        base = repo.base
-        genesis_item = ForgeItem.genesis(strategy, base, rank, alpha)
-        item_id = repo.store_object(genesis_item.to_bytes())
+        # built unchecked: the genesis commit that records its hash comes next
+        repo._base = base = BaseEncoder.from_seed(base_seed)
+        item_id = repo.store_object(ForgeItem.genesis(strategy, base, rank, alpha).to_bytes())
         genesis_commit = repo._append_commit(None, "registry", "genesis", {
             "base_seed": int(base_seed), "strategy": strategy,
             "base_hash": base.param_hash(), "item_id": item_id,
@@ -159,8 +162,13 @@ class Repository:
 
     @property
     def base(self) -> BaseEncoder:
+        """The encoder of ``base_seed``, refused unless the genesis commit records it."""
         if self._base is None:
-            self._base = BaseEncoder.from_seed(self.config["base_seed"])
+            base = BaseEncoder.from_seed(self.config["base_seed"])
+            if base.param_hash() != self._genesis()["base_hash"]:
+                raise IntegrityError(f"base_seed {self.config['base_seed']} does not build "
+                                     f"the encoder this repository was made with")
+            self._base = base
         return self._base
 
     @property
@@ -249,6 +257,14 @@ class Repository:
     def read_commit(self, commit_id: str) -> Commit:
         return Commit.from_bytes(self.read_object(commit_id))
 
+    def _genesis(self, ref: dict | None = None) -> dict:
+        """The payload of ``ref``'s genesis commit, refused unless it is one."""
+        commit = self.read_commit((ref or self._read_ref())["genesis"])
+        if commit.kind != "genesis":
+            raise IntegrityError(f"commit {commit.id} is no genesis commit")
+        return json_fields(commit.payload, f"genesis commit {commit.id}", GENESIS_KEYS,
+                           IntegrityError)
+
     def _merge_payloads(self, ref: dict) -> list[dict]:
         """The payloads of the merge commits from genesis to ``ref``'s head,
         oldest first; each commit is hash-checked on its way."""
@@ -267,58 +283,29 @@ class Repository:
     # -- contributions -----------------------------------------------------
 
     def _validate_contribution(self, contribution: BranchContribution) -> None:
-        task = contribution.task
-        if task.num_classes < 2:
-            raise ValidationError("task needs at least two classes")
-        if len(set(task.labels)) != len(task.labels):
-            raise ValidationError("task labels must be distinct")
+        """``ValidationError`` unless every later merge can use ``contribution``:
+        its weights are finite, its distilled set fits its task, and it passes
+        the rules of the label table, ``encode``, fusion, the distilled set and
+        the search's cosine head, which scores the set under its own plugin."""
+        task, plugin, distilled = contribution.task, contribution.plugin, contribution.distilled
+        if (distilled.task_name, distilled.num_classes, distilled.inputs.shape[1:]) != \
+                (task.name, task.num_classes, (task.flat_dim,)):
+            raise ValidationError(f"distilled set for {distilled.task_name!r} does not match "
+                                  f"the name, class count and width of task {task.name!r}")
+        if not all(np.isfinite(t.data).all() for t in plugin.parameters()):
+            # a NaN or Inf weight would make every later merge objective NaN
+            raise ValidationError("plugin weights are not finite")
         base = self.base
-        for lid, ad in contribution.plugin.adapters.items():
-            if lid < 0 or lid >= len(base.layers):
-                raise ValidationError(f"plugin targets missing layer {lid}")
-            d, k = base.layer_dims(lid)
-            if ad.b.shape != (d, ad.rank) or ad.a.shape != (ad.rank, k):
-                raise ValidationError(f"plugin shape mismatch on layer {lid}")
-            if not (np.isfinite(ad.a.data).all() and np.isfinite(ad.b.data).all()):
-                # a NaN or Inf weight would make every later merge objective NaN
-                raise ValidationError(f"plugin weights on layer {lid} are not finite")
-            if ad.rank < 1 or not (np.isfinite(ad.alpha) and ad.alpha > 0):
-                # every later merge would scale this adapter by alpha/rank
-                raise ValidationError(
-                    f"plugin on layer {lid} needs rank >= 1 and a finite positive "
-                    f"alpha, got rank {ad.rank} and alpha {ad.alpha}")
-            if self.strategy == "fusion" and ad.rank != self.config["rank"]:
-                # parameter fusion needs rank-aligned factors; reject now
-                # rather than poisoning the head of the merge queue
-                raise ValidationError(
-                    f"fusion repository expects rank {self.config['rank']}, "
-                    f"got {ad.rank} on layer {lid}")
-            if self.strategy == "fusion" and \
-                    np.float32(ad.alpha) != np.float32(self.config["alpha"]):
-                # and alpha-aligned ones, compared as a stored plugin holds alpha
-                raise ValidationError(
-                    f"fusion repository expects alpha {self.config['alpha']}, "
-                    f"got {ad.alpha} on layer {lid}")
-        if self.strategy == "fusion" and list(contribution.plugin.adapters) != \
-                list(range(len(base.layers))):
-            # fuse needs every layer in both factors; a gap fails every later merge
-            raise ValidationError(
-                f"fusion repository expects an adapter on each of layers "
-                f"0..{len(base.layers) - 1}, got {list(contribution.plugin.adapters)}")
-        distilled = contribution.distilled
-        if distilled.task_name != task.name:
-            raise ValidationError("distilled set was built for a different task")
-        if distilled.num_classes != task.num_classes:
-            raise ValidationError("distilled class count does not match the task")
-        if distilled.inputs.shape[1] != task.flat_dim:
-            raise ValidationError("distilled inputs do not match the task shape")
-        if not np.isfinite(distilled.inputs).all():
-            raise ValidationError("distilled inputs are not finite")
-        labels = distilled.labels
-        if labels.shape != (len(distilled.inputs),):
-            raise ValidationError("one distilled label per distilled input required")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= task.num_classes:
-            raise ValidationError("distilled labels out of range")
+        try:
+            mdl.check_plugin(base, plugin)
+            if self.strategy == "fusion":
+                mrg._check_compatible([PluginModule.zero(base, self.config["rank"],
+                                                         self.config["alpha"]), plugin])
+            distilled.check()
+            mdl.cosine_logits_np(mdl.encode_np(base, plugin.layer_deltas(), distilled.inputs),
+                                 LabelEmbeddingTable(task.name, task.labels, base.embed_dim))
+        except ForgeError as exc:
+            raise ValidationError(f"contribution refused: {exc}") from exc
 
     def _enqueue(self, doc: dict) -> None:
         """Queue ``doc`` under a number no entry of this repository had, so
@@ -516,8 +503,8 @@ class Repository:
         payloads = self._merge_payloads(ref)
         if round_no < 0 or round_no > len(payloads):
             raise InputError(f"round {round_no} outside [0, {len(payloads)}]")
-        item = ForgeItem.genesis(self.strategy, self.base,
-                                 self.config["rank"], self.config["alpha"])
+        item = ForgeItem.from_bytes(self.read_object(self._genesis(ref)["item_id"]),
+                                    self.load_plugin)
         for payload in payloads[:round_no]:
             branch = self.load_plugin(payload["plugin_id"])
             item = item.merged(branch, mrg.MergeCoefficients(payload["w_main"],

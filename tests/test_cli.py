@@ -323,6 +323,51 @@ class TestExitCodes:
                      "--out", str(out), *command[1:]]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-branch", "eval"])
+    def test_zero_row_in_a_data_file_is_two(self, tmp_path, data_dir, command, capsys):
+        import shutil
+
+        from forge import datasets as dsets
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        split = "train" if command == "train-branch" else "test"
+        spec, rows = dsets.load_dataset(data / "M-toy" / f"{split}.fgd")
+        rows.inputs[0] = 0.0  # embeds to zero under the frozen encoder and a fresh plugin
+        dsets.save_dataset(data / "M-toy" / f"{split}.fgd", spec, rows)
+        out = tmp_path / "plugin.fgm"
+        if command == "train-branch":
+            argv = ["train-branch", "--task", "M-toy", "--data", str(data), "--out", str(out),
+                    "--epochs", "1"]
+        else:
+            assert main(["--seed", "5", "init", "--strategy", "mixture",
+                         str(tmp_path / "repo")]) == 0
+            argv = ["eval", str(tmp_path / "repo"), "--tasks", "M-toy", "--data", str(data)]
+        capsys.readouterr()
+        assert main(["--seed", "5", *argv]) == 2
+        assert "zero-norm" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fusion_repository_at_an_alpha_float32_cannot_hold(self, tmp_path, data_dir):
+        """16.1 is stored as the nearest float32, so an exact comparison with
+        the repository's alpha would refuse every plugin trained at it."""
+        ini = tmp_path / "alpha.ini"
+        ini.write_text("[adapter]\nalpha = 16.1\n[merge]\nmax_iterations = 3\n[run]\nseed = 5\n")
+        repo = tmp_path / "repo"
+        common = ["--config", str(ini)]
+        assert main([*common, "init", "--strategy", "fusion", str(repo)]) == 0
+        assert main([*common, "train-branch", "--task", "M-toy", "--data", str(data_dir),
+                     "--out", str(tmp_path / "p.fgm"), "--epochs", "1"]) == 0
+        assert main([*common, "distill", "--task", "M-toy", "--data", str(data_dir),
+                     "--out", str(tmp_path / "d.fgd"), "--ipc", "1", "--iters", "2"]) == 0
+        assert main([*common, "commit", str(repo), "--plugin", str(tmp_path / "p.fgm"),
+                     "--distilled", str(tmp_path / "d.fgd"), "--task", "M-toy",
+                     "--data", str(data_dir)]) == 0
+        assert main([*common, "merge", str(repo), "--all"]) == 0
+        assert json.loads((repo / "refs" / "main").read_text())["round"] == 1
+        assert main(["checkout", str(repo), "--round", "1",
+                     "--out", str(tmp_path / "item.fgi")]) == 0
+
     @pytest.mark.parametrize("config", ["not json {", '["format"]'])
     def test_repository_config_not_an_object_is_two(self, tmp_path, config, capsys):
         repo = tmp_path / "repo"

@@ -242,6 +242,25 @@ def test_documents_that_exited_three(world, tmp_path, capsys):
                                   json.dumps(doc).encode())
 
 
+def test_edited_base_seed_is_two_before_anything_is_written(world, tmp_path, capsys):
+    """The genesis commit records the encoder's hash; a repository whose
+    ``base_seed`` no longer builds that encoder neither merges nor evaluates,
+    while checkout, which replays the chain alone, still works."""
+    repo = tmp_path / "repo"
+    shutil.copytree(world / "repo", repo)
+    config = json.loads((repo / "forge.json").read_text())
+    assert config["base_seed"] == SEED
+    (repo / "forge.json").write_text(json.dumps({**config, "base_seed": SEED + 1}))
+    for argv in (["merge", str(repo), "--all"],
+                 ["eval", str(repo), "--tasks", "tiny", "--data", str(world / "data")],
+                 commit_argv(world, repo, 2)):
+        before = files(repo)
+        assert run(argv, capsys) == 2, argv
+        assert files(repo) == before, argv
+    assert run(["checkout", str(repo), "--round", "1",
+                "--out", str(tmp_path / "item.fgi")], capsys) == 0
+
+
 def test_plugin_sidecar(world, tmp_path, capsys):
     shutil.copy(world / "p2.fgm", tmp_path / "p2.fgm")
     for label, mutated in mutations((world / "p2.fgm.meta.json").read_bytes(), "sidecar"):

@@ -3,7 +3,7 @@ import pytest
 
 from forge import model
 from forge import numerics as nm
-from forge.errors import DegenerateInputError, InputError, ParameterError
+from forge.errors import DegenerateInputError, InputError, ParameterError, ShapeError
 from forge.model import (
     AffineLayer,
     BaseEncoder,
@@ -85,6 +85,10 @@ class TestForward:
             ad = model.LoraAdapter(0, Tensor([[3.0]]), Tensor([[2.0]]), 1, alpha)
             out[alpha] = model.encode(enc, x, PluginModule({0: ad})).data[0, 0] - 1.0
         assert out[2.0] == pytest.approx(2 * out[1.0], rel=1e-6)
+
+    def test_encode_np_refuses_rows_of_another_width(self, base):
+        with pytest.raises(ShapeError, match="input dim 64"):
+            model.encode_np(base, None, np.ones((2, 64), dtype=np.float32))
 
     def test_encode_np_agrees_with_tape_forward(self, base):
         rng = nm.make_rng(6)

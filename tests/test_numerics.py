@@ -4,7 +4,7 @@ import pytest
 from forge import distill as dst
 from forge import model
 from forge import numerics as nm
-from forge.errors import DegenerateInputError, FormatError, ShapeError
+from forge.errors import DegenerateInputError, FormatError, ParameterError, ShapeError
 from forge.model import AffineLayer, BaseEncoder, LabelEmbeddingTable, PluginModule
 from forge.numerics import Tensor
 
@@ -168,6 +168,14 @@ class TestSgd:
         state = nm.SgdState(learning_rate=0.5)
         nm.sgd_step([p], [np.zeros(1, dtype=np.float32)], state)
         assert p.data[0] == 3.0
+
+    @pytest.mark.parametrize("setting", [
+        {"learning_rate": 0.0}, {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"momentum": 1.0}, {"momentum": -0.1}, {"weight_decay": -1e-4},
+        {"weight_decay": float("nan")}])
+    def test_setting_out_of_range_is_a_parameter_error(self, setting):
+        with pytest.raises(ParameterError, match=next(iter(setting))):
+            nm.SgdState(**{"learning_rate": 0.1, **setting})
 
 
 class TestFiniteDifference:

@@ -243,6 +243,39 @@ class TestCommit:
         assert repo.all_object_ids() == before
         assert repo.pending() == []
 
+    @pytest.mark.parametrize("labels", [["red"], ["red", "blue", "red"]],
+                             ids=["one label", "repeated label"])
+    def test_task_without_two_distinct_labels_refused_before_storing(self, tmp_path, labels):
+        repo = make_repo(tmp_path / "repo")
+        before = repo.all_object_ids()
+        with pytest.raises(ValidationError):
+            repo.commit_contribution(make_contribution(repo.base, "t1", labels))
+        assert repo.all_object_ids() == before
+        assert repo.pending() == []
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    @pytest.mark.parametrize("damage", ["zero row", "other width"])
+    def test_distilled_set_no_merge_can_score_refused_and_the_queue_still_merges(
+            self, tmp_path, strategy, damage):
+        repo = make_repo(tmp_path / "repo", strategy=strategy)
+        before = repo.all_object_ids()
+        contrib = make_contribution(repo.base, "t1", ["red", "blue"])
+        if damage == "zero row":
+            # zero biases and bias-free adapters embed a zero row to zero at any
+            # coefficients, so queued it would fail every later merge
+            contrib.distilled.inputs[0] = 0.0
+        else:  # an 8x8 task against the 256-wide encoder
+            contrib.task = TaskSpec("t1", ["red", "blue"], (8, 8))
+            contrib.distilled = DistilledDataset("t1", 2, 1, (8, 8), np.ones((2, 64)), [0, 1])
+        with pytest.raises(ValidationError,
+                           match="zero-norm" if damage == "zero row" else "input dim 64"):
+            repo.commit_contribution(contrib)
+        assert repo.all_object_ids() == before
+        assert repo.pending() == []
+        repo.commit_contribution(make_contribution(repo.base, "t2", ["green", "grey"], seed=1))
+        assert repo.merge_next()["round"] == 1
+        assert repo.pending() == []
+
     def test_distilled_set_with_negative_label_cannot_be_built(self):
         with pytest.raises(InputError):
             DistilledDataset("t", 2, 1, (1, 3), np.zeros((2, 3)), np.array([0, -1]))
@@ -536,6 +569,34 @@ class TestHistory:
         assert hashlib.sha256(repo.replay().to_bytes()).hexdigest() == want[-1]
         for round_no, item_id in enumerate(want, start=1):
             assert hashlib.sha256(repo.checkout(round_no).to_bytes()).hexdigest() == item_id
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_checkout_replays_from_the_genesis_item_without_an_encoder(
+            self, tmp_path, strategy, monkeypatch):
+        repo = self.prepare(tmp_path, strategy)
+        genesis = repo.read_commit(repo._read_ref()["genesis"]).payload["item_id"]
+        want = [genesis, *(r["item_id"] for r in repo.merge_records())]
+        # the history is the chain's: rank and alpha edited afterwards do not matter
+        config = json.loads((repo.root / "forge.json").read_text())
+        (repo.root / "forge.json").write_text(json.dumps({**config, "rank": RANK + 1,
+                                                          "alpha": ALPHA * 3}))
+
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("an encoder was built")
+
+        monkeypatch.setattr(model.BaseEncoder, "from_seed", no_encoder)
+        reopened = Repository(repo.root)
+        for round_no, item_id in enumerate(want):
+            got = reopened.checkout(round_no).to_bytes()
+            assert hashlib.sha256(got).hexdigest() == item_id
+        assert hashlib.sha256(reopened.replay().to_bytes()).hexdigest() == want[-1]
+
+    def test_genesis_that_is_no_genesis_commit_is_refused(self, tmp_path):
+        repo = self.prepare(tmp_path, "mixture")
+        ref = repo._read_ref()
+        repo._write_ref({**ref, "genesis": ref["head"], "round": 0})
+        with pytest.raises(IntegrityError, match="no genesis commit"):
+            Repository(repo.root).checkout(0)
 
     def test_replay_reads_the_ref_once(self, tmp_path):
         repo = self.queued(tmp_path / "repo", "fusion")
