@@ -10,7 +10,9 @@
     forge experiment {orders|baselines} WORKDIR [--fast]
     forge checkout REPO --round K --out item.fgi
 
-Exit codes: 0 success, 1 usage, 2 validation/integrity, 3 runtime failure.
+Exit codes: 0 success or an empty queue; 1 usage; 2 any other ForgeError or a
+path that cannot be opened; 3 a merge lock held by another merge, or a
+runtime failure.
 """
 
 from __future__ import annotations
@@ -28,25 +30,17 @@ from . import numerics as nm
 from .config import RunConfig, SEED_ENV_VAR
 from .distill import DistilledDataset
 from .errors import (
-    ConflictError,
-    DegenerateInputError,
+    ForgeError,
     FormatError,
-    IncompatibleModulesError,
     InputError,
-    IntegrityError,
+    LockHeldError,
     NothingToMergeError,
-    ParameterError,
-    ShapeError,
     UsageError,
     ValidationError,
 )
 from .evaluation import MetricsReport, evaluate_deltas
 from .model import PluginModule
 from .registry import BranchContribution, Repository
-
-_VALIDATION_ERRORS = (ValidationError, IntegrityError, FormatError, InputError, ParameterError,
-                      ShapeError, ConflictError, IncompatibleModulesError, DegenerateInputError)
-
 
 _GLOBAL_VALUE_FLAGS = ("--config", "--seed", "--author")
 
@@ -150,20 +144,26 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
-def _load_task(data_dir: str, task: str) -> tuple[dsets.TaskSpec, dsets.LabeledDataset,
-                                                  dsets.LabeledDataset]:
-    root = Path(data_dir)
-    manifest = root / "manifest.json"
-    if not manifest.is_file():
-        raise InputError(f"no dataset manifest under {root}")
-    doc = nm.json_object(manifest.read_bytes(), str(manifest), {"tasks": dict}, InputError)
-    if task not in doc["tasks"]:
-        raise InputError(f"unknown task {task!r}; have {sorted(doc['tasks'])}")
-    spec_train, train = dsets.load_dataset(root / task / "train.fgd")
-    spec_test, test = dsets.load_dataset(root / task / "test.fgd")
-    if spec_train.to_dict() != spec_test.to_dict():
-        raise FormatError(f"train/test specs disagree for {task}")
-    return spec_train, train, test
+def _task_spec(data_dir: str, task: str) -> dsets.TaskSpec:
+    """``task``'s spec as the manifest of ``data_dir`` gives it."""
+    manifest = Path(data_dir) / "manifest.json"
+    tasks = nm.json_object(manifest.read_bytes(), str(manifest), {"tasks": dict},
+                           InputError)["tasks"]
+    if task not in tasks:
+        raise InputError(f"unknown task {task!r}; have {sorted(tasks)}")
+    return dsets.TaskSpec.from_dict(tasks[task])
+
+
+def _load_split(data_dir: str, task: str, split: str) -> tuple[dsets.TaskSpec,
+                                                              dsets.LabeledDataset]:
+    """``task``'s spec and its ``split`` rows; the split file must hold the
+    task as the manifest gives it."""
+    spec = _task_spec(data_dir, task)
+    path = Path(data_dir) / task / f"{split}.fgd"
+    file_spec, rows = dsets.load_dataset(path)
+    if file_spec != spec:
+        raise FormatError(f"{path} does not hold task {task!r} as manifest.json gives it")
+    return spec, rows
 
 
 def _write_sidecar(out_path: Path, artifact_id: str, task: str,
@@ -202,7 +202,7 @@ def _cmd_init(args, config: RunConfig) -> int:
 
 
 def _cmd_train_branch(args, config: RunConfig) -> int:
-    spec, train, _ = _load_task(args.data, args.task)
+    spec, train = _load_split(args.data, args.task, "train")
     overrides = {} if args.epochs is None else {"epochs": args.epochs}
     train_cfg = config.train_config(**overrides)
     base = mdl.BaseEncoder.from_seed(config.seed)
@@ -215,7 +215,7 @@ def _cmd_train_branch(args, config: RunConfig) -> int:
 
 
 def _cmd_distill(args, config: RunConfig) -> int:
-    spec, train, _ = _load_task(args.data, args.task)
+    spec, train = _load_split(args.data, args.task, "train")
     overrides = {}
     if args.ipc is not None:
         overrides["ipc"] = args.ipc
@@ -241,7 +241,7 @@ def _training_meta(meta_path: Path, config: RunConfig) -> dict:
 
 def _cmd_commit(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
-    spec, _, _ = _load_task(args.data, args.task)
+    spec = _task_spec(args.data, args.task)
     plugin = PluginModule.from_bytes(Path(args.plugin).read_bytes())
     distilled = DistilledDataset.from_bytes(Path(args.distilled).read_bytes())
     commit = repo.commit_contribution(BranchContribution(
@@ -255,10 +255,9 @@ def _cmd_commit(args, config: RunConfig) -> int:
 
 def _cmd_merge(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
-    if repo.queue_head() is None:
-        print("nothing to merge")
-        return 0
     records = repo.merge_all() if (args.all or not args.next) else [repo.merge_next()]
+    if not records:
+        print("nothing to merge")
     for record in records:
         print(f"round {record['round']}: merged {record['task']['name']} "
               f"(w={record['w_main']:.3f}, w'={record['w_branch']:.3f}, "
@@ -272,7 +271,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
     deltas = item.deltas()
     report = MetricsReport(repo.strategy, args.tasks.split(","), config.seed)
     for task in args.tasks.split(","):
-        spec, _, test = _load_task(args.data, task)
+        spec, test = _load_split(args.data, task, "test")
         table = mdl.LabelEmbeddingTable(spec.name, spec.labels, repo.base.embed_dim)
         acc, auc_value = evaluate_deltas(repo.base, deltas, table, test,
                                          repo.config["temperature"])
@@ -348,7 +347,11 @@ def main(argv: list[str] | None = None) -> int:
     except NothingToMergeError:
         print("nothing to merge")
         return 0
-    except _VALIDATION_ERRORS as exc:
+    except LockHeldError as exc:  # another merge holds the lock: retry, not a bad input
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except (ForgeError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:  # a bad input, or a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -53,12 +53,8 @@ def _coerce(section: str, key: str, raw: str):
 class RunConfig:
     """All tunables, resolved from defaults, file, environment, and flags."""
 
-    def __init__(self, values: dict[str, dict] | None = None):
+    def __init__(self):
         self.values = copy.deepcopy(DEFAULTS)
-        if values:
-            for section, entries in values.items():
-                for key, value in entries.items():
-                    self.set(section, key, value)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -88,11 +84,10 @@ class RunConfig:
     def get(self, section: str, key: str):
         return self.values[section][key]
 
-    def apply_env(self, env: dict | None = None) -> None:
-        env = os.environ if env is None else env
-        if SEED_ENV_VAR in env:
+    def apply_env(self) -> None:
+        if SEED_ENV_VAR in os.environ:
             try:
-                self.values["run"]["seed"] = int(env[SEED_ENV_VAR])
+                self.values["run"]["seed"] = int(os.environ[SEED_ENV_VAR])
             except ValueError as exc:
                 raise UsageError(f"{SEED_ENV_VAR} must be an integer") from exc
 

@@ -52,6 +52,10 @@ class TaskSpec:
                                             "grouped": bool}, FormatError)
         if not all(isinstance(label, str) for label in d["labels"]):
             raise FormatError(f"task spec {d['name']!r} has a label that is not text")
+        shape = d["input_shape"]  # the dataset format stores two uint32s
+        if len(shape) != 2 or not all(type(n) is int and 0 < n < 2**32 for n in shape):
+            raise FormatError(f"task spec {d['name']!r} needs input_shape as two positive "
+                              f"integers")
         return cls(d["name"], list(d["labels"]), tuple(d["input_shape"]), d["grouped"])
 
 

@@ -454,7 +454,7 @@ class StackedGuidance:
             h = np.tanh(h) @ weight.T + layer.bias.data
         e = h.astype(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", e, e))[:, None]
-        if np.any(norms < 1e-12):
+        if np.any(norms < mdl.NORM_EPS):
             raise DegenerateInputError("zero-norm embedding in cosine head")
         return (e @ self._head).take(self._flat_columns) / norms + self._padding
 

@@ -28,7 +28,7 @@ from .numerics import Tensor
 ENCODER_DIMS = (256, 64, 32)
 DEFAULT_TEMPERATURE = 0.07
 
-_NORM_EPS = 1e-12
+NORM_EPS = 1e-12  # a cosine head refuses a row of smaller L2 norm
 
 PLUGIN_MAGIC = b"FGM1"
 PLUGIN_VERSION = 1
@@ -324,7 +324,7 @@ def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit L2 norm (norms in float64), and the float32
     inverse norms as a column."""
     norms = np.linalg.norm(a.astype(np.float64), axis=1)
-    if np.any(norms < _NORM_EPS):
+    if np.any(norms < NORM_EPS):
         raise DegenerateInputError("cannot normalize a zero-norm row")
     inv = (1.0 / norms).astype(nm.DTYPE)[:, None]
     return a * inv, inv
@@ -388,7 +388,7 @@ def cosine_logits_np(embeddings: np.ndarray, table: LabelEmbeddingTable,
                      temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray:
     e = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(e, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
+    if np.any(norms < NORM_EPS):
         raise DegenerateInputError("zero-norm embedding in cosine head")
     rows = table.rows.data.astype(np.float64)
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)

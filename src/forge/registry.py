@@ -78,21 +78,14 @@ class Commit:
     payload: dict
     timestamp: float | None = None
 
-    @staticmethod
-    def compute_id(parent: str | None, author: str, kind: str, payload: dict) -> str:
-        body = _canonical_json({"parent": parent, "author": author,
-                                "kind": kind, "payload": payload})
-        return hashlib.sha256(body).hexdigest()
-
     def to_bytes(self) -> bytes:
         return _canonical_json({"parent": self.parent, "author": self.author,
                                 "kind": self.kind, "payload": self.payload})
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "Commit":
-        doc = json_object(buf, f"commit {hashlib.sha256(buf).hexdigest()}", COMMIT_KEYS,
-                          IntegrityError)
-        commit_id = cls.compute_id(doc["parent"], doc["author"], doc["kind"], doc["payload"])
+        commit_id = hashlib.sha256(buf).hexdigest()
+        doc = json_object(buf, f"commit {commit_id}", COMMIT_KEYS, IntegrityError)
         return cls(commit_id, doc["parent"], doc["author"], doc["kind"], doc["payload"])
 
 
@@ -249,9 +242,8 @@ class Repository:
 
     def _append_commit(self, parent: str | None, author: str, kind: str,
                        payload: dict) -> Commit:
-        commit_id = Commit.compute_id(parent, author, kind, payload)
-        commit = Commit(commit_id, parent, author, kind, payload, time.time())
-        self.store_object(commit.to_bytes())
+        commit = Commit("", parent, author, kind, payload, time.time())
+        commit.id = self.store_object(commit.to_bytes())
         return commit
 
     def read_commit(self, commit_id: str) -> Commit:
@@ -453,7 +445,8 @@ class Repository:
             payload = commit.payload
             branch = self.load_plugin(payload["plugin_id"])
             listing = _guidance_list([*ref["guidance"], payload])
-            new_item, outcome = mrg.merge_round(self.base, self.current_item(), branch,
+            item = ForgeItem.from_bytes(self.read_object(ref["item_id"]), self.load_plugin)
+            new_item, outcome = mrg.merge_round(self.base, item, branch,
                                                 self._guidance_from(listing),
                                                 self.coeff_config(),
                                                 self.config["temperature"])
@@ -486,12 +479,11 @@ class Repository:
 
     def merge_all(self) -> list[dict]:
         out = []
-        while self.queue_head() is not None:
+        while True:
             try:
                 out.append(self.merge_next())
-            except NothingToMergeError:  # the head was the entry of a committed round
-                break
-        return out
+            except NothingToMergeError:
+                return out
 
     # -- history -----------------------------------------------------------
 

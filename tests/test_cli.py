@@ -1,12 +1,13 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from forge import cli
+from forge import cli, errors
 from forge.cli import main
 from forge.config import DEFAULTS, RunConfig
 from forge.errors import UsageError
@@ -17,6 +18,28 @@ def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     assert main(["--seed", "5", "gen-data", "--out", str(out)]) == 0
     return out
+
+
+def forge_error_classes() -> list[type]:
+    """Every subclass of ForgeError, at any depth, in definition order."""
+    found, todo = [], [errors.ForgeError]
+    while todo:
+        for sub in todo.pop(0).__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return found
+
+
+# the code main gives each error a command raises; a new ForgeError subclass
+# fails test_exit_code_of_each_error until it is placed here
+EXIT_CODES = {
+    errors.ShapeError: 2, errors.ParameterError: 2, errors.DegenerateInputError: 2,
+    errors.InputError: 2, errors.FormatError: 2, errors.IncompatibleModulesError: 2,
+    errors.ValidationError: 2, errors.IntegrityError: 2, errors.ConflictError: 2,
+    errors.NothingToMergeError: 0, errors.LockHeldError: 3, errors.UsageError: 1,
+    FileNotFoundError: 2, IsADirectoryError: 2, NotADirectoryError: 2, PermissionError: 2,
+    RuntimeError: 3,
+}
 
 
 def parse_exit(parser, argv, capsys):
@@ -489,3 +512,86 @@ class TestExitCodes:
         bad.write_text("[train]\nwhatever = 3\n")
         assert main(["--config", str(bad), "gen-data", "--out",
                      str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("error", [*forge_error_classes(), FileNotFoundError,
+                                       IsADirectoryError, NotADirectoryError,
+                                       PermissionError, RuntimeError],
+                             ids=lambda error: error.__name__)
+    def test_exit_code_of_each_error(self, error, monkeypatch):
+        def fail(args, config):
+            raise error("raised by the command")
+
+        assert error in EXIT_CODES, f"give {error.__name__} its exit code in EXIT_CODES"
+        monkeypatch.setitem(cli._COMMANDS, "merge", (fail, "merge pending contributions"))
+        assert main(["merge", "repo"]) == EXIT_CODES[error]
+
+    @staticmethod
+    def data_copy(tmp_path, data_dir, *ignore):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data, ignore=shutil.ignore_patterns(*ignore))
+        return data
+
+    @pytest.mark.parametrize("command", [["train-branch", "--epochs", "1"],
+                                         ["distill", "--ipc", "2", "--iters", "2"]])
+    def test_train_and_distill_need_no_test_split(self, tmp_path, data_dir, command):
+        data = self.data_copy(tmp_path, data_dir, "test.fgd")
+        out = tmp_path / "artifact"
+        assert main(["--seed", "5", command[0], "--task", "M-toy", "--data", str(data),
+                     "--out", str(out), *command[1:]]) == 0
+        assert out.exists()
+
+    def test_commit_needs_only_the_manifest(self, tmp_path, data_dir):
+        repo, argv = self.mixture_repo_and_commit_argv(tmp_path, data_dir)
+        assert main(argv) == 0
+        manifest_only = self.data_copy(tmp_path, data_dir, "*.fgd")
+        argv[argv.index("--data") + 1] = str(manifest_only)
+        assert main(argv) == 0
+        queued = [json.loads(p.read_text())["commit_id"]
+                  for p in sorted((repo / "queue").iterdir())]
+        assert len(queued) == 2 and queued[0] == queued[1]
+
+    @pytest.mark.parametrize("field, value", [("input_shape", ["a", "b"]),
+                                              ("input_shape", [784]), ("input_shape", [0, 28]),
+                                              ("input_shape", [True, 28]), ("labels", [1, 2])])
+    def test_commit_refuses_a_malformed_manifest_entry(self, tmp_path, data_dir, field,
+                                                       value, capsys):
+        repo, argv = self.mixture_repo_and_commit_argv(tmp_path, data_dir)
+        data = self.data_copy(tmp_path, data_dir, "*.fgd")
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["tasks"]["B-toy"][field] = value
+        (data / "manifest.json").write_text(json.dumps(doc))
+        argv[argv.index("--data") + 1] = str(data)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "task spec 'B-toy'" in capsys.readouterr().err
+        assert list((repo / "queue").iterdir()) == []
+
+    def test_eval_without_its_test_split_is_two(self, tmp_path, data_dir, capsys):
+        data = self.data_copy(tmp_path, data_dir, "test.fgd")
+        repo = tmp_path / "repo"
+        assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(repo), "--tasks", "M-toy", "--data", str(data)]) == 2
+        assert "test.fgd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-branch", "eval"])
+    def test_split_files_whose_labels_differ_from_the_manifest_are_two(
+            self, tmp_path, data_dir, command, capsys):
+        from forge import datasets as dsets
+
+        data = self.data_copy(tmp_path, data_dir)
+        for split in ("train", "test"):  # the two files agree with each other
+            spec, rows = dsets.load_dataset(data / "M-toy" / f"{split}.fgd")
+            spec.labels.reverse()
+            dsets.save_dataset(data / "M-toy" / f"{split}.fgd", spec, rows)
+        out = tmp_path / "plugin.fgm"
+        if command == "train-branch":
+            argv = ["train-branch", "--task", "M-toy", "--out", str(out), "--epochs", "1"]
+        else:
+            assert main(["--seed", "5", "init", "--strategy", "mixture",
+                         str(tmp_path / "repo")]) == 0
+            argv = ["eval", str(tmp_path / "repo"), "--tasks", "M-toy"]
+        capsys.readouterr()
+        assert main(["--seed", "5", *argv, "--data", str(data)]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not out.exists()
