@@ -15,7 +15,7 @@ minimizing cross-entropy on distilled guidance data plus an L1 penalty.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,12 +142,20 @@ def mixture_deltas(entries: Sequence[tuple[PluginModule, float]]) -> dict[int, n
 
 @dataclass
 class ForgeItem:
-    """Main-branch merge state: one fused module, or weighted mixture entries."""
+    """Main-branch merge state: one fused module, or weighted mixture entries.
+
+    A mixture item's bytes name each entry's plugin by its id, and the item
+    keeps those ids in ``plugin_ids``: read from the bytes, handed to
+    ``merged``, or taken once here from the plugins. So serializing an item
+    never serializes its history again. Both sequences are stored as tuples,
+    so an id cannot fall out of step with its entry.
+    """
 
     kind: str  # "fused" | "mixture"
     round: int
     plugin: PluginModule | None = None
-    entries: list[tuple[PluginModule, float]] = field(default_factory=list)
+    entries: Sequence[tuple[PluginModule, float]] = ()
+    plugin_ids: Sequence[str] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("fused", "mixture"):
@@ -162,6 +170,12 @@ class ForgeItem:
                 raise ParameterError("mixture item must have entries after round 1")
             if not all(np.isfinite(c) for _, c in self.entries):
                 raise ParameterError("mixture coefficients must be finite")
+            self.entries = tuple(self.entries)
+            if self.plugin_ids is None:
+                self.plugin_ids = [plugin.content_id() for plugin, _ in self.entries]
+            self.plugin_ids = tuple(self.plugin_ids)
+            if len(self.plugin_ids) != len(self.entries):
+                raise ParameterError("mixture item needs one plugin id per entry")
 
     @classmethod
     def genesis(cls, strategy: str, base: BaseEncoder, rank: int, alpha: float) -> "ForgeItem":
@@ -182,19 +196,23 @@ class ForgeItem:
             return FactoredDeltas([self.plugin, branch])
         return LinearDeltas([self.deltas() or {}, branch.layer_deltas()])
 
-    def merged(self, branch: PluginModule, coeffs: MergeCoefficients) -> "ForgeItem":
+    def merged(self, branch: PluginModule, coeffs: MergeCoefficients,
+               branch_id: str | None = None) -> "ForgeItem":
         """The next round's item: fuse the branch into the plugin, or rescale
         the history by w and append the branch at w'.
 
         Flattened mixture bookkeeping: nested application of the output rule
         gives every previous entry an effective coefficient multiplied by
-        this round's w.
+        this round's w. ``branch_id`` is the branch's content id when the
+        caller holds it already, as replay does from the bytes it just
+        hash-checked; without it the branch is serialized once to get it.
         """
         if self.kind == "fused":
             return ForgeItem("fused", self.round + 1, plugin=fuse(self.plugin, branch, coeffs))
         entries = [(plugin, coeff * coeffs.w_main) for plugin, coeff in self.entries]
         entries.append((branch, coeffs.w_branch))
-        return ForgeItem("mixture", self.round + 1, entries=entries)
+        ids = [*self.plugin_ids, branch.content_id() if branch_id is None else branch_id]
+        return ForgeItem("mixture", self.round + 1, entries=entries, plugin_ids=ids)
 
     def to_bytes(self) -> bytes:
         out = [FORGE_ITEM_MAGIC,
@@ -206,8 +224,8 @@ class ForgeItem:
             out.append(payload)
         else:
             out.append(struct.pack("<I", len(self.entries)))
-            for plugin, coeff in self.entries:
-                out.append(bytes.fromhex(plugin.content_id()))
+            for plugin_id, (_, coeff) in zip(self.plugin_ids, self.entries):
+                out.append(bytes.fromhex(plugin_id))
                 out.append(struct.pack("<d", float(coeff)))
         return b"".join(out)
 
@@ -228,8 +246,10 @@ class ForgeItem:
             raise r.error("a mixture item needs a plugin loader to resolve ids")
         refs = [r.unpack("<32sd") for _ in range(count)]  # raw plugin id, coefficient
         r.end()
-        return cls("mixture", round_no,
-                   entries=[(plugin_loader(raw.hex()), coeff) for raw, coeff in refs])
+        ids = [raw.hex() for raw, _ in refs]
+        return cls("mixture", round_no, plugin_ids=ids,
+                   entries=[(plugin_loader(plugin_id), coeff)
+                            for plugin_id, (_, coeff) in zip(ids, refs)])
 
 
 # ---------------------------------------------------------------------------

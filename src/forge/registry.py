@@ -21,6 +21,7 @@ import json
 import math
 import os
 import re
+import stat
 import tempfile
 import time
 from contextlib import contextmanager
@@ -83,8 +84,10 @@ class Commit:
                                 "kind": self.kind, "payload": self.payload})
 
     @classmethod
-    def from_bytes(cls, buf: bytes) -> "Commit":
-        commit_id = hashlib.sha256(buf).hexdigest()
+    def from_bytes(cls, buf: bytes, commit_id: str | None = None) -> "Commit":
+        """The commit ``buf`` holds; ``commit_id`` is the hash of ``buf`` when
+        the caller has just checked it, and is computed here otherwise."""
+        commit_id = commit_id or hashlib.sha256(buf).hexdigest()
         doc = json_object(buf, f"commit {commit_id}", COMMIT_KEYS, IntegrityError)
         return cls(commit_id, doc["parent"], doc["author"], doc["kind"], doc["payload"])
 
@@ -110,6 +113,7 @@ class Repository:
             raise InputError(f"no repository at {self.root}")
         self.config = _check_config(json_object(config_path.read_bytes(), str(config_path),
                                                 CONFIG_KEYS, InputError))
+        self._objects = os.path.join(self.root, "objects")
         self._base: BaseEncoder | None = None
 
     # -- creation ----------------------------------------------------------
@@ -156,9 +160,14 @@ class Repository:
     @property
     def base(self) -> BaseEncoder:
         """The encoder of ``base_seed``, refused unless the genesis commit records it."""
+        return self._base_of()
+
+    def _base_of(self, ref: dict | None = None) -> BaseEncoder:
+        """``base``, checked against the genesis commit of ``ref`` (the main
+        ref, read now if not given)."""
         if self._base is None:
             base = BaseEncoder.from_seed(self.config["base_seed"])
-            if base.param_hash() != self._genesis()["base_hash"]:
+            if base.param_hash() != self._genesis(ref)["base_hash"]:
                 raise IntegrityError(f"base_seed {self.config['base_seed']} does not build "
                                      f"the encoder this repository was made with")
             self._base = base
@@ -173,8 +182,11 @@ class Repository:
 
     # -- object store ------------------------------------------------------
 
+    def _object_file(self, object_id: str) -> str:
+        return f"{self._objects}/{object_id[:2]}/{object_id[2:]}"
+
     def _object_path(self, object_id: str) -> Path:
-        return self.root / "objects" / object_id[:2] / object_id[2:]
+        return Path(self._object_file(object_id))
 
     def store_object(self, data: bytes) -> str:
         object_id = hashlib.sha256(data).hexdigest()
@@ -196,21 +208,41 @@ class Repository:
         return object_id
 
     def read_object(self, object_id: str) -> bytes:
-        target = self._object_path(object_id)
-        if not target.is_file():
+        """The bytes stored under ``object_id``, refused unless they hash to it.
+
+        One open of a string path. A missing file, anything but a regular
+        file in its place, and an id that names no path (a shard that is no
+        directory, a NUL byte) are the same ``IntegrityError``. O_NONBLOCK
+        makes a FIFO in an object's place refused, not waited on.
+        """
+        try:
+            fd = os.open(self._object_file(object_id), os.O_RDONLY | os.O_NONBLOCK)
+        except (FileNotFoundError, NotADirectoryError, ValueError) as exc:
+            raise IntegrityError(f"missing object {object_id}") from exc
+        try:
+            info = os.fstat(fd)
+            # a short read can only fail the hash check, never pass it
+            data = os.read(fd, info.st_size) if stat.S_ISREG(info.st_mode) else None
+        finally:
+            os.close(fd)
+        if data is None:
             raise IntegrityError(f"missing object {object_id}")
-        data = target.read_bytes()
         if hashlib.sha256(data).hexdigest() != object_id:
             raise IntegrityError(f"object {object_id} fails its hash check")
         return data
 
     def all_object_ids(self) -> list[str]:
+        """The id of every stored object, sorted; the ``.tmp-`` files of
+        unfinished writes are none."""
+        try:
+            with os.scandir(self._objects) as it:
+                shards = sorted((e.name, e.path) for e in it if e.is_dir())
+        except (FileNotFoundError, NotADirectoryError):
+            return []
         out = []
-        objects = self.root / "objects"
-        for shard in sorted(objects.iterdir()) if objects.is_dir() else []:
-            if shard.is_dir():
-                out.extend(shard.name + p.name for p in sorted(shard.iterdir())
-                           if not p.name.startswith(".tmp-"))
+        for name, path in shards:
+            with os.scandir(path) as it:
+                out.extend(sorted(name + e.name for e in it if not e.name.startswith(".tmp-")))
         return out
 
     def load_plugin(self, object_id: str) -> PluginModule:
@@ -247,7 +279,7 @@ class Repository:
         return commit
 
     def read_commit(self, commit_id: str) -> Commit:
-        return Commit.from_bytes(self.read_object(commit_id))
+        return Commit.from_bytes(self.read_object(commit_id), commit_id)
 
     def _genesis(self, ref: dict | None = None) -> dict:
         """The payload of ``ref``'s genesis commit, refused unless it is one."""
@@ -446,7 +478,7 @@ class Repository:
             branch = self.load_plugin(payload["plugin_id"])
             listing = _guidance_list([*ref["guidance"], payload])
             item = ForgeItem.from_bytes(self.read_object(ref["item_id"]), self.load_plugin)
-            new_item, outcome = mrg.merge_round(self.base, item, branch,
+            new_item, outcome = mrg.merge_round(self._base_of(ref), item, branch,
                                                 self._guidance_from(listing),
                                                 self.coeff_config(),
                                                 self.config["temperature"])
@@ -500,7 +532,8 @@ class Repository:
         for payload in payloads[:round_no]:
             branch = self.load_plugin(payload["plugin_id"])
             item = item.merged(branch, mrg.MergeCoefficients(payload["w_main"],
-                                                             payload["w_branch"]))
+                                                             payload["w_branch"]),
+                               payload["plugin_id"])  # the id load_plugin just checked
             expect = payload["item_id"]
             got = hashlib.sha256(item.to_bytes()).hexdigest()
             if got != expect:

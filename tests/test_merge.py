@@ -423,6 +423,33 @@ class TestForgeItemSerialization:
         with pytest.raises(FormatError):
             ForgeItem.from_bytes(buf)
 
+    def test_mixture_bytes_round_trip_serializes_no_plugin(self, base, monkeypatch):
+        rng = nm.make_rng(22)
+        plugins = [random_plugin(base, rng) for _ in range(3)]
+        store = {p.content_id(): p for p in plugins}
+        buf = ForgeItem("mixture", 3, entries=list(zip(plugins, (0.5, 0.25, 1.5)))).to_bytes()
+
+        def no_serialization(self_):
+            raise AssertionError("a history plugin was serialized")
+
+        monkeypatch.setattr(PluginModule, "to_bytes", no_serialization)
+        back = ForgeItem.from_bytes(buf, store.__getitem__)
+        assert back.to_bytes() == buf
+        assert back.plugin_ids == tuple(store)
+        merged = back.merged(plugins[0], MergeCoefficients(0.5, 0.5), "ab" * 32)
+        assert merged.plugin_ids == (*store, "ab" * 32)
+
+    def test_mixture_ids_are_taken_at_construction(self, base):
+        rng = nm.make_rng(23)
+        p1, p2 = random_plugin(base, rng), random_plugin(base, rng)
+        item = ForgeItem("mixture", 1, entries=[(p1, 0.5)])
+        assert item.plugin_ids == (p1.content_id(),)
+        assert isinstance(item.entries, tuple)
+        merged = item.merged(p2, MergeCoefficients(0.5, 0.5))
+        assert merged.plugin_ids == (p1.content_id(), p2.content_id())
+        with pytest.raises(ParameterError, match="one plugin id per entry"):
+            ForgeItem("mixture", 1, entries=[(p1, 0.5)], plugin_ids=[])
+
 
 def reference_objective(base, guidance, deltas_for, l1_lambda,
                         temperature=model.DEFAULT_TEMPERATURE):

@@ -364,6 +364,21 @@ class TestMerge:
             texts = [text for _, ls in specs[:round_no] for text in ls]
             assert drawn == list(dict.fromkeys(texts))  # one draw per distinct text
 
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_merge_reads_the_ref_once(self, tmp_path, strategy, monkeypatch):
+        repo = make_repo(tmp_path / "repo", strategy=strategy)
+        for i, name in enumerate(("t1", "t2")):
+            repo.commit_contribution(make_contribution(repo.base, name, [f"{name} a", "b"],
+                                                       seed=i))
+        read_ref, reads = Repository._read_ref, []
+        monkeypatch.setattr(Repository, "_read_ref",
+                            lambda self_: reads.append(1) or read_ref(self_))
+        for round_no in (1, 2):
+            reads.clear()
+            # freshly opened, so the base check has not run yet
+            assert Repository(repo.root).merge_next()["round"] == round_no
+            assert len(reads) == 1
+
     def test_merged_contribution_committed_again_merges_again(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
         contrib = make_contribution(repo.base, "t1", ["red", "blue"])
@@ -591,6 +606,48 @@ class TestHistory:
             assert hashlib.sha256(got).hexdigest() == item_id
         assert hashlib.sha256(reopened.replay().to_bytes()).hexdigest() == want[-1]
 
+    def test_mixture_checkout_serializes_no_history_plugin(self, tmp_path, monkeypatch):
+        repo = self.queued(tmp_path / "repo", "mixture")
+        repo.commit_contribution(make_contribution(repo.base, "t4", ["t4 a", "t4 b"], seed=3))
+        repo.merge_all()
+        want = repo.current_item().to_bytes()
+        to_bytes, calls = PluginModule.to_bytes, []
+        monkeypatch.setattr(PluginModule, "to_bytes",
+                            lambda self_: calls.append(1) or to_bytes(self_))
+        item = Repository(repo.root).checkout(4)
+        # at most one plugin serialization per round; each round's plugin id
+        # is the one its commit names, and that object was just hash-checked
+        assert len(calls) <= 4
+        assert item.to_bytes() == want
+
+    @pytest.mark.parametrize("damage", ["deleted", "directory", "flipped byte"])
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_damaged_history_plugin_is_refused_naming_its_id(self, tmp_path, strategy,
+                                                             damage):
+        repo = self.prepare(tmp_path, strategy)
+        plugin_id = repo.merge_records()[0]["plugin_id"]  # in every later mixture item
+        target = repo._object_path(plugin_id)
+        raw = bytearray(target.read_bytes())
+        target.unlink()
+        if damage == "directory":
+            target.mkdir()
+        elif damage == "flipped byte":
+            raw[len(raw) // 2] ^= 0x01
+            target.write_bytes(bytes(raw))
+        reopened = Repository(repo.root)
+        with pytest.raises(IntegrityError, match=plugin_id):
+            reopened.read_object(plugin_id)
+        with pytest.raises(IntegrityError, match=plugin_id):
+            reopened.replay()
+        if damage == "deleted":
+            # verify_objects re-hashes what is stored; a missing object is
+            # the replay's to find
+            assert plugin_id not in reopened.all_object_ids()
+            assert reopened.verify_objects() == len(reopened.all_object_ids())
+        else:
+            with pytest.raises(IntegrityError, match=plugin_id):
+                reopened.verify_objects()
+
     def test_genesis_that_is_no_genesis_commit_is_refused(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
         ref = repo._read_ref()
@@ -790,6 +847,26 @@ class TestObjectStore:
         assert errors == []
         assert list((repo.root / "objects").rglob(".tmp-*")) == []
         assert repo.verify_objects() == len(repo.all_object_ids())
+
+    def test_ids_that_name_no_stored_object_are_integrity_errors(self, tmp_path):
+        import os
+
+        repo = make_repo(tmp_path / "repo")
+        objects = repo.root / "objects"
+        (objects / "zz").write_bytes(b"a shard that is a file")
+        (objects / "ff").mkdir()
+        os.mkfifo(objects / "ff" / ("f" * 62))
+        for object_id in ("0" * 64, "", "a", "ff", "zz" + "0" * 62, "f" * 64, "\0" * 64):
+            with pytest.raises(IntegrityError, match="missing object"):
+                repo.read_object(object_id)
+
+    def test_temp_files_in_a_shard_are_no_objects(self, tmp_path):
+        repo = make_repo(tmp_path / "repo")
+        before = repo.all_object_ids()
+        shard = repo._object_path(before[0]).parent
+        (shard / ".tmp-abc123").write_bytes(b"an unfinished write")
+        assert repo.all_object_ids() == before == sorted(before)
+        assert repo.verify_objects() == len(before)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         import os
