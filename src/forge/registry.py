@@ -15,6 +15,7 @@ commits do not.
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import hashlib
 import json
@@ -60,6 +61,10 @@ CONSUMED_KEYS = {"commit_id": str, "seq": int}
 COMMIT_KEYS = {"parent": (str, type(None)), "author": str, "kind": str, "payload": dict}
 GENESIS_KEYS = {"base_hash": str, "item_id": str}
 
+# what os.open raises when a path names no file: missing, under a shard that
+# is no directory, or through a symlink loop
+NO_PATH_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
 # the names _enqueue gives, f"{seq:06d}.json", and no others
 QUEUE_ENTRY_NAME = re.compile(r"([0-9]{6}|[1-9][0-9]{6,})\.json")
 
@@ -84,10 +89,9 @@ class Commit:
                                 "kind": self.kind, "payload": self.payload})
 
     @classmethod
-    def from_bytes(cls, buf: bytes, commit_id: str | None = None) -> "Commit":
-        """The commit ``buf`` holds; ``commit_id`` is the hash of ``buf`` when
-        the caller has just checked it, and is computed here otherwise."""
-        commit_id = commit_id or hashlib.sha256(buf).hexdigest()
+    def from_bytes(cls, buf: bytes, commit_id: str) -> "Commit":
+        """The commit ``buf`` holds; ``commit_id`` is the hash of ``buf``,
+        which the caller has just checked."""
         doc = json_object(buf, f"commit {commit_id}", COMMIT_KEYS, IntegrityError)
         return cls(commit_id, doc["parent"], doc["author"], doc["kind"], doc["payload"])
 
@@ -185,12 +189,9 @@ class Repository:
     def _object_file(self, object_id: str) -> str:
         return f"{self._objects}/{object_id[:2]}/{object_id[2:]}"
 
-    def _object_path(self, object_id: str) -> Path:
-        return Path(self._object_file(object_id))
-
     def store_object(self, data: bytes) -> str:
         object_id = hashlib.sha256(data).hexdigest()
-        target = self._object_path(object_id)
+        target = Path(self._object_file(object_id))
         if target.exists():
             return object_id
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -212,12 +213,14 @@ class Repository:
 
         One open of a string path. A missing file, anything but a regular
         file in its place, and an id that names no path (a shard that is no
-        directory, a NUL byte) are the same ``IntegrityError``. O_NONBLOCK
-        makes a FIFO in an object's place refused, not waited on.
+        directory, a symlink loop, a NUL byte) are the same ``IntegrityError``.
+        O_NONBLOCK makes a FIFO in an object's place refused, not waited on.
         """
         try:
             fd = os.open(self._object_file(object_id), os.O_RDONLY | os.O_NONBLOCK)
-        except (FileNotFoundError, NotADirectoryError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
+            if isinstance(exc, OSError) and exc.errno not in NO_PATH_ERRNOS:
+                raise
             raise IntegrityError(f"missing object {object_id}") from exc
         try:
             info = os.fstat(fd)

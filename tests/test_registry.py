@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestCommit:
         contrib = make_contribution(repo.base, "t1", ["red grating", "blue grating"])
         commit = repo.commit_contribution(contrib)
         plugin_id = commit.payload["plugin_id"]
-        target = repo._object_path(plugin_id)
+        target = Path(repo._object_file(plugin_id))
         raw = bytearray(target.read_bytes())
         raw[-1] ^= 0xFF
         target.write_bytes(bytes(raw))
@@ -330,8 +331,6 @@ class TestMerge:
         assert hashed == []  # the ids come from the main ref, not from re-hashing
 
     def test_round_reads_only_what_changed(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
         repo = make_repo(tmp_path / "repo")
         specs = [("t1", ["red", "blue"]), ("t2", ["red", "green", "blue"]),
                  ("t3", ["green", "grey"]), ("t4", ["blue", "grey", "white"])]
@@ -626,7 +625,7 @@ class TestHistory:
                                                              damage):
         repo = self.prepare(tmp_path, strategy)
         plugin_id = repo.merge_records()[0]["plugin_id"]  # in every later mixture item
-        target = repo._object_path(plugin_id)
+        target = Path(repo._object_file(plugin_id))
         raw = bytearray(target.read_bytes())
         target.unlink()
         if damage == "directory":
@@ -639,12 +638,7 @@ class TestHistory:
             reopened.read_object(plugin_id)
         with pytest.raises(IntegrityError, match=plugin_id):
             reopened.replay()
-        if damage == "deleted":
-            # verify_objects re-hashes what is stored; a missing object is
-            # the replay's to find
-            assert plugin_id not in reopened.all_object_ids()
-            assert reopened.verify_objects() == len(reopened.all_object_ids())
-        else:
+        if damage != "deleted":  # verify_objects re-hashes only what is stored
             with pytest.raises(IntegrityError, match=plugin_id):
                 reopened.verify_objects()
 
@@ -694,7 +688,7 @@ class TestHistory:
     def test_missing_merge_commit_is_refused(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
         middle = repo.read_commit(repo._read_ref()["head"]).parent
-        repo._object_path(middle).unlink()
+        Path(repo._object_file(middle)).unlink()
         with pytest.raises(IntegrityError):
             repo.checkout(1)
         with pytest.raises(IntegrityError):
@@ -704,8 +698,6 @@ class TestHistory:
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
     def test_queue_unlink_failure_never_merges_twice(
             self, tmp_path, strategy, failing_round, monkeypatch):
-        from pathlib import Path
-
         clean = self.prepare(tmp_path / "clean", strategy)
         repo = make_repo(tmp_path / "crashed", strategy=strategy)
         for i, name in enumerate(("t1", "t2", "t3")):
@@ -856,14 +848,16 @@ class TestObjectStore:
         (objects / "zz").write_bytes(b"a shard that is a file")
         (objects / "ff").mkdir()
         os.mkfifo(objects / "ff" / ("f" * 62))
-        for object_id in ("0" * 64, "", "a", "ff", "zz" + "0" * 62, "f" * 64, "\0" * 64):
+        os.symlink("e" * 62, objects / "ff" / ("e" * 62))  # a link to itself
+        for object_id in ("0" * 64, "", "a", "ff", "zz" + "0" * 62, "f" * 64, "ff" + "e" * 62,
+                          "\0" * 64):
             with pytest.raises(IntegrityError, match="missing object"):
                 repo.read_object(object_id)
 
     def test_temp_files_in_a_shard_are_no_objects(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
         before = repo.all_object_ids()
-        shard = repo._object_path(before[0]).parent
+        shard = Path(repo._object_file(before[0])).parent
         (shard / ".tmp-abc123").write_bytes(b"an unfinished write")
         assert repo.all_object_ids() == before == sorted(before)
         assert repo.verify_objects() == len(before)
