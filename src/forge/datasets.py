@@ -83,11 +83,14 @@ class LabeledDataset:
         return [np.flatnonzero(self.labels == c) for c in range(num_classes)]
 
 
+# pixel row and column indices of a grating, shared by every item
+_YS, _XS = np.meshgrid(np.arange(INPUT_SIDE), np.arange(INPUT_SIDE), indexing="ij")
+
+
 def _grating(rng: np.random.Generator, theta: float, freq: float,
              phase: float, noise_std: float) -> np.ndarray:
     """One 16x16 sinusoid grating at the given angle/frequency plus noise."""
-    ys, xs = np.meshgrid(np.arange(INPUT_SIDE), np.arange(INPUT_SIDE), indexing="ij")
-    u = (xs * np.cos(theta) + ys * np.sin(theta)) / INPUT_SIDE
+    u = (_XS * np.cos(theta) + _YS * np.sin(theta)) / INPUT_SIDE
     img = np.sin(2.0 * np.pi * freq * u + phase)
     img += rng.normal(0.0, noise_std, size=img.shape)
     return img.astype(nm.DTYPE)

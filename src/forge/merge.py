@@ -14,6 +14,7 @@ minimizing cross-entropy on distilled guidance data plus an L1 penalty.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -319,7 +320,9 @@ def optimize_coefficients(objective: Callable[[np.ndarray], float],
     evaluated first, so the result can never be worse than the start; it is
     also the search's first vertex, so the trace holds it twice. Evaluating
     it once would give each round one more step, but would move the
-    coefficients and content ids of every stored history, so it stays.
+    coefficients and content ids of every stored history, so it stays, in
+    the trace and in the budget. The guidance objective keeps the forward
+    of each point it has computed, so the second evaluation costs none.
     The best point is the first one with the lowest value.
     """
     lo, hi = config.bounds()
@@ -419,6 +422,13 @@ class StackedGuidance:
     columns. A forward pass at coefficients w then costs one tanh, the
     remaining layers with their small deltas formed directly, and one cosine
     head over every row.
+
+    The forward reads w only as float32, so each distinct float32 w is
+    computed once per instance and its logits kept, read-only: the search's
+    repeated start vertex, points that round to the same float32 near
+    convergence, and the accuracies at the chosen point cost no second pass.
+    An instance lives for one round, so nothing it keeps goes stale, and it
+    keeps at most one array per evaluation.
     """
 
     def __init__(self, base: BaseEncoder, guidance: Sequence[GuidanceSet],
@@ -458,11 +468,23 @@ class StackedGuidance:
         self._task_start = np.cumsum(counts) - counts
         self._counts = counts
         self._names = [table.task_name for _, table in guidance]
+        self._memo: dict[bytes, np.ndarray] = {}  # float32 bytes of w -> logits
 
     def logits(self, w: np.ndarray) -> np.ndarray:
         """[rows, most classes of any task] logits of each row's own task;
-        columns past that task's class count are -inf."""
+        columns past that task's class count are -inf. The array is shared
+        by every call at the same float32 w, so it is read-only."""
         w = np.asarray(w, dtype=nm.DTYPE)
+        key = w.tobytes()
+        z = self._memo.get(key)
+        if z is None:
+            z = self._forward(w)
+            z.flags.writeable = False
+            self._memo[key] = z
+        return z
+
+    def _forward(self, w: np.ndarray) -> np.ndarray:
+        """The logits at float32 ``w``, computed."""
         h = self._pre0
         if self._projected is not None:
             h = h + self._deltas.first_layer(self._projected, w)
@@ -481,8 +503,10 @@ class StackedGuidance:
     def loss(self, w: np.ndarray) -> float:
         """Mean over tasks of the mean cross-entropy of each task's rows."""
         z = self.logits(w)
-        zmax = z.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        # column by column: the same bits as z.max(axis=1), without numpy's
+        # per-row reduction over a handful of columns
+        zmax = functools.reduce(np.maximum, z.T)
+        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
         return float((lse - z.take(self._flat_labels)) @ self._row_weight)
 
     def accuracies(self, w: np.ndarray) -> dict[str, float]:

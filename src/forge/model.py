@@ -222,14 +222,17 @@ class PluginModule:
         r.header(PLUGIN_MAGIC, PLUGIN_VERSION)
         (count,) = r.unpack("<I")
         adapters: dict[int, LoraAdapter] = {}
+        last = -1
         for _ in range(count):
             lid, rank, alpha = r.unpack("<IIf")
             a, b = r.tensor(2), r.tensor(2)
             if a.shape[0] != rank or b.shape[1] != rank:
                 raise r.error("adapter tensor shapes disagree with rank")
-            if lid in adapters:
-                # the later adapter would replace the earlier one
-                raise r.error(f"layer {lid} has two adapters")
+            if lid <= last:
+                # to_bytes writes layers in increasing order, so any other
+                # order, a repeated layer included, is a second encoding
+                raise r.error(f"layer {lid} follows layer {last}; layers must increase")
+            last = lid
             adapters[lid] = LoraAdapter(lid, Tensor(a), Tensor(b), rank, alpha)
         r.end()
         return cls(adapters)

@@ -20,6 +20,22 @@ class TestGeneration:
             assert te1.inputs.tobytes() == te2.inputs.tobytes()
             assert np.array_equal(tr1.labels, tr2.labels)
 
+    def test_shared_pixel_grid_gives_the_per_item_grid_bits(self, tasks, monkeypatch):
+        def per_item_grating(rng, theta, freq, phase, noise_std):
+            """``_grating`` as it was, building its meshgrid for every item."""
+            ys, xs = np.meshgrid(np.arange(ds.INPUT_SIDE), np.arange(ds.INPUT_SIDE),
+                                 indexing="ij")
+            u = (xs * np.cos(theta) + ys * np.sin(theta)) / ds.INPUT_SIDE
+            img = np.sin(2.0 * np.pi * freq * u + phase)
+            img += rng.normal(0.0, noise_std, size=img.shape)
+            return img.astype(nm.DTYPE)
+
+        monkeypatch.setattr(ds, "_grating", per_item_grating)
+        for (_, tr1, te1), (_, tr2, te2) in zip(tasks, ds.generate_tasks(7)):
+            assert tr1.inputs.tobytes() == tr2.inputs.tobytes()
+            assert te1.inputs.tobytes() == te2.inputs.tobytes()
+            assert np.array_equal(tr1.labels, tr2.labels)
+
     def test_class_structure_mirrors_reference_tasks(self, tasks):
         specs = [spec for spec, _, _ in tasks]
         assert [s.num_classes for s in specs] == [2, 3, 2]

@@ -108,11 +108,11 @@ def plugin_with_1d_b():
     return PluginModule({0: LoraAdapter(0, Tensor(a), Tensor(np.ones(2)), 2, 4.0)}).to_bytes()
 
 
-def plugin_with_repeated_layer(plugin):
-    """``plugin``'s first adapter entry twice, both for layer 0."""
-    single = PluginModule({0: plugin.adapters[0]}).to_bytes()
-    entry = single[9:]  # after magic, u8 version and u32 count
-    return single[:5] + struct.pack("<I", 2) + entry + entry
+def plugin_with_layers(plugin, layer_ids):
+    """``plugin``'s adapter entries written in the order of ``layer_ids``."""
+    singles = [PluginModule({lid: plugin.adapters[lid]}).to_bytes() for lid in layer_ids]
+    entries = [single[9:] for single in singles]  # after magic, u8 version and u32 count
+    return singles[0][:5] + struct.pack("<I", len(entries)) + b"".join(entries)
 
 
 def distilled_with_bad_name(distilled):
@@ -136,8 +136,17 @@ def test_one_dimensional_factor_is_a_format_error():
 
 
 def test_repeated_layer_id_is_a_format_error():
-    with pytest.raises(FormatError, match="layer 0"):
-        PluginModule.from_bytes(plugin_with_repeated_layer(small_plugin(1)))
+    with pytest.raises(FormatError, match="layer 0 follows layer 0"):
+        PluginModule.from_bytes(plugin_with_layers(small_plugin(1), [0, 0]))
+
+
+def test_layers_out_of_order_are_a_format_error():
+    # the same adapters in the other order would parse to the same plugin,
+    # which to_bytes writes in increasing order: a second encoding of it
+    plugin = small_plugin(1)
+    assert plugin_with_layers(plugin, [0, 1]) == plugin.to_bytes()
+    with pytest.raises(FormatError, match="layer 0 follows layer 1"):
+        PluginModule.from_bytes(plugin_with_layers(plugin, [1, 0]))
 
 
 def test_non_utf8_name_is_a_format_error():
@@ -176,7 +185,8 @@ def repo_files(repo):
             for p in sorted(repo.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("bad", ["1-D B factor", "repeated layer", "non-UTF-8 task name"])
+@pytest.mark.parametrize("bad", ["1-D B factor", "repeated layer", "reversed layers",
+                                 "non-UTF-8 task name"])
 def test_commit_of_a_malformed_file_is_two_and_queues_nothing(tmp_path, task, bad):
     data, _, _, plugin, distilled = task
     repo = tmp_path / "repo"
@@ -186,7 +196,9 @@ def test_commit_of_a_malformed_file_is_two_and_queues_nothing(tmp_path, task, ba
     if bad == "1-D B factor":
         files["plugin"] = plugin_with_1d_b()
     elif bad == "repeated layer":
-        files["plugin"] = plugin_with_repeated_layer(plugin)
+        files["plugin"] = plugin_with_layers(plugin, [0, 0])
+    elif bad == "reversed layers":
+        files["plugin"] = plugin_with_layers(plugin, sorted(plugin.adapters, reverse=True))
     else:
         files["distilled"] = distilled_with_bad_name(distilled)
 

@@ -731,6 +731,108 @@ class TestLeanEvaluation:
                               TensordotFactoredDeltas(plugins), 3, 47)
 
 
+class MemoFreeGuidance(merge.StackedGuidance):
+    """The stacked pass without its kept forwards: every call computes the
+    logits, and the loss takes its row maximum with ``max(axis=1)``."""
+
+    def logits(self, w):
+        return self._forward(np.asarray(w, dtype=nm.DTYPE))
+
+    def loss(self, w):
+        z = self.logits(w)
+        zmax = z.max(axis=1, keepdims=True)
+        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        return float((lse - z.take(self._flat_labels)) @ self._row_weight)
+
+
+def float32_keys(points):
+    return {np.asarray(p, dtype=np.float32).tobytes() for p in points}
+
+
+ROUND_KINDS = ["fusion", "mixture", "first mixture"]
+
+
+class TestForwardMemo:
+    """A round computes one forward per distinct float32 point and ends, to
+    the bit, where a search computing every evaluation would."""
+
+    def round_case(self, kind, depth, seed):
+        rng, enc, (p1, p2, branch), guidance = TestStackedObjective().build(depth, seed)
+        if kind == "fusion":
+            item = ForgeItem("fused", 2, plugin=merge.fuse(p1, p2, MergeCoefficients(0.7, 0.9)))
+        elif kind == "mixture":
+            item = ForgeItem("mixture", 2, entries=[(p1, 0.7), (p2, 0.9)])
+        else:
+            item = ForgeItem.genesis("mixture", enc, rank=3, alpha=3.0)
+        return enc, item, branch, guidance
+
+    @pytest.mark.parametrize("seed", [52, 62, 64])
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    @pytest.mark.parametrize("kind", ROUND_KINDS)
+    def test_round_equals_memo_free(self, monkeypatch, kind, depth, seed):
+        enc, item, branch, guidance = self.round_case(kind, depth, seed)
+        new_item, new = merge.merge_round(enc, item, branch, guidance, CoeffOptimConfig())
+        monkeypatch.setattr(merge, "StackedGuidance", MemoFreeGuidance)
+        old_item, old = merge.merge_round(enc, item, branch, guidance, CoeffOptimConfig())
+        assert new == old  # coefficients, objective, trace and both metrics
+        assert new_item.to_bytes() == old_item.to_bytes()
+
+    @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
+    def test_joint_baseline_equals_memo_free(self, monkeypatch, depth):
+        rng, enc, plugins, guidance = TestStackedObjective().build(depth, 53)
+        merged, best, trace = merge.baseline_lorahub(enc, plugins, guidance,
+                                                     CoeffOptimConfig())
+        monkeypatch.setattr(merge, "StackedGuidance", MemoFreeGuidance)
+        old_merged, old_best, old_trace = merge.baseline_lorahub(enc, plugins, guidance,
+                                                                 CoeffOptimConfig())
+        assert len(best) == 3
+        assert best.tolist() == old_best.tolist()
+        assert trace == old_trace
+        assert merged.to_bytes() == old_merged.to_bytes()
+
+    # the first three searches meet points that differ in float64 but not in
+    # float32; the last two, on a smaller box, evaluate (1, 0) themselves
+    @pytest.mark.parametrize("kind, depth, seed, box_max", [
+        ("fusion", "2-layer", 61, 2.0), ("mixture", "1-layer", 62, 2.0),
+        ("first mixture", "2-layer", 64, 2.0), ("fusion", "2-layer", 56, 1.0),
+        ("mixture", "1-layer", 63, 1.0)])
+    def test_one_forward_per_distinct_float32_point(self, monkeypatch, kind, depth, seed,
+                                                    box_max):
+        enc, item, branch, guidance = self.round_case(kind, depth, seed)
+        forwards = []
+        forward = merge.StackedGuidance._forward
+
+        def counted(self, w):
+            forwards.append(w.tobytes())
+            return forward(self, w)
+
+        monkeypatch.setattr(merge.StackedGuidance, "_forward", counted)
+        _, outcome = merge.merge_round(enc, item, branch, guidance,
+                                       CoeffOptimConfig(box_max=box_max))
+        points = float32_keys(entry["point"] for entry in outcome.trace)
+        # the trace's distinct points, then (1, 0) for metrics_pre unless the
+        # search evaluated it; metrics_post reads the best point's forward
+        assert forwards[:len(points)] == list(dict.fromkeys(
+            np.asarray(entry["point"], dtype=np.float32).tobytes()
+            for entry in outcome.trace))
+        assert len(forwards) == len(points | float32_keys([[1.0, 0.0]]))
+        assert len(points) < len(outcome.trace)  # the start vertex at least repeats
+        if box_max < 2.0:
+            assert [1.0, 0.0] in [entry["point"] for entry in outcome.trace]
+        else:
+            assert len(points) < len({tuple(entry["point"]) for entry in outcome.trace})
+
+    def test_kept_logits_are_read_only_and_shared_per_float32_point(self):
+        rng, enc, plugins, guidance = TestStackedObjective().build("1-layer", 55)
+        stacked = merge.StackedGuidance(enc, guidance, merge.FactoredDeltas(plugins), 0.07)
+        w = np.array([0.3, 0.9, 1.2])
+        z = stacked.logits(w)
+        assert stacked.logits(w + 1e-12) is z  # another float64, the same float32
+        assert stacked.logits(w + 1e-3) is not z
+        with pytest.raises(ValueError, match="read-only"):
+            z[0, 0] = 0.0
+
+
 def scipy_optimize_coefficients(minimize, objective, config, n_vars=2):
     """``optimize_coefficients`` as it was when scipy's Nelder-Mead ran the
     search: the reference the search in forge must match point for point."""
