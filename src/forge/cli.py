@@ -18,6 +18,7 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -166,11 +167,15 @@ def _load_split(data_dir: str, task: str, split: str) -> tuple[dsets.TaskSpec,
     return spec, rows
 
 
-def _write_sidecar(out_path: Path, artifact_id: str, task: str,
-                   config: RunConfig) -> None:
+def _write_artifact(out_path: Path, data: bytes, task: str, config: RunConfig) -> str:
+    """Write ``data`` and its ``.meta.json`` sidecar; returns the content id,
+    the sha256 of ``data``."""
+    artifact_id = hashlib.sha256(data).hexdigest()
+    out_path.write_bytes(data)
     meta = {"id": artifact_id, "task": task, "config": config.effective()}
     Path(str(out_path) + ".meta.json").write_text(json.dumps(meta, indent=2,
                                                              sort_keys=True))
+    return artifact_id
 
 
 def _cmd_gen_data(args, config: RunConfig) -> int:
@@ -208,9 +213,8 @@ def _cmd_train_branch(args, config: RunConfig) -> int:
     base = mdl.BaseEncoder.from_seed(config.seed)
     rng = nm.make_rng(nm.derive_seed("train", spec.name, config.seed))
     plugin = xp.train_branch(base, spec, train, train_cfg, rng)
-    Path(args.out).write_bytes(plugin.to_bytes())
-    _write_sidecar(Path(args.out), plugin.content_id(), spec.name, config)
-    print(f"trained plugin {plugin.content_id()[:12]} for {spec.name} -> {args.out}")
+    plugin_id = _write_artifact(Path(args.out), plugin.to_bytes(), spec.name, config)
+    print(f"trained plugin {plugin_id[:12]} for {spec.name} -> {args.out}")
     return 0
 
 
@@ -225,8 +229,7 @@ def _cmd_distill(args, config: RunConfig) -> int:
     base = mdl.BaseEncoder.from_seed(config.seed)
     rng = nm.make_rng(nm.derive_seed("distill", spec.name, config.seed))
     distilled = dst.distill(spec, train, base, distill_cfg, rng)
-    Path(args.out).write_bytes(distilled.to_bytes())
-    _write_sidecar(Path(args.out), distilled.content_id(), spec.name, config)
+    _write_artifact(Path(args.out), distilled.to_bytes(), spec.name, config)
     print(f"distilled {distilled.ipc}/class for {spec.name} -> {args.out}")
     return 0
 

@@ -6,6 +6,13 @@ a grouped 2-class task (B-toy, 60 slide-like groups of 8), a 3-class task
 16x16 oriented gratings with per-class frequency/orientation signatures,
 flattened to 256-dim float32 rows. Patterns are procedural rather than
 blobs so flips and shifts remain meaningful transforms.
+
+Draw order. Each task has its own seeded generator, and its items are
+drawn class by class, each item from one stretch of the standard-normal
+stream: its theta, frequency and phase jitters, then its 256 noise values
+in row-major pixel order. A B-toy group first draws its base phase, then
+its 8 items. Items are built in blocks of consecutive draws, so the block
+size never changes a byte; changing this order changes every dataset.
 """
 
 from __future__ import annotations
@@ -86,14 +93,10 @@ class LabeledDataset:
 # pixel row and column indices of a grating, shared by every item
 _YS, _XS = np.meshgrid(np.arange(INPUT_SIDE), np.arange(INPUT_SIDE), indexing="ij")
 
-
-def _grating(rng: np.random.Generator, theta: float, freq: float,
-             phase: float, noise_std: float) -> np.ndarray:
-    """One 16x16 sinusoid grating at the given angle/frequency plus noise."""
-    u = (_XS * np.cos(theta) + _YS * np.sin(theta)) / INPUT_SIDE
-    img = np.sin(2.0 * np.pi * freq * u + phase)
-    img += rng.normal(0.0, noise_std, size=img.shape)
-    return img.astype(nm.DTYPE)
+# an item's standard-normal draws: theta, frequency and phase jitters, then its noise
+_DRAWS = 3 + INPUT_SIDE * INPUT_SIDE
+# at most this many items per block, so each float64 temporary stays near 64 KB
+_BLOCK_ITEMS = 32
 
 
 @dataclass
@@ -133,46 +136,65 @@ _L_PER_CLASS = 300
 _M_PER_CLASS = 300
 
 
-def _gen_items(rng: np.random.Generator, pattern: _ClassPattern, count: int,
-               noise_std: float, base_phase: float | None = None) -> np.ndarray:
-    rows = np.empty((count, INPUT_SIDE * INPUT_SIDE), dtype=nm.DTYPE)
-    for i in range(count):
-        theta = np.deg2rad(pattern.theta_deg + rng.normal(0.0, pattern.theta_jitter_deg))
-        freq = pattern.freq + rng.normal(0.0, pattern.freq_jitter)
-        phase = pattern.phase if base_phase is None else base_phase
-        phase = phase + rng.normal(0.0, pattern.phase_jitter)
-        rows[i] = _grating(rng, theta, freq, phase, noise_std).reshape(-1)
-    return rows
+def _gratings(pattern: _ClassPattern, z: np.ndarray, phase: float | np.ndarray,
+              noise_std: float) -> np.ndarray:
+    """The flattened float32 rows of the items whose draws are the rows of ``z``.
+
+    Each row of ``z`` holds one item's ``_DRAWS`` standard normals; ``phase``
+    is the class phase or one base phase per item. ``Generator.normal(0.0, s)``
+    returns ``0.0 + s * z``, so the operations below, in this order, give each
+    item the bits it gets when drawn and built on its own.
+    """
+    theta = np.deg2rad(pattern.theta_deg + (0.0 + pattern.theta_jitter_deg * z[:, 0]))
+    freq = pattern.freq + (0.0 + pattern.freq_jitter * z[:, 1])
+    phase = phase + (0.0 + pattern.phase_jitter * z[:, 2])
+    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+    u = (_XS * cos + _YS * sin) / INPUT_SIDE
+    img = np.sin((2.0 * np.pi * freq)[:, None, None] * u + phase[:, None, None])
+    img += 0.0 + noise_std * z[:, 3:].reshape(-1, INPUT_SIDE, INPUT_SIDE)
+    return img.astype(nm.DTYPE).reshape(len(z), -1)
+
+
+def _gen_class(rng: np.random.Generator, pattern: _ClassPattern, groups: int,
+               per_group: int, noise_std: float,
+               group_phase_std: float | None = None) -> np.ndarray:
+    """``groups * per_group`` rows of one class, a block of whole groups per draw.
+
+    With ``group_phase_std`` each group first draws a base phase around the
+    class phase; without it every item uses the class phase.
+    """
+    lead = 0 if group_phase_std is None else 1
+    per_block = max(1, _BLOCK_ITEMS // per_group)
+    rows = []
+    for start in range(0, groups, per_block):
+        z = rng.standard_normal((min(per_block, groups - start), lead + per_group * _DRAWS))
+        phase = pattern.phase
+        if lead:
+            phase = np.repeat(pattern.phase + (0.0 + group_phase_std * z[:, 0]), per_group)
+        rows.append(_gratings(pattern, z[:, lead:].reshape(-1, _DRAWS), phase, noise_std))
+    return np.concatenate(rows)
 
 
 def _gen_grouped_task(seed: int) -> tuple[TaskSpec, LabeledDataset]:
     spec = TaskSpec("B-toy", TASK_LABELS["B-toy"], grouped=True)
     rng = nm.make_rng(nm.derive_seed("task", "B-toy", seed))
     patterns = _TASK_PATTERNS["B-toy"]
-    inputs, labels, groups = [], [], []
-    gid = 0
-    for cls, pattern in enumerate(patterns):
-        for _ in range(_B_GROUPS_PER_CLASS):
-            base_phase = pattern.phase + rng.normal(0.0, 0.25)
-            rows = _gen_items(rng, pattern, _B_ITEMS_PER_GROUP,
-                              _NOISE_STD["B-toy"], base_phase)
-            inputs.append(rows)
-            labels.extend([cls] * _B_ITEMS_PER_GROUP)
-            groups.extend([gid] * _B_ITEMS_PER_GROUP)
-            gid += 1
-    data = LabeledDataset(np.concatenate(inputs), np.array(labels),
-                          np.array(groups), split="all")
+    inputs = [_gen_class(rng, pattern, _B_GROUPS_PER_CLASS, _B_ITEMS_PER_GROUP,
+                         _NOISE_STD["B-toy"], group_phase_std=0.25) for pattern in patterns]
+    per_class = _B_GROUPS_PER_CLASS * _B_ITEMS_PER_GROUP
+    labels = np.repeat(np.arange(len(patterns)), per_class)
+    groups = np.repeat(np.arange(len(patterns) * _B_GROUPS_PER_CLASS), _B_ITEMS_PER_GROUP)
+    data = LabeledDataset(np.concatenate(inputs), labels, groups, split="all")
     return spec, data
 
 
 def _gen_flat_task(name: str, per_class: int, seed: int) -> tuple[TaskSpec, LabeledDataset]:
     spec = TaskSpec(name, TASK_LABELS[name])
     rng = nm.make_rng(nm.derive_seed("task", name, seed))
-    inputs, labels = [], []
-    for cls, pattern in enumerate(_TASK_PATTERNS[name]):
-        inputs.append(_gen_items(rng, pattern, per_class, _NOISE_STD[name]))
-        labels.extend([cls] * per_class)
-    data = LabeledDataset(np.concatenate(inputs), np.array(labels), split="all")
+    patterns = _TASK_PATTERNS[name]
+    inputs = [_gen_class(rng, pattern, per_class, 1, _NOISE_STD[name]) for pattern in patterns]
+    labels = np.repeat(np.arange(len(patterns)), per_class)
+    data = LabeledDataset(np.concatenate(inputs), labels, split="all")
     return spec, data
 
 
@@ -186,8 +208,7 @@ def split_by_group(data: LabeledDataset, train_fraction: float,
         warnings.warn("single-group dataset: the whole set lands in one split")
     order = rng.permutation(groups.size)
     n_train = int(round(groups.size * train_fraction))
-    train_groups = set(groups[order[:n_train]].tolist())
-    mask = np.array([g in train_groups for g in data.group_ids])
+    mask = np.isin(data.group_ids, groups[order[:n_train]])
     make = lambda m, tag: LabeledDataset(data.inputs[m], data.labels[m],
                                          data.group_ids[m], split=tag)
     return make(mask, "train"), make(~mask, "test")

@@ -189,6 +189,16 @@ class Repository:
     def _object_file(self, object_id: str) -> str:
         return f"{self._objects}/{object_id[:2]}/{object_id[2:]}"
 
+    def _is_stored(self, object_id: str) -> bool:
+        """Whether a regular file stands under ``object_id``: one stat and no
+        hash check, which ``verify_objects`` does for every stored file."""
+        try:
+            return stat.S_ISREG(os.stat(self._object_file(object_id)).st_mode)
+        except OSError as exc:
+            if exc.errno not in NO_PATH_ERRNOS:
+                raise
+            return False
+
     def store_object(self, data: bytes) -> str:
         object_id = hashlib.sha256(data).hexdigest()
         target = Path(self._object_file(object_id))
@@ -525,7 +535,8 @@ class Repository:
     def checkout(self, round_no: int, ref: dict | None = None) -> ForgeItem:
         """Rebuild the forge item as of ``round_no`` by replaying the merge
         commit chain of ``ref`` (the main ref, read now if not given) from
-        genesis; each round's item must match the id its commit records."""
+        genesis; each round's item must match the id its commit records, and
+        that id must name a stored object."""
         ref = self._read_ref() if ref is None else ref
         payloads = self._merge_payloads(ref)
         if round_no < 0 or round_no > len(payloads):
@@ -542,6 +553,9 @@ class Repository:
             if got != expect:
                 raise IntegrityError(
                     f"replay of round {item.round} produced {got}, its commit says {expect}")
+            if not self._is_stored(expect):
+                raise IntegrityError(f"round {item.round}'s item {expect} is missing "
+                                     f"from the object store")
         return item
 
     def replay(self) -> ForgeItem:

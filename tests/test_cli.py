@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -147,13 +148,17 @@ class TestPipeline:
             assert main(["--seed", "5", "train-branch", "--task", task,
                          "--data", str(data_dir), "--out", str(plugin),
                          "--epochs", "12"]) == 0
+            plugin_id = hashlib.sha256(plugin.read_bytes()).hexdigest()
+            assert f"trained plugin {plugin_id[:12]} " in capsys.readouterr().out
             assert main(["--seed", "5", "distill", "--task", task,
                          "--data", str(data_dir), "--out", str(distilled),
                          "--ipc", "4", "--iters", "40"]) == 0
             assert plugin.is_file() and distilled.is_file()
-            meta = json.loads((tmp_path / f"{task}.fgm.meta.json").read_text())
-            assert meta["task"] == task
-            assert meta["config"]["run"]["seed"] == 5
+            for path in (plugin, distilled):  # the sidecar names the file's content id
+                meta = json.loads(Path(f"{path}.meta.json").read_text())
+                assert meta["id"] == hashlib.sha256(path.read_bytes()).hexdigest()
+                assert meta["task"] == task
+                assert meta["config"]["run"]["seed"] == 5
             assert main(["--seed", "5", "--author", f"branch-{task}", "commit",
                          str(repo), "--plugin", str(plugin),
                          "--distilled", str(distilled), "--task", task,

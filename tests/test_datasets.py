@@ -11,6 +11,56 @@ def tasks():
     return ds.generate_tasks(7)
 
 
+def _per_item_grating(rng, theta, freq, phase, noise_std):
+    """One grating, drawn and built on its own: the reference for the block build."""
+    u = (ds._XS * np.cos(theta) + ds._YS * np.sin(theta)) / ds.INPUT_SIDE
+    img = np.sin(2.0 * np.pi * freq * u + phase)
+    img += rng.normal(0.0, noise_std, size=img.shape)
+    return img.astype(nm.DTYPE)
+
+
+def _per_item_rows(rng, pattern, count, noise_std, base_phase=None):
+    rows = np.empty((count, ds.INPUT_SIDE * ds.INPUT_SIDE), dtype=nm.DTYPE)
+    for i in range(count):
+        theta = np.deg2rad(pattern.theta_deg + rng.normal(0.0, pattern.theta_jitter_deg))
+        freq = pattern.freq + rng.normal(0.0, pattern.freq_jitter)
+        phase = pattern.phase if base_phase is None else base_phase
+        phase = phase + rng.normal(0.0, pattern.phase_jitter)
+        rows[i] = _per_item_grating(rng, theta, freq, phase, noise_std).reshape(-1)
+    return rows
+
+
+def _per_item_tasks(seed):
+    """``generate_tasks`` built one item at a time, as (name, train, test) triples."""
+    out = []
+    rng = nm.make_rng(nm.derive_seed("task", "B-toy", seed))
+    inputs, labels, groups = [], [], []
+    for cls, pattern in enumerate(ds._TASK_PATTERNS["B-toy"]):
+        for _ in range(30):
+            base_phase = pattern.phase + rng.normal(0.0, 0.25)
+            inputs.append(_per_item_rows(rng, pattern, 8, 2.0, base_phase))
+            labels.extend([cls] * 8)
+            groups.extend([len(groups) // 8] * 8)
+    labels, groups = np.array(labels), np.array(groups)
+    split = nm.make_rng(nm.derive_seed("split", "B-toy", seed))
+    order = split.permutation(60)
+    train_groups = set(np.arange(60)[order[:42]].tolist())
+    mask = np.array([g in train_groups for g in groups])
+    inputs = np.concatenate(inputs)
+    out.append(("B-toy", *(ds.LabeledDataset(inputs[m], labels[m], groups[m])
+                           for m in (mask, ~mask))))
+    for name, noise_std in (("L-toy", 1.5), ("M-toy", 2.2)):
+        rng = nm.make_rng(nm.derive_seed("task", name, seed))
+        patterns = ds._TASK_PATTERNS[name]
+        inputs = np.concatenate([_per_item_rows(rng, p, 300, noise_std) for p in patterns])
+        labels = np.repeat(np.arange(len(patterns)), 300)
+        order = nm.make_rng(nm.derive_seed("split", name, seed)).permutation(len(labels))
+        n_train = round(len(labels) * 0.7)
+        out.append((name, *(ds.LabeledDataset(inputs[idx], labels[idx])
+                            for idx in (order[:n_train], order[n_train:]))))
+    return out
+
+
 class TestGeneration:
     def test_same_seed_byte_identical(self):
         a = ds.generate_tasks(3)
@@ -20,21 +70,19 @@ class TestGeneration:
             assert te1.inputs.tobytes() == te2.inputs.tobytes()
             assert np.array_equal(tr1.labels, tr2.labels)
 
-    def test_shared_pixel_grid_gives_the_per_item_grid_bits(self, tasks, monkeypatch):
-        def per_item_grating(rng, theta, freq, phase, noise_std):
-            """``_grating`` as it was, building its meshgrid for every item."""
-            ys, xs = np.meshgrid(np.arange(ds.INPUT_SIDE), np.arange(ds.INPUT_SIDE),
-                                 indexing="ij")
-            u = (xs * np.cos(theta) + ys * np.sin(theta)) / ds.INPUT_SIDE
-            img = np.sin(2.0 * np.pi * freq * u + phase)
-            img += rng.normal(0.0, noise_std, size=img.shape)
-            return img.astype(nm.DTYPE)
-
-        monkeypatch.setattr(ds, "_grating", per_item_grating)
-        for (_, tr1, te1), (_, tr2, te2) in zip(tasks, ds.generate_tasks(7)):
-            assert tr1.inputs.tobytes() == tr2.inputs.tobytes()
-            assert te1.inputs.tobytes() == te2.inputs.tobytes()
-            assert np.array_equal(tr1.labels, tr2.labels)
+    def test_blocks_give_the_per_item_reference_bits(self):
+        """Every dataset byte of a block-built task is the per-item build's."""
+        for seed in [*range(40), 4101, 6001]:
+            for (spec, tr, te), (name, ref_tr, ref_te) in zip(ds.generate_tasks(seed),
+                                                              _per_item_tasks(seed)):
+                assert spec.name == name
+                for got, want in ((tr, ref_tr), (te, ref_te)):
+                    assert got.inputs.tobytes() == want.inputs.tobytes(), (seed, name)
+                    assert np.array_equal(got.labels, want.labels)
+                    if want.group_ids is None:
+                        assert got.group_ids is None
+                    else:
+                        assert np.array_equal(got.group_ids, want.group_ids)
 
     def test_class_structure_mirrors_reference_tasks(self, tasks):
         specs = [spec for spec, _, _ in tasks]

@@ -9,6 +9,7 @@ import pytest
 
 from forge import merge, model
 from forge import numerics as nm
+from forge.cli import main
 from forge.datasets import TaskSpec
 from forge.distill import DistilledDataset
 from forge.errors import (
@@ -641,6 +642,21 @@ class TestHistory:
         if damage != "deleted":  # verify_objects re-hashes only what is stored
             with pytest.raises(IntegrityError, match=plugin_id):
                 reopened.verify_objects()
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_deleted_past_item_is_refused_naming_its_round(self, tmp_path, strategy):
+        repo = self.prepare(tmp_path, strategy)
+        item_id = repo.merge_records()[0]["item_id"]
+        Path(repo._object_file(item_id)).unlink()
+        reopened = Repository(repo.root)
+        for replay in (reopened.replay, lambda: reopened.checkout(1)):
+            with pytest.raises(IntegrityError, match=f"round 1's item {item_id}"):
+                replay()
+        out = tmp_path / "round1.fgi"
+        assert main(["checkout", str(repo.root), "--round", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert reopened.checkout(0).round == 0
+        assert reopened.current_item().round == 3  # the head item is still stored
 
     def test_genesis_that_is_no_genesis_commit_is_refused(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
