@@ -186,6 +186,8 @@ class PluginModule:
     @classmethod
     def zero(cls, base: BaseEncoder, rank: int, alpha: float) -> "PluginModule":
         """All-zero A and B: the identity element for parameter merging."""
+        if rank < 1:
+            raise ParameterError(f"a plugin needs rank >= 1, got rank {rank}")
         adapters = {}
         for lid in range(len(base.layers)):
             d, k = base.layer_dims(lid)

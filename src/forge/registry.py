@@ -42,6 +42,7 @@ from .errors import (
     IntegrityError,
     LockHeldError,
     NothingToMergeError,
+    ParameterError,
     ValidationError,
 )
 from .evaluation import evaluate_deltas  # noqa: F401 - perfbench/tracing.py patches this name
@@ -50,16 +51,17 @@ from .model import BaseEncoder, LabelEmbeddingTable, PluginModule
 from .numerics import NUMBER, json_fields, json_object
 
 REPO_FORMAT_VERSION = 1
-# the fields forge reads from each JSON document it writes, at their types
-CONFIG_KEYS = {"format": int, "base_seed": int, "strategy": str, "rank": int,
-               "alpha": NUMBER, "temperature": NUMBER, "coeff": dict}
+# the fields forge reads from each JSON document it writes, at their types;
+# forge.json written by earlier code also holds base_seed, strategy, rank and
+# alpha, which the genesis commit fixes and nothing reads from forge.json
+CONFIG_KEYS = {"format": int, "temperature": NUMBER, "coeff": dict}
 COEFF_KEYS = {"max_iterations": int, "init_value": NUMBER, "l1_lambda": NUMBER,
               "box_min": NUMBER, "box_max": NUMBER, "allow_negative": bool}
 REF_KEYS = {"item_id": str, "round": int, "genesis": str, "head": str, "guidance": list}
 GUIDANCE_KEYS = {"distilled_id": str, "task": dict}
 CONSUMED_KEYS = {"commit_id": str, "seq": int}
 COMMIT_KEYS = {"parent": (str, type(None)), "author": str, "kind": str, "payload": dict}
-GENESIS_KEYS = {"base_hash": str, "item_id": str}
+GENESIS_KEYS = {"base_seed": int, "strategy": str, "base_hash": str, "item_id": str}
 
 # what os.open raises when a path names no file: missing, under a shard that
 # is no directory, or through a symlink loop
@@ -134,23 +136,29 @@ class Repository:
             raise ConflictError(f"{path} already exists and is not empty")
         config = {
             "format": REPO_FORMAT_VERSION,
-            "base_seed": int(base_seed),
-            "strategy": strategy,
-            "rank": int(rank),
-            "alpha": float(alpha),
             "temperature": float(temperature),
             "coeff": asdict(coeff or CoeffOptimConfig()),
         }
         if extra_config:
             config["run_config"] = extra_config
         _check_config(config)  # refuse before the first directory exists
+        base = BaseEncoder.from_seed(base_seed)
+        try:
+            item = ForgeItem.genesis(strategy, base, rank, alpha)
+            # fusion's genesis plugin fixes every later plugin's rank and
+            # alpha; mixture's init is held to the same rules
+            zero = item.plugin if item.plugin is not None else \
+                PluginModule.zero(base, rank, alpha)
+            mdl.check_plugin(base, zero)
+        except ParameterError as exc:
+            raise InputError(f"cannot make a repository: {exc}") from exc
         for sub in ("objects", "refs", "log", "queue", "locks"):
             (path / sub).mkdir(parents=True, exist_ok=True)
         (path / "forge.json").write_text(json.dumps(config, indent=2, sort_keys=True))
         repo = cls(path)
-        # built unchecked: the genesis commit that records its hash comes next
-        repo._base = base = BaseEncoder.from_seed(base_seed)
-        item_id = repo.store_object(ForgeItem.genesis(strategy, base, rank, alpha).to_bytes())
+        # unchecked: the genesis commit that records its hash comes next
+        repo._base = base
+        item_id = repo.store_object(item.to_bytes())
         genesis_commit = repo._append_commit(None, "registry", "genesis", {
             "base_seed": int(base_seed), "strategy": strategy,
             "base_hash": base.param_hash(), "item_id": item_id,
@@ -163,23 +171,26 @@ class Repository:
 
     @property
     def base(self) -> BaseEncoder:
-        """The encoder of ``base_seed``, refused unless the genesis commit records it."""
+        """The encoder of the genesis commit's ``base_seed``, refused unless
+        it has the hash that commit records."""
         return self._base_of()
 
-    def _base_of(self, ref: dict | None = None) -> BaseEncoder:
-        """``base``, checked against the genesis commit of ``ref`` (the main
-        ref, read now if not given)."""
+    def _base_of(self, genesis: dict | None = None) -> BaseEncoder:
+        """``base``, built from the genesis payload ``genesis`` (the main
+        ref's, read now if not given)."""
         if self._base is None:
-            base = BaseEncoder.from_seed(self.config["base_seed"])
-            if base.param_hash() != self._genesis(ref)["base_hash"]:
-                raise IntegrityError(f"base_seed {self.config['base_seed']} does not build "
+            genesis = genesis or self._genesis()
+            base = BaseEncoder.from_seed(genesis["base_seed"])
+            if base.param_hash() != genesis["base_hash"]:
+                raise IntegrityError(f"base_seed {genesis['base_seed']} does not build "
                                      f"the encoder this repository was made with")
             self._base = base
         return self._base
 
     @property
     def strategy(self) -> str:
-        return self.config["strategy"]
+        """The strategy the genesis commit records."""
+        return self._genesis()["strategy"]
 
     def coeff_config(self) -> CoeffOptimConfig:
         return CoeffOptimConfig(**self.config["coeff"])
@@ -200,22 +211,29 @@ class Repository:
             return False
 
     def store_object(self, data: bytes) -> str:
+        """Store ``data`` under its SHA-256 id and return the id. A file
+        where the object's shard directory belongs, or a directory where
+        the object belongs, is ``IntegrityError`` naming the object."""
         object_id = hashlib.sha256(data).hexdigest()
-        target = Path(self._object_file(object_id))
-        if target.exists():
+        if self._is_stored(object_id):
             return object_id
-        target.parent.mkdir(parents=True, exist_ok=True)
-        # one temp file per writer, so threads storing the same bytes never
-        # share a name; all_object_ids skips the .tmp- prefix
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=target.parent)
+        target = self._object_file(object_id)
+        shard = os.path.dirname(target)
         try:
-            with os.fdopen(fd, "wb") as fh:
-                os.fchmod(fh.fileno(), 0o644)  # mkstemp creates owner-only files
-                fh.write(data)
-            os.replace(tmp, target)  # atomic; concurrent writers race benignly
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            os.makedirs(shard, exist_ok=True)
+            # one temp file per writer, so threads storing the same bytes
+            # never share a name; all_object_ids skips the .tmp- prefix
+            fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=shard)
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    os.fchmod(fh.fileno(), 0o644)  # mkstemp creates owner-only files
+                    fh.write(data)
+                os.replace(tmp, target)  # atomic; concurrent writers race benignly
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
+            raise IntegrityError(f"cannot store object {object_id}: {exc}") from exc
         return object_id
 
     def read_object(self, object_id: str) -> bytes:
@@ -319,11 +337,13 @@ class Repository:
 
     # -- contributions -----------------------------------------------------
 
-    def _validate_contribution(self, contribution: BranchContribution) -> None:
+    def _validate_contribution(self, contribution: BranchContribution,
+                               genesis: dict) -> None:
         """``ValidationError`` unless every later merge can use ``contribution``:
         its weights are finite, its distilled set fits its task, and it passes
-        the rules of the label table, ``encode``, fusion, the distilled set and
-        the search's cosine head, which scores the set under its own plugin."""
+        the rules of the label table, ``encode``, fusion (against the plugin
+        of the genesis payload ``genesis``'s item), the distilled set and the
+        search's cosine head, which scores the set under its own plugin."""
         task, plugin, distilled = contribution.task, contribution.plugin, contribution.distilled
         if (distilled.task_name, distilled.num_classes, distilled.inputs.shape[1:]) != \
                 (task.name, task.num_classes, (task.flat_dim,)):
@@ -332,12 +352,13 @@ class Repository:
         if not all(np.isfinite(t.data).all() for t in plugin.parameters()):
             # a NaN or Inf weight would make every later merge objective NaN
             raise ValidationError("plugin weights are not finite")
-        base = self.base
+        base = self._base_of(genesis)
         try:
             mdl.check_plugin(base, plugin)
-            if self.strategy == "fusion":
-                mrg._check_compatible([PluginModule.zero(base, self.config["rank"],
-                                                         self.config["alpha"]), plugin])
+            if genesis["strategy"] == "fusion":
+                zero = ForgeItem.from_bytes(self.read_object(genesis["item_id"]),
+                                            self.load_plugin).plugin
+                mrg._check_compatible([zero, plugin])
             distilled.check()
             mdl.cosine_logits_np(mdl.encode_np(base, plugin.layer_deltas(), distilled.inputs),
                                  LabelEmbeddingTable(task.name, task.labels, base.embed_dim))
@@ -379,8 +400,8 @@ class Repository:
         each other, so their parent is the genesis commit; this keeps commit
         ids (and the object store) independent of commit interleaving.
         """
-        self._validate_contribution(contribution)
-        genesis = self._read_ref()["genesis"]  # a bad ref refuses before any store
+        ref = self._read_ref()  # a bad ref refuses before any store
+        self._validate_contribution(contribution, self._genesis(ref))
         plugin_id = self.store_object(contribution.plugin.to_bytes())
         distilled_id = self.store_object(contribution.distilled.to_bytes())
         payload = {
@@ -389,7 +410,8 @@ class Repository:
             "distilled_id": distilled_id,
             "training_meta": contribution.training_meta,
         }
-        commit = self._append_commit(genesis, contribution.author, "contribution", payload)
+        commit = self._append_commit(ref["genesis"], contribution.author, "contribution",
+                                     payload)
         self._enqueue({"commit_id": commit.id, "timestamp": commit.timestamp})
         return commit
 
@@ -470,7 +492,8 @@ class Repository:
         """Merge the oldest queued contribution into the main branch.
 
         A round reads the main ref, the queue head, the contribution, the
-        current item and the guidance sets the ref lists. The ref write
+        current item, the genesis commit (for the encoder and the strategy)
+        and the guidance sets the ref lists. The ref write
         commits the round; a merge failing after it loses at most the round's
         log record.
         """
@@ -491,14 +514,15 @@ class Repository:
             branch = self.load_plugin(payload["plugin_id"])
             listing = _guidance_list([*ref["guidance"], payload])
             item = ForgeItem.from_bytes(self.read_object(ref["item_id"]), self.load_plugin)
-            new_item, outcome = mrg.merge_round(self._base_of(ref), item, branch,
+            genesis = self._genesis(ref)
+            new_item, outcome = mrg.merge_round(self._base_of(genesis), item, branch,
                                                 self._guidance_from(listing),
                                                 self.coeff_config(),
                                                 self.config["temperature"])
             item_id = self.store_object(new_item.to_bytes())
             merge_commit = self._append_commit(ref["head"], "registry", "merge", {
                 "round": new_item.round,
-                "strategy": self.strategy,
+                "strategy": genesis["strategy"],
                 "task": payload["task"],
                 "contribution_commit": commit.id,
                 "plugin_id": payload["plugin_id"],
@@ -577,12 +601,10 @@ class Repository:
 
 def _check_config(config: dict) -> dict:
     """``config`` if a repository holding it can merge, else ``InputError``."""
+    temperature = config["temperature"]
     for key, need, ok in (
             ("format", REPO_FORMAT_VERSION, config["format"] == REPO_FORMAT_VERSION),
-            ("strategy", "fusion or mixture", config["strategy"] in ("fusion", "mixture")),
-            ("rank", ">= 1", config["rank"] >= 1),
-            *((key, "finite and > 0", math.isfinite(config[key]) and config[key] > 0)
-              for key in ("alpha", "temperature"))):
+            ("temperature", "finite and > 0", math.isfinite(temperature) and temperature > 0)):
         if not ok:
             raise InputError(f"repository {key} must be {need}, got {config[key]!r}")
     try:

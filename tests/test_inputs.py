@@ -24,6 +24,7 @@ from forge.cli import main
 from forge.datasets import LabeledDataset, TaskSpec
 from forge.distill import DistilledDataset
 from forge.model import BaseEncoder, PluginModule
+from forge.registry import Repository
 
 SEED = 5
 INI = "[adapter]\nrank = 2\nalpha = 4.0\n[train]\ntemperature = 0.07\n" \
@@ -32,8 +33,7 @@ NUMBER = (int, float)
 TASK = {"name": str, "labels": [str], "input_shape": list, "grouped": bool}
 # what forge reads of each document; "?" marks an optional key, [t] a list of t
 SCHEMAS = {
-    "forge.json": {"format": int, "base_seed": int, "strategy": str, "rank": int,
-                   "alpha": NUMBER, "temperature": NUMBER,
+    "forge.json": {"format": int, "temperature": NUMBER,
                    "coeff": {"max_iterations": int, "init_value": NUMBER, "l1_lambda": NUMBER,
                              "box_min": NUMBER, "box_max": NUMBER, "allow_negative": bool}},
     "refs/main": {"item_id": str, "round": int, "genesis": str, "head": str,
@@ -242,23 +242,132 @@ def test_documents_that_exited_three(world, tmp_path, capsys):
                                   json.dumps(doc).encode())
 
 
-def test_edited_base_seed_is_two_before_anything_is_written(world, tmp_path, capsys):
-    """The genesis commit records the encoder's hash; a repository whose
-    ``base_seed`` no longer builds that encoder neither merges nor evaluates,
-    while checkout, which replays the chain alone, still works."""
-    repo = tmp_path / "repo"
-    shutil.copytree(world / "repo", repo)
-    config = json.loads((repo / "forge.json").read_text())
-    assert config["base_seed"] == SEED
-    (repo / "forge.json").write_text(json.dumps({**config, "base_seed": SEED + 1}))
-    for argv in (["merge", str(repo), "--all"],
-                 ["eval", str(repo), "--tasks", "tiny", "--data", str(world / "data")],
-                 commit_argv(world, repo, 2)):
-        before = files(repo)
-        assert run(argv, capsys) == 2, argv
-        assert files(repo) == before, argv
-    assert run(["checkout", str(repo), "--round", "1",
-                "--out", str(tmp_path / "item.fgi")], capsys) == 0
+def edited_copy(world, path, **edits):
+    """A copy of the world's repository at ``path`` with ``edits`` made to
+    its forge.json."""
+    shutil.copytree(world / "repo", path)
+    config = json.loads((path / "forge.json").read_text())
+    (path / "forge.json").write_text(json.dumps({**config, **edits}))
+    return path
+
+
+def history(repo):
+    """The main ref and the id of every stored object."""
+    ref = json.loads((repo / "refs" / "main").read_text())
+    return ref, sorted(p.parent.name + p.name for p in (repo / "objects").glob("*/*"))
+
+
+def write_plugin(path, rank, alpha, seed):
+    plugin = PluginModule.fresh(BaseEncoder.from_seed(SEED), rank, alpha, nm.make_rng(seed))
+    for ad in plugin.adapters.values():
+        ad.b.data[:] = nm.make_rng(seed + 1).normal(size=ad.b.shape) * 0.1
+    path.write_bytes(plugin.to_bytes())
+
+
+def with_plugin(argv, path):
+    argv[argv.index("--plugin") + 1] = str(path)
+    return argv
+
+
+def test_edited_base_seed_changes_nothing(world, tmp_path, capsys):
+    """The genesis commit records the encoder's seed and hash, and forge.json's
+    ``base_seed`` is not read: merge, eval, commit and checkout of a copy
+    with it edited print and store what the clean copy does."""
+    repo = edited_copy(world, tmp_path / "repo", base_seed=SEED + 1)
+    clean = edited_copy(world, tmp_path / "clean")
+    printed = []
+    for root in (repo, clean):
+        for argv in (["merge", str(root), "--all"],
+                     ["eval", str(root), "--tasks", "tiny", "--data", str(world / "data")],
+                     commit_argv(world, root, 2),
+                     ["checkout", str(root), "--round", "1",
+                      "--out", str(tmp_path / "item.fgi")]):
+            assert main(argv) == 0, argv
+        printed.append(capsys.readouterr().out.replace(str(root), "<repo>"))
+    assert printed[0] == printed[1]
+    assert history(repo) == history(clean)
+
+
+def test_edited_rank_and_alpha_admit_no_plugin_of_that_rank(world, tmp_path, capsys):
+    """A fusion plugin is checked against the genesis item's own plugin: one
+    of the rank and alpha edited into forge.json is refused at commit, and
+    the repository's own rank still merges to the clean copy's ids."""
+    repo = edited_copy(world, tmp_path / "repo", rank=3, alpha=6.0)
+    clean = edited_copy(world, tmp_path / "clean")
+    write_plugin(tmp_path / "r3.fgm", 3, 6.0, seed=11)
+    before = files(repo)
+    assert run(with_plugin(commit_argv(world, repo, 2), tmp_path / "r3.fgm"), capsys) == 2
+    assert files(repo) == before
+    for root in (repo, clean):
+        assert run(commit_argv(world, root, 2), capsys) == 0
+        assert run(["merge", str(root), "--all"], capsys) == 0
+    assert history(repo) == history(clean)
+
+
+def test_edited_strategy_does_not_enter_a_fusion_history(world, tmp_path, capsys):
+    """Every merge commit of a fusion history records "fusion", whatever
+    forge.json says."""
+    repo = edited_copy(world, tmp_path / "repo", strategy="mixture")
+    clean = edited_copy(world, tmp_path / "clean")
+    for root in (repo, clean):
+        assert run(commit_argv(world, root, 2), capsys) == 0
+        assert run(["merge", str(root), "--all"], capsys) == 0
+    ref = json.loads((repo / "refs" / "main").read_text())
+    payloads = Repository(repo)._merge_payloads(ref)
+    assert [p["strategy"] for p in payloads] == ["fusion"] * 3
+    assert history(repo) == history(clean)
+
+
+def test_edited_strategy_does_not_hold_a_mixture_to_one_rank(world, tmp_path, capsys):
+    """A mixture history takes plugins of any rank, whatever forge.json says."""
+    write_plugin(tmp_path / "r3.fgm", 3, 6.0, seed=11)
+    histories = []
+    for name, edits in (("repo", {"strategy": "fusion"}), ("clean", {})):
+        root = tmp_path / name
+        assert main(["--config", str(world / "run.ini"), "init", "--strategy", "mixture",
+                     str(root)]) == 0
+        config = json.loads((root / "forge.json").read_text())
+        (root / "forge.json").write_text(json.dumps({**config, **edits}))
+        assert run(commit_argv(world, root, 0), capsys) == 0
+        assert run(with_plugin(commit_argv(world, root, 1), tmp_path / "r3.fgm"), capsys) == 0
+        assert run(["merge", str(root), "--all"], capsys) == 0
+        histories.append(history(root))
+    assert histories[0] == histories[1]
+    assert histories[0][0]["round"] == 2
+
+
+@pytest.mark.parametrize("damage", ["file as shard", "directory as object"])
+@pytest.mark.parametrize("command", ["commit", "merge"])
+def test_an_object_path_that_cannot_be_written_is_two(world, tmp_path, capsys, command,
+                                                      damage):
+    """A file where the shard directory of an object to store belongs, or a
+    directory where the object belongs, is refused naming that object, and
+    neither the ref nor the queue moves."""
+    def argv(root):
+        return commit_argv(world, root, 2) if command == "commit" else \
+            ["merge", str(root), "--all"]
+
+    clean = edited_copy(world, tmp_path / "clean")
+    shards = {p.name for p in (clean / "objects").iterdir()}
+    stored = history(clean)[1]
+    assert run(argv(clean), capsys) == 0
+    new = [i for i in history(clean)[1] if i not in stored]
+    repo = edited_copy(world, tmp_path / "repo")
+    if damage == "file as shard":
+        blocked = [i for i in new if i[:2] not in shards]
+        assert blocked, "every new object lands in a shard that exists"
+        (repo / "objects" / blocked[0][:2]).write_text("not a shard")
+    else:
+        blocked = new
+        (repo / "objects" / blocked[0][:2] / blocked[0][2:]).mkdir(parents=True)
+
+    def pointers():
+        return {k: v for k, v in files(repo).items() if k.startswith(("refs/", "queue/"))}
+
+    before = pointers()
+    assert main(argv(repo)) == 2
+    assert blocked[0] in capsys.readouterr().err
+    assert pointers() == before
 
 
 def test_plugin_sidecar(world, tmp_path, capsys):
@@ -269,8 +378,7 @@ def test_plugin_sidecar(world, tmp_path, capsys):
         shutil.copytree(world / "repo", repo)
         (tmp_path / "p2.fgm.meta.json").write_bytes(mutated)
         before = files(repo)
-        argv = commit_argv(world, repo, 2)
-        argv[argv.index("--plugin") + 1] = str(tmp_path / "p2.fgm")
+        argv = with_plugin(commit_argv(world, repo, 2), tmp_path / "p2.fgm")
         code = run(argv, capsys)
         assert code == 2 or parses_typed(mutated, SCHEMAS["p.fgm.meta.json"]), label
         if code == 2:
@@ -319,7 +427,8 @@ def test_ini_run_config(tmp_path, capsys):
         assert expect is None or code == expect, (label, code, out.err)
         assert repo.exists() == (code == 0), label
         if code == 0:  # a repository that opens can merge
-            config = json.loads((repo / "forge.json").read_text())
-            assert config["rank"] >= 1, label
-            assert all(np.isfinite(config[k]) and config[k] > 0
-                       for k in ("alpha", "temperature")), label
+            temperature = json.loads((repo / "forge.json").read_text())["temperature"]
+            assert np.isfinite(temperature) and temperature > 0, label
+            # the fusion genesis item fixes the rank and alpha of every plugin
+            for ad in Repository(repo).current_item().plugin.adapters.values():
+                assert ad.rank >= 1 and np.isfinite(ad.alpha) and ad.alpha > 0, label

@@ -75,9 +75,10 @@ class TestInit:
                         coeff=coeff)
         assert Repository(tmp_path / "repo").coeff_config() == coeff
 
-    @pytest.mark.parametrize("setting", [{"rank": 0}, {"temperature": 0.0},
+    @pytest.mark.parametrize("setting", [{"rank": 0}, {"rank": -1}, {"temperature": 0.0},
                                          {"alpha": float("nan")}, {"strategy": "soup"}],
-                             ids=["rank 0", "temperature 0", "alpha NaN", "strategy soup"])
+                             ids=["rank 0", "rank -1", "temperature 0", "alpha NaN",
+                                  "strategy soup"])
     def test_init_refuses_what_could_not_merge_and_creates_nothing(self, tmp_path, setting):
         kwargs = {"strategy": "mixture", "rank": RANK, "alpha": ALPHA, **setting}
         with pytest.raises(InputError):
