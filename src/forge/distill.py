@@ -174,9 +174,10 @@ class DistillConfig:
                         positive=("syn_lr", "syn_lr_final", "alpha", "temperature"))
 
 
-@dataclass
+@dataclass(eq=False)
 class DistilledDataset:
-    """Synthetic stand-in set: ipc items per class, task input shape."""
+    """Synthetic stand-in set: ipc items per class, task input shape; ``==``
+    is identity, so it never compares arrays."""
 
     task_name: str
     num_classes: int
@@ -210,7 +211,7 @@ class DistilledDataset:
         out.append(struct.pack("<III", self.num_classes, self.ipc, len(self.labels)))
         out.append(struct.pack("<II", *self.input_shape))
         out.append(self.labels.astype("<i8").tobytes())
-        out.append(nm.tensor_to_bytes(Tensor(self.inputs)))
+        out.append(nm.tensor_to_bytes(self.inputs))
         return b"".join(out)
 
     @classmethod
@@ -244,11 +245,11 @@ def random_feature_plugin(base: BaseEncoder, rank: int, alpha: float,
     the matching loss a distribution of embedding spaces to average over.
     """
     adapters = {}
-    for lid in range(len(base.layers)):
+    for lid in range(len(base.weights)):
         d, k = base.layer_dims(lid)
         a = rng.normal(0.0, 1.0 / np.sqrt(k), size=(rank, k)).astype(nm.DTYPE)
         b = rng.normal(0.0, 1.0 / np.sqrt(rank), size=(d, rank)).astype(nm.DTYPE)
-        adapters[lid] = mdl.LoraAdapter(lid, Tensor(a), Tensor(b), rank, float(alpha))
+        adapters[lid] = mdl.LoraAdapter(lid, a, b, rank, float(alpha))
     return PluginModule(adapters)
 
 
@@ -303,7 +304,7 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
         grad = syn_aug.backward(syn_features.backward(loss.backward()))
         syn_state.learning_rate = _cosine_lr(step, config.iterations,
                                              config.syn_lr, config.syn_lr_final)
-        nm.sgd_step([syn], [grad], syn_state)
+        nm.sgd_step([syn.data], [grad], syn_state)
 
     return DistilledDataset(spec.name, num_classes, config.ipc, tuple(side),
                             syn.data.reshape(m, spec.flat_dim),

@@ -31,7 +31,6 @@ from .errors import (
     ParameterError,
 )
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule
-from .numerics import Tensor
 
 FORGE_ITEM_MAGIC = b"FGI1"
 FORGE_ITEM_VERSION = 1
@@ -114,14 +113,13 @@ def combine_plugins(plugins: Sequence[PluginModule],
     _check_compatible(plugins)
     adapters = {}
     for lid, ref in plugins[0].adapters.items():
-        a = np.zeros_like(ref.a.data)
-        b = np.zeros_like(ref.b.data)
+        a = np.zeros_like(ref.a)
+        b = np.zeros_like(ref.b)
         for plugin, w in zip(plugins, weights):
             ad = plugin.adapters[lid]
-            a += nm.DTYPE(w) * ad.a.data
-            b += nm.DTYPE(w) * ad.b.data
-        adapters[lid] = mdl.LoraAdapter(lid, Tensor(a), Tensor(b), ref.rank,
-                                        ref.alpha, ref.dropout_p)
+            a += nm.DTYPE(w) * ad.a
+            b += nm.DTYPE(w) * ad.b
+        adapters[lid] = mdl.LoraAdapter(lid, a, b, ref.rank, ref.alpha, ref.dropout_p)
     return PluginModule(adapters)
 
 
@@ -394,8 +392,8 @@ class FactoredDeltas:
         _check_compatible(plugins)
         self._a, self._b, self._scale = {}, {}, {}
         for lid, ref in plugins[0].adapters.items():
-            self._a[lid] = np.stack([p.adapters[lid].a.data for p in plugins])
-            self._b[lid] = np.stack([p.adapters[lid].b.data for p in plugins])
+            self._a[lid] = np.stack([p.adapters[lid].a for p in plugins])
+            self._b[lid] = np.stack([p.adapters[lid].b for p in plugins])
             self._scale[lid] = nm.DTYPE(ref.scaling())
 
     def layer_delta(self, lid: int, w: np.ndarray) -> np.ndarray | None:
@@ -436,13 +434,12 @@ class StackedGuidance:
         if not guidance:
             raise InputError("guidance data required for coefficient optimization")
         x = np.concatenate([np.asarray(data.inputs, dtype=nm.DTYPE) for data, _ in guidance])
-        first = base.layers[0]
-        self._pre0 = x @ first.weight.data.T + first.bias.data
+        self._pre0 = x @ base.weights[0].T + base.biases[0]
         self._projected = deltas.project_first(x)
-        self._layers = base.layers[1:]
+        self._layers = list(zip(base.weights[1:], base.biases[1:]))
         self._deltas = deltas
 
-        rows = np.concatenate([table.rows.data for _, table in guidance]).astype(np.float64)
+        rows = np.concatenate([table.rows for _, table in guidance]).astype(np.float64)
         self._head = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).T / temperature
         counts = np.array([len(data.labels) for data, _ in guidance])
         if not counts.all():
@@ -488,12 +485,11 @@ class StackedGuidance:
         h = self._pre0
         if self._projected is not None:
             h = h + self._deltas.first_layer(self._projected, w)
-        for lid, layer in enumerate(self._layers, start=1):
-            weight = layer.weight.data
+        for lid, (weight, bias) in enumerate(self._layers, start=1):
             delta = self._deltas.layer_delta(lid, w)
             if delta is not None:
                 weight = weight + delta
-            h = np.tanh(h) @ weight.T + layer.bias.data
+            h = np.tanh(h) @ weight.T + bias
         e = h.astype(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", e, e))[:, None]
         if np.any(norms < mdl.NORM_EPS):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,60 +35,43 @@ PLUGIN_MAGIC = b"FGM1"
 PLUGIN_VERSION = 1
 
 
-@dataclass
-class AffineLayer:
-    """y = x @ W.T + b with W of shape [out, in]."""
-
-    weight: Tensor
-    bias: Tensor
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-
 class BaseEncoder:
-    """Stack of affine layers with tanh between them; parameters frozen."""
+    """Stack of affine layers y = x @ W.T + b, W of shape [out, in], with tanh
+    between them; parameters frozen."""
 
-    def __init__(self, layers: list[AffineLayer]):
-        if not layers:
-            raise ParameterError("encoder needs at least one layer")
-        self.layers = layers
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        if not weights or len(weights) != len(biases):
+            raise ParameterError("encoder needs at least one layer and one bias per weight")
+        self.weights = [np.asarray(w, nm.DTYPE, order="C") for w in weights]
+        self.biases = [np.asarray(b, nm.DTYPE, order="C") for b in biases]
         # the weights never change, so encode's contiguous W.T is made once
-        self.weights_t = [np.ascontiguousarray(layer.weight.data.T) for layer in layers]
+        self.weights_t = [np.ascontiguousarray(w.T) for w in self.weights]
 
     @classmethod
     def from_seed(cls, seed: int, dims: tuple[int, ...] = ENCODER_DIMS) -> "BaseEncoder":
         rng = nm.make_rng(nm.derive_seed("base-encoder", seed))
-        layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            std = 1.0 / np.sqrt(fan_in)
-            w = rng.normal(0.0, std, size=(fan_out, fan_in)).astype(nm.DTYPE)
-            b = np.zeros(fan_out, dtype=nm.DTYPE)
-            layers.append(AffineLayer(Tensor(w), Tensor(b)))
-        return cls(layers)
+        shapes = list(zip(dims[1:], dims[:-1]))  # (out, in) per layer
+        weights = [rng.normal(0.0, 1.0 / np.sqrt(k), size=(d, k)).astype(nm.DTYPE)
+                   for d, k in shapes]
+        return cls(weights, [np.zeros(d, dtype=nm.DTYPE) for d, _ in shapes])
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.weights[0].shape[1]
 
     @property
     def embed_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.weights[-1].shape[0]
 
     def layer_dims(self, layer_id: int) -> tuple[int, int]:
-        layer = self.layers[layer_id]
-        return layer.out_dim, layer.in_dim
+        """(out, in) of layer ``layer_id``."""
+        return self.weights[layer_id].shape
 
     def param_hash(self) -> str:
         h = hashlib.sha256()
-        for layer in self.layers:
-            h.update(nm.tensor_to_bytes(layer.weight))
-            h.update(nm.tensor_to_bytes(layer.bias))
+        for w, b in zip(self.weights, self.biases):
+            h.update(nm.tensor_to_bytes(w))
+            h.update(nm.tensor_to_bytes(b))
         return h.hexdigest()
 
 
@@ -112,7 +96,7 @@ class LabelEmbeddingTable:
         for text in labels:
             if text not in drawn:
                 drawn[text] = self._embed_label(text, embed_dim)
-        self.rows = Tensor(np.stack([drawn[text] for text in labels]))
+        self.rows = np.stack([drawn[text] for text in labels])  # float32, C order
 
     @staticmethod
     def _embed_label(text: str, embed_dim: int) -> np.ndarray:
@@ -133,23 +117,28 @@ class LabelEmbeddingTable:
         return h.hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class LoraAdapter:
-    """Rank-r pair for one target layer: delta = (alpha/r) * B @ A."""
+    """Rank-r pair for one target layer: delta = (alpha/r) * B @ A. The
+    factors are held as float32, C-ordered arrays; ``==`` is identity."""
 
     layer_id: int
-    a: Tensor  # [r, in]
-    b: Tensor  # [out, r]
+    a: np.ndarray  # [r, in]
+    b: np.ndarray  # [out, r]
     rank: int
     alpha: float
     dropout_p: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.a = np.asarray(self.a, nm.DTYPE, order="C")
+        self.b = np.asarray(self.b, nm.DTYPE, order="C")
 
     def scaling(self) -> float:
         return self.alpha / self.rank
 
     def effective_delta(self) -> np.ndarray:
         """Materialized [out, in] weight delta."""
-        return (self.b.data @ self.a.data) * nm.DTYPE(self.scaling())
+        return (self.b @ self.a) * nm.DTYPE(self.scaling())
 
 
 def init_adapter(layer_id: int, d: int, k: int, r: int, alpha: float,
@@ -163,7 +152,7 @@ def init_adapter(layer_id: int, d: int, k: int, r: int, alpha: float,
         raise ParameterError("dropout_p must lie in [0, 1)")
     a = rng.normal(0.0, 0.02, size=(r, k)).astype(nm.DTYPE)
     b = np.zeros((d, r), dtype=nm.DTYPE)
-    return LoraAdapter(layer_id, Tensor(a), Tensor(b), r, float(alpha), float(dropout_p))
+    return LoraAdapter(layer_id, a, b, r, float(alpha), float(dropout_p))
 
 
 class PluginModule:
@@ -178,7 +167,7 @@ class PluginModule:
     def fresh(cls, base: BaseEncoder, rank: int, alpha: float,
               rng: np.random.Generator, dropout_p: float = 0.0) -> "PluginModule":
         adapters = {}
-        for lid in range(len(base.layers)):
+        for lid in range(len(base.weights)):
             d, k = base.layer_dims(lid)
             adapters[lid] = init_adapter(lid, d, k, rank, alpha, rng, dropout_p)
         return cls(adapters)
@@ -189,14 +178,14 @@ class PluginModule:
         if rank < 1:
             raise ParameterError(f"a plugin needs rank >= 1, got rank {rank}")
         adapters = {}
-        for lid in range(len(base.layers)):
+        for lid in range(len(base.weights)):
             d, k = base.layer_dims(lid)
-            adapters[lid] = LoraAdapter(
-                lid, Tensor(np.zeros((rank, k), dtype=nm.DTYPE)),
-                Tensor(np.zeros((d, rank), dtype=nm.DTYPE)), rank, float(alpha))
+            adapters[lid] = LoraAdapter(lid, np.zeros((rank, k), dtype=nm.DTYPE),
+                                        np.zeros((d, rank), dtype=nm.DTYPE), rank, float(alpha))
         return cls(adapters)
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[np.ndarray]:
+        """Each adapter's A and B, the arrays ``sgd_step`` updates in place."""
         out = []
         for ad in self.adapters.values():
             out.extend([ad.a, ad.b])
@@ -235,7 +224,7 @@ class PluginModule:
                 # order, a repeated layer included, is a second encoding
                 raise r.error(f"layer {lid} follows layer {last}; layers must increase")
             last = lid
-            adapters[lid] = LoraAdapter(lid, Tensor(a), Tensor(b), rank, alpha)
+            adapters[lid] = LoraAdapter(lid, a, b, rank, alpha)
         r.end()
         return cls(adapters)
 
@@ -246,7 +235,7 @@ class PluginModule:
 def check_plugin(base: BaseEncoder, plugin: PluginModule) -> None:
     """Every adapter fits a layer of ``base`` at rank >= 1 and alpha finite > 0."""
     for lid, ad in plugin.adapters.items():
-        if lid < 0 or lid >= len(base.layers):
+        if lid < 0 or lid >= len(base.weights):
             raise ShapeError(f"adapter targets missing layer {lid}")
         d, k = base.layer_dims(lid)
         if ad.b.shape != (d, ad.rank) or ad.a.shape != (ad.rank, k):
@@ -278,10 +267,10 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
     if width != base.input_dim:
         raise ShapeError(f"input dim {width} != encoder input {base.input_dim}")
     h = x.data.reshape(-1, width)
-    last = len(base.layers) - 1
+    last = len(base.weights) - 1
     cache = []  # per layer: transposed weight, side-path values, output
-    for lid, (layer, wt) in enumerate(zip(base.layers, base.weights_t)):
-        y = h @ wt + layer.bias.data
+    for lid, (wt, bias) in enumerate(zip(base.weights_t, base.biases)):
+        y = h @ wt + bias
         side = None
         ad = adapters.get(lid)
         if ad is not None:
@@ -290,8 +279,8 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
                 mask = (rng.random(h.shape) >= ad.dropout_p).astype(nm.DTYPE) \
                     / nm.DTYPE(1.0 - ad.dropout_p)
             hp = h if mask is None else h * mask
-            at = np.ascontiguousarray(ad.a.data.T)
-            bt = np.ascontiguousarray(ad.b.data.T)
+            at = np.ascontiguousarray(ad.a.T)
+            bt = np.ascontiguousarray(ad.b.T)
             q = hp @ at
             scaling = float(ad.scaling())
             y = y + (q @ bt) * nm.DTYPE(scaling)
@@ -337,7 +326,7 @@ def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _label_head(table: LabelEmbeddingTable) -> np.ndarray:
     """The table's rows at unit norm, transposed: [embed_dim, classes]."""
-    return np.ascontiguousarray(_unit_rows(table.rows.data)[0].T)
+    return np.ascontiguousarray(_unit_rows(table.rows)[0].T)
 
 
 def classify(embedding: Tensor, table: LabelEmbeddingTable,
@@ -378,12 +367,11 @@ def encode_np(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
         h = h[None, :]
     if h.shape[1] != base.input_dim:
         raise ShapeError(f"input dim {h.shape[1]} != encoder input {base.input_dim}")
-    last = len(base.layers) - 1
-    for lid, layer in enumerate(base.layers):
-        w = layer.weight.data
+    last = len(base.weights) - 1
+    for lid, (w, bias) in enumerate(zip(base.weights, base.biases)):
         if deltas and lid in deltas:
             w = w + deltas[lid]
-        h = h @ w.T + layer.bias.data
+        h = h @ w.T + bias
         if lid != last:
             h = np.tanh(h)
     return h
@@ -395,7 +383,7 @@ def cosine_logits_np(embeddings: np.ndarray, table: LabelEmbeddingTable,
     norms = np.linalg.norm(e, axis=1, keepdims=True)
     if np.any(norms < NORM_EPS):
         raise DegenerateInputError("zero-norm embedding in cosine head")
-    rows = table.rows.data.astype(np.float64)
+    rows = table.rows.astype(np.float64)
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     return ((e / norms) @ rows.T / temperature).astype(nm.DTYPE)
 

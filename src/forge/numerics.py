@@ -11,6 +11,11 @@ there is no graph and no gradient state. The caller chains the nodes it
 built, handing each result to ``Tensor.backward`` of the tensor it belongs
 to, and passes the last result to ``sgd_step``.
 
+A ``Tensor`` is only a node's output or an input handed to a node. The
+model's state (encoder weights and biases, adapter factors, label rows) is
+plain float32, C-ordered arrays: ``sgd_step`` updates them in place and
+``tensor_to_bytes`` writes them.
+
 Scalar losses keep a float64 copy of their value (``Tensor.item``) so that
 finite-difference checks are not drowned by float32 rounding of the loss.
 """
@@ -147,26 +152,25 @@ def check_ranges(config, at_least_one: Sequence[str] = (), positive: Sequence[st
                 raise ParameterError(f"{name} must be {need}, got {value!r}")
 
 
-def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
-             state: SgdState) -> Sequence[Tensor]:
-    """One in-place update with one gradient per parameter; pass the same
-    param sequence every step."""
+def sgd_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
+             state: SgdState) -> None:
+    """Update the float32 arrays ``params`` in place, one gradient each; pass
+    the same arrays every step."""
     if len(grads) != len(params):
         raise ShapeError("one gradient per parameter required")
     if not state.velocities:
-        state.velocities = [np.zeros_like(p.data) for p in params]
+        state.velocities = [np.zeros_like(p) for p in params]
     if len(state.velocities) != len(params):
         raise ShapeError("velocity buffers do not match the parameter list")
     for p, g, v in zip(params, grads, state.velocities):
         g = np.asarray(g, dtype=DTYPE)
-        if g.shape != p.data.shape or v.shape != p.data.shape:
+        if g.shape != p.shape or v.shape != p.shape:
             raise ShapeError("gradient/velocity shape does not match parameter")
         v *= DTYPE(state.momentum)
         v += g
         if state.weight_decay:
-            v += DTYPE(state.weight_decay) * p.data
-        p.data -= DTYPE(state.learning_rate) * v
-    return params
+            v += DTYPE(state.weight_decay) * p
+        p -= DTYPE(state.learning_rate) * v
 
 
 def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor,
@@ -211,12 +215,12 @@ def derive_seed(*parts) -> int:
 TENSOR_MAGIC = b"FGT1"
 
 
-def tensor_to_bytes(t: Tensor) -> bytes:
+def tensor_to_bytes(a: np.ndarray) -> bytes:
     """Header (magic, rank, dims as u32 LE) + row-major float32 LE payload."""
-    dims = t.data.shape
+    dims = a.shape
     header = TENSOR_MAGIC + struct.pack("<I", len(dims))
     header += struct.pack(f"<{len(dims)}I", *dims) if dims else b""
-    return header + t.data.astype("<f4").tobytes(order="C")
+    return header + a.astype("<f4").tobytes(order="C")
 
 
 class Reader:

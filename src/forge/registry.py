@@ -349,7 +349,7 @@ class Repository:
                 (task.name, task.num_classes, (task.flat_dim,)):
             raise ValidationError(f"distilled set for {distilled.task_name!r} does not match "
                                   f"the name, class count and width of task {task.name!r}")
-        if not all(np.isfinite(t.data).all() for t in plugin.parameters()):
+        if not all(np.isfinite(a).all() for a in plugin.parameters()):
             # a NaN or Inf weight would make every later merge objective NaN
             raise ValidationError("plugin weights are not finite")
         base = self._base_of(genesis)

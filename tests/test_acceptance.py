@@ -96,14 +96,13 @@ def test_criterion_1_merge_algebra():
     branch = PluginModule.fresh(base, 4, 4.0, rng)
     for p in (main, branch):
         for ad in p.adapters.values():
-            ad.a.data[:] = rng.normal(size=ad.a.shape).astype(np.float32)
-            ad.b.data[:] = rng.normal(size=ad.b.shape).astype(np.float32)
+            ad.a[:] = rng.normal(size=ad.a.shape).astype(np.float32)
+            ad.b[:] = rng.normal(size=ad.b.shape).astype(np.float32)
     ok &= mrg.fuse(main, branch, MergeCoefficients(1.0, 0.0)).to_bytes() == main.to_bytes()
     ok &= mrg.fuse(main, branch, MergeCoefficients(0.0, 1.0)).to_bytes() == branch.to_bytes()
 
     # 1x1 fixture: fused delta 12, mixture delta 13
-    sp = lambda a, b: PluginModule({0: LoraAdapter(0, Tensor([[float(a)]]),
-                                                   Tensor([[float(b)]]), 1, 1.0)})
+    sp = lambda a, b: PluginModule({0: LoraAdapter(0, [[float(a)]], [[float(b)]], 1, 1.0)})
     fused = mrg.fuse(sp(2, 3), sp(4, 5), MergeCoefficients(0.5, 0.5))
     ok &= abs(fused.adapters[0].effective_delta()[0, 0] - 12.0) < 1e-6
     mix = mrg.mixture_deltas([(sp(2, 3), 0.5), (sp(4, 5), 0.5)])
@@ -112,9 +111,8 @@ def test_criterion_1_merge_algebra():
     # cross-term law on 100 random instances
     for _ in range(100):
         d, k, r, alpha = 3, 5, 2, 2.0
-        mk = lambda: LoraAdapter(0, Tensor(rng.normal(size=(r, k)).astype(np.float32)),
-                                 Tensor(rng.normal(size=(d, r)).astype(np.float32)),
-                                 r, alpha)
+        mk = lambda: LoraAdapter(0, rng.normal(size=(r, k)).astype(np.float32),
+                                 rng.normal(size=(d, r)).astype(np.float32), r, alpha)
         am, ab = mk(), mk()
         w, wp = rng.uniform(0, 2, size=2)
         got = mrg.fuse(PluginModule({0: am}), PluginModule({0: ab}),
@@ -122,8 +120,8 @@ def test_criterion_1_merge_algebra():
         got = got.astype(np.float64) - w * w * am.effective_delta() \
             - wp * wp * ab.effective_delta()
         want = (w * wp * alpha / r) * (
-            am.b.data.astype(np.float64) @ ab.a.data.astype(np.float64)
-            + ab.b.data.astype(np.float64) @ am.a.data.astype(np.float64))
+            am.b.astype(np.float64) @ ab.a.astype(np.float64)
+            + ab.b.astype(np.float64) @ am.a.astype(np.float64))
         ok &= rel_err(got, want) < 1e-5
     report("criterion 1: merge algebra (identities, 12 vs 13 fixture, cross-term law)",
            ok, time.time() - start, 1.0)
@@ -351,7 +349,7 @@ def test_criterion_8_registry_properties(tmp_path_factory):
         crng = nm.make_rng(nm.derive_seed("c8", i))
         plugin = PluginModule.fresh(base, rank, alpha, crng)
         for ad in plugin.adapters.values():
-            ad.b.data[:] = crng.normal(size=ad.b.shape).astype(np.float32) * 0.1
+            ad.b[:] = crng.normal(size=ad.b.shape).astype(np.float32) * 0.1
         task = dsets.TaskSpec(f"task-{i}", [f"t{i} neg", f"t{i} pos"])
         inputs = crng.normal(size=(4, task.flat_dim)).astype(np.float32)
         distilled = dst.DistilledDataset(task.name, 2, 2, task.input_shape,

@@ -276,7 +276,7 @@ class TestExitCodes:
         assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
         spec, _ = load_dataset(data_dir / "B-toy" / "train.fgd")
         plugin = PluginModule.fresh(BaseEncoder.from_seed(5), 16, 16.0, nm.make_rng(0))
-        plugin.adapters[0].b.data[3, 2] = np.nan
+        plugin.adapters[0].b[3, 2] = np.nan
         plugin_path = tmp_path / "nan.fgm"
         plugin_path.write_bytes(plugin.to_bytes())
         distilled = DistilledDataset(spec.name, spec.num_classes, 1, spec.input_shape,

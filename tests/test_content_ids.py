@@ -14,7 +14,17 @@ the search's steps, its order of evaluations or the guidance objective moves
 them.
 
 The values were recorded on x86-64 with numpy's bundled OpenBLAS; a BLAS
-whose kernels sum in another order gives other ids for the same code."""
+whose kernels sum in another order gives other ids for the same code. There
+are two pin sets, picked by the core name that OpenBLAS reports: the AVX-512
+tier (SkylakeX, the set every other or unknown core is held to) and the AVX2
+tier (Haswell, which Zen shares). The AVX2 sets were recorded with
+OPENBLAS_CORETYPE=Haswell and numpy's AVX-512 dispatch targets disabled
+through NPY_DISABLE_CPU_FEATURES, on one OpenBLAS thread and on two to four;
+OPENBLAS_CORETYPE=Zen, and Haswell with numpy's AVX-512 loops on, gave the
+same ids."""
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +62,67 @@ MERGE_IDS = {
                  "92f73d4844e5960253ba7082555e15deefebf816b3afcc9126828457ff7672d7"],
                 "10ebcc15595559fb32971aeec82d1c191d414689953fd024b4275c67b6285600"),
 }
+
+AVX2_CORES = {"Haswell", "Zen"}
+# the AVX2 tier's pins for two or more OpenBLAS threads (False) and for one
+# (True): on Haswell's kernels, unlike SkylakeX's, one thread rounds some
+# products differently
+AVX2_PINS = {
+    False: ("a590b4e1ed9cb49eb33f05f6c41d8057b475c19c6c8995ccdfab331226ce5906",
+            {False: "db9497881fe064f335dfedf109b8d0befc9aa8e596545dc6726855929c3d1abc",
+             True: "4a82894b27edfd3213fe14e12078a5232246fd1d546d69e0834384330a50a593"},
+            {"ipc-above-real-batch":
+                 "5afb65dfa36e3db8df61e7291f361da65179b6870c94e5921723654585da6665",
+             "short-real-class":
+                 "25f38233ef8e31ed125ecb894e8aae43cf26f7f54d23a26d5a1e356f46b47647",
+             "dsa-off": "67b88adf5a19b73d943774983a12faf6ffaf2b2fdaccece75109da06bde57879"},
+            {"fusion": (["2fc050c9c433c6d76747d0505356865c0dd0589d701c6c711fe9b1e8cbef60bd",
+                         "52a83eb073ae198ade0181a22ce0d82481ed48cea61cf1d0d67dba751f51681f",
+                         "49d59755c4536bf843cbbb609654cb8fb93f4bea274d9845be486dc216390fb4"],
+                        "0a7364a09e39fddb4afacfede7d8962eff836302fe1c9725e7db41273ee62721"),
+             "mixture": (["ba644e6b2507dd0683ec40b3eeb78757630c7c2b8d6c816134420275087850a4",
+                          "b6ad7b00e1e49bfd35d1c21ad9beb9fbaa8142b1e1df3cf507c40cf6bcd46780",
+                          "dcc8a293715d13c5d8497574d2b92aca80cc3c5f2b73a7eee27345b4d78da9e3"],
+                         "31815b4067c8fda1c5d379555e1048021d9c3d62f0c25873bc7ee04db0e4e62e")}),
+    True: ("422834b740d64aa8e794b10102e3b9a0a00af3200b286ed863e1bc681188dd27",
+           {False: "35069ca08849d201433c1ee87ff451b6a24374fab4f25edb2be1480f255d89b6",
+            True: "b2c27b173df6de68aa858b2f097cd5cb79247f4f7cdaceeadef9be57e3314b7f"},
+           {"ipc-above-real-batch":
+                "5afb65dfa36e3db8df61e7291f361da65179b6870c94e5921723654585da6665",
+            "short-real-class":
+                "25f38233ef8e31ed125ecb894e8aae43cf26f7f54d23a26d5a1e356f46b47647",
+            "dsa-off": "4bc0e34d15ad5c40ced55a8d53d906779c35785e4fddea963a1e548c039e3c89"},
+           {"fusion": (["3ab17d0f81c26cce74bbb0768d2a3257ced1698fcfb94354ce0fab1550693b22",
+                        "eb3383a862f9b358a742dcb313eb8ffceef9a118c93a518b409acfc0ad3be86d",
+                        "1538b39ba49f4965914df5102a8cfba2c06e2220411102a88b514ca77da3c2b6"],
+                       "45db04b17768d6de351c33db156df1f900ddaf13d55b4d7947c8ab1654fd72b0"),
+            "mixture": (["ca35a36c08e4c4442c0197289915e37f5f2b150838f5a080b3b89b549a1fb32d",
+                         "83d75595144708678f949b036064d42b70d6bda6d16fbd32112f87167a67f49e",
+                         "eb2e560f5061206fa14c058936f7f4b242cf4474e3a67852e5d25c1e011e088b"],
+                        "513a3835fa8471b6fc83bb33a17aa4ae7669b9135639f41a2664822b84e1046e")}),
+}
+
+
+def bundled_openblas() -> tuple[str, int]:
+    """The core name and thread count of numpy's bundled OpenBLAS, read as
+    CI's "BLAS build and core" step reads them, or ("unknown", 0)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            corename = lib.scipy_openblas_get_corename64_
+            threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        return corename().decode(), threads()
+    return "unknown", 0
+
+
+CORE, THREADS = bundled_openblas()
+if CORE in AVX2_CORES:
+    PLUGIN_ID, DISTILLED_IDS, EDGE_DISTILLED_IDS, MERGE_IDS = AVX2_PINS[THREADS == 1]
 
 
 @pytest.fixture(scope="module")

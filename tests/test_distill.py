@@ -145,7 +145,7 @@ class TestDmLoss:
         s = Tensor(s0.copy())
         loss = dst.dm_loss(real, [0, 4], s, [0, 1])
         lr = 0.25
-        nm.sgd_step([s], [loss.backward()], nm.SgdState(learning_rate=lr))
+        nm.sgd_step([s.data], [loss.backward()], nm.SgdState(learning_rate=lr))
         mu = np.stack([real[:4].mean(axis=0), real[4:].mean(axis=0)])
         np.testing.assert_allclose(s.data, s0 - lr * 2.0 * (s0 - mu), atol=1e-5)
 
@@ -199,7 +199,7 @@ class TestDistill:
         assert len(calls) == 4
         assert all(len(params) == 1 for params in calls)
         assert len({id(params[0]) for params in calls}) == 1
-        np.testing.assert_array_equal(calls[0][0].data.reshape(out.inputs.shape), out.inputs)
+        np.testing.assert_array_equal(calls[0][0].reshape(out.inputs.shape), out.inputs)
 
     def test_real_data_and_base_untouched(self, base, toy_task):
         spec, data = toy_task
@@ -232,7 +232,7 @@ class TestDistill:
                 feat = model.encode(base, syn, plugin)
                 loss = dst.dm_loss(real.data, real_starts, feat, syn_starts)
                 losses.append(loss.item())
-                nm.sgd_step([syn], [feat.backward(loss.backward())], state)
+                nm.sgd_step([syn.data], [feat.backward(loss.backward())], state)
             if np.mean(losses[-10:]) <= np.mean(losses[:10]):
                 wins += 1
         assert wins >= 8
@@ -279,7 +279,7 @@ def per_class_distill(spec, data, base, config, rng):
             grads.append(syn_c.backward(feat.backward(g)))
         state.learning_rate = dst._cosine_lr(step, config.iterations, config.syn_lr,
                                              config.syn_lr_final)
-        nm.sgd_step(syn, grads, state)
+        nm.sgd_step([t.data for t in syn], grads, state)
     return np.concatenate([t.data for t in syn]).reshape(len(syn0), -1)
 
 

@@ -17,15 +17,13 @@ from forge.distill import DistilledDataset
 from forge.errors import ForgeError, FormatError, IntegrityError
 from forge.merge import ForgeItem
 from forge.model import BaseEncoder, LoraAdapter, PluginModule
-from forge.numerics import Tensor
 
 SEED = 5
 
 
 def small_plugin(seed):
     rng = nm.make_rng(seed)
-    adapters = {lid: LoraAdapter(lid, Tensor(rng.normal(size=(2, k))),
-                                 Tensor(rng.normal(size=(d, 2))), 2, 4.0)
+    adapters = {lid: LoraAdapter(lid, rng.normal(size=(2, k)), rng.normal(size=(d, 2)), 2, 4.0)
                 for lid, (d, k) in enumerate([(4, 3), (2, 4)])}
     return PluginModule(adapters)
 
@@ -54,8 +52,8 @@ mixture_entries = [(p, c) for p, c in zip(PLUGINS.values(), (0.25, 1.5))]
 
 # name: (bytes, parse, serialize)
 FORMATS = {
-    "tensor": (nm.tensor_to_bytes(Tensor(nm.make_rng(6).normal(size=(2, 3)))),
-               parse_tensor, lambda data: nm.tensor_to_bytes(Tensor(data))),
+    "tensor": (nm.tensor_to_bytes(nm.make_rng(6).normal(size=(2, 3))),
+               parse_tensor, nm.tensor_to_bytes),
     "plugin": (small_plugin(1).to_bytes(), PluginModule.from_bytes, PluginModule.to_bytes),
     "distilled set": (DISTILLED.to_bytes(), DistilledDataset.from_bytes,
                       DistilledDataset.to_bytes),
@@ -72,6 +70,16 @@ FORMATS = {
 def test_round_trip(name):
     buf, parse, serialize = FORMATS[name]
     assert serialize(parse(buf)) == buf
+
+
+def test_equality_of_records_holding_arrays_is_identity():
+    # a generated == would compare the arrays, and numpy's elementwise result
+    # raises "the truth value of an array ... is ambiguous"
+    for build in (lambda: dsets.dataset_from_bytes(FORMATS["dataset"][0])[1],
+                  lambda: DistilledDataset.from_bytes(FORMATS["distilled set"][0]),
+                  lambda: PluginModule.from_bytes(FORMATS["plugin"][0]).adapters[0]):
+        first, second = build(), build()
+        assert first == first and first != second
 
 
 @pytest.mark.parametrize("name", FORMATS)
@@ -105,7 +113,7 @@ def test_byte_flips_raise_only_forge_errors(name):
 
 def plugin_with_1d_b():
     a = np.ones((2, 3), dtype=np.float32)
-    return PluginModule({0: LoraAdapter(0, Tensor(a), Tensor(np.ones(2)), 2, 4.0)}).to_bytes()
+    return PluginModule({0: LoraAdapter(0, a, np.ones(2), 2, 4.0)}).to_bytes()
 
 
 def plugin_with_layers(plugin, layer_ids):

@@ -161,7 +161,7 @@ def world(tmp_path_factory):
     for i in range(3):
         plugin = PluginModule.fresh(base, 2, 4.0, rng)
         for ad in plugin.adapters.values():
-            ad.b.data[:] = rng.normal(size=ad.b.shape) * 0.1
+            ad.b[:] = rng.normal(size=ad.b.shape) * 0.1
         (root / f"p{i}.fgm").write_bytes(plugin.to_bytes())
         (root / f"p{i}.fgm.meta.json").write_text(json.dumps(
             {"id": plugin.content_id(), "task": "tiny", "config": {"run": {"seed": i}}},
@@ -260,7 +260,7 @@ def history(repo):
 def write_plugin(path, rank, alpha, seed):
     plugin = PluginModule.fresh(BaseEncoder.from_seed(SEED), rank, alpha, nm.make_rng(seed))
     for ad in plugin.adapters.values():
-        ad.b.data[:] = nm.make_rng(seed + 1).normal(size=ad.b.shape) * 0.1
+        ad.b[:] = nm.make_rng(seed + 1).normal(size=ad.b.shape) * 0.1
     path.write_bytes(plugin.to_bytes())
 
 

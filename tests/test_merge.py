@@ -8,19 +8,17 @@ from forge import merge, model
 from forge import numerics as nm
 from forge.errors import FormatError, IncompatibleModulesError, InputError, ParameterError
 from forge.merge import CoeffOptimConfig, ForgeItem, MergeCoefficients
-from forge.model import AffineLayer, BaseEncoder, LoraAdapter, PluginModule
+from forge.model import BaseEncoder, LoraAdapter, PluginModule
 from forge.numerics import Tensor
 
 
 def scalar_plugin(a: float, b: float, alpha: float = 1.0) -> PluginModule:
-    ad = LoraAdapter(0, Tensor([[a]]), Tensor([[b]]), rank=1, alpha=alpha)
+    ad = LoraAdapter(0, [[a]], [[b]], rank=1, alpha=alpha)
     return PluginModule({0: ad})
 
 
 def scalar_base(w0: float = 1.0) -> BaseEncoder:
-    layer = AffineLayer(Tensor(np.array([[w0]], dtype=np.float32)),
-                        Tensor(np.zeros(1, dtype=np.float32)))
-    return BaseEncoder([layer])
+    return BaseEncoder([[[w0]]], [[0.0]])
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +29,8 @@ def base():
 def random_plugin(base, rng, rank=4, alpha=4.0):
     plugin = PluginModule.fresh(base, rank, alpha, rng)
     for ad in plugin.adapters.values():
-        ad.a.data[:] = rng.normal(size=ad.a.shape).astype(np.float32) * 0.2
-        ad.b.data[:] = rng.normal(size=ad.b.shape).astype(np.float32) * 0.2
+        ad.a[:] = rng.normal(size=ad.a.shape).astype(np.float32) * 0.2
+        ad.b[:] = rng.normal(size=ad.b.shape).astype(np.float32) * 0.2
     return plugin
 
 
@@ -57,8 +55,8 @@ class TestFuse:
         fused = merge.fuse(scalar_plugin(2, 3), scalar_plugin(4, 5),
                            MergeCoefficients(0.5, 0.5))
         ad = fused.adapters[0]
-        assert ad.a.data[0, 0] == pytest.approx(3.0)
-        assert ad.b.data[0, 0] == pytest.approx(4.0)
+        assert ad.a[0, 0] == pytest.approx(3.0)
+        assert ad.b[0, 0] == pytest.approx(4.0)
         assert ad.effective_delta()[0, 0] == pytest.approx(12.0)
 
     def test_rank_mismatch_rejected(self, base):
@@ -75,8 +73,8 @@ class TestFuse:
             d, k, r = 3, 5, 2
             alpha = 2.0
             mk = lambda: LoraAdapter(
-                0, Tensor(rng.normal(size=(r, k)).astype(np.float32)),
-                Tensor(rng.normal(size=(d, r)).astype(np.float32)), r, alpha)
+                0, rng.normal(size=(r, k)).astype(np.float32),
+                rng.normal(size=(d, r)).astype(np.float32), r, alpha)
             am, ab = mk(), mk()
             w, wp = rng.uniform(0, 2, size=2)
             fused = merge.fuse(PluginModule({0: am}), PluginModule({0: ab}),
@@ -84,8 +82,8 @@ class TestFuse:
             got = fused.adapters[0].effective_delta().astype(np.float64)
             got -= w * w * am.effective_delta() + wp * wp * ab.effective_delta()
             want = (w * wp * (alpha / r)) * (
-                am.b.data.astype(np.float64) @ ab.a.data.astype(np.float64)
-                + ab.b.data.astype(np.float64) @ am.a.data.astype(np.float64))
+                am.b.astype(np.float64) @ ab.a.astype(np.float64)
+                + ab.b.astype(np.float64) @ am.a.astype(np.float64))
             assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-9) < 1e-5
 
 
@@ -223,8 +221,8 @@ class TestModelSoup:
 
     def test_two_scalar_modules(self):
         soup = merge.baseline_modelsoup([scalar_plugin(2, 3), scalar_plugin(4, 5)])
-        assert soup.adapters[0].a.data[0, 0] == pytest.approx(3.0)
-        assert soup.adapters[0].b.data[0, 0] == pytest.approx(4.0)
+        assert soup.adapters[0].a[0, 0] == pytest.approx(3.0)
+        assert soup.adapters[0].b[0, 0] == pytest.approx(4.0)
 
     def test_empty_list_rejected(self):
         with pytest.raises(InputError):
@@ -353,10 +351,10 @@ class TestMergeRounds:
         # new output delta = w * (previous mixture delta) + w' * (branch delta)
         rng = nm.make_rng(17)
         w_base = rng.normal(size=(6, 10)).astype(np.float32)
-        enc = BaseEncoder([AffineLayer(Tensor(w_base), Tensor(np.zeros(6, dtype=np.float32)))])
+        enc = BaseEncoder([w_base], [np.zeros(6, dtype=np.float32)])
         mk = lambda: PluginModule({0: LoraAdapter(
-            0, Tensor(rng.normal(size=(2, 10)).astype(np.float32)),
-            Tensor(rng.normal(size=(6, 2)).astype(np.float32)), 2, 2.0)})
+            0, rng.normal(size=(2, 10)).astype(np.float32),
+            rng.normal(size=(6, 2)).astype(np.float32), 2, 2.0)})
         p1, p2 = mk(), mk()
         item = ForgeItem("mixture", 1, entries=[(p1, 0.8)])
         guidance = make_guidance_dim(enc, rng)
@@ -674,12 +672,11 @@ class TakeAlongAxisGuidance(merge.StackedGuidance):
         h = self._pre0
         if self._projected is not None:
             h = h + self._deltas.first_layer(self._projected, w)
-        for lid, layer in enumerate(self._layers, start=1):
-            weight = layer.weight.data
+        for lid, (weight, bias) in enumerate(self._layers, start=1):
             delta = self._deltas.layer_delta(lid, w)
             if delta is not None:
                 weight = weight + delta
-            h = np.tanh(h) @ weight.T + layer.bias.data
+            h = np.tanh(h) @ weight.T + bias
         e = h.astype(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", e, e))[:, None]
         logits = np.take_along_axis(e @ self._head, self._columns, axis=1)

@@ -5,7 +5,7 @@ from forge import distill as dst
 from forge import model
 from forge import numerics as nm
 from forge.errors import DegenerateInputError, FormatError, ParameterError, ShapeError
-from forge.model import AffineLayer, BaseEncoder, LabelEmbeddingTable, PluginModule
+from forge.model import BaseEncoder, LabelEmbeddingTable, PluginModule
 from forge.numerics import Tensor
 
 
@@ -31,7 +31,7 @@ def one_layer_base(weight: np.ndarray, bias: np.ndarray | None = None) -> BaseEn
     weight = np.asarray(weight, dtype=np.float32)
     if bias is None:
         bias = np.zeros(weight.shape[0], dtype=np.float32)
-    return BaseEncoder([AffineLayer(Tensor(weight), Tensor(bias))])
+    return BaseEncoder([weight], [bias])
 
 
 def sq_sum_value(out: Tensor) -> float:
@@ -68,9 +68,8 @@ class TestMatmul:
         rng = nm.make_rng(7)
         for _ in range(20):
             enc = one_layer_base(np.zeros((2, 5)))
-            ad = model.LoraAdapter(0, Tensor(rng.normal(size=(4, 5)).astype(np.float32)),
-                                   Tensor(rng.normal(size=(2, 4)).astype(np.float32)),
-                                   4, 4.0)
+            ad = model.LoraAdapter(0, rng.normal(size=(4, 5)).astype(np.float32),
+                                   rng.normal(size=(2, 4)).astype(np.float32), 4, 4.0)
             x = rng.normal(size=(3, 5)).astype(np.float32)
             left = model.encode(enc, Tensor(x), PluginModule({0: ad})).data
             right = model.encode_np(enc, {0: ad.effective_delta()}, x)
@@ -79,8 +78,8 @@ class TestMatmul:
     def test_backward_matches_finite_differences(self):
         rng = nm.make_rng(3)
         enc = one_layer_base(rng.normal(size=(2, 4)), rng.normal(size=2))
-        ad = model.LoraAdapter(0, Tensor(rng.normal(size=(2, 4)).astype(np.float32)),
-                               Tensor(rng.normal(size=(2, 2)).astype(np.float32)), 2, 2.0)
+        ad = model.LoraAdapter(0, rng.normal(size=(2, 4)).astype(np.float32),
+                               rng.normal(size=(2, 2)).astype(np.float32), 2, 2.0)
         plugin = PluginModule({0: ad})
         x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
         w = rng.normal(size=(3, 2)).astype(np.float32)
@@ -91,7 +90,8 @@ class TestMatmul:
         # the input's gradient outside training, the adapter's in training
         g_x = model.encode(enc, x, plugin).backward(w)
         g_a, g_b = model.encode(enc, x, plugin, training=True).backward(w)
-        for t, g in ((x, g_x), (ad.a, g_a), (ad.b, g_b)):
+        # Tensors over the adapter's own arrays, so each perturbation reaches it
+        for t, g in ((x, g_x), (Tensor(ad.a), g_a), (Tensor(ad.b), g_b)):
             fd = nm.finite_difference_grad(loss_fn, t, eps=1e-2)
             assert rel_err(g, fd.data) < 1e-4
 
@@ -136,14 +136,14 @@ class TestSoftmaxCrossEntropy:
 
 class TestSgd:
     def test_plain_step(self):
-        p = Tensor(np.array([1.0], dtype=np.float32))
+        p = np.array([1.0], dtype=np.float32)
         state = nm.SgdState(learning_rate=0.1)
         nm.sgd_step([p], [np.array([2.0], dtype=np.float32)], state)
-        assert p.data[0] == pytest.approx(0.8)
+        assert p[0] == pytest.approx(0.8)
 
     def test_momentum_recursion(self):
         # v1 = g; v2 = 0.9*g + g = 1.9*g (wd = 0)
-        p = Tensor(np.array([0.0], dtype=np.float32))
+        p = np.array([0.0], dtype=np.float32)
         g = np.array([1.0], dtype=np.float32)
         state = nm.SgdState(learning_rate=0.0009765625, momentum=0.9)
         nm.sgd_step([p], [g], state)
@@ -157,17 +157,41 @@ class TestSgd:
         p1 = p0 - lr * v1
         v2 = mom * v1 + g + wd * p1
         p2 = p1 - lr * v2
-        p = Tensor(np.array([p0], dtype=np.float32))
+        p = np.array([p0], dtype=np.float32)
         state = nm.SgdState(lr, mom, wd)
         nm.sgd_step([p], [np.array([g], dtype=np.float32)], state)
         nm.sgd_step([p], [np.array([g], dtype=np.float32)], state)
-        assert p.data[0] == pytest.approx(p2, rel=1e-5)
+        assert p[0] == pytest.approx(p2, rel=1e-5)
 
     def test_zero_grad_zero_wd_no_change(self):
-        p = Tensor(np.array([3.0], dtype=np.float32))
+        p = np.array([3.0], dtype=np.float32)
         state = nm.SgdState(learning_rate=0.5)
         nm.sgd_step([p], [np.zeros(1, dtype=np.float32)], state)
-        assert p.data[0] == 3.0
+        assert p[0] == 3.0
+
+    def test_plain_arrays_match_the_per_tensor_update(self):
+        def tensor_step(params, grads, velocities, lr, momentum, wd):
+            """The update as it ran on each parameter Tensor's array: the reference."""
+            for p, g, v in zip(params, grads, velocities):
+                v *= np.float32(momentum)
+                v += np.asarray(g, dtype=np.float32)
+                v += np.float32(wd) * p.data
+                p.data -= np.float32(lr) * v
+
+        rng = nm.make_rng(61)
+        arrays = [rng.normal(size=shape).astype(np.float32)
+                  for shape in [(3, 5), (4,), (2, 2, 3), (1, 7)]]
+        own, start = list(arrays), [a.copy() for a in arrays]
+        ref = [Tensor(a.copy()) for a in arrays]
+        ref_velocities = [np.zeros_like(a) for a in arrays]
+        state = nm.SgdState(0.05, momentum=0.9, weight_decay=5e-4)
+        for _ in range(20):
+            grads = [rng.normal(size=a.shape).astype(np.float32) for a in arrays]
+            nm.sgd_step(arrays, grads, state)
+            tensor_step(ref, grads, ref_velocities, 0.05, 0.9, 5e-4)
+        for a, mine, a0, t in zip(arrays, own, start, ref):
+            assert a is mine and not np.array_equal(a, a0)  # the caller's arrays, in place
+            assert np.array_equal(a, t.data)
 
     @pytest.mark.parametrize("setting", [
         {"learning_rate": 0.0}, {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
@@ -207,8 +231,8 @@ class TestElementwiseOps:
         # encode's input gradient through the tanh between its two layers
         rng = nm.make_rng(17)
         enc = BaseEncoder.from_seed(17, dims=(6, 5, 4))
-        for layer in enc.layers:
-            layer.bias.data[:] = rng.normal(size=layer.bias.shape)
+        for bias in enc.biases:
+            bias[:] = rng.normal(size=bias.shape)
         x = Tensor(rng.uniform(-1, 1, size=(3, 6)).astype(np.float32))
         out = model.encode(enc, x)
         grad = out.backward(2.0 * out.data)
@@ -343,19 +367,19 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = nm.make_rng(53)
         for shape in [(3,), (2, 4), (2, 3, 4), ()]:
-            t = Tensor(rng.normal(size=shape).astype(np.float32))
+            t = rng.normal(size=shape).astype(np.float32)
             buf = nm.tensor_to_bytes(t)
             r = nm.Reader(buf, "tensor")
             back = r.tensor(len(shape))
             r.end()
-            assert back.shape == t.data.shape
-            assert back.tobytes() == t.data.tobytes()
+            assert back.shape == t.shape
+            assert back.tobytes() == t.tobytes()
 
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="tensor magic"):
             nm.Reader(b"NOPE" + b"\x00" * 16, "tensor").tensor()
 
     def test_truncated_payload(self):
-        buf = nm.tensor_to_bytes(Tensor(np.ones((2, 2), dtype=np.float32)))
+        buf = nm.tensor_to_bytes(np.ones((2, 2), dtype=np.float32))
         with pytest.raises(FormatError, match="truncated"):
             nm.Reader(buf[:-3], "tensor").tensor()

@@ -41,7 +41,7 @@ def make_contribution(base, name, labels, author="alice", seed=0):
     rng = nm.make_rng(nm.derive_seed("contrib", name, seed))
     plugin = PluginModule.fresh(base, RANK, ALPHA, rng)
     for ad in plugin.adapters.values():
-        ad.b.data[:] = rng.normal(size=ad.b.shape).astype(np.float32) * 0.1
+        ad.b[:] = rng.normal(size=ad.b.shape).astype(np.float32) * 0.1
     task = TaskSpec(name, list(labels))
     ipc = 3
     inputs = rng.normal(size=(ipc * len(labels), task.flat_dim)).astype(np.float32)
@@ -177,7 +177,7 @@ class TestCommit:
         repo = make_repo(tmp_path / "repo")
         before = repo.all_object_ids()
         contrib = make_contribution(repo.base, "t1", ["red", "blue"])
-        getattr(contrib.plugin.adapters[1], factor).data[0, 0] = bad
+        getattr(contrib.plugin.adapters[1], factor)[0, 0] = bad
         with pytest.raises(ValidationError):
             repo.commit_contribution(contrib)
         assert repo.all_object_ids() == before
@@ -195,7 +195,7 @@ class TestCommit:
             ad.alpha = bad.get("alpha", ad.alpha)
             if "rank" in bad:
                 d, k = repo.base.layer_dims(lid)
-                ad.rank, ad.a, ad.b = 0, nm.Tensor(np.zeros((0, k))), nm.Tensor(np.zeros((d, 0)))
+                ad.rank, ad.a, ad.b = 0, np.zeros((0, k), np.float32), np.zeros((d, 0), np.float32)
         with pytest.raises(ValidationError):
             repo.commit_contribution(contrib)
         assert repo.pending() == []
