@@ -18,6 +18,7 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -43,27 +44,11 @@ from .evaluation import MetricsReport, evaluate_deltas
 from .model import PluginModule
 from .registry import BranchContribution, Repository
 
-_GLOBAL_VALUE_FLAGS = ("--config", "--seed", "--author")
 
-
-def _named_command(argv: list[str]) -> str | None:
-    """The subcommand of ``argv`` when only global flags with their values
-    come before it; None otherwise (help, unknown flags or commands)."""
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in _GLOBAL_VALUE_FLAGS:
-            i += 2
-        elif arg.partition("=")[0] in _GLOBAL_VALUE_FLAGS:  # --seed=3
-            i += 1
-        else:
-            return arg if arg in _COMMANDS else None
-    return None
-
-
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or one with only ``command``'s subparser: the same
-    parse, help and errors for a line that names that command."""
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, built on the first call and reused by every later
+    call in the process: a parse leaves the parser as it found it."""
     # global flags work both before and after the subcommand; the SUPPRESS
     # defaults stop the subparser from clobbering values parsed at top level
     common = argparse.ArgumentParser(add_help=False)
@@ -81,10 +66,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument("--seed", type=int, help=f"global seed (or {SEED_ENV_VAR})")
     parser.add_argument("--author", help="contributor tag for commits")
-    # the metavar keeps every command in the usage line of a one-command parser
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         _add_arguments(name, sub.add_parser(name, parents=[common],
                                             help=_COMMANDS[name][1]))
     return parser
@@ -286,6 +269,8 @@ def _cmd_eval(args, config: RunConfig) -> int:
 
 
 def _cmd_experiment(args, config: RunConfig) -> int:
+    if args.seeds < 1:  # no seed would leave a report of no rows, or of NaN ones
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = tuple(range(1, args.seeds + 1))
     if args.fast:
         settings = xp.ExperimentSettings(
@@ -335,10 +320,8 @@ _COMMANDS = {  # name: (handler, help), in the order help lists them
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(_named_command(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)  # None parses sys.argv[1:]
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -63,19 +63,22 @@ def prepare_branch_artifacts(base: BaseEncoder, seed: int,
 
 def evaluate_deltas_on_tasks(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
                              artifacts: dict[str, BranchArtifacts],
-                             report: MetricsReport) -> MetricsReport:
+                             report: MetricsReport,
+                             temperature: float = mdl.DEFAULT_TEMPERATURE) -> MetricsReport:
     for name, art in artifacts.items():
-        acc, auc_value = evaluate_deltas(base, deltas, table_for(base, art.spec), art.test)
+        acc, auc_value = evaluate_deltas(base, deltas, table_for(base, art.spec), art.test,
+                                         temperature)
         report.add(name, acc, auc_value)
     return report
 
 
 def merge_in_order(workdir: Path, base_seed: int, strategy: str,
                    artifacts: dict[str, BranchArtifacts], order: list[str],
-                   coeff: CoeffOptimConfig, rank: int, alpha: float) -> Repository:
+                   coeff: CoeffOptimConfig, rank: int, alpha: float,
+                   temperature: float = mdl.DEFAULT_TEMPERATURE) -> Repository:
     """Fresh repository, commits in the given order, merge everything."""
     repo = Repository.init(workdir, base_seed, strategy, rank=rank, alpha=alpha,
-                           coeff=coeff)
+                           temperature=temperature, coeff=coeff)
     for name in order:
         art = artifacts[name]
         repo.commit_contribution(BranchContribution(
@@ -102,6 +105,7 @@ def run_order_experiment(workdir: str | Path, settings: ExperimentSettings,
                          ) -> tuple[list[MetricsReport], list[dict]]:
     """Strategy x task-order x seed sweep; returns runs and summary rows."""
     workdir = Path(workdir)
+    temperature = settings.train.temperature
     task_names = ["B-toy", "L-toy", "M-toy"]
     if orders is None:
         orders = [list(p) for p in itertools.permutations(task_names)]
@@ -118,10 +122,10 @@ def run_order_experiment(workdir: str | Path, settings: ExperimentSettings,
                 tag = f"{strategy}-{'_'.join(n[0] for n in order)}-s{seed}"
                 repo = merge_in_order(workdir / tag, seed, strategy, prepared[seed],
                                       order, settings.coeff, settings.train.rank,
-                                      settings.train.alpha)
+                                      settings.train.alpha, temperature)
                 report = MetricsReport(strategy, order, seed)
                 evaluate_deltas_on_tasks(base, repo.current_item().deltas(),
-                                         prepared[seed], report)
+                                         prepared[seed], report, temperature)
                 runs.append(report)
     summary = summarize_orders(runs)
     return runs, summary
@@ -166,6 +170,7 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
     """Desk-scale analogue of the main comparison table; returns (runs, summary)."""
     workdir = Path(workdir)
     order = order or ["B-toy", "M-toy", "L-toy"]
+    temperature = settings.train.temperature
     methods = ["single-task tuning", "distilled only", "lorahub w/o distill",
                "lorahub w/ distill", "modelsoup", "fusion", "mixture"]
     runs: list[dict] = []
@@ -182,7 +187,8 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
         report = MetricsReport("single-task tuning", order, seed)
         for name, art in artifacts.items():
             acc, auc_value = evaluate_deltas(base, art.plugin.layer_deltas(),
-                                             table_for(base, art.spec), art.test)
+                                             table_for(base, art.spec), art.test,
+                                             temperature)
             report.add(name, acc, auc_value)
         per_method["single-task tuning"] = report
 
@@ -197,23 +203,24 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
         raw_guidance = _ten_percent_guidance(artifacts, base, seed)
         for label, guidance in (("lorahub w/o distill", raw_guidance),
                                 ("lorahub w/ distill", distilled_guidance)):
-            merged, _, _ = mrg.baseline_lorahub(base, plugins, guidance, settings.coeff)
+            merged, _, _ = mrg.baseline_lorahub(base, plugins, guidance, settings.coeff,
+                                                temperature)
             per_method[label] = evaluate_deltas_on_tasks(
                 base, merged.layer_deltas(), artifacts,
-                MetricsReport(label, order, seed))
+                MetricsReport(label, order, seed), temperature)
 
         soup = mrg.baseline_modelsoup(plugins)
         per_method["modelsoup"] = evaluate_deltas_on_tasks(
             base, soup.layer_deltas(), artifacts,
-            MetricsReport("modelsoup", order, seed))
+            MetricsReport("modelsoup", order, seed), temperature)
 
         for strategy in ("fusion", "mixture"):
             repo = merge_in_order(workdir / f"{strategy}-s{seed}", seed, strategy,
                                   artifacts, order, settings.coeff,
-                                  settings.train.rank, settings.train.alpha)
+                                  settings.train.rank, settings.train.alpha, temperature)
             per_method[strategy] = evaluate_deltas_on_tasks(
                 base, repo.current_item().deltas(), artifacts,
-                MetricsReport(strategy, order, seed))
+                MetricsReport(strategy, order, seed), temperature)
 
         for method in methods:
             runs.append(per_method[method].to_dict())

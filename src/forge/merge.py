@@ -119,7 +119,7 @@ def combine_plugins(plugins: Sequence[PluginModule],
             ad = plugin.adapters[lid]
             a += nm.DTYPE(w) * ad.a
             b += nm.DTYPE(w) * ad.b
-        adapters[lid] = mdl.LoraAdapter(lid, a, b, ref.rank, ref.alpha, ref.dropout_p)
+        adapters[lid] = mdl.LoraAdapter(lid, a, b, ref.rank, ref.alpha)
     return PluginModule(adapters)
 
 
@@ -570,12 +570,13 @@ def baseline_modelsoup(plugins: Sequence[PluginModule]) -> PluginModule:
 
 def baseline_lorahub(base: BaseEncoder, plugins: Sequence[PluginModule],
                      guidance: Sequence[GuidanceSet], config: CoeffOptimConfig,
+                     temperature: float = mdl.DEFAULT_TEMPERATURE,
                      ) -> tuple[PluginModule, np.ndarray, list[dict]]:
     """One-shot joint optimization of one coefficient per module."""
     if not plugins:
         raise InputError("joint merging needs at least one plugin module")
     objective = guidance_objective(base, guidance, FactoredDeltas(plugins),
-                                   config.l1_lambda)
+                                   config.l1_lambda, temperature)
     best, _, trace = optimize_coefficients(objective, config, n_vars=len(plugins))
     merged = combine_plugins(plugins, list(best))
     return merged, best, trace

@@ -127,7 +127,6 @@ class LoraAdapter:
     b: np.ndarray  # [out, r]
     rank: int
     alpha: float
-    dropout_p: float = 0.0
 
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a, nm.DTYPE, order="C")
@@ -142,17 +141,15 @@ class LoraAdapter:
 
 
 def init_adapter(layer_id: int, d: int, k: int, r: int, alpha: float,
-                 rng: np.random.Generator, dropout_p: float = 0.0) -> LoraAdapter:
+                 rng: np.random.Generator) -> LoraAdapter:
     """A ~ N(0, 0.02), B = 0, so the initial delta is exactly zero."""
     if r < 1 or r > min(d, k):
         raise ParameterError(f"rank {r} outside [1, min({d}, {k})]")
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
-    if not 0.0 <= dropout_p < 1.0:
-        raise ParameterError("dropout_p must lie in [0, 1)")
     a = rng.normal(0.0, 0.02, size=(r, k)).astype(nm.DTYPE)
     b = np.zeros((d, r), dtype=nm.DTYPE)
-    return LoraAdapter(layer_id, a, b, r, float(alpha), float(dropout_p))
+    return LoraAdapter(layer_id, a, b, r, float(alpha))
 
 
 class PluginModule:
@@ -165,11 +162,11 @@ class PluginModule:
 
     @classmethod
     def fresh(cls, base: BaseEncoder, rank: int, alpha: float,
-              rng: np.random.Generator, dropout_p: float = 0.0) -> "PluginModule":
+              rng: np.random.Generator) -> "PluginModule":
         adapters = {}
         for lid in range(len(base.weights)):
             d, k = base.layer_dims(lid)
-            adapters[lid] = init_adapter(lid, d, k, rank, alpha, rng, dropout_p)
+            adapters[lid] = init_adapter(lid, d, k, rank, alpha, rng)
         return cls(adapters)
 
     @classmethod
@@ -197,8 +194,8 @@ class PluginModule:
     def to_bytes(self) -> bytes:
         """Canonical parameter-only encoding; the content id hashes this.
 
-        Entries carry (layer_id, r, alpha, A, B). Dropout is a training-time
-        knob, not part of the committed artifact.
+        Entries carry (layer_id, r, alpha, A, B); dropout is a setting of
+        training (``TrainConfig.dropout_p``), not of the plugin.
         """
         out = [PLUGIN_MAGIC, struct.pack("<BI", PLUGIN_VERSION, len(self.adapters))]
         for lid, ad in self.adapters.items():
@@ -243,18 +240,18 @@ def check_plugin(base: BaseEncoder, plugin: PluginModule) -> None:
         if ad.rank < 1 or not 0 < ad.alpha < np.inf:  # NaN fails too
             raise ParameterError(f"adapter for layer {lid} needs rank >= 1 and a finite "
                                  f"positive alpha, got rank {ad.rank} and alpha {ad.alpha}")
-        if not 0.0 <= ad.dropout_p < 1.0:
-            raise ParameterError(f"adapter for layer {lid} has dropout outside [0, 1)")
 
 
 def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
-           training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+           training: bool = False, rng: np.random.Generator | None = None,
+           dropout_p: float = 0.0) -> Tensor:
     """Batched embedding of [n, input_dim] rows (an [n, h, w] batch is
     flattened per row); an attached plugin adds each adapter's side path on
     top of the frozen layer it targets.
 
-    One tape node covers every layer. Training with an rng applies inverted
-    dropout to each side path's input, one mask per layer in forward order.
+    One tape node covers every layer. Training with an rng and a
+    ``dropout_p`` above 0 applies inverted dropout at that rate to each side
+    path's input, one mask per adapted layer in forward order.
     The node's backward returns what the caller trains: when ``training``,
     the gradients of ``plugin.parameters()`` in that order; otherwise the
     gradient of ``x``.
@@ -275,9 +272,9 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
         ad = adapters.get(lid)
         if ad is not None:
             mask = None
-            if rng is not None and training and ad.dropout_p > 0.0:
-                mask = (rng.random(h.shape) >= ad.dropout_p).astype(nm.DTYPE) \
-                    / nm.DTYPE(1.0 - ad.dropout_p)
+            if rng is not None and training and dropout_p > 0.0:
+                mask = (rng.random(h.shape) >= dropout_p).astype(nm.DTYPE) \
+                    / nm.DTYPE(1.0 - dropout_p)
             hp = h if mask is None else h * mask
             at = np.ascontiguousarray(ad.a.T)
             bt = np.ascontiguousarray(ad.b.T)
@@ -413,6 +410,8 @@ class TrainConfig:
         nm.check_ranges(self, at_least_one=("epochs", "batch_size", "rank"),
                         positive=("learning_rate", "alpha", "temperature"),
                         non_negative=("momentum", "weight_decay"))
+        if not 0.0 <= self.dropout_p < 1.0:  # NaN fails too
+            raise ParameterError(f"dropout_p must lie in [0, 1), got {self.dropout_p!r}")
 
 
 def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
@@ -431,7 +430,7 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
         raise InputError("cannot train on an empty dataset")
     if labels.shape != (n,):
         raise ShapeError("labels do not match inputs")
-    plugin = PluginModule.fresh(base, config.rank, config.alpha, rng, config.dropout_p)
+    plugin = PluginModule.fresh(base, config.rank, config.alpha, rng)
     params = plugin.parameters()
     state = nm.SgdState(config.learning_rate, config.momentum, config.weight_decay)
     head = _label_head(table)
@@ -444,7 +443,8 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
             if steps_done >= budget:
                 break
             idx = order[start:start + config.batch_size]
-            emb = encode(base, Tensor(inputs[idx]), plugin, training=True, rng=rng)
+            emb = encode(base, Tensor(inputs[idx]), plugin, training=True, rng=rng,
+                         dropout_p=config.dropout_p)
             logits = _cosine_head(emb, head, config.temperature)
             loss = nm.softmax_cross_entropy(logits, labels[idx])
             nm.sgd_step(params, emb.backward(logits.backward(loss.backward())), state)

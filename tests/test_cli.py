@@ -43,41 +43,53 @@ EXIT_CODES = {
 }
 
 
-def parse_exit(parser, argv, capsys):
-    """Exit code, stdout and stderr of a parse that exits (help or error)."""
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
-    out = capsys.readouterr()
-    return exc.value.code, out.out, out.err
+def parse(parser, argv, capsys):
+    """Exit code, stdout and stderr of a parse that exits (help or error); the
+    parsed values of one that does not."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+    return vars(args)
 
 
 class TestParser:
-    """``main`` builds only the subparser of the command it is given; help,
-    errors and parsed values must be those of the full parser."""
+    """``main`` parses every line with one parser, built on its first call in
+    the process; help, errors and parsed values must be those of a freshly
+    built parser, whatever that parser parsed before."""
 
     EXITING = [["--help"], ["-h", "init"], ["frobnicate"], [], ["--seed", "3"],
                ["init", "r"], ["--seed", "x", "merge", "r"], ["merge", "r", "--bogus"],
                ["merge", "r", "--all", "--next"], ["--config", "--seed", "eval"],
                ["--seed", "3", "commit", "--help"], ["--author=a", "checkout", "--help"]]
+    HELP = [[name, "--help"] for name in cli._COMMANDS]
+    VALUES = ["--seed", "4", "merge", "--author", "ann", "repo", "--next"]
 
-    @pytest.mark.parametrize("argv", EXITING + [[name, "--help"] for name in
-                                                cli._COMMANDS])
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv", EXITING + HELP)
     def test_help_and_errors_match_the_full_parser(self, argv, capsys):
-        lazy = parse_exit(cli._build_parser(cli._named_command(argv)), argv, capsys)
-        assert lazy == parse_exit(cli._build_parser(), argv, capsys)
+        fresh = parse(cli._build_parser.__wrapped__(), argv, capsys)
+        assert isinstance(fresh, tuple)  # the line exits
+        for _ in range(3):
+            assert parse(cli._build_parser(), argv, capsys) == fresh
 
-    def test_parsed_values_match_the_full_parser(self):
-        argv = ["--seed", "4", "merge", "--author", "ann", "repo", "--next"]
-        lazy = cli._build_parser(cli._named_command(argv)).parse_args(argv)
-        assert vars(lazy) == vars(cli._build_parser().parse_args(argv))
+    def test_parsed_values_match_the_full_parser(self, capsys):
+        fresh = parse(cli._build_parser.__wrapped__(), self.VALUES, capsys)
+        assert fresh["seed"] == 4 and fresh["author"] == "ann" and fresh["next"]
+        for _ in range(3):
+            assert parse(cli._build_parser(), self.VALUES, capsys) == fresh
 
-    def test_command_found_past_global_flags_only(self):
-        assert cli._named_command(["--seed", "3", "--config", "c.ini", "merge", "r"]) == "merge"
-        assert cli._named_command(["--author=a", "eval"]) == "eval"
-        assert cli._named_command(["--seed", "init", "x"]) is None
-        assert cli._named_command(["-h", "init"]) is None
-        assert cli._named_command(["--se", "3", "init"]) is None
-        assert cli._named_command(["frobnicate"]) is None
+    def test_one_parser_reused_in_both_orders(self, capsys):
+        lines = self.EXITING + self.HELP + [self.VALUES]
+        fresh = [parse(cli._build_parser.__wrapped__(), argv, capsys) for argv in lines]
+        reused = cli._build_parser()
+        for _ in range(3):
+            for order in (slice(None), slice(None, None, -1)):
+                for argv, want in zip(lines[order], fresh[order]):
+                    assert parse(reused, argv, capsys) == want, argv
 
 
 class TestConfig:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from forge import experiments as xp
+from forge import merge as mrg
 from forge.cli import main
 from forge.distill import DistillConfig
 from forge.merge import CoeffOptimConfig
@@ -77,6 +78,32 @@ class TestBaselineExperiment:
         assert by_method["single-task tuning"]["avg_acc"] >= \
             by_method["modelsoup"]["avg_acc"] - 0.05
 
+    def test_one_temperature_throughout(self, tmp_path, monkeypatch):
+        # the training temperature also creates the repositories, drives every
+        # coefficient search (LoRAHub's and each merge round's) and scores
+        seen = []
+
+        def spy(original):
+            def wrapped(*args):
+                seen.append(args[-1])
+                return original(*args)
+            return wrapped
+
+        monkeypatch.setattr(mrg, "guidance_objective", spy(mrg.guidance_objective))
+        monkeypatch.setattr(xp, "evaluate_deltas", spy(xp.evaluate_deltas))
+        settings = xp.ExperimentSettings(
+            seeds=(1,), train=TrainConfig(epochs=2, temperature=0.2),
+            distill=DistillConfig(iterations=4, ipc=2, eval_iterations=8, temperature=0.2),
+            coeff=CoeffOptimConfig(max_iterations=4))
+        xp.run_baseline_experiment(tmp_path, settings)
+        for strategy in ("fusion", "mixture"):
+            config = json.loads((tmp_path / f"{strategy}-s1" / "forge.json").read_text())
+            assert config["temperature"] == 0.2
+        # 2 LoRAHub searches and 3 rounds per repository; 3 tasks scored by
+        # each method but distilled-only, which trains and scores in distill
+        assert len(seen) == 2 + 2 * 3 + 3 * 6
+        assert set(seen) == {0.2}
+
 
 class TestExperimentCli:
     def test_orders_fast(self, tmp_path, capsys):
@@ -87,3 +114,11 @@ class TestExperimentCli:
         assert "mixture" in out and "fusion" in out
         reports = list((tmp_path / "exp" / "reports" / "orders").glob("*.jsonl"))
         assert len(reports) == 1
+
+    @pytest.mark.parametrize("kind, seeds", [("orders", "0"), ("baselines", "-2")])
+    def test_fewer_than_one_seed_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys,
+                                                                      kind, seeds):
+        assert main(["experiment", kind, str(tmp_path / "exp"), "--seeds", seeds,
+                     "--fast"]) == 1
+        assert "--seeds must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()

@@ -65,11 +65,12 @@ class TestForward:
 
     def test_zero_dropout_training_equals_eval(self, base):
         rng = nm.make_rng(4)
-        plugin = PluginModule.fresh(base, 8, 8.0, rng, dropout_p=0.0)
+        plugin = PluginModule.fresh(base, 8, 8.0, rng)
         for ad in plugin.adapters.values():
             ad.b[:] = rng.normal(size=ad.b.shape).astype(np.float32)
         x = Tensor(rng.normal(size=(3, base.input_dim)).astype(np.float32))
-        train_mode = model.encode(base, x, plugin, training=True, rng=nm.make_rng(9)).data
+        train_mode = model.encode(base, x, plugin, training=True, rng=nm.make_rng(9),
+                                  dropout_p=0.0).data
         eval_mode = model.encode(base, x, plugin, training=False).data
         np.testing.assert_array_equal(train_mode, eval_mode)
 
@@ -104,7 +105,7 @@ class TestEncodeGradients:
         # classify -> cross-entropy in training mode with dropout 0.1; the rng
         # is reseeded for each evaluation so the dropout masks stay fixed
         rng = nm.make_rng(2)
-        plugin = PluginModule.fresh(base, 2, 4.0, rng, dropout_p=0.1)
+        plugin = PluginModule.fresh(base, 2, 4.0, rng)
         for ad in plugin.adapters.values():
             ad.a[:] = rng.normal(0.0, 1.0 / np.sqrt(ad.a.shape[1]), size=ad.a.shape)
             ad.b[:] = rng.normal(0.0, 0.3, size=ad.b.shape)
@@ -113,7 +114,8 @@ class TestEncodeGradients:
         labels = np.arange(8) % 3
 
         def forward():
-            emb = model.encode(base, x, plugin, training=True, rng=nm.make_rng(99))
+            emb = model.encode(base, x, plugin, training=True, rng=nm.make_rng(99),
+                               dropout_p=0.1)
             logits = model.classify(emb, table, 0.5)
             return emb, logits, nm.softmax_cross_entropy(logits, labels)
 
@@ -199,7 +201,8 @@ class TestTrainPlugin:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("batch_size", 0), ("rank", 0), ("learning_rate", 0.0),
         ("learning_rate", float("inf")), ("alpha", float("nan")), ("temperature", 0.0),
-        ("momentum", -0.1), ("momentum", float("nan")), ("weight_decay", float("inf"))])
+        ("momentum", -0.1), ("momentum", float("nan")), ("weight_decay", float("inf")),
+        ("dropout_p", -0.1), ("dropout_p", 1.0), ("dropout_p", float("nan"))])
     def test_setting_out_of_range_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
             TrainConfig(**{field: value})
@@ -239,11 +242,35 @@ class TestTrainPlugin:
         second = model.train_plugin(base, table, x, y, cfg, nm.make_rng(77))
         assert first.to_bytes() == second.to_bytes()
 
+    def test_a_plugin_and_its_round_trip_copy_train_identically(self, base):
+        # dropout is a setting of training, so the bytes, and with them the
+        # content id, hold everything a further training step depends on
+        rng = nm.make_rng(34)
+        x = rng.normal(size=(24, base.input_dim)).astype(np.float32)
+        y = np.arange(24) % 2
+        table = LabelEmbeddingTable("copy", ["a", "b"], base.embed_dim)
+        plugin = model.train_plugin(base, table, x, y,
+                                    TrainConfig(epochs=2, batch_size=8, dropout_p=0.1),
+                                    nm.make_rng(35))
+        copy = PluginModule.from_bytes(plugin.to_bytes())
+
+        def step(p):
+            emb = model.encode(base, Tensor(x), p, training=True, rng=nm.make_rng(36),
+                               dropout_p=0.1)
+            logits = model.classify(emb, table)
+            grads = emb.backward(logits.backward(nm.softmax_cross_entropy(logits, y).backward()))
+            return [emb.data, *grads]
+
+        trained, copied = step(plugin), step(copy)
+        assert not np.array_equal(trained[0], model.encode(base, Tensor(x), plugin).data)
+        for got, want in zip(copied, trained, strict=True):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestPluginSerialization:
     def test_round_trip_and_stable_id(self, base):
         rng = nm.make_rng(12)
-        plugin = PluginModule.fresh(base, 4, 8.0, rng, dropout_p=0.1)
+        plugin = PluginModule.fresh(base, 4, 8.0, rng)
         for ad in plugin.adapters.values():
             ad.b[:] = rng.normal(size=ad.b.shape).astype(np.float32)
         buf = plugin.to_bytes()
