@@ -282,8 +282,7 @@ def _cmd_experiment(args, config: RunConfig) -> int:
         settings = xp.ExperimentSettings(
             seeds=seeds,
             train=config.train_config(),
-            distill=config.distill_config(iterations=500, ipc=10,
-                                          eval_iterations=300),
+            distill=config.distill_config(**xp.DISTILL_BUDGET),
             coeff=config.coeff_config())
     workdir = Path(args.workdir)
     if args.kind == "orders":

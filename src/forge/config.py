@@ -1,11 +1,14 @@
 """Declarative run configuration: INI-style file with one section per
-module, strict key checking, and command-line overrides. The effective
-(post-override) values are echoed into artifact metadata and repositories."""
+module, strict key checking, and command-line overrides. Each key sets one
+field of a module's config dataclass and defaults to that field's default.
+The effective (post-override) values are echoed into artifact metadata and
+repositories."""
 
 from __future__ import annotations
 
 import configparser
 import copy
+import dataclasses
 import os
 from pathlib import Path
 
@@ -14,14 +17,22 @@ from .errors import UsageError
 from .merge import CoeffOptimConfig
 from .model import TrainConfig
 
+# section: (the dataclass whose fields its keys set, its keys). A key sets
+# the field of its own name, or the one _RENAMED gives, and its default is
+# that field's default.
+_SECTIONS = {
+    "adapter": (TrainConfig, ("rank", "alpha", "dropout")),
+    "train": (TrainConfig, ("epochs", "learning_rate", "momentum", "weight_decay",
+                            "batch_size", "temperature")),
+    "distill": (DistillConfig, ("iterations", "ipc", "syn_lr", "syn_lr_final", "dsa",
+                                "eval_iterations", "init_from_real")),
+    "merge": (CoeffOptimConfig, ("max_iterations", "init_value", "l1_lambda", "box_min",
+                                 "box_max", "allow_negative")),
+}
+_RENAMED = {"dropout": "dropout_p", "dsa": "dsa_enabled"}
 DEFAULTS: dict[str, dict] = {
-    "adapter": {"rank": 16, "alpha": 16.0, "dropout": 0.1},
-    "train": {"epochs": 100, "learning_rate": 0.01, "momentum": 0.9,
-              "weight_decay": 5e-4, "batch_size": 64, "temperature": 0.07},
-    "distill": {"iterations": 5000, "ipc": 20, "syn_lr": 1.0, "syn_lr_final": 0.1,
-                "dsa": True, "eval_iterations": 1000, "init_from_real": False},
-    "merge": {"max_iterations": 40, "init_value": 0.5, "l1_lambda": 0.05,
-              "box_min": 0.0, "box_max": 2.0, "allow_negative": False},
+    **{section: {key: getattr(cls, _RENAMED.get(key, key)) for key in keys}
+       for section, (cls, keys) in _SECTIONS.items()},
     "run": {"seed": 0, "author": "anon"},
 }
 
@@ -96,31 +107,23 @@ class RunConfig:
 
     # -- bridges to module configs ------------------------------------------
 
+    def _build(self, cls, sections: tuple[str, ...], overrides: dict):
+        # cls from the keys of sections that set one of its fields, then overrides
+        names = {f.name for f in dataclasses.fields(cls)}
+        kwargs = {name: value for section in sections
+                  for key, value in self.values[section].items()
+                  if (name := _RENAMED.get(key, key)) in names}
+        return cls(**{**kwargs, **overrides})
+
     def train_config(self, **overrides) -> TrainConfig:
-        t, a = self.values["train"], self.values["adapter"]
-        kwargs = dict(epochs=t["epochs"], learning_rate=t["learning_rate"],
-                      momentum=t["momentum"], weight_decay=t["weight_decay"],
-                      batch_size=t["batch_size"], rank=a["rank"], alpha=a["alpha"],
-                      dropout_p=a["dropout"], temperature=t["temperature"])
-        kwargs.update(overrides)
-        return TrainConfig(**kwargs)
+        return self._build(TrainConfig, ("adapter", "train"), overrides)
 
     def distill_config(self, **overrides) -> DistillConfig:
-        d, a, t = self.values["distill"], self.values["adapter"], self.values["train"]
-        kwargs = dict(iterations=d["iterations"], ipc=d["ipc"], syn_lr=d["syn_lr"],
-                      syn_lr_final=d["syn_lr_final"], dsa_enabled=d["dsa"],
-                      eval_iterations=d["eval_iterations"],
-                      init_from_real=d["init_from_real"],
-                      rank=a["rank"], alpha=a["alpha"],
-                      inner_lr=t["learning_rate"], inner_momentum=t["momentum"],
-                      inner_weight_decay=t["weight_decay"],
-                      temperature=t["temperature"])
-        kwargs.update(overrides)
-        return DistillConfig(**kwargs)
+        # [adapter] rank and alpha also shape distill's random feature extractor
+        return self._build(DistillConfig, ("adapter", "distill"), overrides)
 
     def coeff_config(self, **overrides) -> CoeffOptimConfig:
-        # the [merge] keys are CoeffOptimConfig's fields
-        return CoeffOptimConfig(**{**self.values["merge"], **overrides})
+        return self._build(CoeffOptimConfig, ("merge",), overrides)
 
     @property
     def seed(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,7 +151,9 @@ def dm_loss(real_features: np.ndarray, real_starts, syn_features: Tensor,
 
 @dataclass
 class DistillConfig:
-    """Distillation schedule; defaults follow the reference protocol."""
+    """Distillation schedule; defaults follow the reference protocol. ``rank``
+    and ``alpha`` shape the random feature extractor; ``eval_distilled``
+    trains and scores with the caller's ``TrainConfig``."""
 
     iterations: int = 5000
     ipc: int = 20
@@ -160,18 +162,14 @@ class DistillConfig:
     dsa_enabled: bool = True
     init_from_real: bool = False
     real_batch_per_class: int = 64
-    rank: int = 16
-    alpha: float = 16.0
-    inner_lr: float = 0.01
-    inner_momentum: float = 0.9
-    inner_weight_decay: float = 5e-4
-    temperature: float = mdl.DEFAULT_TEMPERATURE
+    rank: int = TrainConfig.rank
+    alpha: float = TrainConfig.alpha
     eval_iterations: int = 1000
 
     def __post_init__(self) -> None:
         # refused before the first step, not after every iteration has run
         nm.check_ranges(self, at_least_one=("iterations", "ipc", "real_batch_per_class", "rank"),
-                        positive=("syn_lr", "syn_lr_final", "alpha", "temperature"))
+                        positive=("syn_lr", "syn_lr_final", "alpha"))
 
 
 @dataclass(eq=False)
@@ -313,19 +311,20 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
 
 def eval_distilled(distilled: DistilledDataset, base: BaseEncoder, spec: TaskSpec,
                    test: LabeledDataset, config: DistillConfig,
-                   rng: np.random.Generator) -> dict[str, float]:
-    """Train a fresh adapter on the distilled set only, then score the test set."""
+                   rng: np.random.Generator,
+                   train: TrainConfig | None = None) -> dict[str, float]:
+    """Train a fresh adapter on the distilled set only for
+    ``config.eval_iterations`` steps, with ``train``'s optimizer, adapter
+    shape and temperature (``TrainConfig()`` if not given) and no dropout,
+    then score the test set at that temperature."""
     if distilled.inputs.shape[1] != spec.flat_dim:
         raise InputError("distilled set does not match the task input shape")
+    train = train or TrainConfig()
     table = LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
-    train_cfg = TrainConfig(
-        epochs=1, learning_rate=config.inner_lr, momentum=config.inner_momentum,
-        weight_decay=config.inner_weight_decay,
-        batch_size=min(EVAL_BATCH_SIZE, len(distilled.inputs)),
-        rank=config.rank, alpha=config.alpha, dropout_p=0.0,
-        temperature=config.temperature)
+    train_cfg = replace(train, epochs=1, dropout_p=0.0,
+                        batch_size=min(EVAL_BATCH_SIZE, len(distilled.inputs)))
     plugin = mdl.train_plugin(base, table, distilled.inputs, distilled.labels,
                               train_cfg, rng, iterations=config.eval_iterations)
     acc, auc_value = evaluation.evaluate_deltas(base, plugin.layer_deltas(), table,
-                                                test, config.temperature)
+                                                test, train.temperature)
     return {"acc": acc, "auc": auc_value}

@@ -22,7 +22,7 @@ from .distill import DistillConfig, DistilledDataset
 from .evaluation import MetricsReport, evaluate_deltas
 from .merge import CoeffOptimConfig
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
-from .registry import BranchContribution, Repository
+from .registry import BranchContribution, Repository, check_unused
 
 
 @dataclass
@@ -74,11 +74,10 @@ def evaluate_deltas_on_tasks(base: BaseEncoder, deltas: dict[int, np.ndarray] | 
 
 def merge_in_order(workdir: Path, base_seed: int, strategy: str,
                    artifacts: dict[str, BranchArtifacts], order: list[str],
-                   coeff: CoeffOptimConfig, rank: int, alpha: float,
-                   temperature: float = mdl.DEFAULT_TEMPERATURE) -> Repository:
-    """Fresh repository, commits in the given order, merge everything."""
-    repo = Repository.init(workdir, base_seed, strategy, rank=rank, alpha=alpha,
-                           temperature=temperature, coeff=coeff)
+                   coeff: CoeffOptimConfig, train: TrainConfig) -> Repository:
+    """Fresh repository at ``train``'s settings, commits in the given order, merge everything."""
+    repo = Repository.init(workdir, base_seed, strategy, rank=train.rank, alpha=train.alpha,
+                           temperature=train.temperature, coeff=coeff)
     for name in order:
         art = artifacts[name]
         repo.commit_contribution(BranchContribution(
@@ -87,15 +86,17 @@ def merge_in_order(workdir: Path, base_seed: int, strategy: str,
     return repo
 
 
+# the desk-scale distillation budget of the experiment harnesses
+DISTILL_BUDGET = {"iterations": 500, "ipc": 10, "eval_iterations": 300}
+
+
 @dataclass
 class ExperimentSettings:
     """Desk-scale defaults for the experiment harnesses."""
 
     seeds: tuple[int, ...] = (1, 2, 3)
     train: TrainConfig = field(default_factory=TrainConfig)
-    distill: DistillConfig = field(
-        default_factory=lambda: DistillConfig(iterations=500, ipc=10,
-                                              eval_iterations=300))
+    distill: DistillConfig = field(default_factory=lambda: DistillConfig(**DISTILL_BUDGET))
     coeff: CoeffOptimConfig = field(default_factory=CoeffOptimConfig)
 
 
@@ -105,28 +106,26 @@ def run_order_experiment(workdir: str | Path, settings: ExperimentSettings,
                          ) -> tuple[list[MetricsReport], list[dict]]:
     """Strategy x task-order x seed sweep; returns runs and summary rows."""
     workdir = Path(workdir)
-    temperature = settings.train.temperature
     task_names = ["B-toy", "L-toy", "M-toy"]
     if orders is None:
         orders = [list(p) for p in itertools.permutations(task_names)]
+    sweep = [(strategy, order, seed, f"{strategy}-{'_'.join(n[0] for n in order)}-s{seed}")
+             for strategy in strategies for order in orders for seed in settings.seeds]
+    for *_, tag in sweep:  # refused before any training, not at its Repository.init
+        check_unused(workdir / tag)
     runs: list[MetricsReport] = []
+    bases = {seed: BaseEncoder.from_seed(seed) for seed in settings.seeds}
     prepared: dict[int, dict[str, BranchArtifacts]] = {}
     for seed in settings.seeds:
-        base = BaseEncoder.from_seed(seed)
-        prepared[seed] = prepare_branch_artifacts(base, seed, settings.train,
+        prepared[seed] = prepare_branch_artifacts(bases[seed], seed, settings.train,
                                                   settings.distill)
-    for strategy in strategies:
-        for order in orders:
-            for seed in settings.seeds:
-                base = BaseEncoder.from_seed(seed)
-                tag = f"{strategy}-{'_'.join(n[0] for n in order)}-s{seed}"
-                repo = merge_in_order(workdir / tag, seed, strategy, prepared[seed],
-                                      order, settings.coeff, settings.train.rank,
-                                      settings.train.alpha, temperature)
-                report = MetricsReport(strategy, order, seed)
-                evaluate_deltas_on_tasks(base, repo.current_item().deltas(),
-                                         prepared[seed], report, temperature)
-                runs.append(report)
+    for strategy, order, seed, tag in sweep:
+        repo = merge_in_order(workdir / tag, seed, strategy, prepared[seed],
+                              order, settings.coeff, settings.train)
+        report = MetricsReport(strategy, order, seed)
+        evaluate_deltas_on_tasks(bases[seed], repo.current_item().deltas(),
+                                 prepared[seed], report, settings.train.temperature)
+        runs.append(report)
     summary = summarize_orders(runs)
     return runs, summary
 
@@ -169,6 +168,9 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
                             ) -> tuple[list[dict], list[dict]]:
     """Desk-scale analogue of the main comparison table; returns (runs, summary)."""
     workdir = Path(workdir)
+    for seed in settings.seeds:  # refused before any training, not at its Repository.init
+        for strategy in ("fusion", "mixture"):
+            check_unused(workdir / f"{strategy}-s{seed}")
     order = order or ["B-toy", "M-toy", "L-toy"]
     temperature = settings.train.temperature
     methods = ["single-task tuning", "distilled only", "lorahub w/o distill",
@@ -196,7 +198,7 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
         for name, art in artifacts.items():
             metrics = dst.eval_distilled(
                 art.distilled, base, art.spec, art.test, settings.distill,
-                nm.make_rng(nm.derive_seed("distilled-eval", name, seed)))
+                nm.make_rng(nm.derive_seed("distilled-eval", name, seed)), settings.train)
             report.add(name, metrics["acc"], metrics["auc"])
         per_method["distilled only"] = report
 
@@ -216,8 +218,7 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
 
         for strategy in ("fusion", "mixture"):
             repo = merge_in_order(workdir / f"{strategy}-s{seed}", seed, strategy,
-                                  artifacts, order, settings.coeff,
-                                  settings.train.rank, settings.train.alpha, temperature)
+                                  artifacts, order, settings.coeff, settings.train)
             per_method[strategy] = evaluate_deltas_on_tasks(
                 base, repo.current_item().deltas(), artifacts,
                 MetricsReport(strategy, order, seed), temperature)

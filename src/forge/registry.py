@@ -47,7 +47,7 @@ from .errors import (
 )
 from .evaluation import evaluate_deltas  # noqa: F401 - perfbench/tracing.py patches this name
 from .merge import CoeffOptimConfig, ForgeItem, GuidanceSet
-from .model import BaseEncoder, LabelEmbeddingTable, PluginModule
+from .model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
 from .numerics import NUMBER, json_fields, json_object
 
 REPO_FORMAT_VERSION = 1
@@ -109,6 +109,15 @@ class BranchContribution:
     training_meta: dict = field(default_factory=dict)
 
 
+def check_unused(path: Path) -> None:
+    """Refuse a path ``Repository.init`` may not create a repository at."""
+    if path.is_dir() and any(path.iterdir()):
+        raise ConflictError(f"{path} already exists and is not empty")
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConflictError(f"{nearest} exists and is not a directory")
+
+
 class Repository:
     """On-disk registry rooted at ``root``; open an existing one directly."""
 
@@ -126,14 +135,12 @@ class Repository:
 
     @classmethod
     def init(cls, path: str | Path, base_seed: int, strategy: str,
-             rank: int = 16, alpha: float = 16.0, temperature: float = 0.07,
+             rank: int = TrainConfig.rank, alpha: float = TrainConfig.alpha,
+             temperature: float = TrainConfig.temperature,
              coeff: CoeffOptimConfig | None = None,
              extra_config: dict | None = None) -> "Repository":
         path = Path(path)
-        if path.exists() and not path.is_dir():
-            raise ConflictError(f"{path} exists and is not a directory")
-        if path.is_dir() and any(path.iterdir()):
-            raise ConflictError(f"{path} already exists and is not empty")
+        check_unused(path)
         config = {
             "format": REPO_FORMAT_VERSION,
             "temperature": float(temperature),

@@ -252,7 +252,7 @@ def merged_repos(pipeline, tmp_path_factory):
         for strategy in ("fusion", "mixture"):
             repo = xp.merge_in_order(root / f"{strategy}-s{seed}", seed, strategy,
                                      state["artifacts"], order, pipeline.coeff_cfg,
-                                     pipeline.train_cfg.rank, pipeline.train_cfg.alpha)
+                                     pipeline.train_cfg)
             report_obj = xp.evaluate_deltas_on_tasks(
                 state["base"], repo.current_item().deltas(), state["artifacts"],
                 ev.MetricsReport(strategy, order, seed))
@@ -309,8 +309,7 @@ def test_criterion_6_order_robustness(pipeline, tmp_path_factory):
             tag = f"mix-{'_'.join(n[0] for n in order)}-s{seed}"
             repo = xp.merge_in_order(root / tag, seed, "mixture",
                                      state["artifacts"], list(order),
-                                     pipeline.coeff_cfg, pipeline.train_cfg.rank,
-                                     pipeline.train_cfg.alpha)
+                                     pipeline.coeff_cfg, pipeline.train_cfg)
             rep = xp.evaluate_deltas_on_tasks(
                 state["base"], repo.current_item().deltas(), state["artifacts"],
                 ev.MetricsReport("mixture", list(order), seed))

@@ -11,7 +11,10 @@ import pytest
 from forge import cli, errors
 from forge.cli import main
 from forge.config import DEFAULTS, RunConfig
+from forge.distill import DistillConfig
 from forge.errors import UsageError
+from forge.merge import CoeffOptimConfig
+from forge.model import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +104,43 @@ class TestConfig:
         assert config.get("merge", "max_iterations") == 40
         assert config.get("merge", "init_value") == 0.5
         assert config.get("adapter", "rank") == 16
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        config = RunConfig()
+        assert config.train_config() == TrainConfig()
+        assert config.distill_config() == DistillConfig()
+        assert config.coeff_config() == CoeffOptimConfig()
+
+    def test_effective_defaults_serialize_unchanged(self):
+        # sidecars carry this object into each contribution commit's hashed
+        # training_meta, so a changed byte changes every commit id
+        assert json.dumps(RunConfig().effective(), sort_keys=True) == (
+            '{"adapter": {"alpha": 16.0, "dropout": 0.1, "rank": 16}, "distill": '
+            '{"dsa": true, "eval_iterations": 1000, "init_from_real": false, "ipc": 20, '
+            '"iterations": 5000, "syn_lr": 1.0, "syn_lr_final": 0.1}, "merge": '
+            '{"allow_negative": false, "box_max": 2.0, "box_min": 0.0, "init_value": 0.5, '
+            '"l1_lambda": 0.05, "max_iterations": 40}, "run": {"author": "anon", "seed": 0}, '
+            '"train": {"batch_size": 64, "epochs": 100, "learning_rate": 0.01, '
+            '"momentum": 0.9, "temperature": 0.07, "weight_decay": 0.0005}}')
+
+    def test_each_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[adapter]\nrank = 4\nalpha = 2\ndropout = 0.3\n"
+                        "[train]\nlearning_rate = 0.03\ntemperature = 0.2\n"
+                        "[distill]\ndsa = no\nipc = 3\n[merge]\nbox_max = 1.5\n")
+        config = RunConfig.from_file(path)
+        assert config.train_config() == TrainConfig(rank=4, alpha=2.0, dropout_p=0.3,
+                                                    learning_rate=0.03, temperature=0.2)
+        assert config.distill_config() == DistillConfig(rank=4, alpha=2.0, dsa_enabled=False,
+                                                        ipc=3)
+        assert config.coeff_config() == CoeffOptimConfig(box_max=1.5)
+
+    def test_distill_config_ignores_the_train_section(self):
+        config = RunConfig()
+        config.set("train", "temperature", -1.0)
+        assert config.distill_config() == DistillConfig()
+        with pytest.raises(errors.ParameterError, match="temperature"):
+            config.train_config()
 
     def test_file_round_trip_and_override(self, tmp_path):
         path = tmp_path / "run.ini"

@@ -161,7 +161,7 @@ class TestDistill:
 
     @pytest.mark.parametrize("field, value", [
         ("rank", 0), ("real_batch_per_class", 0), ("alpha", float("nan")), ("alpha", 0.0),
-        ("syn_lr", float("nan")), ("syn_lr_final", float("inf")), ("temperature", -1.0)])
+        ("syn_lr", float("nan")), ("syn_lr_final", float("inf"))])
     def test_setting_out_of_range_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
             dst.DistillConfig(**{field: value})
@@ -331,18 +331,21 @@ class TestEvalDistilled:
         distilled = dst.DistilledDataset(spec.name, 2, ipc, spec.input_shape,
                                          subset, labels)
         cfg = dst.DistillConfig(iterations=1, ipc=ipc, eval_iterations=200)
-        got = dst.eval_distilled(distilled, base, spec, data, cfg, nm.make_rng(8))
+        train = model.TrainConfig(learning_rate=0.02, momentum=0.8, weight_decay=1e-3,
+                                  rank=8, alpha=4.0, temperature=0.1)
+        got = dst.eval_distilled(distilled, base, spec, data, cfg, nm.make_rng(8), train)
 
-        # oracle: run the same training protocol on the same items directly
+        # oracle: run the same training protocol on the same items directly,
+        # with the caller's settings for one epoch of eval_iterations steps
         table = model.LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
         train_cfg = model.TrainConfig(
-            epochs=1, learning_rate=cfg.inner_lr, momentum=cfg.inner_momentum,
-            weight_decay=cfg.inner_weight_decay, batch_size=min(dst.EVAL_BATCH_SIZE, 16),
-            rank=cfg.rank, alpha=cfg.alpha, dropout_p=0.0)
+            epochs=1, learning_rate=0.02, momentum=0.8, weight_decay=1e-3,
+            batch_size=min(dst.EVAL_BATCH_SIZE, 16), rank=8, alpha=4.0, dropout_p=0.0,
+            temperature=0.1)
         plugin = model.train_plugin(base, table, subset, labels, train_cfg,
                                     nm.make_rng(8), iterations=200)
         from forge.evaluation import evaluate_deltas
-        want_acc, _ = evaluate_deltas(base, plugin.layer_deltas(), table, data)
+        want_acc, _ = evaluate_deltas(base, plugin.layer_deltas(), table, data, 0.1)
         assert got["acc"] == pytest.approx(want_acc, abs=1e-9)
 
     def test_default_eval_iterations_is_thousand(self):

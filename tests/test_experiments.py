@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from forge import evaluation
 from forge import experiments as xp
 from forge import merge as mrg
+from forge import model as mdl
 from forge.cli import main
 from forge.distill import DistillConfig
 from forge.merge import CoeffOptimConfig
@@ -91,18 +93,46 @@ class TestBaselineExperiment:
 
         monkeypatch.setattr(mrg, "guidance_objective", spy(mrg.guidance_objective))
         monkeypatch.setattr(xp, "evaluate_deltas", spy(xp.evaluate_deltas))
+        # distilled-only scores through the evaluation module
+        monkeypatch.setattr(evaluation, "evaluate_deltas", spy(evaluation.evaluate_deltas))
         settings = xp.ExperimentSettings(
             seeds=(1,), train=TrainConfig(epochs=2, temperature=0.2),
-            distill=DistillConfig(iterations=4, ipc=2, eval_iterations=8, temperature=0.2),
+            distill=DistillConfig(iterations=4, ipc=2, eval_iterations=8),
             coeff=CoeffOptimConfig(max_iterations=4))
         xp.run_baseline_experiment(tmp_path, settings)
         for strategy in ("fusion", "mixture"):
             config = json.loads((tmp_path / f"{strategy}-s1" / "forge.json").read_text())
             assert config["temperature"] == 0.2
         # 2 LoRAHub searches and 3 rounds per repository; 3 tasks scored by
-        # each method but distilled-only, which trains and scores in distill
-        assert len(seen) == 2 + 2 * 3 + 3 * 6
+        # each of the 7 methods
+        assert len(seen) == 2 + 2 * 3 + 3 * 7
         assert set(seen) == {0.2}
+
+    def test_distilled_only_trains_and_scores_with_the_train_settings(self, tmp_path,
+                                                                       monkeypatch):
+        # only TrainConfig names a learning rate and a temperature; the
+        # distilled-only row's adapter trains and scores with them
+        trained, scored = [], []
+        train_plugin, evaluate_deltas = mdl.train_plugin, evaluation.evaluate_deltas
+
+        def spy_train(*args, iterations=None):
+            if iterations is not None:  # eval_distilled's capped run
+                trained.append(args[4])
+            return train_plugin(*args, iterations=iterations)
+
+        def spy_evaluate(*args):
+            scored.append(args[-1])
+            return evaluate_deltas(*args)
+
+        monkeypatch.setattr(mdl, "train_plugin", spy_train)
+        monkeypatch.setattr(evaluation, "evaluate_deltas", spy_evaluate)
+        settings = xp.ExperimentSettings(
+            seeds=(1,), train=TrainConfig(epochs=2, learning_rate=0.05, temperature=0.2),
+            distill=DistillConfig(iterations=4, ipc=2, eval_iterations=8),
+            coeff=CoeffOptimConfig(max_iterations=4))
+        xp.run_baseline_experiment(tmp_path, settings)
+        assert [(c.learning_rate, c.temperature) for c in trained] == [(0.05, 0.2)] * 3
+        assert scored == [0.2] * 3
 
 
 class TestExperimentCli:
@@ -114,6 +144,38 @@ class TestExperimentCli:
         assert "mixture" in out and "fusion" in out
         reports = list((tmp_path / "exp" / "reports" / "orders").glob("*.jsonl"))
         assert len(reports) == 1
+
+    def test_orders_and_baselines_share_a_workdir(self, tmp_path):
+        # their repositories have different names, and each kind reports
+        # under its own directory
+        for kind in ("orders", "baselines"):
+            assert main(["experiment", kind, str(tmp_path / "exp"), "--seeds", "1",
+                         "--fast"]) == 0
+        for kind in ("orders", "baselines"):
+            assert len(list((tmp_path / "exp" / "reports" / kind).glob("*.jsonl"))) == 1
+
+    # the last repository each kind creates, as an earlier run of it leaves it
+    @pytest.mark.parametrize("kind, used", [("orders", "runs/mixture-M_L_B-s1"),
+                                            ("baselines", "runs/mixture-s1")],
+                             ids=["orders", "baselines"])
+    @pytest.mark.parametrize("runs_is_a_file", [False, True], ids=["used", "file"])
+    def test_used_workdir_refused_before_any_training(self, tmp_path, capsys, monkeypatch,
+                                                      kind, used, runs_is_a_file):
+        steps = []
+        monkeypatch.setattr(mdl, "train_plugin", lambda *args, **kwargs: steps.append(args))
+        exp = tmp_path / "exp"
+        if runs_is_a_file:
+            exp.mkdir()
+            (exp / "runs").write_text("not a directory")
+            expected = "runs exists and is not a directory"
+        else:
+            (exp / used).mkdir(parents=True)
+            (exp / used / "forge.json").write_text("{}")
+            expected = f"{used} already exists and is not empty"
+        assert main(["experiment", kind, str(exp), "--seeds", "1", "--fast"]) == 2
+        assert expected in capsys.readouterr().err
+        assert steps == []
+        assert not (exp / "reports").exists()
 
     @pytest.mark.parametrize("kind, seeds", [("orders", "0"), ("baselines", "-2")])
     def test_fewer_than_one_seed_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys,

@@ -68,6 +68,11 @@ class TestInit:
         with pytest.raises(ConflictError):
             make_repo(tmp_path / "repo")
 
+    def test_init_under_a_file_rejected(self, tmp_path):
+        (tmp_path / "runs").write_text("not a directory")
+        with pytest.raises(ConflictError, match="runs exists and is not a directory"):
+            make_repo(tmp_path / "runs" / "repo")
+
     def test_coeff_config_round_trips(self, tmp_path):
         coeff = CoeffOptimConfig(max_iterations=7, init_value=0.25, l1_lambda=0.0,
                                  box_min=-1.0, box_max=3.0, allow_negative=True)
