@@ -24,7 +24,6 @@ from .model import (
     TrainConfig,
     classify,
     encode,
-    init_adapter,
     train_plugin,
 )
 from .numerics import SgdState, Tensor, finite_difference_grad, make_rng, sgd_step
@@ -40,6 +39,6 @@ __all__ = [
     "Tensor", "TrainConfig", "accuracy", "auc", "baseline_lorahub",
     "baseline_modelsoup", "classify", "distill_dataset", "encode", "eval_distilled",
     "finite_difference_grad", "fuse", "generate_tasks", "group_aggregate",
-    "init_adapter", "make_rng", "merge_round", "optimize_coefficients", "sgd_step",
+    "make_rng", "merge_round", "optimize_coefficients", "sgd_step",
     "split_by_group", "train_plugin",
 ]

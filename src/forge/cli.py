@@ -110,8 +110,9 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("kind", choices=("orders", "baselines"))
         p.add_argument("workdir")
         p.add_argument("--seeds", type=int, default=3, help="number of seeds")
-        p.add_argument("--fast", action="store_true",
-                       help="reduced budgets for smoke runs")
+        p.add_argument("--fast", action="store_true", help="smoke-run budgets over --config: "
+                       "[train] epochs 20, [distill] iterations 100, ipc 5, eval_iterations 150, "
+                       "[merge] max_iterations 12")
     elif command == "checkout":
         p.add_argument("repo")
         p.add_argument("--round", type=int, required=True)
@@ -279,10 +280,12 @@ def _cmd_experiment(args, config: RunConfig) -> int:
             distill=config.distill_config(iterations=100, ipc=5, eval_iterations=150),
             coeff=config.coeff_config(max_iterations=12))
     else:
+        # the experiments' own distill budget, for each key --config leaves unset
+        budget = {k: v for k, v in xp.DISTILL_BUDGET.items() if ("distill", k) not in config.given}
         settings = xp.ExperimentSettings(
             seeds=seeds,
             train=config.train_config(),
-            distill=config.distill_config(**xp.DISTILL_BUDGET),
+            distill=config.distill_config(**budget),
             coeff=config.coeff_config())
     workdir = Path(args.workdir)
     if args.kind == "orders":

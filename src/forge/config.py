@@ -66,6 +66,7 @@ class RunConfig:
 
     def __init__(self):
         self.values = copy.deepcopy(DEFAULTS)
+        self.given: set[tuple[str, str]] = set()  # (section, key) a file or flag set
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -80,7 +81,7 @@ class RunConfig:
                 for key, raw in parser.items(section):
                     if key not in DEFAULTS[section]:
                         raise UsageError(f"unknown config key [{section}] {key}")
-                    config.values[section][key] = _coerce(section, key, raw)
+                    config.set(section, key, _coerce(section, key, raw))
         except (configparser.Error, UnicodeDecodeError) as exc:
             # no section header, a repeated key or section, a line without
             # "=", a bad "%" interpolation, or bytes that are not UTF-8
@@ -91,6 +92,7 @@ class RunConfig:
         if section not in DEFAULTS or key not in DEFAULTS[section]:
             raise UsageError(f"unknown config key [{section}] {key}")
         self.values[section][key] = value
+        self.given.add((section, key))
 
     def get(self, section: str, key: str):
         return self.values[section][key]

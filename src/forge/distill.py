@@ -242,13 +242,9 @@ def random_feature_plugin(base: BaseEncoder, rank: int, alpha: float,
     the (alpha/r)*B@A delta has the same scale as the base weights, giving
     the matching loss a distribution of embedding spaces to average over.
     """
-    adapters = {}
-    for lid in range(len(base.weights)):
-        d, k = base.layer_dims(lid)
-        a = rng.normal(0.0, 1.0 / np.sqrt(k), size=(rank, k)).astype(nm.DTYPE)
-        b = rng.normal(0.0, 1.0 / np.sqrt(rank), size=(d, rank)).astype(nm.DTYPE)
-        adapters[lid] = mdl.LoraAdapter(lid, a, b, rank, float(alpha))
-    return PluginModule(adapters)
+    return PluginModule.build(base, rank, alpha, lambda d, k: (  # A is drawn first
+        rng.normal(0.0, 1.0 / np.sqrt(k), size=(rank, k)).astype(nm.DTYPE),
+        rng.normal(0.0, 1.0 / np.sqrt(rank), size=(d, rank)).astype(nm.DTYPE)))
 
 
 def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,

@@ -92,15 +92,13 @@ def _check_compatible(plugins: Sequence[PluginModule]) -> None:
                 f"got {sorted(other.adapters)}")
         for lid in layer_ids:
             a, b = first.adapters[lid], other.adapters[lid]
-            if a.rank != b.rank:
-                raise IncompatibleModulesError(
-                    f"rank mismatch on layer {lid}: {a.rank} vs {b.rank}")
             # compared as float32, the way a stored plugin holds alpha
             if np.float32(a.alpha) != np.float32(b.alpha):
                 raise IncompatibleModulesError(
                     f"alpha mismatch on layer {lid}: {a.alpha} vs {b.alpha}")
-            if a.a.shape != b.a.shape or a.b.shape != b.b.shape:
-                raise IncompatibleModulesError(f"shape mismatch on layer {lid}")
+            if a.a.shape != b.a.shape or a.b.shape != b.b.shape:  # the rank is A's rows
+                raise IncompatibleModulesError(
+                    f"rank or shape mismatch on layer {lid}: rank {a.rank} vs {b.rank}")
 
 
 def combine_plugins(plugins: Sequence[PluginModule],
@@ -119,7 +117,7 @@ def combine_plugins(plugins: Sequence[PluginModule],
             ad = plugin.adapters[lid]
             a += nm.DTYPE(w) * ad.a
             b += nm.DTYPE(w) * ad.b
-        adapters[lid] = mdl.LoraAdapter(lid, a, b, ref.rank, ref.alpha)
+        adapters[lid] = mdl.LoraAdapter(a, b, ref.alpha)
     return PluginModule(adapters)
 
 
@@ -178,8 +176,11 @@ class ForgeItem:
 
     @classmethod
     def genesis(cls, strategy: str, base: BaseEncoder, rank: int, alpha: float) -> "ForgeItem":
+        # the zero plugin refuses a rank or alpha no plugin may have, for
+        # mixture too; fusion's fixes every later plugin's rank and alpha
+        zero = PluginModule.zero(base, rank, alpha)
         if strategy == "fusion":
-            return cls("fused", 0, plugin=PluginModule.zero(base, rank, alpha))
+            return cls("fused", 0, plugin=zero)
         if strategy == "mixture":
             return cls("mixture", 0)
         raise ParameterError(f"unknown strategy {strategy!r}")

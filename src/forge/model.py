@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,18 +119,20 @@ class LabelEmbeddingTable:
 
 @dataclass(eq=False)
 class LoraAdapter:
-    """Rank-r pair for one target layer: delta = (alpha/r) * B @ A. The
-    factors are held as float32, C-ordered arrays; ``==`` is identity."""
+    """Rank-r pair for one target layer, r being A's row count: delta = (alpha/r)
+    * B @ A. The factors are float32, C-ordered arrays; ``==`` is identity."""
 
-    layer_id: int
     a: np.ndarray  # [r, in]
     b: np.ndarray  # [out, r]
-    rank: int
     alpha: float
 
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a, nm.DTYPE, order="C")
         self.b = np.asarray(self.b, nm.DTYPE, order="C")
+
+    @property
+    def rank(self) -> int:
+        return self.a.shape[0]
 
     def scaling(self) -> float:
         return self.alpha / self.rank
@@ -138,18 +140,6 @@ class LoraAdapter:
     def effective_delta(self) -> np.ndarray:
         """Materialized [out, in] weight delta."""
         return (self.b @ self.a) * nm.DTYPE(self.scaling())
-
-
-def init_adapter(layer_id: int, d: int, k: int, r: int, alpha: float,
-                 rng: np.random.Generator) -> LoraAdapter:
-    """A ~ N(0, 0.02), B = 0, so the initial delta is exactly zero."""
-    if r < 1 or r > min(d, k):
-        raise ParameterError(f"rank {r} outside [1, min({d}, {k})]")
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-    a = rng.normal(0.0, 0.02, size=(r, k)).astype(nm.DTYPE)
-    b = np.zeros((d, r), dtype=nm.DTYPE)
-    return LoraAdapter(layer_id, a, b, r, float(alpha))
 
 
 class PluginModule:
@@ -161,25 +151,29 @@ class PluginModule:
         self.adapters = dict(sorted(adapters.items()))
 
     @classmethod
-    def fresh(cls, base: BaseEncoder, rank: int, alpha: float,
-              rng: np.random.Generator) -> "PluginModule":
+    def build(cls, base: BaseEncoder, rank: int, alpha: float,
+              draw: Callable[[int, int], tuple[np.ndarray, np.ndarray]]) -> "PluginModule":
+        """One adapter per layer of ``base``, its A and B from ``draw(out, in)``
+        once ``_check_adapter`` passes: a bad rank or alpha draws nothing."""
         adapters = {}
         for lid in range(len(base.weights)):
-            d, k = base.layer_dims(lid)
-            adapters[lid] = init_adapter(lid, d, k, rank, alpha, rng)
+            d, k = _check_adapter(base, lid, rank, alpha)
+            adapters[lid] = LoraAdapter(*draw(d, k), float(alpha))
         return cls(adapters)
+
+    @classmethod
+    def fresh(cls, base: BaseEncoder, rank: int, alpha: float,
+              rng: np.random.Generator) -> "PluginModule":
+        """A ~ N(0, 0.02), B = 0, so the initial delta is exactly zero."""
+        return cls.build(base, rank, alpha, lambda d, k: (
+            rng.normal(0.0, 0.02, size=(rank, k)).astype(nm.DTYPE),
+            np.zeros((d, rank), dtype=nm.DTYPE)))
 
     @classmethod
     def zero(cls, base: BaseEncoder, rank: int, alpha: float) -> "PluginModule":
         """All-zero A and B: the identity element for parameter merging."""
-        if rank < 1:
-            raise ParameterError(f"a plugin needs rank >= 1, got rank {rank}")
-        adapters = {}
-        for lid in range(len(base.weights)):
-            d, k = base.layer_dims(lid)
-            adapters[lid] = LoraAdapter(lid, np.zeros((rank, k), dtype=nm.DTYPE),
-                                        np.zeros((d, rank), dtype=nm.DTYPE), rank, float(alpha))
-        return cls(adapters)
+        return cls.build(base, rank, alpha, lambda d, k: (
+            np.zeros((rank, k), dtype=nm.DTYPE), np.zeros((d, rank), dtype=nm.DTYPE)))
 
     def parameters(self) -> list[np.ndarray]:
         """Each adapter's A and B, the arrays ``sgd_step`` updates in place."""
@@ -221,7 +215,7 @@ class PluginModule:
                 # order, a repeated layer included, is a second encoding
                 raise r.error(f"layer {lid} follows layer {last}; layers must increase")
             last = lid
-            adapters[lid] = LoraAdapter(lid, a, b, rank, alpha)
+            adapters[lid] = LoraAdapter(a, b, alpha)
         r.end()
         return cls(adapters)
 
@@ -229,17 +223,26 @@ class PluginModule:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
 
+def _check_adapter(base: BaseEncoder, lid: int, rank: int, alpha: float) -> tuple[int, int]:
+    """(out, in) of layer ``lid``, refused unless an adapter of ``rank`` and
+    ``alpha`` may sit there."""
+    if not 0 <= lid < len(base.weights):
+        raise ShapeError(f"adapter targets missing layer {lid}")
+    d, k = base.layer_dims(lid)
+    # B @ A has rank at most min(out, in), so a larger rank only adds cost;
+    # a NaN alpha fails the comparison too
+    if not 1 <= rank <= min(d, k) or not 0 < alpha < np.inf:
+        raise ParameterError(f"adapter for layer {lid} needs 1 <= rank <= min({d}, {k}) and "
+                             f"a finite positive alpha, got rank {rank} and alpha {alpha}")
+    return d, k
+
+
 def check_plugin(base: BaseEncoder, plugin: PluginModule) -> None:
-    """Every adapter fits a layer of ``base`` at rank >= 1 and alpha finite > 0."""
+    """Every adapter meets ``_check_adapter``, with A [r, in] and B [out, r]."""
     for lid, ad in plugin.adapters.items():
-        if lid < 0 or lid >= len(base.weights):
-            raise ShapeError(f"adapter targets missing layer {lid}")
-        d, k = base.layer_dims(lid)
-        if ad.b.shape != (d, ad.rank) or ad.a.shape != (ad.rank, k):
+        d, k = _check_adapter(base, lid, ad.rank, ad.alpha)
+        if ad.a.shape != (ad.rank, k) or ad.b.shape != (d, ad.rank):
             raise ShapeError(f"adapter for layer {lid} has shape mismatch")
-        if ad.rank < 1 or not 0 < ad.alpha < np.inf:  # NaN fails too
-            raise ParameterError(f"adapter for layer {lid} needs rank >= 1 and a finite "
-                                 f"positive alpha, got rank {ad.rank} and alpha {ad.alpha}")
 
 
 def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,

@@ -152,11 +152,6 @@ class Repository:
         base = BaseEncoder.from_seed(base_seed)
         try:
             item = ForgeItem.genesis(strategy, base, rank, alpha)
-            # fusion's genesis plugin fixes every later plugin's rank and
-            # alpha; mixture's init is held to the same rules
-            zero = item.plugin if item.plugin is not None else \
-                PluginModule.zero(base, rank, alpha)
-            mdl.check_plugin(base, zero)
         except ParameterError as exc:
             raise InputError(f"cannot make a repository: {exc}") from exc
         for sub in ("objects", "refs", "log", "queue", "locks"):

@@ -102,7 +102,7 @@ def test_criterion_1_merge_algebra():
     ok &= mrg.fuse(main, branch, MergeCoefficients(0.0, 1.0)).to_bytes() == branch.to_bytes()
 
     # 1x1 fixture: fused delta 12, mixture delta 13
-    sp = lambda a, b: PluginModule({0: LoraAdapter(0, [[float(a)]], [[float(b)]], 1, 1.0)})
+    sp = lambda a, b: PluginModule({0: LoraAdapter([[float(a)]], [[float(b)]], 1.0)})
     fused = mrg.fuse(sp(2, 3), sp(4, 5), MergeCoefficients(0.5, 0.5))
     ok &= abs(fused.adapters[0].effective_delta()[0, 0] - 12.0) < 1e-6
     mix = mrg.mixture_deltas([(sp(2, 3), 0.5), (sp(4, 5), 0.5)])
@@ -111,8 +111,8 @@ def test_criterion_1_merge_algebra():
     # cross-term law on 100 random instances
     for _ in range(100):
         d, k, r, alpha = 3, 5, 2, 2.0
-        mk = lambda: LoraAdapter(0, rng.normal(size=(r, k)).astype(np.float32),
-                                 rng.normal(size=(d, r)).astype(np.float32), r, alpha)
+        mk = lambda: LoraAdapter(rng.normal(size=(r, k)).astype(np.float32),
+                                 rng.normal(size=(d, r)).astype(np.float32), alpha)
         am, ab = mk(), mk()
         w, wp = rng.uniform(0, 2, size=2)
         got = mrg.fuse(PluginModule({0: am}), PluginModule({0: ab}),

@@ -63,6 +63,16 @@ MERGE_IDS = {
                 "10ebcc15595559fb32971aeec82d1c191d414689953fd024b4275c67b6285600"),
 }
 
+# each plugin builder's content id at rank 16 on the base encoder of seed 5,
+# from an rng of seed 0: the draws are the builders' own, in their order
+# (fresh: A per layer; random features: A, then B, per layer). No BLAS call
+# makes them, so one set holds on every tier
+BUILDER_IDS = {
+    "fresh": "86e16759262b3de05c69c0f8c9ea400a8dc6f4b45723512a825cb43abc9a4a6b",
+    "zero": "57154546e4093b51e9c1d561c9157612c700dd68ac054ae05f04eb1034f55773",
+    "random features": "a1086af034ec6fe65828ef724bdaa2c34899b9a7e823b75fcda7d2b4e3a0671f",
+}
+
 AVX2_CORES = {"Haswell", "Zen"}
 # the AVX2 tier's pins for two or more OpenBLAS threads (False) and for one
 # (True): on Haswell's kernels, unlike SkylakeX's, one thread rounds some
@@ -123,6 +133,16 @@ def bundled_openblas() -> tuple[str, int]:
 CORE, THREADS = bundled_openblas()
 if CORE in AVX2_CORES:
     PLUGIN_ID, DISTILLED_IDS, EDGE_DISTILLED_IDS, MERGE_IDS = AVX2_PINS[THREADS == 1]
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDER_IDS))
+def test_plugin_builder_ids(builder):
+    base, rng = model.BaseEncoder.from_seed(5), nm.make_rng(0)
+    plugin = {"fresh": lambda: model.PluginModule.fresh(base, 16, 16.0, rng),
+              "zero": lambda: model.PluginModule.zero(base, 16, 16.0),
+              "random features": lambda: dst.random_feature_plugin(base, 16, 16.0, rng),
+              }[builder]()
+    assert plugin.content_id() == BUILDER_IDS[builder]
 
 
 @pytest.fixture(scope="module")

@@ -177,6 +177,22 @@ class TestExperimentCli:
         assert steps == []
         assert not (exp / "reports").exists()
 
+    # --config sets a [distill] key the experiments give their own budget,
+    # and --fast, a flag, overrides the file
+    @pytest.mark.parametrize("fast, budget", [(False, (3, 500, 300)), (True, (5, 100, 150))],
+                             ids=["file", "fast"])
+    def test_config_file_sets_the_distill_budget_and_fast_overrides_it(self, tmp_path,
+                                                                       monkeypatch, fast,
+                                                                       budget):
+        seen = []
+        monkeypatch.setattr(xp, "run_baseline_experiment",
+                            lambda workdir, settings: seen.append(settings.distill) or ([], []))
+        (tmp_path / "run.ini").write_text("[distill]\nipc = 3\n")
+        argv = ["--config", str(tmp_path / "run.ini"), "experiment", "baselines",
+                str(tmp_path / "exp"), "--seeds", "1"]
+        assert main(argv + ["--fast"] * fast) == 0
+        assert [(d.ipc, d.iterations, d.eval_iterations) for d in seen] == [budget]
+
     @pytest.mark.parametrize("kind, seeds", [("orders", "0"), ("baselines", "-2")])
     def test_fewer_than_one_seed_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys,
                                                                       kind, seeds):

@@ -23,7 +23,7 @@ SEED = 5
 
 def small_plugin(seed):
     rng = nm.make_rng(seed)
-    adapters = {lid: LoraAdapter(lid, rng.normal(size=(2, k)), rng.normal(size=(d, 2)), 2, 4.0)
+    adapters = {lid: LoraAdapter(rng.normal(size=(2, k)), rng.normal(size=(d, 2)), 4.0)
                 for lid, (d, k) in enumerate([(4, 3), (2, 4)])}
     return PluginModule(adapters)
 
@@ -113,7 +113,7 @@ def test_byte_flips_raise_only_forge_errors(name):
 
 def plugin_with_1d_b():
     a = np.ones((2, 3), dtype=np.float32)
-    return PluginModule({0: LoraAdapter(0, a, np.ones(2), 2, 4.0)}).to_bytes()
+    return PluginModule({0: LoraAdapter(a, np.ones(2), 4.0)}).to_bytes()
 
 
 def plugin_with_layers(plugin, layer_ids):

@@ -13,7 +13,7 @@ from forge.numerics import Tensor
 
 
 def scalar_plugin(a: float, b: float, alpha: float = 1.0) -> PluginModule:
-    ad = LoraAdapter(0, [[a]], [[b]], rank=1, alpha=alpha)
+    ad = LoraAdapter([[a]], [[b]], alpha)
     return PluginModule({0: ad})
 
 
@@ -73,8 +73,8 @@ class TestFuse:
             d, k, r = 3, 5, 2
             alpha = 2.0
             mk = lambda: LoraAdapter(
-                0, rng.normal(size=(r, k)).astype(np.float32),
-                rng.normal(size=(d, r)).astype(np.float32), r, alpha)
+                rng.normal(size=(r, k)).astype(np.float32),
+                rng.normal(size=(d, r)).astype(np.float32), alpha)
             am, ab = mk(), mk()
             w, wp = rng.uniform(0, 2, size=2)
             fused = merge.fuse(PluginModule({0: am}), PluginModule({0: ab}),
@@ -353,8 +353,8 @@ class TestMergeRounds:
         w_base = rng.normal(size=(6, 10)).astype(np.float32)
         enc = BaseEncoder([w_base], [np.zeros(6, dtype=np.float32)])
         mk = lambda: PluginModule({0: LoraAdapter(
-            0, rng.normal(size=(2, 10)).astype(np.float32),
-            rng.normal(size=(6, 2)).astype(np.float32), 2, 2.0)})
+            rng.normal(size=(2, 10)).astype(np.float32),
+            rng.normal(size=(6, 2)).astype(np.float32), 2.0)})
         p1, p2 = mk(), mk()
         item = ForgeItem("mixture", 1, entries=[(p1, 0.8)])
         guidance = make_guidance_dim(enc, rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from forge import distill as dst
 from forge import model
 from forge import numerics as nm
 from forge.errors import DegenerateInputError, InputError, ParameterError, ShapeError
@@ -27,6 +28,15 @@ def one_by_one_base(w0: float) -> BaseEncoder:
     return BaseEncoder([[[w0]]], [[0.0]])
 
 
+# every way forge builds a plugin, at (base, rank, alpha)
+BUILDERS = {
+    "fresh": lambda base, rank, alpha: PluginModule.fresh(base, rank, alpha, nm.make_rng(2)),
+    "zero": PluginModule.zero,
+    "random features": lambda base, rank, alpha: dst.random_feature_plugin(
+        base, rank, alpha, nm.make_rng(2)),
+}
+
+
 class TestAdapterInit:
     def test_fresh_adapter_has_zero_delta(self, base):
         rng = nm.make_rng(0)
@@ -36,14 +46,31 @@ class TestAdapterInit:
             assert np.any(ad.a != 0.0)
 
     def test_paper_default_rank_sixteen_accepted(self, base):
-        rng = nm.make_rng(1)
-        ad = model.init_adapter(0, 64, 256, r=16, alpha=16.0, rng=rng)
-        assert ad.rank == 16 and ad.alpha == 16.0
+        plugin = PluginModule.fresh(base, 16, 16.0, nm.make_rng(1))
+        model.check_plugin(base, plugin)
+        assert all(ad.rank == 16 and ad.alpha == 16.0 for ad in plugin.adapters.values())
 
-    def test_rank_bound_rejected(self):
-        rng = nm.make_rng(2)
+    def test_rank_bound_rejected(self, base):
+        # the default encoder's layers are 64 x 256 and 32 x 64, so rank 33
+        # fits layer 0 and not layer 1
+        for rank in (33, 0, -1):
+            for build in BUILDERS.values():
+                with pytest.raises(ParameterError):
+                    build(base, rank, 16.0)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("alpha", [0.0, float("nan"), float("inf")])
+    def test_alpha_rule_rejected(self, base, builder, alpha):
         with pytest.raises(ParameterError):
-            model.init_adapter(0, 4, 4, r=5, alpha=16.0, rng=rng)
+            BUILDERS[builder](base, 4, alpha)
+
+    def test_check_plugin_refuses_a_rank_above_its_layer(self, base):
+        plugin = PluginModule.zero(base, 16, 16.0)
+        d, k = base.layer_dims(1)
+        ad = plugin.adapters[1]
+        ad.a, ad.b = np.zeros((33, k), np.float32), np.zeros((d, 33), np.float32)
+        with pytest.raises(ParameterError, match="rank 33"):
+            model.check_plugin(base, plugin)
 
 
 class TestForward:
@@ -58,7 +85,7 @@ class TestForward:
     def test_one_layer_hand_case(self):
         # W0=1, B=2, A=3, alpha=r: output = (1 + 6) * x
         enc = one_by_one_base(1.0)
-        ad = model.LoraAdapter(0, [[3.0]], [[2.0]], rank=1, alpha=1.0)
+        ad = model.LoraAdapter([[3.0]], [[2.0]], alpha=1.0)
         plugin = PluginModule({0: ad})
         out = model.encode(enc, Tensor([[0.5]]), plugin)
         assert out.data[0, 0] == pytest.approx(3.5, rel=1e-6)
@@ -80,7 +107,7 @@ class TestForward:
         x = Tensor([[1.0]])
         out = {}
         for alpha in (1.0, 2.0):
-            ad = model.LoraAdapter(0, [[3.0]], [[2.0]], 1, alpha)
+            ad = model.LoraAdapter([[3.0]], [[2.0]], alpha)
             out[alpha] = model.encode(enc, x, PluginModule({0: ad})).data[0, 0] - 1.0
         assert out[2.0] == pytest.approx(2 * out[1.0], rel=1e-6)
 

@@ -67,9 +67,9 @@ class TestMatmul:
         # the side path (x A^T) B^T against x (B A)^T folded into the weight
         rng = nm.make_rng(7)
         for _ in range(20):
-            enc = one_layer_base(np.zeros((2, 5)))
-            ad = model.LoraAdapter(0, rng.normal(size=(4, 5)).astype(np.float32),
-                                   rng.normal(size=(2, 4)).astype(np.float32), 4, 4.0)
+            enc = one_layer_base(np.zeros((4, 5)))
+            ad = model.LoraAdapter(rng.normal(size=(4, 5)).astype(np.float32),
+                                   rng.normal(size=(4, 4)).astype(np.float32), 4.0)
             x = rng.normal(size=(3, 5)).astype(np.float32)
             left = model.encode(enc, Tensor(x), PluginModule({0: ad})).data
             right = model.encode_np(enc, {0: ad.effective_delta()}, x)
@@ -78,8 +78,8 @@ class TestMatmul:
     def test_backward_matches_finite_differences(self):
         rng = nm.make_rng(3)
         enc = one_layer_base(rng.normal(size=(2, 4)), rng.normal(size=2))
-        ad = model.LoraAdapter(0, rng.normal(size=(2, 4)).astype(np.float32),
-                               rng.normal(size=(2, 2)).astype(np.float32), 2, 2.0)
+        ad = model.LoraAdapter(rng.normal(size=(2, 4)).astype(np.float32),
+                               rng.normal(size=(2, 2)).astype(np.float32), 2.0)
         plugin = PluginModule({0: ad})
         x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
         w = rng.normal(size=(3, 2)).astype(np.float32)

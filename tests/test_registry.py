@@ -80,10 +80,13 @@ class TestInit:
                         coeff=coeff)
         assert Repository(tmp_path / "repo").coeff_config() == coeff
 
+    # the default encoder's layers are 64 x 256 and 32 x 64: no plugin on it
+    # has rank 33
     @pytest.mark.parametrize("setting", [{"rank": 0}, {"rank": -1}, {"temperature": 0.0},
-                                         {"alpha": float("nan")}, {"strategy": "soup"}],
+                                         {"alpha": float("nan")}, {"strategy": "soup"},
+                                         {"rank": 33}, {"strategy": "fusion", "rank": 33}],
                              ids=["rank 0", "rank -1", "temperature 0", "alpha NaN",
-                                  "strategy soup"])
+                                  "strategy soup", "rank 33", "fusion rank 33"])
     def test_init_refuses_what_could_not_merge_and_creates_nothing(self, tmp_path, setting):
         kwargs = {"strategy": "mixture", "rank": RANK, "alpha": ALPHA, **setting}
         with pytest.raises(InputError):
@@ -191,18 +194,23 @@ class TestCommit:
     @pytest.mark.parametrize("strategy,bad", [("fusion", {"alpha": ALPHA * 2}),
                                               ("mixture", {"alpha": float("nan")}),
                                               ("mixture", {"alpha": -ALPHA}),
-                                              ("mixture", {"rank": 0})])
+                                              ("mixture", {"rank": 0}),
+                                              ("mixture", {"rank": 33})])
     def test_bad_alpha_or_rank_refused_and_the_queue_still_merges(self, tmp_path,
                                                                   strategy, bad):
         repo = make_repo(tmp_path / "repo", strategy=strategy)
+        before = repo.all_object_ids()
         contrib = make_contribution(repo.base, "t1", ["red", "blue"])
         for lid, ad in contrib.plugin.adapters.items():
             ad.alpha = bad.get("alpha", ad.alpha)
             if "rank" in bad:
-                d, k = repo.base.layer_dims(lid)
-                ad.rank, ad.a, ad.b = 0, np.zeros((0, k), np.float32), np.zeros((d, 0), np.float32)
+                # rank 33 fits layer 0 (64 x 256), not layer 1 (32 x 64)
+                r, (d, k) = bad["rank"], repo.base.layer_dims(lid)
+                ad.a = nm.make_rng(lid).normal(0.0, 0.02, size=(r, k)).astype(np.float32)
+                ad.b = np.full((d, r), 0.01, np.float32)
         with pytest.raises(ValidationError):
             repo.commit_contribution(contrib)
+        assert repo.all_object_ids() == before
         assert repo.pending() == []
         repo.commit_contribution(make_contribution(repo.base, "t2", ["red", "blue"]))
         assert repo.merge_next()["round"] == 1
