@@ -151,14 +151,14 @@ def _load_split(data_dir: str, task: str, split: str) -> tuple[dsets.TaskSpec,
     return spec, rows
 
 
-def _write_artifact(out_path: Path, data: bytes, task: str, config: RunConfig) -> str:
-    """Write ``data`` and its ``.meta.json`` sidecar; returns the content id,
-    the sha256 of ``data``."""
+def _write_artifact(out_path: str, data: bytes, task: str, config: RunConfig) -> str:
+    """Write the ``.meta.json`` sidecar of ``data``, then ``data``; returns the
+    content id, the sha256 of ``data``. A crash between the two leaves a
+    sidecar whose id the old artifact does not have, which ``commit`` refuses."""
     artifact_id = hashlib.sha256(data).hexdigest()
-    out_path.write_bytes(data)
     meta = {"id": artifact_id, "task": task, "config": config.effective()}
-    Path(str(out_path) + ".meta.json").write_text(json.dumps(meta, indent=2,
-                                                             sort_keys=True))
+    nm.write_file(out_path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True).encode())
+    nm.write_file(out_path, data)
     return artifact_id
 
 
@@ -175,7 +175,7 @@ def _cmd_gen_data(args, config: RunConfig) -> int:
         dsets.save_dataset(task_dir / "test.fgd", spec, test)
         manifest["tasks"][spec.name] = spec.to_dict()
         print(f"{spec.name}: {len(train)} train / {len(test)} test items")
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    nm.write_file(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
     return 0
 
 
@@ -192,48 +192,52 @@ def _cmd_init(args, config: RunConfig) -> int:
 
 def _cmd_train_branch(args, config: RunConfig) -> int:
     spec, train = _load_split(args.data, args.task, "train")
-    overrides = {} if args.epochs is None else {"epochs": args.epochs}
-    train_cfg = config.train_config(**overrides)
+    if args.epochs is not None:
+        config.set("train", "epochs", args.epochs)
     base = mdl.BaseEncoder.from_seed(config.seed)
     rng = nm.make_rng(nm.derive_seed("train", spec.name, config.seed))
-    plugin = xp.train_branch(base, spec, train, train_cfg, rng)
-    plugin_id = _write_artifact(Path(args.out), plugin.to_bytes(), spec.name, config)
+    plugin = xp.train_branch(base, spec, train, config.train_config(), rng)
+    plugin_id = _write_artifact(args.out, plugin.to_bytes(), spec.name, config)
     print(f"trained plugin {plugin_id[:12]} for {spec.name} -> {args.out}")
     return 0
 
 
 def _cmd_distill(args, config: RunConfig) -> int:
     spec, train = _load_split(args.data, args.task, "train")
-    overrides = {}
-    if args.ipc is not None:
-        overrides["ipc"] = args.ipc
-    if args.iters is not None:
-        overrides["iterations"] = args.iters
-    distill_cfg = config.distill_config(**overrides)
+    for key, value in (("ipc", args.ipc), ("iterations", args.iters)):
+        if value is not None:
+            config.set("distill", key, value)
     base = mdl.BaseEncoder.from_seed(config.seed)
     rng = nm.make_rng(nm.derive_seed("distill", spec.name, config.seed))
-    distilled = dst.distill(spec, train, base, distill_cfg, rng)
-    _write_artifact(Path(args.out), distilled.to_bytes(), spec.name, config)
+    distilled = dst.distill(spec, train, base, config.distill_config(), rng)
+    _write_artifact(args.out, distilled.to_bytes(), spec.name, config)
     print(f"distilled {distilled.ipc}/class for {spec.name} -> {args.out}")
     return 0
 
 
-def _training_meta(meta_path: Path, config: RunConfig) -> dict:
-    """The ``config`` of a plugin's sidecar, or this run's effective config without one."""
+def _training_meta(meta_path: Path, plugin: bytes, config: RunConfig) -> dict:
+    """The ``config`` of the sidecar of the plugin whose bytes are ``plugin``,
+    refused unless the sidecar's ``id`` is their sha256; this run's effective
+    config when there is no sidecar."""
     if not meta_path.is_file():
         return config.effective()
-    return nm.json_object(meta_path.read_bytes(), str(meta_path), {"config": dict},
-                          ValidationError)["config"]
+    meta = nm.json_object(meta_path.read_bytes(), str(meta_path), {"id": str, "config": dict},
+                          ValidationError)
+    plugin_id = hashlib.sha256(plugin).hexdigest()
+    if meta["id"] != plugin_id:
+        raise ValidationError(f"{meta_path} names plugin {meta['id']!r}, not {plugin_id}")
+    return meta["config"]
 
 
 def _cmd_commit(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
     spec = _task_spec(args.data, args.task)
-    plugin = PluginModule.from_bytes(Path(args.plugin).read_bytes())
+    plugin_bytes = Path(args.plugin).read_bytes()
+    plugin = PluginModule.from_bytes(plugin_bytes)
     distilled = DistilledDataset.from_bytes(Path(args.distilled).read_bytes())
     commit = repo.commit_contribution(BranchContribution(
         spec, plugin, distilled, author=config.author,
-        training_meta=_training_meta(Path(args.plugin + ".meta.json"), config)))
+        training_meta=_training_meta(Path(args.plugin + ".meta.json"), plugin_bytes, config)))
     # counted, not parsed: a bad earlier entry is the next merge's to report
     queued = len(repo.queued_paths())
     print(f"committed {commit.id[:12]} for {spec.name} ({queued} pending)")
@@ -303,7 +307,7 @@ def _cmd_experiment(args, config: RunConfig) -> int:
 def _cmd_checkout(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
     item = repo.checkout(args.round)
-    Path(args.out).write_bytes(item.to_bytes())
+    nm.write_file(args.out, item.to_bytes())
     print(f"checked out round {args.round} -> {args.out}")
     return 0
 

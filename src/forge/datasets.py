@@ -288,8 +288,7 @@ def dataset_from_bytes(buf: bytes) -> tuple[TaskSpec, LabeledDataset]:
 
 
 def save_dataset(path, spec: TaskSpec, data: LabeledDataset) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dataset_to_bytes(spec, data))
+    nm.write_file(path, dataset_to_bytes(spec, data))
 
 
 def load_dataset(path) -> tuple[TaskSpec, LabeledDataset]:

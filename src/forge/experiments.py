@@ -237,12 +237,9 @@ def write_report(report_dir: str | Path, experiment: str, runs: list,
     report_dir.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     path = report_dir / f"{stamp}.jsonl"
-    with open(path, "w") as fh:
-        for run in runs:
-            doc = run.to_dict() if isinstance(run, MetricsReport) else run
-            fh.write(json.dumps({"kind": "run", **doc}, sort_keys=True) + "\n")
-        for row in summary:
-            fh.write(json.dumps({"kind": "summary", **row}, sort_keys=True) + "\n")
+    docs = [{"kind": "run", **(run.to_dict() if isinstance(run, MetricsReport) else run)}
+            for run in runs] + [{"kind": "summary", **row} for row in summary]
+    nm.write_file(path, "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs).encode())
     return path
 
 

@@ -1,7 +1,7 @@
 """Dense float32 tensors, the gradient hand-off that chains coarse nodes, the
 softmax cross-entropy loss, SGD with momentum, the range check of training
-and distillation settings, the wire format, and the checked reader of every
-JSON document forge reads.
+and distillation settings, the wire format, the checked reader of every
+JSON document forge reads, and the staged write of every file forge writes.
 
 A node is one fused forward computation with its own analytic backward
 (the encoder, the cosine head, the augmentation and the matching loss are
@@ -22,12 +22,15 @@ finite-difference checks are not drowned by float32 rounding of the loss.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -318,3 +321,31 @@ def json_object(text: str | bytes, what: str, fields: dict,
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise error(f"{what} is not JSON: {exc}") from exc
     return json_fields(doc, what, fields, error)
+
+
+# ---------------------------------------------------------------------------
+# files
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def staged_file(directory, data: bytes) -> Iterator[str]:
+    """Every file forge writes: a new ``.tmp-`` file in ``directory`` holding
+    all of ``data`` at mode 0644, whatever the umask, yielded to be renamed or
+    linked into place and removed on the way out if still there. A process
+    crash leaves no file in part; nothing is fsynced, so a power loss may."""
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o644)  # mkstemp creates owner-only files
+            fh.write(data)
+        yield tmp
+    finally:
+        with contextlib.suppress(FileNotFoundError):  # renamed into place
+            os.unlink(tmp)
+
+
+def write_file(path, data: bytes) -> None:
+    """Replace whatever is at ``path`` with ``data``, staged beside it."""
+    with staged_file(os.path.dirname(path) or ".", data) as tmp:
+        os.replace(tmp, path)

@@ -22,10 +22,11 @@ import json
 import math
 import os
 import re
+import shutil
 import stat
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import merge as mrg
 from . import model as mdl
+from . import numerics as nm
 from .datasets import TaskSpec
 from .distill import DistilledDataset
 from .errors import (
@@ -51,6 +53,7 @@ from .model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
 from .numerics import NUMBER, json_fields, json_object
 
 REPO_FORMAT_VERSION = 1
+REPO_DIRS = ("objects", "refs", "log", "queue", "locks")
 # the fields forge reads from each JSON document it writes, at their types;
 # forge.json written by earlier code also holds base_seed, strategy, rank and
 # alpha, which the genesis commit fixes and nothing reads from forge.json
@@ -110,8 +113,9 @@ class BranchContribution:
 
 
 def check_unused(path: Path) -> None:
-    """Refuse a path ``Repository.init`` may not create a repository at."""
-    if path.is_dir() and any(path.iterdir()):
+    """Refuse a path ``Repository.init`` may not create a repository at. The
+    ``.tmp-`` leftovers of a crashed write do not count as content."""
+    if path.is_dir() and any(not p.name.startswith(".tmp-") for p in path.iterdir()):
         raise ConflictError(f"{path} already exists and is not empty")
     nearest = next(p for p in (path, *path.parents) if p.exists())
     if not nearest.is_dir():
@@ -154,19 +158,43 @@ class Repository:
             item = ForgeItem.genesis(strategy, base, rank, alpha)
         except ParameterError as exc:
             raise InputError(f"cannot make a repository: {exc}") from exc
-        for sub in ("objects", "refs", "log", "queue", "locks"):
-            (path / sub).mkdir(parents=True, exist_ok=True)
-        (path / "forge.json").write_text(json.dumps(config, indent=2, sort_keys=True))
+        # built whole in a .tmp- directory and moved into place, forge.json last,
+        # so a crash leaves no repository or a whole one. A directory already
+        # there is kept (it may be a mount point or a working directory): the
+        # repository is built inside it and each entry renamed out.
+        target = path.resolve()
+        inside = target.is_dir()
+        target.parent.mkdir(parents=True, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=".tmp-", dir=target if inside else target.parent)
+        try:
+            os.chmod(staging, 0o755)  # mkdtemp creates an owner-only directory
+            for sub in REPO_DIRS:
+                os.mkdir(os.path.join(staging, sub))
+            nm.write_file(os.path.join(staging, "forge.json"),
+                          json.dumps(config, indent=2, sort_keys=True).encode())
+            repo = cls(staging)
+            repo._base = base  # unchecked: the genesis commit that records its hash comes next
+            item_id = repo.store_object(item.to_bytes())
+            genesis_commit = repo._append_commit(None, "registry", "genesis", {
+                "base_seed": int(base_seed), "strategy": strategy,
+                "base_hash": base.param_hash(), "item_id": item_id,
+            })
+            repo._write_ref({"item_id": item_id, "round": 0, "genesis": genesis_commit.id,
+                             "head": genesis_commit.id, "guidance": []})
+            try:
+                if inside:
+                    for name in (*REPO_DIRS, "forge.json"):
+                        os.rename(os.path.join(staging, name), target / name)
+                    os.rmdir(staging)
+                else:
+                    os.rename(staging, target)
+            except OSError as exc:  # filled or made a file since check_unused
+                raise ConflictError(f"cannot create a repository at {path}: {exc}") from exc
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
         repo = cls(path)
-        # unchecked: the genesis commit that records its hash comes next
         repo._base = base
-        item_id = repo.store_object(item.to_bytes())
-        genesis_commit = repo._append_commit(None, "registry", "genesis", {
-            "base_seed": int(base_seed), "strategy": strategy,
-            "base_hash": base.param_hash(), "item_id": item_id,
-        })
-        repo._write_ref({"item_id": item_id, "round": 0, "genesis": genesis_commit.id,
-                         "head": genesis_commit.id, "guidance": []})
         return repo
 
     # -- basics ------------------------------------------------------------
@@ -220,20 +248,11 @@ class Repository:
         if self._is_stored(object_id):
             return object_id
         target = self._object_file(object_id)
-        shard = os.path.dirname(target)
         try:
-            os.makedirs(shard, exist_ok=True)
-            # one temp file per writer, so threads storing the same bytes
-            # never share a name; all_object_ids skips the .tmp- prefix
-            fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=shard)
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    os.fchmod(fh.fileno(), 0o644)  # mkstemp creates owner-only files
-                    fh.write(data)
-                os.replace(tmp, target)  # atomic; concurrent writers race benignly
-            except BaseException:
-                os.unlink(tmp)
-                raise
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            # one temp file per writer, so concurrent writers of the same
+            # bytes race benignly; all_object_ids skips the .tmp- prefix
+            nm.write_file(target, data)
         except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
             raise IntegrityError(f"cannot store object {object_id}: {exc}") from exc
         return object_id
@@ -300,10 +319,7 @@ class Repository:
         return doc
 
     def _write_ref(self, doc: dict) -> None:
-        ref = self.root / "refs" / "main"
-        tmp = ref.parent / ".tmp-main"
-        tmp.write_text(json.dumps(doc, sort_keys=True))
-        os.replace(tmp, ref)
+        nm.write_file(self.root / "refs" / "main", json.dumps(doc, sort_keys=True).encode())
 
     def _append_commit(self, parent: str | None, author: str, kind: str,
                        payload: dict) -> Commit:
@@ -376,24 +392,16 @@ class Repository:
         at the head of the queue.
         """
         queue = self.root / "queue"
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=queue)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                os.fchmod(fh.fileno(), 0o644)  # mkstemp creates owner-only files
-                fh.write(json.dumps(doc))
+        with nm.staged_file(queue, json.dumps(doc).encode()) as tmp:
             while True:
                 existing = [int(p.stem) for p in self.queued_paths()]
                 # read after listing: a merge writes the ref naming its entry
                 # before it unlinks that entry, so the entry shows in one of them
                 consumed = self._read_ref().get("consumed")
                 seq = max([*existing, consumed["seq"] if consumed else 0]) + 1
-                try:
-                    os.link(tmp, queue / f"{seq:06d}.json")
+                with suppress(FileExistsError):  # taken meanwhile: number it again
+                    os.link(tmp, queue / f"{seq:06d}.json")  # never over an entry
                     return
-                except FileExistsError:
-                    continue
-        finally:
-            os.unlink(tmp)
 
     def commit_contribution(self, contribution: BranchContribution) -> Commit:
         """Store artifacts content-addressed and queue the commit (FIFO).
@@ -462,15 +470,23 @@ class Repository:
             os.close(fd)
 
     def merge_records(self) -> list[dict]:
+        """Each round's record, in order; a line a crash cut short is skipped."""
         log = self.root / "log" / "merges.jsonl"
         if not log.is_file():
             return []
-        return [json.loads(line) for line in log.read_text().splitlines() if line]
+        records = []
+        for line in log.read_text().splitlines():
+            with suppress(ValueError):  # blank, or torn by a crash mid-append
+                records.append(json.loads(line))
+        return records
 
     def _append_merge_record(self, record: dict) -> None:
-        log = self.root / "log" / "merges.jsonl"
-        with open(log, "a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        line = (json.dumps(record, sort_keys=True) + "\n").encode()
+        with open(self.root / "log" / "merges.jsonl", "ab+") as fh:
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+            if fh.read(1) not in (b"", b"\n"):  # a torn last line stays a line of its own
+                line = b"\n" + line
+            fh.write(line)
 
     def _guidance_from(self, listing: list[dict]) -> list[GuidanceSet]:
         """The distilled set and label table of each guidance list entry."""

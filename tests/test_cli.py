@@ -15,6 +15,7 @@ from forge.distill import DistillConfig
 from forge.errors import UsageError
 from forge.merge import CoeffOptimConfig
 from forge.model import TrainConfig
+from forge.registry import Repository
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,27 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "round 1" in out
 
+    def test_sidecars_record_the_flags_that_ran(self, tmp_path, data_dir):
+        """--epochs, --ipc and --iters reach the effective configuration that
+        each sidecar and the contribution commit record."""
+        repo = tmp_path / "repo"
+        plugin, distilled = tmp_path / "p.fgm", tmp_path / "d.fgd"
+        assert main(["--seed", "5", "init", "--strategy", "fusion", str(repo)]) == 0
+        assert main(["--seed", "5", "train-branch", "--task", "M-toy", "--data",
+                     str(data_dir), "--out", str(plugin), "--epochs", "2"]) == 0
+        assert main(["--seed", "5", "distill", "--task", "M-toy", "--data", str(data_dir),
+                     "--out", str(distilled), "--ipc", "2", "--iters", "3"]) == 0
+        plugin_meta = json.loads(Path(f"{plugin}.meta.json").read_text())["config"]
+        distilled_meta = json.loads(Path(f"{distilled}.meta.json").read_text())["config"]
+        assert plugin_meta["train"]["epochs"] == 2
+        assert (distilled_meta["distill"]["ipc"], distilled_meta["distill"]["iterations"]) == \
+            (2, 3)
+        assert main(["commit", str(repo), "--plugin", str(plugin), "--distilled",
+                     str(distilled), "--task", "M-toy", "--data", str(data_dir)]) == 0
+        (entry,) = Repository(repo).pending()
+        assert Repository(repo).read_commit(entry["commit_id"]).payload["training_meta"] == \
+            plugin_meta
+
     def test_pipeline_runs_with_scipy_unimportable(self, tmp_path, data_dir):
         # the same init, commits, merges and checkout in this process and in
         # one where importing scipy fails must store the same items
@@ -372,6 +394,28 @@ class TestExitCodes:
         assert "p.fgm.meta.json" in capsys.readouterr().err
         assert list((repo / "queue").iterdir()) == []
 
+    def test_sidecar_of_another_plugin_is_two_and_stores_nothing(self, tmp_path, data_dir,
+                                                                 capsys):
+        """A plugin whose bytes are not the ones its sidecar's id names, as a
+        rerun that died between its two writes could leave, is refused."""
+        repo = tmp_path / "repo"
+        assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
+        for name, epochs in (("a", "1"), ("b", "2")):
+            assert main(["--seed", "5", "train-branch", "--task", "M-toy", "--data",
+                         str(data_dir), "--out", str(tmp_path / f"{name}.fgm"),
+                         "--epochs", epochs]) == 0
+        assert main(["--seed", "5", "distill", "--task", "M-toy", "--data", str(data_dir),
+                     "--out", str(tmp_path / "d.fgd"), "--ipc", "1", "--iters", "2"]) == 0
+        shutil.copy(tmp_path / "b.fgm", tmp_path / "a.fgm")
+        objects_before = sorted((repo / "objects").rglob("*"))
+        capsys.readouterr()
+        assert main(["commit", str(repo), "--plugin", str(tmp_path / "a.fgm"),
+                     "--distilled", str(tmp_path / "d.fgd"), "--task", "M-toy",
+                     "--data", str(data_dir)]) == 2
+        assert "a.fgm.meta.json names plugin" in capsys.readouterr().err
+        assert sorted((repo / "objects").rglob("*")) == objects_before
+        assert list((repo / "queue").iterdir()) == []
+
     @pytest.mark.parametrize("manifest", ["not json {", '{"seed": 5}', '{"tasks": 3}',
                                           '["tasks"]'])
     def test_malformed_dataset_manifest_is_two(self, tmp_path, data_dir, manifest, capsys):
@@ -462,6 +506,17 @@ class TestExitCodes:
         repo = tmp_path / "repo"
         assert main(["--config", str(ini), "init", "--strategy", "fusion", str(repo)]) == 2
         assert not repo.exists()
+
+    def test_init_of_the_empty_working_directory_builds_in_it(self, tmp_path, monkeypatch):
+        here = tmp_path / "here"
+        here.mkdir()
+        inode = here.stat().st_ino
+        monkeypatch.chdir(here)
+        assert main(["--seed", "3", "init", "--strategy", "fusion", "."]) == 0
+        assert here.stat().st_ino == inode  # the directory a shell may sit in is kept
+        assert sorted(os.listdir(".")) == ["forge.json", "locks", "log", "objects",
+                                           "queue", "refs"]
+        Repository(".").replay()
 
     @pytest.mark.parametrize("setting", ["[adapter]\nrank = 0\n", "[train]\ntemperature = 0\n",
                                          "[adapter]\nalpha = inf\n"],

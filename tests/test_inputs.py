@@ -40,7 +40,7 @@ SCHEMAS = {
                   "guidance": [{"distilled_id": str, "task": TASK}],
                   "consumed?": {"commit_id": str, "seq": int}},
     "queue/000002.json": {"commit_id": str},
-    "p.fgm.meta.json": {"config": dict},
+    "p.fgm.meta.json": {"id": str, "config": dict},
     "manifest.json": {"tasks": dict},
 }
 WRONG = [None, True, 7, 0.5, "x", [], {}]  # one value of each JSON type

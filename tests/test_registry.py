@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -892,16 +893,36 @@ class TestObjectStore:
         assert repo.all_object_ids() == before == sorted(before)
         assert repo.verify_objects() == len(before)
 
-    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("site", ["store_object", "_write_ref", "_enqueue", "checkout --out",
+                                      "_write_artifact"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, site):
+        """A write whose rename (or, for a queue entry, whose link) fails
+        leaves every file as it was, a target it would replace included."""
         import os
 
+        from forge import cli
+        from forge.config import RunConfig
+
         repo = make_repo(tmp_path / "repo")
+        (tmp_path / "item.fgi").write_bytes(b"an earlier checkout")
+        (tmp_path / "p.fgm").write_bytes(b"an earlier plugin")
+        (tmp_path / "p.fgm.meta.json").write_bytes(b"its sidecar")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
         def refuse(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError):
-            repo.store_object(b"never lands")
-        assert list((repo.root / "objects").rglob(".tmp-*")) == []
-        assert hashlib.sha256(b"never lands").hexdigest() not in repo.all_object_ids()
+        monkeypatch.setattr(os, "link" if site == "_enqueue" else "replace", refuse)
+        write = {
+            "store_object": lambda: repo.store_object(b"never lands"),
+            "_write_ref": lambda: repo._write_ref({**repo._read_ref(), "round": 7}),
+            "_enqueue": lambda: repo._enqueue({"commit_id": "0" * 64}),
+            "checkout --out": lambda: cli._cmd_checkout(argparse.Namespace(
+                repo=str(repo.root), round=0, out=str(tmp_path / "item.fgi")), RunConfig()),
+            "_write_artifact": lambda: cli._write_artifact(str(tmp_path / "p.fgm"),
+                                                           b"a new plugin", "t", RunConfig()),
+        }[site]
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        assert list(tmp_path.rglob(".tmp-*")) == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
