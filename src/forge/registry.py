@@ -60,11 +60,16 @@ REPO_DIRS = ("objects", "refs", "log", "queue", "locks")
 CONFIG_KEYS = {"format": int, "temperature": NUMBER, "coeff": dict}
 COEFF_KEYS = {"max_iterations": int, "init_value": NUMBER, "l1_lambda": NUMBER,
               "box_min": NUMBER, "box_max": NUMBER, "allow_negative": bool}
-REF_KEYS = {"item_id": str, "round": int, "genesis": str, "head": str, "guidance": list}
-GUIDANCE_KEYS = {"distilled_id": str, "task": dict}
+# refs/main written by earlier code also holds item_id, round and guidance,
+# copies of the chain's facts that nothing reads and the next round drops
+REF_KEYS = {"genesis": str, "head": str}
 CONSUMED_KEYS = {"commit_id": str, "seq": int}
 COMMIT_KEYS = {"parent": (str, type(None)), "author": str, "kind": str, "payload": dict}
 GENESIS_KEYS = {"base_seed": int, "strategy": str, "base_hash": str, "item_id": str}
+CONTRIBUTION_KEYS = {"task": dict, "plugin_id": str, "distilled_id": str}
+MERGE_KEYS = {**CONTRIBUTION_KEYS, "round": int, "w_main": NUMBER, "w_branch": NUMBER,
+              "item_id": str}
+PAYLOAD_KEYS = {"genesis": GENESIS_KEYS, "contribution": CONTRIBUTION_KEYS, "merge": MERGE_KEYS}
 
 # what os.open raises when a path names no file: missing, under a shard that
 # is no directory, or through a symlink loop
@@ -179,8 +184,7 @@ class Repository:
                 "base_seed": int(base_seed), "strategy": strategy,
                 "base_hash": base.param_hash(), "item_id": item_id,
             })
-            repo._write_ref({"item_id": item_id, "round": 0, "genesis": genesis_commit.id,
-                             "head": genesis_commit.id, "guidance": []})
+            repo._write_ref({"genesis": genesis_commit.id, "head": genesis_commit.id})
             try:
                 if inside:
                     for name in (*REPO_DIRS, "forge.json"):
@@ -313,9 +317,6 @@ class Repository:
         if "consumed" in doc:
             json_fields(doc["consumed"], "main ref's consumed entry", CONSUMED_KEYS,
                         IntegrityError)
-        for entry in doc["guidance"]:
-            TaskSpec.from_dict(json_fields(entry, "main ref's guidance entry",
-                                           GUIDANCE_KEYS, IntegrityError)["task"])
         return doc
 
     def _write_ref(self, doc: dict) -> None:
@@ -332,26 +333,25 @@ class Repository:
 
     def _genesis(self, ref: dict | None = None) -> dict:
         """The payload of ``ref``'s genesis commit, refused unless it is one."""
-        commit = self.read_commit((ref or self._read_ref())["genesis"])
-        if commit.kind != "genesis":
-            raise IntegrityError(f"commit {commit.id} is no genesis commit")
-        return json_fields(commit.payload, f"genesis commit {commit.id}", GENESIS_KEYS,
-                           IntegrityError)
+        return _payload(self.read_commit((ref or self._read_ref())["genesis"]), "genesis")
 
     def _merge_payloads(self, ref: dict) -> list[dict]:
         """The payloads of the merge commits from genesis to ``ref``'s head,
-        oldest first; each commit is hash-checked on its way."""
+        oldest first; each commit is hash-checked and its payload checked."""
         payloads, commit_id = [], ref["head"]
         while commit_id != ref["genesis"]:
             commit = self.read_commit(commit_id)
-            if commit.kind != "merge":
-                raise IntegrityError(f"commit {commit_id} on the main chain is no merge")
-            payloads.append(commit.payload)
+            payloads.append(_payload(commit, "merge"))
             commit_id = commit.parent
         payloads.reverse()
-        if [p["round"] for p in payloads] != list(range(1, ref["round"] + 1)):
-            raise IntegrityError(f"the main chain does not run rounds 1..{ref['round']}")
+        if [p["round"] for p in payloads] != list(range(1, len(payloads) + 1)):
+            raise IntegrityError(f"the main chain does not run rounds 1..{len(payloads)}")
         return payloads
+
+    def _head(self, ref: dict) -> dict:
+        """The payload of ``ref``'s head commit, which names the current item."""
+        kind = "genesis" if ref["head"] == ref["genesis"] else "merge"
+        return _payload(self.read_commit(ref["head"]), kind)
 
     # -- contributions -----------------------------------------------------
 
@@ -488,32 +488,32 @@ class Repository:
                 line = b"\n" + line
             fh.write(line)
 
-    def _guidance_from(self, listing: list[dict]) -> list[GuidanceSet]:
-        """The distilled set and label table of each guidance list entry."""
+    def _guidance_from(self, payloads: list[dict]) -> dict[str, GuidanceSet]:
+        """Each distinct distilled id's set and label table, in first-merge order."""
         drawn: dict[str, np.ndarray] = {}  # label text -> row, one draw per text
-        out = []
-        for doc in listing:
-            task = TaskSpec.from_dict(doc["task"])
-            out.append((self.load_distilled(doc["distilled_id"]),
-                        LabelEmbeddingTable(task.name, task.labels, self.base.embed_dim,
-                                            drawn)))
+        out = {}
+        for doc in payloads:  # checked by _payload
+            distilled_id, task = doc["distilled_id"], doc["task"]
+            if distilled_id not in out:
+                out[distilled_id] = (self.load_distilled(distilled_id), LabelEmbeddingTable(
+                    task["name"], task["labels"], self.base.embed_dim, drawn))
         return out
 
     def current_item(self) -> ForgeItem:
-        ref = self._read_ref()
-        return ForgeItem.from_bytes(self.read_object(ref["item_id"]), self.load_plugin)
+        return ForgeItem.from_bytes(self.read_object(self._head(self._read_ref())["item_id"]),
+                                    self.load_plugin)
 
     def current_round(self) -> int:
-        return int(self._read_ref()["round"])
+        return self._head(self._read_ref()).get("round", 0)
 
     def merge_next(self) -> dict:
         """Merge the oldest queued contribution into the main branch.
 
         A round reads the main ref, the queue head, the contribution, the
-        current item, the genesis commit (for the encoder and the strategy)
-        and the guidance sets the ref lists. The ref write
-        commits the round; a merge failing after it loses at most the round's
-        log record.
+        merge commits back to genesis (for the current item and guidance), the
+        genesis commit (for the encoder and the strategy), the current item and
+        the guidance sets. The ref write commits the round; a merge failing
+        after it loses at most the round's log record.
         """
         with self._main_lock():
             ref = self._read_ref()
@@ -525,16 +525,15 @@ class Repository:
             if entry is None:
                 raise NothingToMergeError("contribution queue is empty")
             commit = self.read_commit(entry["commit_id"])
-            if commit.kind != "contribution":
-                raise IntegrityError(f"queue entry {entry['seq']:06d} names {commit.kind} "
-                                     f"commit {commit.id}, not a contribution")
-            payload = commit.payload
+            payload = _payload(commit, "contribution")
             branch = self.load_plugin(payload["plugin_id"])
-            listing = _guidance_list([*ref["guidance"], payload])
-            item = ForgeItem.from_bytes(self.read_object(ref["item_id"]), self.load_plugin)
+            merges = self._merge_payloads(ref)
             genesis = self._genesis(ref)
-            new_item, outcome = mrg.merge_round(self._base_of(genesis), item, branch,
-                                                self._guidance_from(listing),
+            base = self._base_of(genesis)
+            item = ForgeItem.from_bytes(self.read_object([genesis, *merges][-1]["item_id"]),
+                                        self.load_plugin)
+            guidance = self._guidance_from([*merges, payload])
+            new_item, outcome = mrg.merge_round(base, item, branch, list(guidance.values()),
                                                 self.coeff_config(),
                                                 self.config["temperature"])
             item_id = self.store_object(new_item.to_bytes())
@@ -553,12 +552,11 @@ class Repository:
             record = {**merge_commit.payload,
                       "commit_id": merge_commit.id,
                       "trace": outcome.trace,
-                      "guidance_ids": [doc["distilled_id"] for doc in listing],
+                      "guidance_ids": list(guidance),
                       "metrics_pre": outcome.metrics_pre,
                       "metrics_post": outcome.metrics_post,
                       "timestamp": time.time()}
-            self._write_ref({**ref, "item_id": item_id, "round": new_item.round,
-                             "head": merge_commit.id, "guidance": listing,
+            self._write_ref({"genesis": ref["genesis"], "head": merge_commit.id,
                              "consumed": _consumed(entry)})
             self._append_merge_record(record)
             self._unlink_queued(entry)
@@ -601,13 +599,10 @@ class Repository:
         return item
 
     def replay(self) -> ForgeItem:
-        """Replay the main ref's whole merge commit chain and check it reaches
-        the ref's item; a merge committing meanwhile does not matter."""
+        """Check out the main ref's last round, which checks every round's
+        item; a merge committing meanwhile does not matter."""
         ref = self._read_ref()
-        item = self.checkout(ref["round"], ref)
-        if hashlib.sha256(item.to_bytes()).hexdigest() != ref["item_id"]:
-            raise IntegrityError("replayed item does not match the main ref")
-        return item
+        return self.checkout(self._head(ref).get("round", 0), ref)
 
     def verify_objects(self) -> int:
         """Re-hash every stored object; returns the count checked."""
@@ -637,9 +632,15 @@ def _consumed(entry: dict) -> dict:
     return {"commit_id": entry["commit_id"], "seq": entry["seq"]}
 
 
-def _guidance_list(docs: list[dict]) -> list[dict]:
-    """Distinct distilled ids in first-merge order, each with its task spec."""
-    tasks: dict[str, dict] = {}
-    for doc in docs:
-        tasks.setdefault(doc["distilled_id"], doc["task"])
-    return [{"distilled_id": distilled_id, "task": task} for distilled_id, task in tasks.items()]
+def _payload(commit: Commit, kind: str) -> dict:
+    """``commit``'s payload, refused unless ``commit`` is a ``kind`` commit, with
+    a parent unless a genesis, whose payload holds ``PAYLOAD_KEYS[kind]`` at
+    their types and, past genesis, a task spec under ``task``."""
+    if commit.kind != kind or (commit.parent is None) != (kind == "genesis"):
+        raise IntegrityError(f"commit {commit.id} is no {kind} commit")
+    payload = json_fields(commit.payload, f"{kind} commit {commit.id}", PAYLOAD_KEYS[kind],
+                          IntegrityError)
+    if kind != "genesis":
+        TaskSpec.from_dict(payload["task"])
+    return payload
+

@@ -279,8 +279,9 @@ class TestPipeline:
                     ["checkout", str(repo), "--round", "1", "--out", str(repo) + ".fgi"]]
 
         def item_ids(repo):
-            ref = json.loads((repo / "refs" / "main").read_text())
-            return ref["round"], ref["item_id"], Path(str(repo) + ".fgi").read_bytes()
+            opened = Repository(repo)
+            head = opened.read_commit(opened._read_ref()["head"]).payload
+            return head["round"], head["item_id"], Path(str(repo) + ".fgi").read_bytes()
 
         assert [main(argv) for argv in commands(tmp_path / "here")] == [0] * 5
         script = ("import json, sys\n"
@@ -488,7 +489,7 @@ class TestExitCodes:
                      "--distilled", str(tmp_path / "d.fgd"), "--task", "M-toy",
                      "--data", str(data_dir)]) == 0
         assert main([*common, "merge", str(repo), "--all"]) == 0
-        assert json.loads((repo / "refs" / "main").read_text())["round"] == 1
+        assert Repository(repo).current_round() == 1
         assert main(["checkout", str(repo), "--round", "1",
                      "--out", str(tmp_path / "item.fgi")]) == 0
 

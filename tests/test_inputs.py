@@ -1,6 +1,6 @@
 """Seeded mutation tests of the text inputs forge reads: ``forge.json``,
-``refs/main``, queue entries, plugin sidecars, the dataset manifest and the
-INI run config.
+``refs/main``, queue entries, the payloads of merge and contribution commits,
+plugin sidecars, the dataset manifest and the INI run config.
 
 Each mutated file goes through the commands that read it, in-process
 through ``cli.main``. No command may exit 3 or print a traceback. A refusal
@@ -11,6 +11,7 @@ forge's own readers), or, for the INI file, when the repository it made can
 merge.
 """
 
+import hashlib
 import json
 import math
 import shutil
@@ -36,10 +37,11 @@ SCHEMAS = {
     "forge.json": {"format": int, "temperature": NUMBER,
                    "coeff": {"max_iterations": int, "init_value": NUMBER, "l1_lambda": NUMBER,
                              "box_min": NUMBER, "box_max": NUMBER, "allow_negative": bool}},
-    "refs/main": {"item_id": str, "round": int, "genesis": str, "head": str,
-                  "guidance": [{"distilled_id": str, "task": TASK}],
-                  "consumed?": {"commit_id": str, "seq": int}},
+    "refs/main": {"genesis": str, "head": str, "consumed?": {"commit_id": str, "seq": int}},
     "queue/000002.json": {"commit_id": str},
+    "merge payload": {"round": int, "task": TASK, "plugin_id": str, "distilled_id": str,
+                      "w_main": NUMBER, "w_branch": NUMBER, "item_id": str},
+    "contribution payload": {"task": TASK, "plugin_id": str, "distilled_id": str},
     "p.fgm.meta.json": {"id": str, "config": dict},
     "manifest.json": {"tasks": dict},
 }
@@ -110,8 +112,8 @@ def byte_mutations(buf: bytes, rng, flips: int):
 
 def mutations(buf: bytes, name: str):
     """(label, bytes): ``byte_mutations``, NaN and Infinity for numbers, and
-    each top-level key (and each key of the ref's first guidance entry)
-    dropped or given a value of another JSON type."""
+    each top-level key (and each key of a payload's task spec) dropped or
+    given a value of another JSON type."""
     rng = nm.make_rng(nm.derive_seed("text mutations", name))
     yield from byte_mutations(buf, rng, 8)
     doc = json.loads(buf)
@@ -124,8 +126,8 @@ def mutations(buf: bytes, name: str):
         path = numbers[int(rng.integers(len(numbers)))]
         yield f"{path} = -Infinity", json.dumps(replaced(doc, path, -math.inf)).encode()
     keys = [(key,) for key in doc]
-    if doc.get("guidance"):
-        keys += [("guidance", 0, key) for key in doc["guidance"][0]]
+    if isinstance(doc.get("task"), dict):
+        keys += [("task", key) for key in doc["task"]]
     for path in keys:
         yield f"drop {path}", json.dumps(replaced(doc, path, drop=True)).encode()
         have = json_type(value_at(doc, path))
@@ -192,16 +194,57 @@ def run(argv, capsys):
     return code
 
 
+def head_commit(repo) -> dict:
+    head = json.loads((repo / "refs" / "main").read_text())["head"]
+    return json.loads((repo / "objects" / head[:2] / head[2:]).read_text())
+
+
+def queued_commit(repo) -> dict:
+    commit = json.loads((repo / "queue" / "000002.json").read_text())["commit_id"]
+    return json.loads((repo / "objects" / commit[:2] / commit[2:]).read_text())
+
+
+def document(repo, name) -> bytes:
+    """The bytes of the document ``name``: a file, or the payload of the ref's
+    head (a merge payload) or of the queued commit (a contribution payload)."""
+    if name.endswith(" payload"):
+        commit = head_commit(repo) if name == "merge payload" else queued_commit(repo)
+        return json.dumps(commit["payload"], sort_keys=True).encode()
+    return (repo / name).read_bytes()
+
+
+def write_document(repo, name, buf):
+    """Make ``buf`` the document ``name`` of ``repo``. A payload goes into a
+    commit stored at its hash, which the ref's head or the queued entry then
+    names, so bytes that are no JSON object make a commit that is none."""
+    if not name.endswith(" payload"):
+        (repo / name).write_bytes(buf)
+        return
+    commit = head_commit(repo) if name == "merge payload" else queued_commit(repo)
+    data = b'{"author":"x","kind":"%s","parent":"%s","payload":%s}' % (
+        commit["kind"].encode(), commit["parent"].encode(), buf)
+    commit_id = hashlib.sha256(data).hexdigest()
+    (repo / "objects" / commit_id[:2]).mkdir(exist_ok=True)
+    (repo / "objects" / commit_id[:2] / commit_id[2:]).write_bytes(data)
+    if name == "merge payload":
+        ref = json.loads((repo / "refs" / "main").read_text())
+        (repo / "refs" / "main").write_text(json.dumps({**ref, "head": commit_id}))
+    else:
+        (repo / "queue" / "000002.json").write_text(json.dumps({"commit_id": commit_id}))
+
+
 def check_repository_document(world, tmp_path, capsys, name, label, buf):
     repo = tmp_path / "repo"
     shutil.rmtree(repo, ignore_errors=True)
     shutil.copytree(world / "repo", repo)
-    (repo / name).write_bytes(buf)
+    write_document(repo, name, buf)
     commands = [["checkout", str(repo), "--round", "1", "--out", str(tmp_path / "item.fgi")],
                 ["eval", str(repo), "--tasks", "tiny", "--data", str(world / "data")],
                 commit_argv(world, repo, 2), ["merge", str(repo), "--all"]]
-    if name.startswith("queue/"):
+    if name.startswith("queue/") or name == "contribution payload":
         commands = commands[-1:]
+    elif name == "merge payload":  # commit reads no merge commit
+        commands = [argv for argv in commands if argv[0] != "commit"]
     well_typed = parses_typed(buf, SCHEMAS[name])
     for argv in commands:
         before = files(repo)
@@ -211,9 +254,10 @@ def check_repository_document(world, tmp_path, capsys, name, label, buf):
             assert files(repo) == before, (label, argv)
 
 
-@pytest.mark.parametrize("name", ["forge.json", "refs/main", "queue/000002.json"])
+@pytest.mark.parametrize("name", ["forge.json", "refs/main", "queue/000002.json",
+                                  "merge payload", "contribution payload"])
 def test_repository_documents(world, tmp_path, capsys, name):
-    buf = (world / "repo" / name).read_bytes()
+    buf = document(world / "repo", name)
     for label, mutated in mutations(buf, name):
         check_repository_document(world, tmp_path, capsys, name, label, mutated)
 
@@ -221,18 +265,20 @@ def test_repository_documents(world, tmp_path, capsys, name):
 def test_documents_that_exited_three(world, tmp_path, capsys):
     """forge.json with an unknown coeff key, without its strategy, or with a
     rank or alpha its fusion history was not made with; queue entries that
-    are not a contribution's; and malformed guidance entries."""
+    are not a contribution's; and merge and contribution payloads without a
+    key forge reads or with one at another type."""
     repo = world / "repo"
     config = json.loads((repo / "forge.json").read_text())
     ref = json.loads((repo / "refs" / "main").read_text())
     genesis = ref["genesis"]
     commit = json.loads((repo / "queue" / "000002.json").read_text())["commit_id"]
-    payload = json.loads((repo / "objects" / commit[:2] / commit[2:]).read_text())["payload"]
+    payload = queued_commit(repo)["payload"]
     cases = [("forge.json", {**config, "coeff": {**config["coeff"], "bogus": 1}}),
              ("forge.json", {k: v for k, v in config.items() if k != "strategy"}),
              ("forge.json", {**config, "rank": 3}), ("forge.json", {**config, "alpha": 5.0}),
-             ("refs/main", {**ref, "guidance": [1]}),
-             ("refs/main", {**ref, "guidance": [{**ref["guidance"][0], "task": {}}]})]
+             ("merge payload", {}), ("merge payload", {"round": 1}),
+             ("merge payload", {**head_commit(repo)["payload"], "plugin_id": 7}),
+             ("contribution payload", {}), ("contribution payload", {**payload, "task": {}})]
     for doc in ("not json", [commit], {}):
         cases.append(("queue/000002.json", doc))
     for object_id in (payload["plugin_id"], payload["distilled_id"], genesis, ref["head"]):
@@ -333,7 +379,7 @@ def test_edited_strategy_does_not_hold_a_mixture_to_one_rank(world, tmp_path, ca
         assert run(["merge", str(root), "--all"], capsys) == 0
         histories.append(history(root))
     assert histories[0] == histories[1]
-    assert histories[0][0]["round"] == 2
+    assert Repository(tmp_path / "repo").current_round() == 2
 
 
 @pytest.mark.parametrize("damage", ["file as shard", "directory as object"])

@@ -497,7 +497,9 @@ class TestHistory:
     def test_replay_reproduces_live_item(self, tmp_path, strategy):
         repo = self.prepare(tmp_path, strategy)
         item = repo.replay()
-        assert hashlib.sha256(item.to_bytes()).hexdigest() == repo._read_ref()["item_id"]
+        head = repo.read_commit(repo._read_ref()["head"]).payload
+        assert hashlib.sha256(item.to_bytes()).hexdigest() == head["item_id"]
+        assert item.to_bytes() == repo.current_item().to_bytes()
 
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
     def test_checkout_rounds(self, tmp_path, strategy):
@@ -676,7 +678,7 @@ class TestHistory:
     def test_genesis_that_is_no_genesis_commit_is_refused(self, tmp_path):
         repo = self.prepare(tmp_path, "mixture")
         ref = repo._read_ref()
-        repo._write_ref({**ref, "genesis": ref["head"], "round": 0})
+        repo._write_ref({**ref, "genesis": ref["head"]})
         with pytest.raises(IntegrityError, match="no genesis commit"):
             Repository(repo.root).checkout(0)
 
@@ -684,7 +686,7 @@ class TestHistory:
         repo = self.queued(tmp_path / "repo", "fusion")
         repo.merge_next()
         repo.merge_next()
-        before = repo._read_ref()
+        before = repo.read_commit(repo._read_ref()["head"]).payload
         other = Repository(repo.root)
         load_plugin = repo.load_plugin
 
@@ -698,17 +700,16 @@ class TestHistory:
         assert repo.current_round() == 3
         assert hashlib.sha256(item.to_bytes()).hexdigest() == before["item_id"]
 
-    @pytest.mark.parametrize("tamper", ["round+1", "round-1", "head=contribution"])
+    @pytest.mark.parametrize("tamper", ["head=contribution", "head=merge without parent"])
     def test_ref_that_disagrees_with_the_chain_is_refused(self, tmp_path, tamper):
-        import json
-
         repo = self.prepare(tmp_path, "fusion")
         ref_path = repo.root / "refs" / "main"
         ref = json.loads(ref_path.read_text())
         if tamper == "head=contribution":
             ref["head"] = ref["consumed"]["commit_id"]
-        else:
-            ref["round"] += 1 if tamper == "round+1" else -1
+        else:  # the head's payload, in a merge commit that names no parent
+            payload = repo.read_commit(ref["head"]).payload
+            ref["head"] = repo._append_commit(None, "registry", "merge", payload).id
         ref_path.write_text(json.dumps(ref, sort_keys=True))
         for round_no in (0, 1):
             with pytest.raises(IntegrityError):
@@ -779,11 +780,35 @@ class TestHistory:
         assert not out.exists()
         assert files() == before
 
+    @pytest.mark.parametrize("guidance", ["flipped label", "[1]"])
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
-    def test_ref_without_guidance_list_is_refused(self, tmp_path, strategy):
-        self.check_malformed_ref_is_refused(
-            tmp_path, strategy,
-            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "guidance"}))
+    def test_ref_written_by_earlier_code_merges_by_the_chain(self, tmp_path, strategy,
+                                                             guidance):
+        """A ref written by earlier code also copies the head's ``item_id`` and
+        ``round`` and the guidance list out of the chain. It still opens, its
+        copies steer no round (a label text flipped in the list moved round
+        2's coefficients when rounds read it), and the next ref write drops
+        them."""
+        clean = self.prepare(tmp_path / "clean", strategy)
+        repo = self.queued(tmp_path / "repo", strategy)
+        repo.merge_next()
+        ref = repo._read_ref()
+        (merged,) = repo._merge_payloads(ref)
+        assert merged["task"]["labels"] == ["t1 a", "t1 b"]
+        flipped = {**merged["task"], "labels": ["t1 a", "t1 c"]}
+        listing = [{"distilled_id": merged["distilled_id"], "task": flipped}] \
+            if guidance == "flipped label" else [1]
+        repo._write_ref({**ref, "item_id": merged["item_id"], "round": 1, "guidance": listing})
+        want = clean.merge_records()
+        record = repo.merge_next()
+        assert (record["w_main"], record["w_branch"]) == (want[1]["w_main"], want[1]["w_branch"])
+        assert set(repo._read_ref()) == {"genesis", "head", "consumed"}
+        repo.merge_all()
+        records = repo.merge_records()
+        assert [r["commit_id"] for r in records] == [r["commit_id"] for r in want]
+        assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
+        assert repo._read_ref() == clean._read_ref()
+        assert repo.all_object_ids() == clean.all_object_ids()
 
     @pytest.mark.parametrize("damage", [
         lambda doc: json.dumps(doc)[:-1],
@@ -915,7 +940,7 @@ class TestObjectStore:
         monkeypatch.setattr(os, "link" if site == "_enqueue" else "replace", refuse)
         write = {
             "store_object": lambda: repo.store_object(b"never lands"),
-            "_write_ref": lambda: repo._write_ref({**repo._read_ref(), "round": 7}),
+            "_write_ref": lambda: repo._write_ref({**repo._read_ref(), "head": "0" * 64}),
             "_enqueue": lambda: repo._enqueue({"commit_id": "0" * 64}),
             "checkout --out": lambda: cli._cmd_checkout(argparse.Namespace(
                 repo=str(repo.root), round=0, out=str(tmp_path / "item.fgi")), RunConfig()),
