@@ -110,9 +110,8 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("kind", choices=("orders", "baselines"))
         p.add_argument("workdir")
         p.add_argument("--seeds", type=int, default=3, help="number of seeds")
-        p.add_argument("--fast", action="store_true", help="smoke-run budgets over --config: "
-                       "[train] epochs 20, [distill] iterations 100, ipc 5, eval_iterations 150, "
-                       "[merge] max_iterations 12")
+        p.add_argument("--fast", action="store_true", help="smoke-run budgets over --config: " +
+                       ", ".join(f"[{s}] {k} {v}" for (s, k), v in xp.FAST_BUDGET.items()))
     elif command == "checkout":
         p.add_argument("repo")
         p.add_argument("--round", type=int, required=True)
@@ -276,21 +275,15 @@ def _cmd_eval(args, config: RunConfig) -> int:
 def _cmd_experiment(args, config: RunConfig) -> int:
     if args.seeds < 1:  # no seed would leave a report of no rows, or of NaN ones
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
-    seeds = tuple(range(1, args.seeds + 1))
-    if args.fast:
-        settings = xp.ExperimentSettings(
-            seeds=seeds,
-            train=config.train_config(epochs=20),
-            distill=config.distill_config(iterations=100, ipc=5, eval_iterations=150),
-            coeff=config.coeff_config(max_iterations=12))
-    else:
-        # the experiments' own distill budget, for each key --config leaves unset
-        budget = {k: v for k, v in xp.DISTILL_BUDGET.items() if ("distill", k) not in config.given}
-        settings = xp.ExperimentSettings(
-            seeds=seeds,
-            train=config.train_config(),
-            distill=config.distill_config(**budget),
-            coeff=config.coeff_config())
+    # the experiments' distill budget where the file is silent, then --fast's
+    # budgets over everything; the settings are then built once, from config
+    for key, value in xp.DISTILL_BUDGET.items():
+        if ("distill", key) not in config.given:
+            config.set("distill", key, value)
+    for (section, key), value in xp.FAST_BUDGET.items() if args.fast else ():
+        config.set(section, key, value)
+    settings = xp.ExperimentSettings(tuple(range(1, args.seeds + 1)), config.train_config(),
+                                     config.distill_config(), config.coeff_config())
     workdir = Path(args.workdir)
     if args.kind == "orders":
         runs, summary = xp.run_order_experiment(workdir / "runs", settings)

@@ -19,15 +19,14 @@ from .model import TrainConfig
 
 # section: (the dataclass whose fields its keys set, its keys). A key sets
 # the field of its own name, or the one _RENAMED gives, and its default is
-# that field's default.
+# that field's default. [merge] has a key for each CoeffOptimConfig field.
 _SECTIONS = {
     "adapter": (TrainConfig, ("rank", "alpha", "dropout")),
     "train": (TrainConfig, ("epochs", "learning_rate", "momentum", "weight_decay",
                             "batch_size", "temperature")),
     "distill": (DistillConfig, ("iterations", "ipc", "syn_lr", "syn_lr_final", "dsa",
                                 "eval_iterations", "init_from_real")),
-    "merge": (CoeffOptimConfig, ("max_iterations", "init_value", "l1_lambda", "box_min",
-                                 "box_max", "allow_negative")),
+    "merge": (CoeffOptimConfig, tuple(f.name for f in dataclasses.fields(CoeffOptimConfig))),
 }
 _RENAMED = {"dropout": "dropout_p", "dsa": "dsa_enabled"}
 DEFAULTS: dict[str, dict] = {
@@ -109,23 +108,22 @@ class RunConfig:
 
     # -- bridges to module configs ------------------------------------------
 
-    def _build(self, cls, sections: tuple[str, ...], overrides: dict):
-        # cls from the keys of sections that set one of its fields, then overrides
+    def _build(self, cls, sections: tuple[str, ...]):
+        # cls from the keys of sections that set one of its fields
         names = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {name: value for section in sections
-                  for key, value in self.values[section].items()
-                  if (name := _RENAMED.get(key, key)) in names}
-        return cls(**{**kwargs, **overrides})
+        return cls(**{name: value for section in sections
+                      for key, value in self.values[section].items()
+                      if (name := _RENAMED.get(key, key)) in names})
 
-    def train_config(self, **overrides) -> TrainConfig:
-        return self._build(TrainConfig, ("adapter", "train"), overrides)
+    def train_config(self) -> TrainConfig:
+        return self._build(TrainConfig, ("adapter", "train"))
 
-    def distill_config(self, **overrides) -> DistillConfig:
+    def distill_config(self) -> DistillConfig:
         # [adapter] rank and alpha also shape distill's random feature extractor
-        return self._build(DistillConfig, ("adapter", "distill"), overrides)
+        return self._build(DistillConfig, ("adapter", "distill"))
 
-    def coeff_config(self, **overrides) -> CoeffOptimConfig:
-        return self._build(CoeffOptimConfig, ("merge",), overrides)
+    def coeff_config(self) -> CoeffOptimConfig:
+        return self._build(CoeffOptimConfig, ("merge",))
 
     @property
     def seed(self) -> int:

@@ -106,7 +106,7 @@ def evaluate_logits(logits: np.ndarray, labels: np.ndarray,
 
 def evaluate_deltas(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
                     table: LabelEmbeddingTable, data: LabeledDataset,
-                    temperature: float = mdl.DEFAULT_TEMPERATURE) -> tuple[float, float]:
+                    temperature: float) -> tuple[float, float]:
     """Metrics of the encoder (plus per-layer deltas) on one dataset."""
     emb = mdl.encode_np(base, deltas, data.inputs)
     logits = mdl.cosine_logits_np(emb, table, temperature)

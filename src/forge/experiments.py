@@ -63,8 +63,7 @@ def prepare_branch_artifacts(base: BaseEncoder, seed: int,
 
 def evaluate_deltas_on_tasks(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
                              artifacts: dict[str, BranchArtifacts],
-                             report: MetricsReport,
-                             temperature: float = mdl.DEFAULT_TEMPERATURE) -> MetricsReport:
+                             report: MetricsReport, temperature: float) -> MetricsReport:
     for name, art in artifacts.items():
         acc, auc_value = evaluate_deltas(base, deltas, table_for(base, art.spec), art.test,
                                          temperature)
@@ -86,8 +85,13 @@ def merge_in_order(workdir: Path, base_seed: int, strategy: str,
     return repo
 
 
-# the desk-scale distillation budget of the experiment harnesses
+# the desk-scale distillation budget of the experiment harnesses, for each
+# [distill] key a config file leaves unset
 DISTILL_BUDGET = {"iterations": 500, "ipc": 10, "eval_iterations": 300}
+# the smoke-run budgets of ``forge experiment --fast``, by (section, key), over
+# any config file
+FAST_BUDGET = {("train", "epochs"): 20, ("distill", "iterations"): 100, ("distill", "ipc"): 5,
+               ("distill", "eval_iterations"): 150, ("merge", "max_iterations"): 12}
 
 
 @dataclass

@@ -51,14 +51,13 @@ class MergeCoefficients:
 
 @dataclass
 class CoeffOptimConfig:
-    """Derivative-free search budget and regularization."""
+    """Derivative-free search budget, its box [box_min, box_max], and regularization."""
 
     max_iterations: int = 40
     init_value: float = 0.5
     l1_lambda: float = 0.05
     box_min: float = 0.0
     box_max: float = 2.0
-    allow_negative: bool = False
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -72,14 +71,10 @@ class CoeffOptimConfig:
             raise ParameterError("l1_lambda must be non-negative")
         if self.box_min >= self.box_max:
             raise ParameterError("empty coefficient box")
-        lo, hi = self.bounds()
-        if not lo <= self.init_value <= hi:
+        if not self.box_min <= self.init_value <= self.box_max:
             # the search starts from init_value and never leaves the box
-            raise ParameterError(f"init_value {self.init_value} outside the box [{lo}, {hi}]")
-
-    def bounds(self) -> tuple[float, float]:
-        lo = -self.box_max if self.allow_negative else self.box_min
-        return lo, self.box_max
+            raise ParameterError(f"init_value {self.init_value} outside the box "
+                                 f"[{self.box_min}, {self.box_max}]")
 
 
 def _check_compatible(plugins: Sequence[PluginModule]) -> None:
@@ -184,6 +179,13 @@ class ForgeItem:
         if strategy == "mixture":
             return cls("mixture", 0)
         raise ParameterError(f"unknown strategy {strategy!r}")
+
+    def check_branch(self, plugin: PluginModule) -> None:
+        """``IncompatibleModulesError`` unless a round can merge ``plugin`` into
+        this item: fusion adds its factors to the item's plugin's, layer by
+        layer at one rank and alpha; a mixture takes any plugin."""
+        if self.kind == "fused":
+            _check_compatible([self.plugin, plugin])
 
     def deltas(self) -> dict[int, np.ndarray] | None:
         if self.kind == "fused":
@@ -324,7 +326,7 @@ def optimize_coefficients(objective: Callable[[np.ndarray], float],
     of each point it has computed, so the second evaluation costs none.
     The best point is the first one with the lowest value.
     """
-    lo, hi = config.bounds()
+    lo, hi = config.box_min, config.box_max
     x0 = np.full(n_vars, config.init_value, dtype=np.float64)
     trace: list[dict] = []
 
@@ -515,7 +517,7 @@ class StackedGuidance:
 
 def guidance_objective(base: BaseEncoder, guidance: Sequence[GuidanceSet],
                        deltas: LinearDeltas | FactoredDeltas, l1_lambda: float,
-                       temperature: float = mdl.DEFAULT_TEMPERATURE) -> Callable:
+                       temperature: float) -> Callable:
     """Mean per-task cross-entropy on distilled sets plus l1 * sum |w|.
 
     The returned function also carries ``accuracies(w)``, the per-task
@@ -542,8 +544,7 @@ class MergeOutcome:
 
 def merge_round(base: BaseEncoder, item: ForgeItem, branch: PluginModule,
                 guidance: Sequence[GuidanceSet], config: CoeffOptimConfig,
-                temperature: float = mdl.DEFAULT_TEMPERATURE,
-                ) -> tuple[ForgeItem, MergeOutcome]:
+                temperature: float) -> tuple[ForgeItem, MergeOutcome]:
     """Search (w, w') for one merge round, then merge the branch into ``item``.
 
     (1, 0) keeps the main item as it is.
@@ -571,8 +572,7 @@ def baseline_modelsoup(plugins: Sequence[PluginModule]) -> PluginModule:
 
 def baseline_lorahub(base: BaseEncoder, plugins: Sequence[PluginModule],
                      guidance: Sequence[GuidanceSet], config: CoeffOptimConfig,
-                     temperature: float = mdl.DEFAULT_TEMPERATURE,
-                     ) -> tuple[PluginModule, np.ndarray, list[dict]]:
+                     temperature: float) -> tuple[PluginModule, np.ndarray, list[dict]]:
     """One-shot joint optimization of one coefficient per module."""
     if not plugins:
         raise InputError("joint merging needs at least one plugin module")

@@ -27,7 +27,6 @@ from .errors import (
 from .numerics import Tensor
 
 ENCODER_DIMS = (256, 64, 32)
-DEFAULT_TEMPERATURE = 0.07
 
 NORM_EPS = 1e-12  # a cosine head refuses a row of smaller L2 norm
 
@@ -329,8 +328,7 @@ def _label_head(table: LabelEmbeddingTable) -> np.ndarray:
     return np.ascontiguousarray(_unit_rows(table.rows)[0].T)
 
 
-def classify(embedding: Tensor, table: LabelEmbeddingTable,
-             temperature: float = DEFAULT_TEMPERATURE) -> Tensor:
+def classify(embedding: Tensor, table: LabelEmbeddingTable, temperature: float) -> Tensor:
     """Cosine similarity against each label row, divided by temperature; one
     tape node whose backward returns the embedding's gradient."""
     return _cosine_head(embedding, _label_head(table), temperature)
@@ -378,7 +376,7 @@ def encode_np(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
 
 
 def cosine_logits_np(embeddings: np.ndarray, table: LabelEmbeddingTable,
-                     temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray:
+                     temperature: float) -> np.ndarray:
     e = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(e, axis=1, keepdims=True)
     if np.any(norms < NORM_EPS):
@@ -405,7 +403,7 @@ class TrainConfig:
     rank: int = 16
     alpha: float = 16.0
     dropout_p: float = 0.1
-    temperature: float = DEFAULT_TEMPERATURE
+    temperature: float = 0.07  # the cosine head's, and its only default
 
     def __post_init__(self) -> None:
         # a bad value here would train for every step, then write a plugin

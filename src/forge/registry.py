@@ -27,7 +27,7 @@ import stat
 import tempfile
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from .distill import DistilledDataset
 from .errors import (
     ConflictError,
     ForgeError,
+    FormatError,
     InputError,
     IntegrityError,
     LockHeldError,
@@ -58,8 +59,8 @@ REPO_DIRS = ("objects", "refs", "log", "queue", "locks")
 # forge.json written by earlier code also holds base_seed, strategy, rank and
 # alpha, which the genesis commit fixes and nothing reads from forge.json
 CONFIG_KEYS = {"format": int, "temperature": NUMBER, "coeff": dict}
-COEFF_KEYS = {"max_iterations": int, "init_value": NUMBER, "l1_lambda": NUMBER,
-              "box_min": NUMBER, "box_max": NUMBER, "allow_negative": bool}
+COEFF_KEYS = {f.name: {int: int, float: NUMBER}[type(f.default)]
+              for f in fields(CoeffOptimConfig)}
 # refs/main written by earlier code also holds item_id, round and guidance,
 # copies of the chain's facts that nothing reads and the next round drops
 REF_KEYS = {"genesis": str, "head": str}
@@ -359,9 +360,9 @@ class Repository:
                                genesis: dict) -> None:
         """``ValidationError`` unless every later merge can use ``contribution``:
         its weights are finite, its distilled set fits its task, and it passes
-        the rules of the label table, ``encode``, fusion (against the plugin
-        of the genesis payload ``genesis``'s item), the distilled set and the
-        search's cosine head, which scores the set under its own plugin."""
+        the rules of the label table, ``encode``, the ``check_branch`` of the
+        genesis payload ``genesis``'s item (fusion's), the distilled set and the
+        cosine head at the repository's temperature, scoring the set under its own plugin."""
         task, plugin, distilled = contribution.task, contribution.plugin, contribution.distilled
         if (distilled.task_name, distilled.num_classes, distilled.inputs.shape[1:]) != \
                 (task.name, task.num_classes, (task.flat_dim,)):
@@ -373,13 +374,12 @@ class Repository:
         base = self._base_of(genesis)
         try:
             mdl.check_plugin(base, plugin)
-            if genesis["strategy"] == "fusion":
-                zero = ForgeItem.from_bytes(self.read_object(genesis["item_id"]),
-                                            self.load_plugin).plugin
-                mrg._check_compatible([zero, plugin])
+            ForgeItem.from_bytes(self.read_object(genesis["item_id"]),
+                                 self.load_plugin).check_branch(plugin)
             distilled.check()
             mdl.cosine_logits_np(mdl.encode_np(base, plugin.layer_deltas(), distilled.inputs),
-                                 LabelEmbeddingTable(task.name, task.labels, base.embed_dim))
+                                 LabelEmbeddingTable(task.name, task.labels, base.embed_dim),
+                                 self.config["temperature"])
         except ForgeError as exc:
             raise ValidationError(f"contribution refused: {exc}") from exc
 
@@ -620,8 +620,13 @@ def _check_config(config: dict) -> dict:
             ("temperature", "finite and > 0", math.isfinite(temperature) and temperature > 0)):
         if not ok:
             raise InputError(f"repository {key} must be {need}, got {config[key]!r}")
+    coeff = json_fields(config["coeff"], "coeff", COEFF_KEYS, InputError)
+    if "allow_negative" in coeff:  # written by earlier code; true searched [-box_max, box_max]
+        json_fields(coeff, "coeff", {"allow_negative": bool}, InputError)
+        if coeff.pop("allow_negative"):
+            coeff["box_min"] = -coeff["box_max"]
     try:
-        CoeffOptimConfig(**json_fields(config["coeff"], "coeff", COEFF_KEYS, InputError))
+        CoeffOptimConfig(**coeff)
     except TypeError as exc:  # a key CoeffOptimConfig does not have
         raise InputError(f"coeff: {exc}") from exc
     return config
@@ -641,6 +646,9 @@ def _payload(commit: Commit, kind: str) -> dict:
     payload = json_fields(commit.payload, f"{kind} commit {commit.id}", PAYLOAD_KEYS[kind],
                           IntegrityError)
     if kind != "genesis":
-        TaskSpec.from_dict(payload["task"])
+        try:
+            TaskSpec.from_dict(payload["task"])
+        except FormatError as exc:
+            raise IntegrityError(f"{kind} commit {commit.id}: {exc}") from exc
     return payload
 

@@ -63,7 +63,7 @@ class PipelineState:
             for name, art in artifacts.items():
                 table = xp.table_for(base, art.spec)
                 acc, auc_value = ev.evaluate_deltas(
-                    base, art.plugin.layer_deltas(), table, art.test)
+                    base, art.plugin.layer_deltas(), table, art.test, self.train_cfg.temperature)
                 upper[name] = acc
                 metrics = dst.eval_distilled(
                     art.distilled, base, art.spec, art.test, self.distill_cfg,
@@ -255,7 +255,7 @@ def merged_repos(pipeline, tmp_path_factory):
                                      pipeline.train_cfg)
             report_obj = xp.evaluate_deltas_on_tasks(
                 state["base"], repo.current_item().deltas(), state["artifacts"],
-                ev.MetricsReport(strategy, order, seed))
+                ev.MetricsReport(strategy, order, seed), pipeline.train_cfg.temperature)
             per_strategy[strategy] = (repo, report_obj)
         out[seed] = per_strategy
     return out, time.time() - start
@@ -276,9 +276,10 @@ def test_criterion_5_merging_efficacy(pipeline, merged_repos):
         soup = mrg.baseline_modelsoup([a.plugin for a in artifacts.values()])
         soup_report = xp.evaluate_deltas_on_tasks(
             state["base"], soup.layer_deltas(), artifacts,
-            ev.MetricsReport("modelsoup", [], seed))
+            ev.MetricsReport("modelsoup", [], seed), pipeline.train_cfg.temperature)
         base_report = xp.evaluate_deltas_on_tasks(
-            state["base"], None, artifacts, ev.MetricsReport("base", [], seed))
+            state["base"], None, artifacts, ev.MetricsReport("base", [], seed),
+            pipeline.train_cfg.temperature)
 
         ok &= mixture_report.avg_acc >= distilled_avg - 0.05
         ok &= mixture_report.avg_acc >= soup_report.avg_acc
@@ -312,7 +313,7 @@ def test_criterion_6_order_robustness(pipeline, tmp_path_factory):
                                      pipeline.coeff_cfg, pipeline.train_cfg)
             rep = xp.evaluate_deltas_on_tasks(
                 state["base"], repo.current_item().deltas(), state["artifacts"],
-                ev.MetricsReport("mixture", list(order), seed))
+                ev.MetricsReport("mixture", list(order), seed), pipeline.train_cfg.temperature)
             accs.append(rep.avg_acc)
         order_means.append(float(np.mean(accs)))
     spread = max(order_means) - min(order_means)

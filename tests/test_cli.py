@@ -119,7 +119,7 @@ class TestConfig:
             '{"adapter": {"alpha": 16.0, "dropout": 0.1, "rank": 16}, "distill": '
             '{"dsa": true, "eval_iterations": 1000, "init_from_real": false, "ipc": 20, '
             '"iterations": 5000, "syn_lr": 1.0, "syn_lr_final": 0.1}, "merge": '
-            '{"allow_negative": false, "box_max": 2.0, "box_min": 0.0, "init_value": 0.5, '
+            '{"box_max": 2.0, "box_min": 0.0, "init_value": 0.5, '
             '"l1_lambda": 0.05, "max_iterations": 40}, "run": {"author": "anon", "seed": 0}, '
             '"train": {"batch_size": 64, "epochs": 100, "learning_rate": 0.01, '
             '"momentum": 0.9, "temperature": 0.07, "weight_decay": 0.0005}}')
@@ -625,6 +625,15 @@ class TestExitCodes:
         bad.write_text("[train]\nwhatever = 3\n")
         assert main(["--config", str(bad), "gen-data", "--out",
                      str(tmp_path / "x")]) == 1
+
+    def test_allow_negative_is_no_config_key(self, tmp_path, capsys):
+        # the search box is [box_min, box_max]; a symmetric box is box_min = -box_max
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[merge]\nallow_negative = true\n")
+        assert main(["--config", str(bad), "init", "--strategy", "mixture",
+                     str(tmp_path / "repo")]) == 1
+        assert "unknown config key [merge] allow_negative" in capsys.readouterr().err
+        assert not (tmp_path / "repo").exists()
 
     @pytest.mark.parametrize("error", [*forge_error_classes(), FileNotFoundError,
                                        IsADirectoryError, NotADirectoryError,

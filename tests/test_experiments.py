@@ -193,6 +193,12 @@ class TestExperimentCli:
         assert main(argv + ["--fast"] * fast) == 0
         assert [(d.ipc, d.iterations, d.eval_iterations) for d in seen] == [budget]
 
+    def test_fast_help_lists_every_fast_budget_entry(self, capsys):
+        assert main(["experiment", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps its help
+        for (section, key), value in xp.FAST_BUDGET.items():
+            assert f"[{section}] {key} {value}" in text
+
     @pytest.mark.parametrize("kind, seeds", [("orders", "0"), ("baselines", "-2")])
     def test_fewer_than_one_seed_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys,
                                                                       kind, seeds):

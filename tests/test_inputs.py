@@ -36,7 +36,7 @@ TASK = {"name": str, "labels": [str], "input_shape": list, "grouped": bool}
 SCHEMAS = {
     "forge.json": {"format": int, "temperature": NUMBER,
                    "coeff": {"max_iterations": int, "init_value": NUMBER, "l1_lambda": NUMBER,
-                             "box_min": NUMBER, "box_max": NUMBER, "allow_negative": bool}},
+                             "box_min": NUMBER, "box_max": NUMBER, "allow_negative?": bool}},
     "refs/main": {"genesis": str, "head": str, "consumed?": {"commit_id": str, "seq": int}},
     "queue/000002.json": {"commit_id": str},
     "merge payload": {"round": int, "task": TASK, "plugin_id": str, "distilled_id": str,
@@ -216,7 +216,8 @@ def document(repo, name) -> bytes:
 def write_document(repo, name, buf):
     """Make ``buf`` the document ``name`` of ``repo``. A payload goes into a
     commit stored at its hash, which the ref's head or the queued entry then
-    names, so bytes that are no JSON object make a commit that is none."""
+    names, so bytes that are no JSON object make a commit that is none; returns
+    that commit's id."""
     if not name.endswith(" payload"):
         (repo / name).write_bytes(buf)
         return
@@ -231,6 +232,7 @@ def write_document(repo, name, buf):
         (repo / "refs" / "main").write_text(json.dumps({**ref, "head": commit_id}))
     else:
         (repo / "queue" / "000002.json").write_text(json.dumps({"commit_id": commit_id}))
+    return commit_id
 
 
 def check_repository_document(world, tmp_path, capsys, name, label, buf):
@@ -286,6 +288,13 @@ def test_documents_that_exited_three(world, tmp_path, capsys):
     for name, doc in cases:
         check_repository_document(world, tmp_path, capsys, name, f"{name}: {doc}",
                                   json.dumps(doc).encode())
+    # a task that is no task spec is refused naming the commit that holds it
+    named = tmp_path / "named"
+    shutil.copytree(repo, named)
+    commit_id = write_document(named, "contribution payload",
+                               json.dumps({**payload, "task": {}}).encode())
+    assert main(["merge", str(named), "--all"]) == 2
+    assert f"contribution commit {commit_id}" in capsys.readouterr().err
 
 
 def edited_copy(world, path, **edits):

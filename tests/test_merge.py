@@ -8,8 +8,10 @@ from forge import merge, model
 from forge import numerics as nm
 from forge.errors import FormatError, IncompatibleModulesError, InputError, ParameterError
 from forge.merge import CoeffOptimConfig, ForgeItem, MergeCoefficients
-from forge.model import BaseEncoder, LoraAdapter, PluginModule
+from forge.model import BaseEncoder, LoraAdapter, PluginModule, TrainConfig
 from forge.numerics import Tensor
+
+TEMPERATURE = TrainConfig.temperature  # every search and score here runs at it
 
 
 def scalar_plugin(a: float, b: float, alpha: float = 1.0) -> PluginModule:
@@ -145,11 +147,11 @@ class TestCoeffOptimConfig:
 
     def test_init_outside_a_negative_box_rejected(self):
         with pytest.raises(ParameterError):
-            CoeffOptimConfig(init_value=-2.5, allow_negative=True)
+            CoeffOptimConfig(init_value=-2.5, box_min=-2.0)
 
     @pytest.mark.parametrize("init_value", [-2.0, -0.5, 0.0, 2.0])
     def test_init_anywhere_in_the_box_accepted(self, init_value):
-        CoeffOptimConfig(init_value=init_value, allow_negative=True)
+        CoeffOptimConfig(init_value=init_value, box_min=-2.0)
 
 
 class TestOptimizeCoefficients:
@@ -270,7 +272,7 @@ class TestLoraHub:
         plugins = [random_plugin(base, rng) for _ in range(3)]
         guidance = make_guidance(base, rng)
         merged, weights, trace = merge.baseline_lorahub(
-            base, plugins, guidance, CoeffOptimConfig(max_iterations=20))
+            base, plugins, guidance, CoeffOptimConfig(max_iterations=20), TEMPERATURE)
         assert weights.shape == (3,)
         assert len(trace) <= 20
         assert isinstance(merged, PluginModule)
@@ -278,7 +280,7 @@ class TestLoraHub:
     def test_empty_guidance_rejected(self, base):
         plugin = random_plugin(base, nm.make_rng(11))
         with pytest.raises(InputError):
-            merge.baseline_lorahub(base, [plugin], [], CoeffOptimConfig())
+            merge.baseline_lorahub(base, [plugin], [], CoeffOptimConfig(), TEMPERATURE)
 
 
 class TestMergeRounds:
@@ -288,15 +290,17 @@ class TestMergeRounds:
         item = ForgeItem("fused", 1, plugin=plugin)
         guidance = make_guidance(base, rng)
         new_item, outcome = merge.merge_round(
-            base, item, plugin, guidance, CoeffOptimConfig())
+            base, item, plugin, guidance, CoeffOptimConfig(), TEMPERATURE)
         assert new_item.round == 2
         w = outcome.coefficients
         # any (w, w') with w + w' = 1 reproduces the module; check behavior
         distilled, table = guidance[0]
         before = model.cosine_logits_np(
-            model.encode_np(base, item.plugin.layer_deltas(), distilled.inputs), table)
+            model.encode_np(base, item.plugin.layer_deltas(), distilled.inputs), table,
+            TEMPERATURE)
         after = model.cosine_logits_np(
-            model.encode_np(base, new_item.plugin.layer_deltas(), distilled.inputs), table)
+            model.encode_np(base, new_item.plugin.layer_deltas(), distilled.inputs), table,
+            TEMPERATURE)
         if abs(w.w_main + w.w_branch - 1.0) < 5e-3:
             np.testing.assert_allclose(after, before, atol=1e-4)
 
@@ -314,7 +318,7 @@ class TestMergeRounds:
         branch = random_plugin(base, rng)
         guidance = make_guidance(base, rng)
         new_item, outcome = merge.merge_round(
-            base, genesis, branch, guidance, CoeffOptimConfig())
+            base, genesis, branch, guidance, CoeffOptimConfig(), TEMPERATURE)
         assert new_item.round == 1
         assert len(new_item.entries) == 1
         assert new_item.entries[0][0] is branch
@@ -359,7 +363,7 @@ class TestMergeRounds:
         item = ForgeItem("mixture", 1, entries=[(p1, 0.8)])
         guidance = make_guidance_dim(enc, rng)
         new_item, outcome = merge.merge_round(
-            enc, item, p2, guidance, CoeffOptimConfig(max_iterations=10))
+            enc, item, p2, guidance, CoeffOptimConfig(max_iterations=10), TEMPERATURE)
         w, wp = outcome.coefficients.w_main, outcome.coefficients.w_branch
         x = rng.normal(size=(4, 10)).astype(np.float32)
         got = model.encode_np(enc, merge.mixture_deltas(new_item.entries), x)
@@ -373,7 +377,7 @@ class TestMergeRounds:
         genesis = ForgeItem.genesis("fusion", base, 4, 4.0)
         branch = random_plugin(base, nm.make_rng(18))
         with pytest.raises(InputError):
-            merge.merge_round(base, genesis, branch, [], CoeffOptimConfig())
+            merge.merge_round(base, genesis, branch, [], CoeffOptimConfig(), TEMPERATURE)
 
 
 class TestForgeItemSerialization:
@@ -449,8 +453,7 @@ class TestForgeItemSerialization:
             ForgeItem("mixture", 1, entries=[(p1, 0.5)], plugin_ids=[])
 
 
-def reference_objective(base, guidance, deltas_for, l1_lambda,
-                        temperature=model.DEFAULT_TEMPERATURE):
+def reference_objective(base, guidance, deltas_for, l1_lambda, temperature):
     """The per-task loop the stacked objective replaced: one encode and one
     cosine head per guidance set, then the mean of the per-task means."""
     def objective(w):
@@ -511,9 +514,9 @@ class TestStackedObjective:
     def test_fusion_matches_reference(self, depth):
         rng, enc, (main, branch, _), guidance = self.build(depth, 30)
         new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas([main, branch]),
-                                       0.05)
+                                       0.05, TEMPERATURE)
         old = reference_objective(enc, guidance, lambda w: merge.fuse(
-            main, branch, MergeCoefficients(w[0], w[1])).layer_deltas(), 0.05)
+            main, branch, MergeCoefficients(w[0], w[1])).layer_deltas(), 0.05, TEMPERATURE)
         self.assert_matches(rng, new, old, 2)
 
     @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
@@ -521,34 +524,37 @@ class TestStackedObjective:
         rng, enc, (p1, p2, branch), guidance = self.build(depth, 31)
         main = merge.mixture_deltas([(p1, 0.6), (p2, 1.3)])
         new = merge.guidance_objective(
-            enc, guidance, merge.LinearDeltas([main, branch.layer_deltas()]), 0.05)
+            enc, guidance, merge.LinearDeltas([main, branch.layer_deltas()]), 0.05, TEMPERATURE)
 
         def deltas_for(w):
             return merge.mixture_deltas([(p1, 0.6 * w[0]), (p2, 1.3 * w[0]),
                                          (branch, w[1])])
 
-        self.assert_matches(rng, new, reference_objective(enc, guidance, deltas_for, 0.05),
-                            2)
+        self.assert_matches(
+            rng, new, reference_objective(enc, guidance, deltas_for, 0.05, TEMPERATURE), 2)
 
     @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
     def test_joint_matches_reference(self, depth):
         rng, enc, plugins, guidance = self.build(depth, 32)
-        new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas(plugins), 0.05)
+        new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas(plugins), 0.05,
+                                       TEMPERATURE)
         old = reference_objective(
             enc, guidance, lambda w: merge.combine_plugins(plugins, list(w)).layer_deltas(),
-            0.05)
+            0.05, TEMPERATURE)
         self.assert_matches(rng, new, old, 3)
 
     def test_tasks_weigh_equally_whatever_their_row_counts(self):
         # the mean over all ten rows differs from the mean of the two task
         # means; the objective must give the latter
         rng, enc, plugins, guidance = self.build("2-layer", 33)
-        new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas(plugins), 0.0)
+        new = merge.guidance_objective(enc, guidance, merge.FactoredDeltas(plugins), 0.0,
+                                       TEMPERATURE)
         w = np.array([0.4, 1.1, 0.7])
         deltas = merge.combine_plugins(plugins, list(w)).layer_deltas()
         per_row, per_task = [], []
         for distilled, table in guidance:
-            one = reference_objective(enc, [(distilled, table)], lambda _: deltas, 0.0)(w)
+            one = reference_objective(enc, [(distilled, table)], lambda _: deltas, 0.0,
+                                      TEMPERATURE)(w)
             per_task.append(one)
             per_row.extend([one] * len(distilled.labels))
         assert new(w) == pytest.approx(np.mean(per_task), rel=1e-6)
@@ -571,7 +577,8 @@ class TestStackedObjective:
         guidance = make_guidance_dim(enc, nm.make_rng(35))
         guidance[0][0].inputs[:] = 0.0
         objective = merge.guidance_objective(
-            enc, guidance, merge.LinearDeltas([{}, {0: np.zeros((1, 1), np.float32)}]), 0.0)
+            enc, guidance, merge.LinearDeltas([{}, {0: np.zeros((1, 1), np.float32)}]), 0.0,
+            TEMPERATURE)
         with pytest.raises(DegenerateInputError):
             objective(np.array([0.5, 0.5]))
 
@@ -585,7 +592,7 @@ class TestStackedObjective:
         raw.labels[0] = label
         with pytest.raises(InputError):
             merge.guidance_objective(enc, [(raw, table), guidance[1]],
-                                     merge.FactoredDeltas(plugins), 0.0)
+                                     merge.FactoredDeltas(plugins), 0.0, TEMPERATURE)
 
     def test_empty_guidance_set_rejected(self):
         from forge.datasets import LabeledDataset
@@ -594,7 +601,7 @@ class TestStackedObjective:
         empty = LabeledDataset(np.zeros((0, enc.input_dim)), np.zeros(0))
         with pytest.raises(InputError):
             merge.guidance_objective(enc, [guidance[0], (empty, guidance[1][1])],
-                                     merge.FactoredDeltas(plugins), 0.0)
+                                     merge.FactoredDeltas(plugins), 0.0, TEMPERATURE)
 
     @pytest.mark.parametrize("depth", sorted(ENCODER_DIMS))
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
@@ -607,11 +614,11 @@ class TestStackedObjective:
         else:
             item = ForgeItem("mixture", 2, entries=[(p1, 0.7), (p2, 0.9)])
         new_item, outcome = merge.merge_round(
-            enc, item, branch, guidance, CoeffOptimConfig(max_iterations=12))
+            enc, item, branch, guidance, CoeffOptimConfig(max_iterations=12), TEMPERATURE)
         for metrics, state in ((outcome.metrics_pre, item),
                                (outcome.metrics_post, new_item)):
             want = {table.task_name: round(evaluate_deltas(
-                enc, state.deltas(), table, as_dataset(distilled))[0], 6)
+                enc, state.deltas(), table, as_dataset(distilled), TEMPERATURE)[0], 6)
                 for distilled, table in guidance}
             assert metrics == want
 
@@ -621,10 +628,10 @@ class TestStackedObjective:
         rng, enc, (_, _, branch), guidance = self.build("2-layer", 37)
         genesis = ForgeItem.genesis("mixture", enc, rank=3, alpha=3.0)
         _, outcome = merge.merge_round(enc, genesis, branch, guidance,
-                                       CoeffOptimConfig(max_iterations=6))
+                                       CoeffOptimConfig(max_iterations=6), TEMPERATURE)
         assert outcome.metrics_pre == {
             table.task_name: round(evaluate_deltas(enc, None, table,
-                                                   as_dataset(distilled))[0], 6)
+                                                   as_dataset(distilled), TEMPERATURE)[0], 6)
             for distilled, table in guidance}
 
 
@@ -768,9 +775,11 @@ class TestForwardMemo:
     @pytest.mark.parametrize("kind", ROUND_KINDS)
     def test_round_equals_memo_free(self, monkeypatch, kind, depth, seed):
         enc, item, branch, guidance = self.round_case(kind, depth, seed)
-        new_item, new = merge.merge_round(enc, item, branch, guidance, CoeffOptimConfig())
+        new_item, new = merge.merge_round(enc, item, branch, guidance, CoeffOptimConfig(),
+                                          TEMPERATURE)
         monkeypatch.setattr(merge, "StackedGuidance", MemoFreeGuidance)
-        old_item, old = merge.merge_round(enc, item, branch, guidance, CoeffOptimConfig())
+        old_item, old = merge.merge_round(enc, item, branch, guidance, CoeffOptimConfig(),
+                                          TEMPERATURE)
         assert new == old  # coefficients, objective, trace and both metrics
         assert new_item.to_bytes() == old_item.to_bytes()
 
@@ -778,10 +787,10 @@ class TestForwardMemo:
     def test_joint_baseline_equals_memo_free(self, monkeypatch, depth):
         rng, enc, plugins, guidance = TestStackedObjective().build(depth, 53)
         merged, best, trace = merge.baseline_lorahub(enc, plugins, guidance,
-                                                     CoeffOptimConfig())
+                                                     CoeffOptimConfig(), TEMPERATURE)
         monkeypatch.setattr(merge, "StackedGuidance", MemoFreeGuidance)
         old_merged, old_best, old_trace = merge.baseline_lorahub(enc, plugins, guidance,
-                                                                 CoeffOptimConfig())
+                                                                 CoeffOptimConfig(), TEMPERATURE)
         assert len(best) == 3
         assert best.tolist() == old_best.tolist()
         assert trace == old_trace
@@ -805,7 +814,7 @@ class TestForwardMemo:
 
         monkeypatch.setattr(merge.StackedGuidance, "_forward", counted)
         _, outcome = merge.merge_round(enc, item, branch, guidance,
-                                       CoeffOptimConfig(box_max=box_max))
+                                       CoeffOptimConfig(box_max=box_max), TEMPERATURE)
         points = float32_keys(entry["point"] for entry in outcome.trace)
         # the trace's distinct points, then (1, 0) for metrics_pre unless the
         # search evaluated it; metrics_post reads the best point's forward
@@ -833,7 +842,7 @@ class TestForwardMemo:
 def scipy_optimize_coefficients(minimize, objective, config, n_vars=2):
     """``optimize_coefficients`` as it was when scipy's Nelder-Mead ran the
     search: the reference the search in forge must match point for point."""
-    lo, hi = config.bounds()
+    lo, hi = config.box_min, config.box_max
     x0 = np.full(n_vars, config.init_value, dtype=np.float64)
     trace = []
     best = {"x": x0.copy(), "value": None}
@@ -876,12 +885,10 @@ def random_search_case(seed):
     n_vars = int(rng.integers(2, 6))
     hi = float(rng.uniform(0.5, 3.0))
     box_min = hi - float(rng.uniform(0.2, 4.0))
-    allow_negative = bool(rng.random() < 0.3)
-    lo = -hi if allow_negative else box_min
+    lo = -hi if rng.random() < 0.3 else box_min  # symmetric in about 30% of cases
     config = CoeffOptimConfig(max_iterations=int(rng.integers(1, 80)),
                               init_value=float(rng.choice([lo, hi, rng.uniform(lo, hi)])),
-                              box_min=box_min, box_max=hi, allow_negative=allow_negative)
-    assert config.bounds() == (lo, hi)
+                              box_min=lo, box_max=hi)
     centre = rng.uniform(lo - 0.5, hi + 0.5, size=n_vars)
     scale = rng.uniform(0.2, 3.0, size=n_vars)
     kind = ("bowl", "plateau", "rugged", "slope", "ties")[seed % 5]
@@ -953,6 +960,6 @@ class TestMatchesScipy:
                 deltas = merge.LinearDeltas([{}, branch.layer_deltas()])
             else:
                 deltas = merge.FactoredDeltas([p1, p2, branch])
-            objective = merge.guidance_objective(enc, guidance, deltas, 0.05)
+            objective = merge.guidance_objective(enc, guidance, deltas, 0.05, TEMPERATURE)
             n_vars = 3 if kind == "joint" else 2
             self.assert_same(minimize, objective, CoeffOptimConfig(), n_vars)

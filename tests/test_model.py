@@ -13,6 +13,8 @@ from forge.model import (
 )
 from forge.numerics import Tensor
 
+TEMPERATURE = TrainConfig.temperature
+
 
 def rel_err(got, want):
     denom = max(float(np.linalg.norm(want)), 1e-12)
@@ -171,7 +173,7 @@ class TestClassify:
     def test_row_embedding_wins(self, base):
         table = LabelEmbeddingTable("t", ["left", "right", "up"], base.embed_dim)
         for j in range(3):
-            logits = model.classify(Tensor(table.rows[j].copy()), table)
+            logits = model.classify(Tensor(table.rows[j].copy()), table, TEMPERATURE)
             assert np.argmax(logits.data, axis=-1) == j
 
     def test_orthogonal_embedding_ties_break_low(self):
@@ -179,7 +181,8 @@ class TestClassify:
         table.task_name = "t"
         table.labels = ["a", "b"]
         table.rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.float32)
-        logits = model.classify(Tensor(np.array([0.0, 0.0, 1.0], dtype=np.float32)), table)
+        logits = model.classify(Tensor(np.array([0.0, 0.0, 1.0], dtype=np.float32)), table,
+                                TEMPERATURE)
         np.testing.assert_allclose(logits.data, 0.0, atol=1e-6)
         assert np.argmax(logits.data, axis=-1) == 0
 
@@ -197,15 +200,15 @@ class TestClassify:
         rng = nm.make_rng(8)
         table = LabelEmbeddingTable("t", ["one", "two"], base.embed_dim)
         e = rng.normal(size=base.embed_dim).astype(np.float32)
-        l1 = model.classify(Tensor(e), table).data
-        l2 = model.classify(Tensor(3.7 * e), table).data
+        l1 = model.classify(Tensor(e), table, TEMPERATURE).data
+        l2 = model.classify(Tensor(3.7 * e), table, TEMPERATURE).data
         np.testing.assert_allclose(l1, l2, atol=1e-6)
         assert np.argmax(l1, axis=-1) == np.argmax(l2, axis=-1)
 
     def test_zero_embedding_rejected(self, base):
         table = LabelEmbeddingTable("t", ["one", "two"], base.embed_dim)
         with pytest.raises(DegenerateInputError):
-            model.classify(Tensor(np.zeros(base.embed_dim, dtype=np.float32)), table)
+            model.classify(Tensor(np.zeros(base.embed_dim, dtype=np.float32)), table, TEMPERATURE)
 
     def test_identical_labels_share_rows_across_tasks(self):
         t1 = LabelEmbeddingTable("task1", ["shared label", "other a"], 32)
@@ -247,7 +250,7 @@ class TestTrainPlugin:
         cfg = TrainConfig(epochs=30, batch_size=16)
         plugin = model.train_plugin(base, table, x, y, cfg, nm.make_rng(11))
         emb = model.encode_np(base, plugin.layer_deltas(), x)
-        preds = np.argmax(model.cosine_logits_np(emb, table), axis=-1)
+        preds = np.argmax(model.cosine_logits_np(emb, table, TEMPERATURE), axis=-1)
         assert (preds == y).mean() >= 0.95
         assert base.param_hash() == base_hash
         assert table.param_hash() == table_hash
@@ -284,7 +287,7 @@ class TestTrainPlugin:
         def step(p):
             emb = model.encode(base, Tensor(x), p, training=True, rng=nm.make_rng(36),
                                dropout_p=0.1)
-            logits = model.classify(emb, table)
+            logits = model.classify(emb, table, TEMPERATURE)
             grads = emb.backward(logits.backward(nm.softmax_cross_entropy(logits, y).backward()))
             return [emb.data, *grads]
 

@@ -5,7 +5,7 @@ from forge import distill as dst
 from forge import model
 from forge import numerics as nm
 from forge.errors import DegenerateInputError, FormatError, ParameterError, ShapeError
-from forge.model import BaseEncoder, LabelEmbeddingTable, PluginModule
+from forge.model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
 from forge.numerics import Tensor
 
 
@@ -270,7 +270,7 @@ class TestElementwiseOps:
         rows = np.ones((2, 3), dtype=np.float32)
         rows[1] = 0.0
         with pytest.raises(DegenerateInputError):
-            model.classify(Tensor(rows), table)
+            model.classify(Tensor(rows), table, TrainConfig.temperature)
 
     def test_mean_rows_slice_reshape_backward(self):
         # per-class means of [n, h, w] leaves that encode flattens per row;
@@ -313,7 +313,8 @@ class TestElementwiseOps:
         x = Tensor(rng.uniform(-1, 1, size=(5, 5)).astype(np.float32))
         y = model.encode(enc, x)
         assert np.all(np.isfinite(y.data))
-        loss = nm.softmax_cross_entropy(model.classify(y, table), np.arange(5) % 5)
+        loss = nm.softmax_cross_entropy(model.classify(y, table, TrainConfig.temperature),
+                                        np.arange(5) % 5)
         assert np.isfinite(loss.item())
 
 

@@ -76,10 +76,34 @@ class TestInit:
 
     def test_coeff_config_round_trips(self, tmp_path):
         coeff = CoeffOptimConfig(max_iterations=7, init_value=0.25, l1_lambda=0.0,
-                                 box_min=-1.0, box_max=3.0, allow_negative=True)
+                                 box_min=-1.0, box_max=3.0)
         Repository.init(tmp_path / "repo", SEED, "fusion", rank=RANK, alpha=ALPHA,
                         coeff=coeff)
         assert Repository(tmp_path / "repo").coeff_config() == coeff
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_earlier_allow_negative_reads_as_the_box_it_searched(self, tmp_path, strategy):
+        # forge.json written by earlier code holds coeff's allow_negative: false
+        # searched [box_min, box_max], true [-box_max, box_max] whatever box_min said
+        def merged(name, box_min=0.0, allow_negative=None):
+            root = tmp_path / name
+            repo = Repository.init(root, SEED, strategy, rank=RANK, alpha=ALPHA,
+                                   coeff=CoeffOptimConfig(max_iterations=8, box_min=box_min))
+            if allow_negative is not None:
+                config = json.loads((root / "forge.json").read_text())
+                config["coeff"]["allow_negative"] = allow_negative
+                (root / "forge.json").write_text(json.dumps(config))
+                repo = Repository(root)
+            for seed, task in enumerate(("t1", "t2")):
+                repo.commit_contribution(make_contribution(repo.base, task, ["a", "b"],
+                                                           seed=seed))
+            return [(record["commit_id"], record["item_id"]) for record in repo.merge_all()]
+
+        zero, minus_two = merged("box_min 0"), merged("box_min -2", box_min=-2.0)
+        assert zero != minus_two  # the two boxes search apart
+        assert merged("false", allow_negative=False) == zero
+        assert merged("true", allow_negative=True) == minus_two
+        assert Repository(tmp_path / "true").coeff_config().box_min == -2.0
 
     # the default encoder's layers are 64 x 256 and 32 x 64: no plugin on it
     # has rank 33
@@ -455,9 +479,9 @@ class TestMerge:
         w = np.array([record["w_main"], record["w_branch"]])
         l1 = repo.coeff_config().l1_lambda
         at = {t: reference_objective(repo.base, guidance, deltas_for, l1, t)(w)
-              for t in (0.2, model.DEFAULT_TEMPERATURE)}
+              for t in (0.2, model.TrainConfig.temperature)}
         assert record["objective"] == pytest.approx(at[0.2], rel=1e-6)
-        assert abs(record["objective"] - at[model.DEFAULT_TEMPERATURE]) > 1e-3
+        assert abs(record["objective"] - at[model.TrainConfig.temperature]) > 1e-3
 
     def test_queue_entry_naming_no_contribution_is_refused(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
