@@ -27,12 +27,13 @@ from .model import (
     train_plugin,
 )
 from .numerics import SgdState, Tensor, finite_difference_grad, make_rng, sgd_step
-from .registry import BranchContribution, Commit, Repository
+from .chain import Chain, Commit
+from .registry import BranchContribution, Repository
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseEncoder", "BranchContribution", "CoeffOptimConfig", "Commit",
+    "BaseEncoder", "BranchContribution", "Chain", "CoeffOptimConfig", "Commit",
     "DistillConfig", "DistilledDataset", "DsaParams", "ForgeItem",
     "LabelEmbeddingTable", "LabeledDataset", "LoraAdapter", "MergeCoefficients",
     "MetricsReport", "PluginModule", "Repository", "SgdState", "TaskSpec",

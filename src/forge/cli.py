@@ -257,14 +257,14 @@ def _cmd_merge(args, config: RunConfig) -> int:
 
 def _cmd_eval(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
-    item = repo.current_item() if args.round is None else repo.checkout(args.round)
-    deltas = item.deltas()
-    report = MetricsReport(repo.strategy, args.tasks.split(","), config.seed)
+    chain = repo.chain()  # the one read of the history this command makes
+    item = repo.current_item(chain) if args.round is None else repo.checkout(args.round, chain)
+    deltas, base = item.deltas(), repo.base_of(chain.genesis)
+    report = MetricsReport(chain.strategy, args.tasks.split(","), config.seed)
     for task in args.tasks.split(","):
         spec, test = _load_split(args.data, task, "test")
-        table = mdl.LabelEmbeddingTable(spec.name, spec.labels, repo.base.embed_dim)
-        acc, auc_value = evaluate_deltas(repo.base, deltas, table, test,
-                                         repo.config["temperature"])
+        table = mdl.LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
+        acc, auc_value = evaluate_deltas(base, deltas, table, test, repo.config["temperature"])
         report.add(task, acc, auc_value)
         print(f"{task}: ACC {acc:.3f}  AUC {auc_value:.3f}")
     print(f"average: ACC {report.avg_acc:.3f}  AUC {report.avg_auc:.3f} "

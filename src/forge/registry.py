@@ -35,12 +35,12 @@ import numpy as np
 from . import merge as mrg
 from . import model as mdl
 from . import numerics as nm
+from .chain import Chain, Commit, hash_checked, parse_ref, read_genesis
 from .datasets import TaskSpec
 from .distill import DistilledDataset
 from .errors import (
     ConflictError,
     ForgeError,
-    FormatError,
     InputError,
     IntegrityError,
     LockHeldError,
@@ -61,50 +61,12 @@ REPO_DIRS = ("objects", "refs", "log", "queue", "locks")
 CONFIG_KEYS = {"format": int, "temperature": NUMBER, "coeff": dict}
 COEFF_KEYS = {f.name: {int: int, float: NUMBER}[type(f.default)]
               for f in fields(CoeffOptimConfig)}
-# refs/main written by earlier code also holds item_id, round and guidance,
-# copies of the chain's facts that nothing reads and the next round drops
-REF_KEYS = {"genesis": str, "head": str}
-CONSUMED_KEYS = {"commit_id": str, "seq": int}
-COMMIT_KEYS = {"parent": (str, type(None)), "author": str, "kind": str, "payload": dict}
-GENESIS_KEYS = {"base_seed": int, "strategy": str, "base_hash": str, "item_id": str}
-CONTRIBUTION_KEYS = {"task": dict, "plugin_id": str, "distilled_id": str}
-MERGE_KEYS = {**CONTRIBUTION_KEYS, "round": int, "w_main": NUMBER, "w_branch": NUMBER,
-              "item_id": str}
-PAYLOAD_KEYS = {"genesis": GENESIS_KEYS, "contribution": CONTRIBUTION_KEYS, "merge": MERGE_KEYS}
-
 # what os.open raises when a path names no file: missing, under a shard that
 # is no directory, or through a symlink loop
 NO_PATH_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
 
 # the names _enqueue gives, f"{seq:06d}.json", and no others
 QUEUE_ENTRY_NAME = re.compile(r"([0-9]{6}|[1-9][0-9]{6,})\.json")
-
-
-def _canonical_json(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-@dataclass
-class Commit:
-    """Hash-chained record; the id never covers timestamps."""
-
-    id: str
-    parent: str | None
-    author: str
-    kind: str  # "genesis" | "contribution" | "merge"
-    payload: dict
-    timestamp: float | None = None
-
-    def to_bytes(self) -> bytes:
-        return _canonical_json({"parent": self.parent, "author": self.author,
-                                "kind": self.kind, "payload": self.payload})
-
-    @classmethod
-    def from_bytes(cls, buf: bytes, commit_id: str) -> "Commit":
-        """The commit ``buf`` holds; ``commit_id`` is the hash of ``buf``,
-        which the caller has just checked."""
-        doc = json_object(buf, f"commit {commit_id}", COMMIT_KEYS, IntegrityError)
-        return cls(commit_id, doc["parent"], doc["author"], doc["kind"], doc["payload"])
 
 
 @dataclass
@@ -208,13 +170,13 @@ class Repository:
     def base(self) -> BaseEncoder:
         """The encoder of the genesis commit's ``base_seed``, refused unless
         it has the hash that commit records."""
-        return self._base_of()
+        return self.base_of()
 
-    def _base_of(self, genesis: dict | None = None) -> BaseEncoder:
-        """``base``, built from the genesis payload ``genesis`` (the main
-        ref's, read now if not given)."""
+    def base_of(self, genesis: dict | None = None) -> BaseEncoder:
+        """``base``, built from the genesis payload ``genesis`` (a ``Chain``'s,
+        or the main ref's, read now if not given)."""
         if self._base is None:
-            genesis = genesis or self._genesis()
+            genesis = genesis or read_genesis(self.read_commit, self._read_ref())
             base = BaseEncoder.from_seed(genesis["base_seed"])
             if base.param_hash() != genesis["base_hash"]:
                 raise IntegrityError(f"base_seed {genesis['base_seed']} does not build "
@@ -224,8 +186,9 @@ class Repository:
 
     @property
     def strategy(self) -> str:
-        """The strategy the genesis commit records."""
-        return self._genesis()["strategy"]
+        """The strategy the genesis commit records; only the ref and the
+        genesis commit are read."""
+        return read_genesis(self.read_commit, self._read_ref())["strategy"]
 
     def coeff_config(self) -> CoeffOptimConfig:
         return CoeffOptimConfig(**self.config["coeff"])
@@ -284,9 +247,7 @@ class Repository:
             os.close(fd)
         if data is None:
             raise IntegrityError(f"missing object {object_id}")
-        if hashlib.sha256(data).hexdigest() != object_id:
-            raise IntegrityError(f"object {object_id} fails its hash check")
-        return data
+        return hash_checked(data, object_id)
 
     def all_object_ids(self) -> list[str]:
         """The id of every stored object, sorted; the ``.tmp-`` files of
@@ -314,11 +275,7 @@ class Repository:
         ref = self.root / "refs" / "main"
         if not ref.is_file():
             raise IntegrityError("missing main ref")
-        doc = json_object(ref.read_bytes(), "main ref", REF_KEYS, IntegrityError)
-        if "consumed" in doc:
-            json_fields(doc["consumed"], "main ref's consumed entry", CONSUMED_KEYS,
-                        IntegrityError)
-        return doc
+        return parse_ref(ref.read_bytes())
 
     def _write_ref(self, doc: dict) -> None:
         nm.write_file(self.root / "refs" / "main", json.dumps(doc, sort_keys=True).encode())
@@ -332,27 +289,10 @@ class Repository:
     def read_commit(self, commit_id: str) -> Commit:
         return Commit.from_bytes(self.read_object(commit_id), commit_id)
 
-    def _genesis(self, ref: dict | None = None) -> dict:
-        """The payload of ``ref``'s genesis commit, refused unless it is one."""
-        return _payload(self.read_commit((ref or self._read_ref())["genesis"]), "genesis")
-
-    def _merge_payloads(self, ref: dict) -> list[dict]:
-        """The payloads of the merge commits from genesis to ``ref``'s head,
-        oldest first; each commit is hash-checked and its payload checked."""
-        payloads, commit_id = [], ref["head"]
-        while commit_id != ref["genesis"]:
-            commit = self.read_commit(commit_id)
-            payloads.append(_payload(commit, "merge"))
-            commit_id = commit.parent
-        payloads.reverse()
-        if [p["round"] for p in payloads] != list(range(1, len(payloads) + 1)):
-            raise IntegrityError(f"the main chain does not run rounds 1..{len(payloads)}")
-        return payloads
-
-    def _head(self, ref: dict) -> dict:
-        """The payload of ``ref``'s head commit, which names the current item."""
-        kind = "genesis" if ref["head"] == ref["genesis"] else "merge"
-        return _payload(self.read_commit(ref["head"]), kind)
+    def chain(self) -> Chain:
+        """The history the main ref names, read now: each commit read and
+        hash-checked once."""
+        return Chain.read(self.read_commit, self._read_ref())
 
     # -- contributions -----------------------------------------------------
 
@@ -371,11 +311,12 @@ class Repository:
         if not all(np.isfinite(a).all() for a in plugin.parameters()):
             # a NaN or Inf weight would make every later merge objective NaN
             raise ValidationError("plugin weights are not finite")
-        base = self._base_of(genesis)
+        base = self.base_of(genesis)
+        # read outside the try: a lost genesis item is the store's fault, not the contribution's
+        genesis_item = ForgeItem.from_bytes(self.read_object(genesis["item_id"]), self.load_plugin)
         try:
             mdl.check_plugin(base, plugin)
-            ForgeItem.from_bytes(self.read_object(genesis["item_id"]),
-                                 self.load_plugin).check_branch(plugin)
+            genesis_item.check_branch(plugin)
             distilled.check()
             mdl.cosine_logits_np(mdl.encode_np(base, plugin.layer_deltas(), distilled.inputs),
                                  LabelEmbeddingTable(task.name, task.labels, base.embed_dim),
@@ -411,7 +352,7 @@ class Repository:
         ids (and the object store) independent of commit interleaving.
         """
         ref = self._read_ref()  # a bad ref refuses before any store
-        self._validate_contribution(contribution, self._genesis(ref))
+        self._validate_contribution(contribution, read_genesis(self.read_commit, ref))
         plugin_id = self.store_object(contribution.plugin.to_bytes())
         distilled_id = self.store_object(contribution.distilled.to_bytes())
         payload = {
@@ -492,28 +433,27 @@ class Repository:
         """Each distinct distilled id's set and label table, in first-merge order."""
         drawn: dict[str, np.ndarray] = {}  # label text -> row, one draw per text
         out = {}
-        for doc in payloads:  # checked by _payload
+        for doc in payloads:  # checked by Commit.checked_payload
             distilled_id, task = doc["distilled_id"], doc["task"]
             if distilled_id not in out:
                 out[distilled_id] = (self.load_distilled(distilled_id), LabelEmbeddingTable(
                     task["name"], task["labels"], self.base.embed_dim, drawn))
         return out
 
-    def current_item(self) -> ForgeItem:
-        return ForgeItem.from_bytes(self.read_object(self._head(self._read_ref())["item_id"]),
-                                    self.load_plugin)
-
-    def current_round(self) -> int:
-        return self._head(self._read_ref()).get("round", 0)
+    def current_item(self, chain: Chain | None = None) -> ForgeItem:
+        """The item the head of ``chain`` (the main ref's, read now if not
+        given) names."""
+        chain = self.chain() if chain is None else chain
+        return ForgeItem.from_bytes(self.read_object(chain.head["item_id"]), self.load_plugin)
 
     def merge_next(self) -> dict:
         """Merge the oldest queued contribution into the main branch.
 
         A round reads the main ref, the queue head, the contribution, the
-        merge commits back to genesis (for the current item and guidance), the
-        genesis commit (for the encoder and the strategy), the current item and
-        the guidance sets. The ref write commits the round; a merge failing
-        after it loses at most the round's log record.
+        ref's ``Chain`` (the current item, the guidance list, the encoder and
+        the strategy), the current item and the guidance sets. The ref write
+        commits the round; a merge failing after it loses at most the round's
+        log record.
         """
         with self._main_lock():
             ref = self._read_ref()
@@ -525,21 +465,19 @@ class Repository:
             if entry is None:
                 raise NothingToMergeError("contribution queue is empty")
             commit = self.read_commit(entry["commit_id"])
-            payload = _payload(commit, "contribution")
+            payload = commit.checked_payload("contribution")
             branch = self.load_plugin(payload["plugin_id"])
-            merges = self._merge_payloads(ref)
-            genesis = self._genesis(ref)
-            base = self._base_of(genesis)
-            item = ForgeItem.from_bytes(self.read_object([genesis, *merges][-1]["item_id"]),
-                                        self.load_plugin)
-            guidance = self._guidance_from([*merges, payload])
+            chain = Chain.read(self.read_commit, ref)
+            base = self.base_of(chain.genesis)
+            item = ForgeItem.from_bytes(self.read_object(chain.head["item_id"]), self.load_plugin)
+            guidance = self._guidance_from([*chain.merges, payload])
             new_item, outcome = mrg.merge_round(base, item, branch, list(guidance.values()),
                                                 self.coeff_config(),
                                                 self.config["temperature"])
             item_id = self.store_object(new_item.to_bytes())
             merge_commit = self._append_commit(ref["head"], "registry", "merge", {
                 "round": new_item.round,
-                "strategy": genesis["strategy"],
+                "strategy": chain.strategy,
                 "task": payload["task"],
                 "contribution_commit": commit.id,
                 "plugin_id": payload["plugin_id"],
@@ -572,18 +510,16 @@ class Repository:
 
     # -- history -----------------------------------------------------------
 
-    def checkout(self, round_no: int, ref: dict | None = None) -> ForgeItem:
+    def checkout(self, round_no: int, chain: Chain | None = None) -> ForgeItem:
         """Rebuild the forge item as of ``round_no`` by replaying the merge
-        commit chain of ``ref`` (the main ref, read now if not given) from
-        genesis; each round's item must match the id its commit records, and
-        that id must name a stored object."""
-        ref = self._read_ref() if ref is None else ref
-        payloads = self._merge_payloads(ref)
-        if round_no < 0 or round_no > len(payloads):
-            raise InputError(f"round {round_no} outside [0, {len(payloads)}]")
-        item = ForgeItem.from_bytes(self.read_object(self._genesis(ref)["item_id"]),
-                                    self.load_plugin)
-        for payload in payloads[:round_no]:
+        commits of ``chain`` (the main ref's, read now if not given) from the
+        genesis item; each round's item must match the id its commit records,
+        and that id must name a stored object."""
+        chain = self.chain() if chain is None else chain
+        if round_no < 0 or round_no > chain.round:
+            raise InputError(f"round {round_no} outside [0, {chain.round}]")
+        item = ForgeItem.from_bytes(self.read_object(chain.genesis["item_id"]), self.load_plugin)
+        for payload in chain.merges[:round_no]:
             branch = self.load_plugin(payload["plugin_id"])
             item = item.merged(branch, mrg.MergeCoefficients(payload["w_main"],
                                                              payload["w_branch"]),
@@ -601,8 +537,8 @@ class Repository:
     def replay(self) -> ForgeItem:
         """Check out the main ref's last round, which checks every round's
         item; a merge committing meanwhile does not matter."""
-        ref = self._read_ref()
-        return self.checkout(self._head(ref).get("round", 0), ref)
+        chain = self.chain()
+        return self.checkout(chain.round, chain)
 
     def verify_objects(self) -> int:
         """Re-hash every stored object; returns the count checked."""
@@ -635,20 +571,4 @@ def _check_config(config: dict) -> dict:
 def _consumed(entry: dict) -> dict:
     """How the main ref names the queue entry a round merged."""
     return {"commit_id": entry["commit_id"], "seq": entry["seq"]}
-
-
-def _payload(commit: Commit, kind: str) -> dict:
-    """``commit``'s payload, refused unless ``commit`` is a ``kind`` commit, with
-    a parent unless a genesis, whose payload holds ``PAYLOAD_KEYS[kind]`` at
-    their types and, past genesis, a task spec under ``task``."""
-    if commit.kind != kind or (commit.parent is None) != (kind == "genesis"):
-        raise IntegrityError(f"commit {commit.id} is no {kind} commit")
-    payload = json_fields(commit.payload, f"{kind} commit {commit.id}", PAYLOAD_KEYS[kind],
-                          IntegrityError)
-    if kind != "genesis":
-        try:
-            TaskSpec.from_dict(payload["task"])
-        except FormatError as exc:
-            raise IntegrityError(f"{kind} commit {commit.id}: {exc}") from exc
-    return payload
 

@@ -283,7 +283,7 @@ def test_criterion_5_merging_efficacy(pipeline, merged_repos):
 
         ok &= mixture_report.avg_acc >= distilled_avg - 0.05
         ok &= mixture_report.avg_acc >= soup_report.avg_acc
-        ok &= fusion_repo.current_round() == 3
+        ok &= fusion_repo.chain().round == 3
         for name in artifacts:
             ok &= fusion_report.per_task[name]["acc"] > base_report.per_task[name]["acc"]
         detail.append(

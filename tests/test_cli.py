@@ -489,7 +489,7 @@ class TestExitCodes:
                      "--distilled", str(tmp_path / "d.fgd"), "--task", "M-toy",
                      "--data", str(data_dir)]) == 0
         assert main([*common, "merge", str(repo), "--all"]) == 0
-        assert Repository(repo).current_round() == 1
+        assert Repository(repo).chain().round == 1
         assert main(["checkout", str(repo), "--round", "1",
                      "--out", str(tmp_path / "item.fgi")]) == 0
 

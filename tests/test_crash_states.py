@@ -202,7 +202,7 @@ def test_every_crash_state_of_a_merge_round_recovers(tmp_path, strategy):
     assert sum(LOG in s and not s[LOG].endswith(b"\n") for s in states) == 1
     for state in states:
         repo = opened(build(tmp_path / "state", state))
-        if repo.current_round() < record["round"]:
+        if repo.chain().round < record["round"]:
             repo.merge_next()
         repo.merge_all()
         assert outcome(repo) == clean

@@ -367,8 +367,7 @@ def test_edited_strategy_does_not_enter_a_fusion_history(world, tmp_path, capsys
     for root in (repo, clean):
         assert run(commit_argv(world, root, 2), capsys) == 0
         assert run(["merge", str(root), "--all"], capsys) == 0
-    ref = json.loads((repo / "refs" / "main").read_text())
-    payloads = Repository(repo)._merge_payloads(ref)
+    payloads = Repository(repo).chain().merges
     assert [p["strategy"] for p in payloads] == ["fusion"] * 3
     assert history(repo) == history(clean)
 
@@ -388,7 +387,7 @@ def test_edited_strategy_does_not_hold_a_mixture_to_one_rank(world, tmp_path, ca
         assert run(["merge", str(root), "--all"], capsys) == 0
         histories.append(history(root))
     assert histories[0] == histories[1]
-    assert Repository(tmp_path / "repo").current_round() == 2
+    assert Repository(tmp_path / "repo").chain().round == 2
 
 
 @pytest.mark.parametrize("damage", ["file as shard", "directory as object"])

@@ -3,6 +3,8 @@ import hashlib
 import json
 import sys
 import threading
+from collections import Counter
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from forge import merge, model
 from forge import numerics as nm
 from forge.cli import main
-from forge.datasets import TaskSpec
+from forge.datasets import LabeledDataset, TaskSpec, save_dataset
 from forge.distill import DistilledDataset
 from forge.errors import (
     ConflictError,
@@ -173,6 +175,30 @@ class TestCommit:
         with pytest.raises(IntegrityError):
             repo.read_object("0" * 64)
 
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_lost_genesis_item_is_no_refused_contribution(self, tmp_path, strategy, capsys):
+        """A repository that lost its genesis item reports that object, not the
+        contribution, through the library and through ``forge commit`` (exit
+        2); nothing is stored or queued."""
+        repo = make_repo(tmp_path / "repo", strategy=strategy)
+        contrib = make_contribution(repo.base, "t1", ["t1 a", "t1 b"])
+        item_id = repo.read_commit(repo._read_ref()["genesis"]).payload["item_id"]
+        Path(repo._object_file(item_id)).unlink()
+        stored = repo.all_object_ids()
+        with pytest.raises(IntegrityError, match=f"^missing object {item_id}$"):
+            repo.commit_contribution(contrib)
+        (tmp_path / "p.fgm").write_bytes(contrib.plugin.to_bytes())
+        (tmp_path / "d.fgd").write_bytes(contrib.distilled.to_bytes())
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "manifest.json").write_text(
+            json.dumps({"tasks": {"t1": contrib.task.to_dict()}}))
+        assert main(["commit", str(repo.root), "--plugin", str(tmp_path / "p.fgm"),
+                     "--distilled", str(tmp_path / "d.fgd"), "--task", "t1",
+                     "--data", str(tmp_path / "data")]) == 2
+        assert capsys.readouterr().err == f"error: missing object {item_id}\n"
+        assert repo.all_object_ids() == stored
+        assert repo.pending() == []
+
     def test_fusion_repo_rejects_rank_mismatch_at_commit(self, tmp_path):
         repo = make_repo(tmp_path / "repo", strategy="fusion")
         contrib = make_contribution(repo.base, "t1", ["red", "blue"])
@@ -195,7 +221,7 @@ class TestCommit:
         repo.commit_contribution(make_contribution(repo.base, "t2", ["green", "grey"], seed=1))
         repo.merge_all()
         assert repo.pending() == []
-        assert repo.current_round() == (1 if strategy == "fusion" else 2)
+        assert repo.chain().round == (1 if strategy == "fusion" else 2)
 
     def test_mixture_repo_accepts_heterogeneous_ranks(self, tmp_path):
         repo = make_repo(tmp_path / "repo", strategy="mixture")
@@ -203,7 +229,7 @@ class TestCommit:
         contrib.plugin = PluginModule.fresh(repo.base, RANK * 2, ALPHA, nm.make_rng(0))
         repo.commit_contribution(contrib)
         repo.merge_next()
-        assert repo.current_round() == 1
+        assert repo.chain().round == 1
 
     @pytest.mark.parametrize("factor,bad", [("a", np.nan), ("b", np.inf)])
     def test_non_finite_plugin_refused_before_storing(self, tmp_path, factor, bad):
@@ -429,6 +455,33 @@ class TestMerge:
         assert [r["round"] for r in repo.merge_all()] == [2]
         assert repo.pending() == []
 
+    def test_a_round_between_enqueues_reads_loses_no_commit(self, tmp_path, monkeypatch):
+        """A merge round that runs between ``_enqueue``'s queue listing and its
+        ref read, whichever it makes first, while the contribution it merges
+        is committed again: the second commit still merges as round 2. Read
+        the ref first and the new entry takes the consumed entry's number,
+        and the next round drops it as already merged."""
+        repo = make_repo(tmp_path / "repo")
+        contrib = make_contribution(repo.base, "t1", ["t1 a", "t1 b"])
+        repo.commit_contribution(contrib)
+        enqueue, inside = Repository._enqueue, []
+        monkeypatch.setattr(Repository, "_enqueue",
+                            lambda self_, doc: inside.append(1) or enqueue(self_, doc))
+        for name in ("queued_paths", "_read_ref"):
+            def read_then_merge(self_, read=getattr(Repository, name)):
+                out = read(self_)
+                if inside:  # the first of _enqueue's two reads has returned
+                    inside.clear()
+                    assert Repository(repo.root).merge_next()["round"] == 1
+                return out
+            monkeypatch.setattr(Repository, name, read_then_merge)
+        repo.commit_contribution(contrib)
+        assert not inside  # the round ran
+        assert [r["round"] for r in repo.merge_all()] == [2]
+        assert repo.chain().round == 2
+        assert repo.pending() == []
+        repo.replay()
+
     def test_merge_does_not_mutate_stored_artifacts(self, tmp_path):
         repo = make_repo(tmp_path / "repo", strategy="fusion")
         contrib = make_contribution(repo.base, "t1", ["red", "blue"])
@@ -449,7 +502,7 @@ class TestMerge:
         monkeypatch.setattr(model, "encode_np",
                             lambda *a, **k: calls.append(1) or encode_np(*a, **k))
         repo.merge_all()
-        assert repo.current_round() == 3
+        assert repo.chain().round == 3
         assert calls == []
 
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
@@ -492,7 +545,7 @@ class TestMerge:
             entry.write_text(json.dumps({"commit_id": object_id}))
             with pytest.raises(IntegrityError, match=object_id):
                 repo.merge_next()
-        assert repo.current_round() == 0
+        assert repo.chain().round == 0
 
     def test_lock_conflict(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
@@ -530,7 +583,7 @@ class TestHistory:
         repo = self.prepare(tmp_path, strategy)
         zero = repo.checkout(0)
         assert zero.round == 0
-        current = repo.checkout(repo.current_round())
+        current = repo.checkout(repo.chain().round)
         assert current.to_bytes() == repo.current_item().to_bytes()
         mid = repo.checkout(1)
         assert mid.round == 1
@@ -559,7 +612,7 @@ class TestHistory:
         with pytest.raises(OSError):
             repo.merge_next()
         assert [r["round"] for r in repo.merge_records()] == [1]
-        assert repo.current_round() == 1
+        assert repo.chain().round == 1
         with pytest.raises(InputError):
             repo.checkout(2)  # round 2 never committed
         repo.merge_all()
@@ -591,14 +644,14 @@ class TestHistory:
         with pytest.raises(OSError):
             repo.merge_next()
         assert failed == [2]
-        assert repo.current_round() == 2  # the ref write committed the round
+        assert repo.chain().round == 2  # the ref write committed the round
         repo.replay()
         assert [r["round"] for r in repo.merge_all()] == [3]  # round 2 not merged again
         assert repo.pending() == []
         repo.replay()
         ref = repo._read_ref()
         assert ref == clean._read_ref()
-        assert repo._merge_payloads(ref) == clean._merge_payloads(ref)
+        assert repo.chain() == clean.chain()
         assert repo.all_object_ids() == clean.all_object_ids()
 
         def logged(records):
@@ -715,14 +768,58 @@ class TestHistory:
         load_plugin = repo.load_plugin
 
         def merging_meanwhile(object_id):
-            if other.current_round() == 2:
+            if other.chain().round == 2:
                 other.merge_next()  # commits round 3 while the replay runs
             return load_plugin(object_id)
 
         repo.load_plugin = merging_meanwhile
         item = repo.replay()
-        assert repo.current_round() == 3
+        assert repo.chain().round == 3
         assert hashlib.sha256(item.to_bytes()).hexdigest() == before["item_id"]
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_each_command_reads_the_ref_once_and_each_commit_at_most_once(
+            self, tmp_path, strategy, monkeypatch, capsys):
+        repo = self.prepare(tmp_path, strategy)
+        repo.commit_contribution(make_contribution(repo.base, "t4", ["t4 a", "t4 b"], seed=3))
+        data, rng = tmp_path / "data", nm.make_rng(5)
+        tasks = {name: TaskSpec(name, [f"{name} a", f"{name} b"]) for name in ("t1", "t2")}
+        for name, spec in tasks.items():
+            (data / name).mkdir(parents=True)
+            save_dataset(data / name / "test.fgd", spec,
+                         LabeledDataset(rng.normal(size=(4, spec.flat_dim)), [0, 1, 0, 1]))
+        (data / "manifest.json").write_text(
+            json.dumps({"tasks": {name: spec.to_dict() for name, spec in tasks.items()}}))
+        commits = set()
+        for object_id in repo.all_object_ids():
+            with suppress(IntegrityError):  # no commit
+                commits.add(repo.read_commit(object_id).id)
+        root = str(repo.root)
+
+        def evaluate(*flags):
+            assert main(["eval", root, "--tasks", "t1,t2", "--data", str(data), *flags]) == 0
+
+        commands = {f"checkout({r})": lambda r=r: Repository(root).checkout(r)
+                    for r in range(4)}
+        commands.update({
+            "replay": lambda: Repository(root).replay(),
+            "forge eval": evaluate,
+            "forge eval --round 2": lambda: evaluate("--round", "2"),
+            "merge_next": lambda: Repository(root).merge_next(),  # last: it adds a round
+        })
+        read_object, read_ref, reads = Repository.read_object, Repository._read_ref, []
+        monkeypatch.setattr(Repository, "read_object",
+                            lambda self_, object_id: reads.append(object_id) or
+                            read_object(self_, object_id))
+        monkeypatch.setattr(Repository, "_read_ref",
+                            lambda self_: reads.append("ref") or read_ref(self_))
+        for name, command in commands.items():
+            reads.clear()
+            command()
+            assert reads.count("ref") == 1, name
+            assert set(Counter(r for r in reads if r in commits).values()) == {1}, name
+        assert capsys.readouterr().out.count("average: ACC") == 2
+        assert Repository(root).chain().round == 4
 
     @pytest.mark.parametrize("tamper", ["head=contribution", "head=merge without parent"])
     def test_ref_that_disagrees_with_the_chain_is_refused(self, tmp_path, tamper):
@@ -773,7 +870,7 @@ class TestHistory:
         monkeypatch.setattr(Path, "unlink", failing_once)
         with pytest.raises(OSError):
             repo.merge_next()
-        assert repo.current_round() == failing_round  # the round committed
+        assert repo.chain().round == failing_round  # the round committed
         assert failed == [f"{failing_round:06d}.json"]  # and its entry is still queued
         repo.merge_all()
         assert repo.pending() == []
@@ -817,7 +914,7 @@ class TestHistory:
         repo = self.queued(tmp_path / "repo", strategy)
         repo.merge_next()
         ref = repo._read_ref()
-        (merged,) = repo._merge_payloads(ref)
+        (merged,) = repo.chain().merges
         assert merged["task"]["labels"] == ["t1 a", "t1 b"]
         flipped = {**merged["task"], "labels": ["t1 a", "t1 c"]}
         listing = [{"distilled_id": merged["distilled_id"], "task": flipped}] \
