@@ -258,7 +258,7 @@ def _cmd_merge(args, config: RunConfig) -> int:
 def _cmd_eval(args, config: RunConfig) -> int:
     repo = Repository(args.repo)
     chain = repo.chain()  # the one read of the history this command makes
-    item = repo.current_item(chain) if args.round is None else repo.checkout(args.round, chain)
+    item = repo.checkout(chain.round if args.round is None else args.round, chain)
     deltas, base = item.deltas(), repo.base_of(chain.genesis)
     report = MetricsReport(chain.strategy, args.tasks.split(","), config.seed)
     for task in args.tasks.split(","):

@@ -313,7 +313,7 @@ class Repository:
             raise ValidationError("plugin weights are not finite")
         base = self.base_of(genesis)
         # read outside the try: a lost genesis item is the store's fault, not the contribution's
-        genesis_item = ForgeItem.from_bytes(self.read_object(genesis["item_id"]), self.load_plugin)
+        genesis_item = self._stored_item(genesis)
         try:
             mdl.check_plugin(base, plugin)
             genesis_item.check_branch(plugin)
@@ -440,11 +440,23 @@ class Repository:
                     task["name"], task["labels"], self.base.embed_dim, drawn))
         return out
 
+    def _stored_item(self, payload: dict) -> ForgeItem:
+        """The item the genesis or merge payload ``payload`` names, as stored:
+        its bytes and, for a mixture, its plugins' are hash-checked as read."""
+        return ForgeItem.from_bytes(self.read_object(payload["item_id"]), self.load_plugin)
+
+    def _require_stored(self, payload: dict) -> None:
+        """Refuse the merge payload ``payload``, naming its round, unless the
+        item it names is stored."""
+        if not self._is_stored(payload["item_id"]):
+            raise IntegrityError(f"round {payload['round']}'s item {payload['item_id']} "
+                                 f"is missing from the object store")
+
     def current_item(self, chain: Chain | None = None) -> ForgeItem:
         """The item the head of ``chain`` (the main ref's, read now if not
         given) names."""
         chain = self.chain() if chain is None else chain
-        return ForgeItem.from_bytes(self.read_object(chain.head["item_id"]), self.load_plugin)
+        return self._stored_item(chain.head)
 
     def merge_next(self) -> dict:
         """Merge the oldest queued contribution into the main branch.
@@ -469,7 +481,7 @@ class Repository:
             branch = self.load_plugin(payload["plugin_id"])
             chain = Chain.read(self.read_commit, ref)
             base = self.base_of(chain.genesis)
-            item = ForgeItem.from_bytes(self.read_object(chain.head["item_id"]), self.load_plugin)
+            item = self._stored_item(chain.head)
             guidance = self._guidance_from([*chain.merges, payload])
             new_item, outcome = mrg.merge_round(base, item, branch, list(guidance.values()),
                                                 self.coeff_config(),
@@ -511,15 +523,26 @@ class Repository:
     # -- history -----------------------------------------------------------
 
     def checkout(self, round_no: int, chain: Chain | None = None) -> ForgeItem:
-        """Rebuild the forge item as of ``round_no`` by replaying the merge
-        commits of ``chain`` (the main ref's, read now if not given) from the
-        genesis item; each round's item must match the id its commit records,
-        and that id must name a stored object."""
+        """The stored item that round ``round_no``'s commit in ``chain`` (the
+        main ref's, read now if not given) names, round 0's being the genesis
+        item. It is read and hash-checked, not re-derived: ``replay`` proves
+        that the merge algebra gives it."""
         chain = self.chain() if chain is None else chain
         if round_no < 0 or round_no > chain.round:
             raise InputError(f"round {round_no} outside [0, {chain.round}]")
-        item = ForgeItem.from_bytes(self.read_object(chain.genesis["item_id"]), self.load_plugin)
-        for payload in chain.merges[:round_no]:
+        payload = (chain.genesis, *chain.merges)[round_no]
+        if round_no:  # the genesis payload names no round: its loss is read_object's to report
+            self._require_stored(payload)
+        return self._stored_item(payload)
+
+    def replay(self) -> ForgeItem:
+        """Re-derive every round of the main ref's chain from the genesis item
+        with the merge algebra and return the last; each round's item must
+        match the id its commit records, and that id must name a stored
+        object. A merge committing meanwhile does not matter."""
+        chain = self.chain()
+        item = self._stored_item(chain.genesis)
+        for payload in chain.merges:
             branch = self.load_plugin(payload["plugin_id"])
             item = item.merged(branch, mrg.MergeCoefficients(payload["w_main"],
                                                              payload["w_branch"]),
@@ -529,16 +552,8 @@ class Repository:
             if got != expect:
                 raise IntegrityError(
                     f"replay of round {item.round} produced {got}, its commit says {expect}")
-            if not self._is_stored(expect):
-                raise IntegrityError(f"round {item.round}'s item {expect} is missing "
-                                     f"from the object store")
+            self._require_stored(payload)
         return item
-
-    def replay(self) -> ForgeItem:
-        """Check out the main ref's last round, which checks every round's
-        item; a merge committing meanwhile does not matter."""
-        chain = self.chain()
-        return self.checkout(chain.round, chain)
 
     def verify_objects(self) -> int:
         """Re-hash every stored object; returns the count checked."""

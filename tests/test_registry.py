@@ -708,11 +708,38 @@ class TestHistory:
         to_bytes, calls = PluginModule.to_bytes, []
         monkeypatch.setattr(PluginModule, "to_bytes",
                             lambda self_: calls.append(1) or to_bytes(self_))
-        item = Repository(repo.root).checkout(4)
+        reopened = Repository(repo.root)
+        item = reopened.checkout(4)
+        assert calls == []  # the stored item names its plugins by id
+        assert item.to_bytes() == want
+        replayed = reopened.replay()
         # at most one plugin serialization per round; each round's plugin id
         # is the one its commit names, and that object was just hash-checked
         assert len(calls) <= 4
-        assert item.to_bytes() == want
+        assert replayed.to_bytes() == want
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_commit_naming_another_stored_item_is_refused_by_replay_only(
+            self, tmp_path, strategy):
+        """Round 2's merge commit forged to name round 1's stored item, with
+        its round-3 child re-stored over it: replay re-derives round 2 and
+        refuses it; checkout returns the stored item the commit names."""
+        repo = self.prepare(tmp_path, strategy)
+        ref = repo._read_ref()
+        third = repo.read_commit(ref["head"])
+        second = repo.read_commit(third.parent)
+        first_id, second_id = repo.chain().merges[0]["item_id"], second.payload["item_id"]
+        forged = repo._append_commit(second.parent, second.author, "merge",
+                                     {**second.payload, "item_id": first_id})
+        child = repo._append_commit(forged.id, third.author, "merge", third.payload)
+        repo._write_ref({**ref, "head": child.id})
+        reopened = Repository(repo.root)
+        with pytest.raises(IntegrityError, match=f"^replay of round 2 produced {second_id}, "
+                                                 f"its commit says {first_id}$"):
+            reopened.replay()
+        item = reopened.checkout(2)
+        assert hashlib.sha256(item.to_bytes()).hexdigest() == first_id
+        assert item.round == 1
 
     @pytest.mark.parametrize("damage", ["deleted", "directory", "flipped byte"])
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
@@ -813,11 +840,19 @@ class TestHistory:
                             read_object(self_, object_id))
         monkeypatch.setattr(Repository, "_read_ref",
                             lambda self_: reads.append("ref") or read_ref(self_))
+        # the item a command reads and the round it is of: a fusion item holds
+        # its plugin, a mixture item reads each of its plugins once
+        item_round = {f"checkout({r})": r for r in range(4)}
+        item_round.update({"forge eval": 3, "forge eval --round 2": 2})
+        plugins = [p["plugin_id"] for p in repo.chain().merges]
         for name, command in commands.items():
             reads.clear()
             command()
             assert reads.count("ref") == 1, name
             assert set(Counter(r for r in reads if r in commits).values()) == {1}, name
+            if name in item_round:
+                want = plugins[:item_round[name]] if strategy == "mixture" else []
+                assert sorted(r for r in reads if r in plugins) == sorted(want), name
         assert capsys.readouterr().out.count("average: ACC") == 2
         assert Repository(root).chain().round == 4
 
