@@ -9,8 +9,9 @@ SHA-256 of their bytes, so concurrent writes are idempotent and raw task
 data never enters the repository. The merge commits, hash-chained from the
 main ref's head to genesis, are the history; the merge log is a record of
 it. Timestamps live in queue entries and the log, never inside hashed
-objects, which keeps replay stable. Merges serialize on an advisory lock;
-commits do not.
+objects, which keeps replay stable. No queue entry is ever removed: the
+queue is the entries numbered past the main ref's consumed one. Merges
+serialize on an advisory lock; commits do not.
 """
 
 from __future__ import annotations
@@ -325,8 +326,9 @@ class Repository:
             raise ValidationError(f"contribution refused: {exc}") from exc
 
     def _enqueue(self, doc: dict) -> None:
-        """Queue ``doc`` under a number no entry of this repository had, so
-        the ref's consumed entry names one enqueue and never a later one.
+        """Queue ``doc`` under a number past every entry and past the main
+        ref's cursor. No entry is ever removed, so a round merging meanwhile
+        cannot hand a merged entry's number to a new one.
 
         The doc is written in full before it takes its number: a commit that
         dies on the way leaves at most a ``.tmp-`` file, never an empty entry
@@ -335,11 +337,8 @@ class Repository:
         queue = self.root / "queue"
         with nm.staged_file(queue, json.dumps(doc).encode()) as tmp:
             while True:
-                existing = [int(p.stem) for p in self.queued_paths()]
-                # read after listing: a merge writes the ref naming its entry
-                # before it unlinks that entry, so the entry shows in one of them
-                consumed = self._read_ref().get("consumed")
-                seq = max([*existing, consumed["seq"] if consumed else 0]) + 1
+                ref = self._read_ref()
+                seq = max([_cursor(ref), *(int(p.stem) for p in self.queued_paths(ref))]) + 1
                 with suppress(FileExistsError):  # taken meanwhile: number it again
                     os.link(tmp, queue / f"{seq:06d}.json")  # never over an entry
                     return
@@ -373,25 +372,23 @@ class Repository:
         doc["seq"] = int(path.stem)
         return doc
 
-    def queued_paths(self) -> list[Path]:
-        """The queue's entries, oldest first: the files named by their number
-        as ``_enqueue`` names them, in the order of that number. Nothing else
-        in ``queue/`` is an entry, so a stray file neither blocks nor joins
-        the queue."""
-        paths = (self.root / "queue").iterdir()
-        return sorted((p for p in paths if QUEUE_ENTRY_NAME.fullmatch(p.name)),
-                      key=lambda p: int(p.stem))
+    def queued_paths(self, ref: dict | None = None) -> list[Path]:
+        """The queue, oldest first: the files named by their number as
+        ``_enqueue`` names them, numbered past the cursor of ``ref`` (the main
+        ref, read now if not given). Those at or below it have merged. Nothing
+        else in ``queue/`` is an entry: a stray neither blocks nor joins."""
+        cursor = _cursor(self._read_ref() if ref is None else ref)
+        paths = (p for p in (self.root / "queue").iterdir()
+                 if QUEUE_ENTRY_NAME.fullmatch(p.name) and int(p.stem) > cursor)
+        return sorted(paths, key=lambda p: int(p.stem))
 
     def pending(self) -> list[dict]:
         return [self._queue_doc(path) for path in self.queued_paths()]
 
-    def queue_head(self) -> dict | None:
-        """The oldest queued entry, or None; no other queue file is read."""
-        paths = self.queued_paths()
+    def queue_head(self, ref: dict | None = None) -> dict | None:
+        """The oldest entry past ``ref``'s cursor, or None; no other is read."""
+        paths = self.queued_paths(ref)
         return self._queue_doc(paths[0]) if paths else None
-
-    def _unlink_queued(self, entry: dict) -> None:
-        (self.root / "queue" / f"{entry['seq']:06d}.json").unlink()
 
     # -- merging -----------------------------------------------------------
 
@@ -440,17 +437,23 @@ class Repository:
                     task["name"], task["labels"], self.base.embed_dim, drawn))
         return out
 
-    def _stored_item(self, payload: dict) -> ForgeItem:
-        """The item the genesis or merge payload ``payload`` names, as stored:
-        its bytes and, for a mixture, its plugins' are hash-checked as read."""
-        return ForgeItem.from_bytes(self.read_object(payload["item_id"]), self.load_plugin)
+    def _item_bytes(self, payload: dict) -> bytes:
+        """The stored bytes of the item the genesis or merge payload
+        ``payload`` names, hash-checked; a merge payload's item that is
+        missing or damaged is refused naming its round."""
+        item_id = payload["item_id"]
+        try:
+            return self.read_object(item_id)
+        except IntegrityError as exc:
+            if "round" not in payload:  # the genesis item: read_object's report stands
+                raise
+            problem = ("fails its hash check" if self._is_stored(item_id)
+                       else "is missing from the object store")
+            raise IntegrityError(f"round {payload['round']}'s item {item_id} {problem}") from exc
 
-    def _require_stored(self, payload: dict) -> None:
-        """Refuse the merge payload ``payload``, naming its round, unless the
-        item it names is stored."""
-        if not self._is_stored(payload["item_id"]):
-            raise IntegrityError(f"round {payload['round']}'s item {payload['item_id']} "
-                                 f"is missing from the object store")
+    def _stored_item(self, payload: dict) -> ForgeItem:
+        """The item ``payload`` names, as stored; a mixture's plugins are read too."""
+        return ForgeItem.from_bytes(self._item_bytes(payload), self.load_plugin)
 
     def current_item(self, chain: Chain | None = None) -> ForgeItem:
         """The item the head of ``chain`` (the main ref's, read now if not
@@ -469,11 +472,7 @@ class Repository:
         """
         with self._main_lock():
             ref = self._read_ref()
-            entry = self.queue_head()
-            if entry is not None and _consumed(entry) == ref.get("consumed"):
-                # its round committed, then the merge failed before this unlink
-                self._unlink_queued(entry)
-                entry = self.queue_head()
+            entry = self.queue_head(ref)
             if entry is None:
                 raise NothingToMergeError("contribution queue is empty")
             commit = self.read_commit(entry["commit_id"])
@@ -507,9 +506,8 @@ class Repository:
                       "metrics_post": outcome.metrics_post,
                       "timestamp": time.time()}
             self._write_ref({"genesis": ref["genesis"], "head": merge_commit.id,
-                             "consumed": _consumed(entry)})
+                             "consumed": {"commit_id": commit.id, "seq": entry["seq"]}})
             self._append_merge_record(record)
-            self._unlink_queued(entry)
             return record
 
     def merge_all(self) -> list[dict]:
@@ -530,16 +528,13 @@ class Repository:
         chain = self.chain() if chain is None else chain
         if round_no < 0 or round_no > chain.round:
             raise InputError(f"round {round_no} outside [0, {chain.round}]")
-        payload = (chain.genesis, *chain.merges)[round_no]
-        if round_no:  # the genesis payload names no round: its loss is read_object's to report
-            self._require_stored(payload)
-        return self._stored_item(payload)
+        return self._stored_item((chain.genesis, *chain.merges)[round_no])
 
     def replay(self) -> ForgeItem:
         """Re-derive every round of the main ref's chain from the genesis item
         with the merge algebra and return the last; each round's item must
-        match the id its commit records, and that id must name a stored
-        object. A merge committing meanwhile does not matter."""
+        match the id its commit records and be stored whole under it. A merge
+        committing meanwhile does not matter."""
         chain = self.chain()
         item = self._stored_item(chain.genesis)
         for payload in chain.merges:
@@ -552,7 +547,7 @@ class Repository:
             if got != expect:
                 raise IntegrityError(
                     f"replay of round {item.round} produced {got}, its commit says {expect}")
-            self._require_stored(payload)
+            self._item_bytes(payload)
         return item
 
     def verify_objects(self) -> int:
@@ -583,7 +578,6 @@ def _check_config(config: dict) -> dict:
     return config
 
 
-def _consumed(entry: dict) -> dict:
-    """How the main ref names the queue entry a round merged."""
-    return {"commit_id": entry["commit_id"], "seq": entry["seq"]}
-
+def _cursor(ref: dict) -> int:
+    """The number of the last queue entry ``ref``'s history merged, or 0."""
+    return ref["consumed"]["seq"] if "consumed" in ref else 0

@@ -590,7 +590,7 @@ class TestExitCodes:
     def test_stray_queue_file_is_no_entry_and_entries_merge_by_number(self, tmp_path,
                                                                       data_dir, capsys):
         repo, argv = self.mixture_repo_and_commit_argv(tmp_path, data_dir)
-        # names _enqueue never gives, so merging could not unlink them by number
+        # names _enqueue never gives, so none is an entry
         strays = [repo / "queue" / name for name in ("notes.json", "7.json", "0000008.json")]
         for stray in strays:
             stray.write_text("kept by hand")
@@ -609,7 +609,9 @@ class TestExitCodes:
         merged = [json.loads(line)["contribution_commit"][:12]
                   for line in (repo / "log" / "merges.jsonl").read_text().splitlines()]
         assert merged == committed
-        assert sorted((repo / "queue").iterdir()) == sorted(strays)
+        # each merged entry stays, at or below the main ref's cursor
+        assert sorted((repo / "queue").iterdir()) == sorted(
+            [*strays, repo / "queue" / "999999.json", repo / "queue" / "1000000.json"])
         assert all(stray.read_text() == "kept by hand" for stray in strays)
 
     def test_runtime_error_is_three(self, tmp_path):

@@ -6,10 +6,10 @@ each state a crash could leave on a copy of the files as they were before the
 operation, and check that forge recovers from every one of them.
 
 The trace is taken by wrapping forge's one staged write
-(``numerics.staged_file``), the merge-log append, the queue-entry unlink and
-``os.rename`` (which only ``init`` calls), and by snapshotting the files
-after each step. The states are every prefix of
-the trace, each staged file present but not yet renamed (or, for a queue
+(``numerics.staged_file``), the merge-log append and ``os.rename`` (which
+only ``init`` calls), and by snapshotting the files after each step. No
+forge operation removes a queue entry. The states are every prefix of the
+trace, each staged file present but not yet renamed (or, for a queue
 entry, linked and not yet removed), and a merge log whose last line is cut in
 half. Nothing in forge is fsynced, so the reorderings a power loss allows are
 not among them.
@@ -111,8 +111,7 @@ def crash_states(root: Path, operation):
     and the state after it last, and what it returned."""
     states = [snapshot(root)]
     take = lambda: states.append(snapshot(root))  # noqa: E731
-    staged, append, unlink, rename = (nm.staged_file, Repository._append_merge_record,
-                                      Repository._unlink_queued, os.rename)
+    staged, append, rename = nm.staged_file, Repository._append_merge_record, os.rename
 
     @contextlib.contextmanager
     def staged_file(directory, data):
@@ -127,10 +126,6 @@ def crash_states(root: Path, operation):
         take()
         states.insert(-1, torn(states[-1]))  # died halfway through the line
 
-    def unlink_queued(self, entry):
-        unlink(self, entry)
-        take()
-
     def renamed(src, dst):
         rename(src, dst)
         take()
@@ -138,7 +133,6 @@ def crash_states(root: Path, operation):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nm, "staged_file", staged_file)
         mp.setattr(Repository, "_append_merge_record", append_merge_record)
-        mp.setattr(Repository, "_unlink_queued", unlink_queued)
         mp.setattr(os, "rename", renamed)
         result = operation()
     take()
@@ -160,7 +154,7 @@ def opened(root: Path) -> Repository:
 
 def outcome(repo: Repository) -> dict:
     """What every recovered run must share with the clean one: the ref, each
-    merge commit's id and item id from genesis on, an empty queue, and a
+    merge commit's id and item id from genesis on, nothing pending, and a
     merge log that parses and ends with the last round."""
     ref = repo._read_ref()
     chain, commit_id = [], ref["head"]
@@ -197,8 +191,8 @@ def test_every_crash_state_of_a_merge_round_recovers(tmp_path, strategy):
     repo.merge_all()
     clean = outcome(repo)
     # before; item, commit and ref each staged and done; the log line torn
-    # and whole; the queue entry unlinked
-    assert record["round"] == 2 and len(clean["chain"]) == 3 and len(states) == 10
+    # and whole. The round's queue entry stays, at the ref's cursor.
+    assert record["round"] == 2 and len(clean["chain"]) == 3 and len(states) == 9
     assert sum(LOG in s and not s[LOG].endswith(b"\n") for s in states) == 1
     for state in states:
         repo = opened(build(tmp_path / "state", state))

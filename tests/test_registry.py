@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import sys
 import threading
 from collections import Counter
@@ -25,7 +26,7 @@ from forge.errors import (
 )
 from forge.merge import CoeffOptimConfig
 from forge.model import PluginModule
-from forge.registry import BranchContribution, Repository
+from forge.registry import QUEUE_ENTRY_NAME, BranchContribution, Repository
 
 SEED = 99
 RANK, ALPHA = 4, 4.0
@@ -298,7 +299,7 @@ class TestCommit:
         with pytest.raises(IntegrityError):
             repo.commit_contribution(make_contribution(repo.base, "t1", ["a", "b"]))
         assert repo.all_object_ids() == before
-        assert repo.pending() == []
+        assert list((repo.root / "queue").iterdir()) == []  # pending() needs a readable ref
 
     def test_negative_distilled_label_refused_before_storing(self, tmp_path):
         repo = make_repo(tmp_path / "repo")
@@ -455,12 +456,50 @@ class TestMerge:
         assert [r["round"] for r in repo.merge_all()] == [2]
         assert repo.pending() == []
 
+    def test_enqueue_reading_the_ref_before_listing_loses_no_commit(self, tmp_path,
+                                                                     monkeypatch):
+        """An ``_enqueue`` that reads the ref, lets a round merge the
+        contribution, and only then lists ``queue/`` still numbers the second
+        commit of it past the merged entry, which stays: it merges as round 2."""
+        repo = make_repo(tmp_path / "repo")
+        contrib = make_contribution(repo.base, "t1", ["t1 a", "t1 b"])
+        repo.commit_contribution(contrib)
+        queue = repo.root / "queue"
+
+        def ref_first_enqueue(self_, doc):
+            consumed = self_._read_ref().get("consumed")
+            assert Repository(repo.root).merge_next()["round"] == 1
+            listed = [int(p.stem) for p in queue.iterdir() if QUEUE_ENTRY_NAME.fullmatch(p.name)]
+            seq = max([*listed, consumed["seq"] if consumed else 0]) + 1
+            (queue / f"{seq:06d}.json").write_text(json.dumps(doc))
+
+        monkeypatch.setattr(Repository, "_enqueue", ref_first_enqueue)
+        repo.commit_contribution(contrib)
+        assert [r["round"] for r in repo.merge_all()] == [2]
+        assert repo.pending() == []
+        repo.replay()
+
+    def test_commit_after_merged_entries_are_deleted_by_hand_merges(self, tmp_path):
+        """The cursor, not the merged entries, numbers a new entry past them."""
+        repo = make_repo(tmp_path / "repo")
+        for i, name in enumerate(("t1", "t2")):
+            repo.commit_contribution(make_contribution(repo.base, name, [f"{name} a", "b"],
+                                                       seed=i))
+        repo.merge_all()
+        queue = repo.root / "queue"
+        assert sorted(p.name for p in queue.iterdir()) == ["000001.json", "000002.json"]
+        for path in queue.iterdir():
+            path.unlink()
+        third = repo.commit_contribution(make_contribution(repo.base, "t3", ["t3 a", "b"]))
+        assert [p.name for p in queue.iterdir()] == ["000003.json"]
+        assert [r["contribution_commit"] for r in repo.merge_all()] == [third.id]
+        assert repo.chain().round == 3
+        repo.replay()
+
     def test_a_round_between_enqueues_reads_loses_no_commit(self, tmp_path, monkeypatch):
         """A merge round that runs between ``_enqueue``'s queue listing and its
         ref read, whichever it makes first, while the contribution it merges
-        is committed again: the second commit still merges as round 2. Read
-        the ref first and the new entry takes the consumed entry's number,
-        and the next round drops it as already merged."""
+        is committed again: the second commit still merges as round 2."""
         repo = make_repo(tmp_path / "repo")
         contrib = make_contribution(repo.base, "t1", ["t1 a", "t1 b"])
         repo.commit_contribution(contrib)
@@ -468,8 +507,8 @@ class TestMerge:
         monkeypatch.setattr(Repository, "_enqueue",
                             lambda self_, doc: inside.append(1) or enqueue(self_, doc))
         for name in ("queued_paths", "_read_ref"):
-            def read_then_merge(self_, read=getattr(Repository, name)):
-                out = read(self_)
+            def read_then_merge(self_, *args, read=getattr(Repository, name)):
+                out = read(self_, *args)
                 if inside:  # the first of _enqueue's two reads has returned
                     inside.clear()
                     assert Repository(repo.root).merge_next()["round"] == 1
@@ -765,6 +804,23 @@ class TestHistory:
                 reopened.verify_objects()
 
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_damaged_past_item_is_refused_naming_its_round(self, tmp_path, strategy):
+        """``replay`` hash-checks each round's stored item, not just its presence."""
+        repo = self.prepare(tmp_path, strategy)
+        item_id = repo.merge_records()[0]["item_id"]
+        target = Path(repo._object_file(item_id))
+        raw = bytearray(target.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        target.unlink()
+        target.write_bytes(bytes(raw))
+        reopened = Repository(repo.root)
+        for read in (reopened.replay, lambda: reopened.checkout(1)):
+            with pytest.raises(IntegrityError,
+                               match=f"^round 1's item {item_id} fails its hash check$"):
+                read()
+        assert reopened.checkout(2).round == 2
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
     def test_deleted_past_item_is_refused_naming_its_round(self, tmp_path, strategy):
         repo = self.prepare(tmp_path, strategy)
         item_id = repo.merge_records()[0]["item_id"]
@@ -882,37 +938,50 @@ class TestHistory:
         with pytest.raises(IntegrityError):
             repo.replay()
 
-    @pytest.mark.parametrize("failing_round", [2, 3])
+    @pytest.mark.parametrize("round_no", [2, 3])
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
     def test_queue_unlink_failure_never_merges_twice(
-            self, tmp_path, strategy, failing_round, monkeypatch):
+            self, tmp_path, strategy, round_no, monkeypatch):
+        """No round unlinks its queue entry, so none can fail to: after round
+        ``round_no`` its entry stays in ``queue/``, ``pending()`` leaves it out,
+        and a freshly opened repository merges only the rest."""
         clean = self.prepare(tmp_path / "clean", strategy)
-        repo = make_repo(tmp_path / "crashed", strategy=strategy)
-        for i, name in enumerate(("t1", "t2", "t3")):
-            repo.commit_contribution(make_contribution(
-                repo.base, name, [f"{name} a", f"{name} b"], seed=i))
-        for _ in range(failing_round - 1):
+        repo = self.queued(tmp_path / "kept", strategy)
+        for _ in range(round_no - 1):
             repo.merge_next()
-        unlink = Path.unlink
-        failed = []
-
-        def failing_once(self_, *args, **kwargs):
-            if self_.parent.name == "queue" and not failed:
-                failed.append(self_.name)
-                raise OSError("I/O error")
-            return unlink(self_, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "unlink", failing_once)
-        with pytest.raises(OSError):
-            repo.merge_next()
-        assert repo.chain().round == failing_round  # the round committed
-        assert failed == [f"{failing_round:06d}.json"]  # and its entry is still queued
-        repo.merge_all()
+        unlink, unlinked = os.unlink, []
+        monkeypatch.setattr(os, "unlink", lambda path, *args, **kwargs: unlinked.append(
+            Path(path)) or unlink(path, *args, **kwargs))
+        assert repo.merge_next()["round"] == round_no
+        assert [p for p in unlinked if p.parent.name == "queue"] == []
+        assert (repo.root / "queue" / f"{round_no:06d}.json").is_file()
+        assert [doc["seq"] for doc in repo.pending()] == list(range(round_no + 1, 4))
+        assert [r["round"] for r in Repository(repo.root).merge_all()] == \
+            list(range(round_no + 1, 4))
         assert repo.pending() == []
         records = repo.merge_records()
         assert [r["round"] for r in records] == [1, 2, 3]
         repo.replay()
         want = clean.merge_records()
+        assert [r["commit_id"] for r in records] == [r["commit_id"] for r in want]
+        assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
+        assert repo._read_ref() == clean._read_ref()
+
+    @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
+    def test_queue_left_by_unlinking_code_merges_to_the_clean_history(self, tmp_path,
+                                                                       strategy):
+        """Code that unlinked each merged entry after its ref write left a queue
+        of the unmerged entries and, after a crash between the two, the
+        consumed one at its head. The cursor skips that one."""
+        clean = self.prepare(tmp_path / "clean", strategy)
+        repo = self.queued(tmp_path / "unlinking", strategy)
+        repo.merge_next()
+        repo.merge_next()
+        (repo.root / "queue" / "000001.json").unlink()
+        assert repo.queue_head()["seq"] == 3
+        assert [r["round"] for r in Repository(repo.root).merge_all()] == [3]
+        repo.replay()
+        records, want = repo.merge_records(), clean.merge_records()
         assert [r["commit_id"] for r in records] == [r["commit_id"] for r in want]
         assert [r["item_id"] for r in records] == [r["item_id"] for r in want]
         assert repo._read_ref() == clean._read_ref()
