@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 from . import datasets as dsets
-from . import distill as dst
 from . import experiments as xp
 from . import model as mdl
 from . import numerics as nm
@@ -40,7 +39,8 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .evaluation import MetricsReport, evaluate_deltas
+from .evaluation import MetricsReport, evaluate_tasks
+from .evaluation import evaluate_deltas  # noqa: F401 - perfbench/tracing.py patches this name
 from .model import PluginModule
 from .registry import BranchContribution, Repository
 
@@ -135,7 +135,10 @@ def _task_spec(data_dir: str, task: str) -> dsets.TaskSpec:
                            InputError)["tasks"]
     if task not in tasks:
         raise InputError(f"unknown task {task!r}; have {sorted(tasks)}")
-    return dsets.TaskSpec.from_dict(tasks[task])
+    spec = dsets.TaskSpec.from_dict(tasks[task])
+    if spec.name != task:
+        raise FormatError(f"{manifest} lists task {task!r} as {spec.name!r}")
+    return spec
 
 
 def _load_split(data_dir: str, task: str, split: str) -> tuple[dsets.TaskSpec,
@@ -193,9 +196,8 @@ def _cmd_train_branch(args, config: RunConfig) -> int:
     spec, train = _load_split(args.data, args.task, "train")
     if args.epochs is not None:
         config.set("train", "epochs", args.epochs)
-    base = mdl.BaseEncoder.from_seed(config.seed)
-    rng = nm.make_rng(nm.derive_seed("train", spec.name, config.seed))
-    plugin = xp.train_branch(base, spec, train, config.train_config(), rng)
+    plugin = xp.train_branch(mdl.BaseEncoder.from_seed(config.seed), spec, train,
+                             config.train_config(), config.seed)
     plugin_id = _write_artifact(args.out, plugin.to_bytes(), spec.name, config)
     print(f"trained plugin {plugin_id[:12]} for {spec.name} -> {args.out}")
     return 0
@@ -206,9 +208,8 @@ def _cmd_distill(args, config: RunConfig) -> int:
     for key, value in (("ipc", args.ipc), ("iterations", args.iters)):
         if value is not None:
             config.set("distill", key, value)
-    base = mdl.BaseEncoder.from_seed(config.seed)
-    rng = nm.make_rng(nm.derive_seed("distill", spec.name, config.seed))
-    distilled = dst.distill(spec, train, base, config.distill_config(), rng)
+    distilled = xp.distill_branch(mdl.BaseEncoder.from_seed(config.seed), spec, train,
+                                  config.distill_config(), config.seed)
     _write_artifact(args.out, distilled.to_bytes(), spec.name, config)
     print(f"distilled {distilled.ipc}/class for {spec.name} -> {args.out}")
     return 0
@@ -256,17 +257,19 @@ def _cmd_merge(args, config: RunConfig) -> int:
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
+    tasks = args.tasks.split(",")
+    if len(set(tasks)) < len(tasks):  # the average would count a repeated task once
+        raise UsageError(f"--tasks names a task more than once: {args.tasks}")
     repo = Repository(args.repo)
     chain = repo.chain()  # the one read of the history this command makes
     item = repo.checkout(chain.round if args.round is None else args.round, chain)
-    deltas, base = item.deltas(), repo.base_of(chain.genesis)
-    report = MetricsReport(chain.strategy, args.tasks.split(","), config.seed)
-    for task in args.tasks.split(","):
-        spec, test = _load_split(args.data, task, "test")
-        table = mdl.LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
-        acc, auc_value = evaluate_deltas(base, deltas, table, test, repo.config["temperature"])
-        report.add(task, acc, auc_value)
-        print(f"{task}: ACC {acc:.3f}  AUC {auc_value:.3f}")
+    # every split is read before any is scored, so a bad one leaves no output
+    splits = [_load_split(args.data, task, "test") for task in tasks]
+    report = evaluate_tasks(repo.base_of(chain.genesis), item.deltas(), splits,
+                            repo.config["temperature"],
+                            MetricsReport(chain.strategy, tasks, config.seed))
+    for task, metrics in report.per_task.items():
+        print(f"{task}: ACC {metrics['acc']:.3f}  AUC {metrics['auc']:.3f}")
     print(f"average: ACC {report.avg_acc:.3f}  AUC {report.avg_auc:.3f} "
           f"(round {item.round})")
     return 0

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, TaskSpec
 from .errors import DegenerateInputError, InputError
 from .model import BaseEncoder, LabelEmbeddingTable
 
@@ -111,6 +111,17 @@ def evaluate_deltas(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
     emb = mdl.encode_np(base, deltas, data.inputs)
     logits = mdl.cosine_logits_np(emb, table, temperature)
     return evaluate_logits(logits, data.labels, data.group_ids)
+
+
+def evaluate_tasks(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
+                   tasks: list[tuple[TaskSpec, LabeledDataset]], temperature: float,
+                   report: MetricsReport) -> MetricsReport:
+    """Add each task's metrics of the encoder (plus ``deltas``) to ``report``;
+    returns it. ``evaluate_deltas`` is looked up on this module per call."""
+    for spec, data in tasks:
+        table = LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
+        report.add(spec.name, *evaluate_deltas(base, deltas, table, data, temperature))
+    return report
 
 
 @dataclass

@@ -19,7 +19,7 @@ from . import model as mdl
 from . import numerics as nm
 from .datasets import LabeledDataset, TaskSpec, generate_tasks
 from .distill import DistillConfig, DistilledDataset
-from .evaluation import MetricsReport, evaluate_deltas
+from .evaluation import MetricsReport, evaluate_tasks
 from .merge import CoeffOptimConfig
 from .model import BaseEncoder, LabelEmbeddingTable, PluginModule, TrainConfig
 from .registry import BranchContribution, Repository, check_unused
@@ -41,34 +41,38 @@ def table_for(base: BaseEncoder, spec: TaskSpec) -> LabelEmbeddingTable:
 
 
 def train_branch(base: BaseEncoder, spec: TaskSpec, train: LabeledDataset,
-                 config: TrainConfig, rng: np.random.Generator) -> PluginModule:
-    """Single-task adapter training on a labeled dataset."""
-    table = table_for(base, spec)
-    return mdl.train_plugin(base, table, train.inputs, train.labels, config, rng)
+                 config: TrainConfig, seed: int) -> PluginModule:
+    """Single-task adapter training, its rng derived from ``seed`` and the task."""
+    return mdl.train_plugin(base, table_for(base, spec), train.inputs, train.labels, config,
+                            nm.make_rng(nm.derive_seed("train", spec.name, seed)))
+
+
+def distill_branch(base: BaseEncoder, spec: TaskSpec, train: LabeledDataset,
+                   config: DistillConfig, seed: int) -> DistilledDataset:
+    """The task's distilled set, its rng derived from ``seed`` and the task."""
+    return dst.distill(spec, train, base, config,
+                       nm.make_rng(nm.derive_seed("distill", spec.name, seed)))
 
 
 def prepare_branch_artifacts(base: BaseEncoder, seed: int,
                              train_cfg: TrainConfig, distill_cfg: DistillConfig,
                              ) -> dict[str, BranchArtifacts]:
     """Generate the toy tasks and each contributor's plugin + distilled set."""
-    out: dict[str, BranchArtifacts] = {}
-    for spec, train, test in generate_tasks(seed):
-        plugin = train_branch(base, spec, train, train_cfg,
-                              nm.make_rng(nm.derive_seed("train", spec.name, seed)))
-        distilled = dst.distill(spec, train, base, distill_cfg,
-                                nm.make_rng(nm.derive_seed("distill", spec.name, seed)))
-        out[spec.name] = BranchArtifacts(spec, train, test, plugin, distilled)
-    return out
+    return {spec.name: BranchArtifacts(spec, train, test,
+                                       train_branch(base, spec, train, train_cfg, seed),
+                                       distill_branch(base, spec, train, distill_cfg, seed))
+            for spec, train, test in generate_tasks(seed)}
 
 
-def evaluate_deltas_on_tasks(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
-                             artifacts: dict[str, BranchArtifacts],
-                             report: MetricsReport, temperature: float) -> MetricsReport:
-    for name, art in artifacts.items():
-        acc, auc_value = evaluate_deltas(base, deltas, table_for(base, art.spec), art.test,
-                                         temperature)
-        report.add(name, acc, auc_value)
-    return report
+def task_tests(artifacts: dict[str, BranchArtifacts]) -> list[tuple[TaskSpec, LabeledDataset]]:
+    """Each task's spec and test split, the pairs ``evaluate_tasks`` scores."""
+    return [(art.spec, art.test) for art in artifacts.values()]
+
+
+def head_deltas(repo: Repository) -> dict[int, np.ndarray]:
+    """The layer deltas of the item the head of ``repo``'s main ref names."""
+    chain = repo.chain()
+    return repo.checkout(chain.round, chain).deltas()
 
 
 def merge_in_order(workdir: Path, base_seed: int, strategy: str,
@@ -119,19 +123,15 @@ def run_order_experiment(workdir: str | Path, settings: ExperimentSettings,
         check_unused(workdir / tag)
     runs: list[MetricsReport] = []
     bases = {seed: BaseEncoder.from_seed(seed) for seed in settings.seeds}
-    prepared: dict[int, dict[str, BranchArtifacts]] = {}
-    for seed in settings.seeds:
-        prepared[seed] = prepare_branch_artifacts(bases[seed], seed, settings.train,
-                                                  settings.distill)
+    prepared = {seed: prepare_branch_artifacts(bases[seed], seed, settings.train,
+                                               settings.distill) for seed in settings.seeds}
     for strategy, order, seed, tag in sweep:
         repo = merge_in_order(workdir / tag, seed, strategy, prepared[seed],
                               order, settings.coeff, settings.train)
-        report = MetricsReport(strategy, order, seed)
-        evaluate_deltas_on_tasks(bases[seed], repo.current_item().deltas(),
-                                 prepared[seed], report, settings.train.temperature)
-        runs.append(report)
-    summary = summarize_orders(runs)
-    return runs, summary
+        runs.append(evaluate_tasks(bases[seed], head_deltas(repo), task_tests(prepared[seed]),
+                                   settings.train.temperature,
+                                   MetricsReport(strategy, order, seed)))
+    return runs, summarize_orders(runs)
 
 
 def _summary_row(label: dict, cell: list[dict]) -> dict:
@@ -182,53 +182,35 @@ def run_baseline_experiment(workdir: str | Path, settings: ExperimentSettings,
     runs: list[dict] = []
     for seed in settings.seeds:
         base = BaseEncoder.from_seed(seed)
-        artifacts = prepare_branch_artifacts(base, seed, settings.train,
-                                             settings.distill)
+        artifacts = prepare_branch_artifacts(base, seed, settings.train, settings.distill)
         plugins = [artifacts[n].plugin for n in order]
         distilled_guidance = [(artifacts[n].distilled, table_for(base, artifacts[n].spec))
                               for n in order]
+        raw_guidance = _ten_percent_guidance(artifacts, base, seed)
 
-        per_method: dict[str, MetricsReport] = {}
-
-        report = MetricsReport("single-task tuning", order, seed)
-        for name, art in artifacts.items():
-            acc, auc_value = evaluate_deltas(base, art.plugin.layer_deltas(),
-                                             table_for(base, art.spec), art.test,
-                                             temperature)
-            report.add(name, acc, auc_value)
-        per_method["single-task tuning"] = report
-
-        report = MetricsReport("distilled only", order, seed)
+        per_method = {method: MetricsReport(method, order, seed) for method in methods}
+        for art in artifacts.values():  # each task scored with its own plugin
+            evaluate_tasks(base, art.plugin.layer_deltas(), [(art.spec, art.test)],
+                           temperature, per_method["single-task tuning"])
         for name, art in artifacts.items():
             metrics = dst.eval_distilled(
                 art.distilled, base, art.spec, art.test, settings.distill,
                 nm.make_rng(nm.derive_seed("distilled-eval", name, seed)), settings.train)
-            report.add(name, metrics["acc"], metrics["auc"])
-        per_method["distilled only"] = report
+            per_method["distilled only"].add(name, metrics["acc"], metrics["auc"])
 
-        raw_guidance = _ten_percent_guidance(artifacts, base, seed)
-        for label, guidance in (("lorahub w/o distill", raw_guidance),
-                                ("lorahub w/ distill", distilled_guidance)):
-            merged, _, _ = mrg.baseline_lorahub(base, plugins, guidance, settings.coeff,
-                                                temperature)
-            per_method[label] = evaluate_deltas_on_tasks(
-                base, merged.layer_deltas(), artifacts,
-                MetricsReport(label, order, seed), temperature)
-
-        soup = mrg.baseline_modelsoup(plugins)
-        per_method["modelsoup"] = evaluate_deltas_on_tasks(
-            base, soup.layer_deltas(), artifacts,
-            MetricsReport("modelsoup", order, seed), temperature)
-
+        # the merged methods: one set of deltas each, scored on every task
+        merged = {label: mrg.baseline_lorahub(base, plugins, guidance, settings.coeff,
+                                              temperature)[0].layer_deltas()
+                  for label, guidance in (("lorahub w/o distill", raw_guidance),
+                                          ("lorahub w/ distill", distilled_guidance))}
+        merged["modelsoup"] = mrg.baseline_modelsoup(plugins).layer_deltas()
         for strategy in ("fusion", "mixture"):
-            repo = merge_in_order(workdir / f"{strategy}-s{seed}", seed, strategy,
-                                  artifacts, order, settings.coeff, settings.train)
-            per_method[strategy] = evaluate_deltas_on_tasks(
-                base, repo.current_item().deltas(), artifacts,
-                MetricsReport(strategy, order, seed), temperature)
-
-        for method in methods:
-            runs.append(per_method[method].to_dict())
+            merged[strategy] = head_deltas(merge_in_order(
+                workdir / f"{strategy}-s{seed}", seed, strategy, artifacts, order,
+                settings.coeff, settings.train))
+        for method, deltas in merged.items():
+            evaluate_tasks(base, deltas, task_tests(artifacts), temperature, per_method[method])
+        runs.extend(report.to_dict() for report in per_method.values())
 
     return runs, [_summary_row({"method": method}, [r for r in runs if r["strategy"] == method])
                   for method in methods]

@@ -253,9 +253,9 @@ def merged_repos(pipeline, tmp_path_factory):
             repo = xp.merge_in_order(root / f"{strategy}-s{seed}", seed, strategy,
                                      state["artifacts"], order, pipeline.coeff_cfg,
                                      pipeline.train_cfg)
-            report_obj = xp.evaluate_deltas_on_tasks(
-                state["base"], repo.current_item().deltas(), state["artifacts"],
-                ev.MetricsReport(strategy, order, seed), pipeline.train_cfg.temperature)
+            report_obj = ev.evaluate_tasks(
+                state["base"], xp.head_deltas(repo), xp.task_tests(state["artifacts"]),
+                pipeline.train_cfg.temperature, ev.MetricsReport(strategy, order, seed))
             per_strategy[strategy] = (repo, report_obj)
         out[seed] = per_strategy
     return out, time.time() - start
@@ -274,12 +274,12 @@ def test_criterion_5_merging_efficacy(pipeline, merged_repos):
 
         distilled_avg = float(np.mean(list(state["distilled_only"].values())))
         soup = mrg.baseline_modelsoup([a.plugin for a in artifacts.values()])
-        soup_report = xp.evaluate_deltas_on_tasks(
-            state["base"], soup.layer_deltas(), artifacts,
-            ev.MetricsReport("modelsoup", [], seed), pipeline.train_cfg.temperature)
-        base_report = xp.evaluate_deltas_on_tasks(
-            state["base"], None, artifacts, ev.MetricsReport("base", [], seed),
-            pipeline.train_cfg.temperature)
+        soup_report = ev.evaluate_tasks(
+            state["base"], soup.layer_deltas(), xp.task_tests(artifacts),
+            pipeline.train_cfg.temperature, ev.MetricsReport("modelsoup", [], seed))
+        base_report = ev.evaluate_tasks(
+            state["base"], None, xp.task_tests(artifacts), pipeline.train_cfg.temperature,
+            ev.MetricsReport("base", [], seed))
 
         ok &= mixture_report.avg_acc >= distilled_avg - 0.05
         ok &= mixture_report.avg_acc >= soup_report.avg_acc
@@ -311,9 +311,9 @@ def test_criterion_6_order_robustness(pipeline, tmp_path_factory):
             repo = xp.merge_in_order(root / tag, seed, "mixture",
                                      state["artifacts"], list(order),
                                      pipeline.coeff_cfg, pipeline.train_cfg)
-            rep = xp.evaluate_deltas_on_tasks(
-                state["base"], repo.current_item().deltas(), state["artifacts"],
-                ev.MetricsReport("mixture", list(order), seed), pipeline.train_cfg.temperature)
+            rep = ev.evaluate_tasks(
+                state["base"], xp.head_deltas(repo), xp.task_tests(state["artifacts"]),
+                pipeline.train_cfg.temperature, ev.MetricsReport("mixture", list(order), seed))
             accs.append(rep.avg_acc)
         order_means.append(float(np.mean(accs)))
     spread = max(order_means) - min(order_means)

@@ -719,3 +719,44 @@ class TestExitCodes:
         assert main(["--seed", "5", *argv, "--data", str(data)]) == 2
         assert "manifest.json" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tasks", ["M-toy,M-toy", "B-toy,M-toy,B-toy"])
+    def test_eval_of_a_task_named_twice_is_one_before_any_split_is_read(
+            self, tmp_path, data_dir, capsys, monkeypatch, tasks):
+        from forge import datasets as dsets
+
+        repo = tmp_path / "repo"
+        assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
+        loads = []
+        load_dataset = dsets.load_dataset
+        monkeypatch.setattr(dsets, "load_dataset",
+                            lambda path: loads.append(path) or load_dataset(path))
+        capsys.readouterr()
+        assert main(["eval", str(repo), "--tasks", tasks, "--data", str(data_dir)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "more than once" in out.err
+        assert loads == []
+
+    @pytest.mark.parametrize("tasks", ["M-toy,", "M-toy,Z-toy"])
+    def test_eval_with_an_unknown_task_prints_no_score(self, tmp_path, data_dir, capsys, tasks):
+        repo = tmp_path / "repo"
+        assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(repo), "--tasks", tasks, "--data", str(data_dir)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "unknown task" in out.err
+
+    def test_manifest_entry_under_another_tasks_name_is_two(self, tmp_path, data_dir, capsys):
+        # the report keys its scores by the spec's name, so two names for one
+        # task would be scored as one
+        data = self.data_copy(tmp_path, data_dir)
+        shutil.copytree(data / "M-toy", data / "X-toy")
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["tasks"]["X-toy"] = manifest["tasks"]["M-toy"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        repo = tmp_path / "repo"
+        assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(repo), "--tasks", "X-toy,M-toy", "--data", str(data)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "lists task 'X-toy' as 'M-toy'" in out.err

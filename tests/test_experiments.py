@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from forge.cli import main
 from forge.distill import DistillConfig
 from forge.merge import CoeffOptimConfig
 from forge.model import TrainConfig
+from forge.registry import Repository
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +94,7 @@ class TestBaselineExperiment:
             return wrapped
 
         monkeypatch.setattr(mrg, "guidance_objective", spy(mrg.guidance_objective))
-        monkeypatch.setattr(xp, "evaluate_deltas", spy(xp.evaluate_deltas))
-        # distilled-only scores through the evaluation module
+        # every scoring, distilled-only's included, goes through the evaluation module
         monkeypatch.setattr(evaluation, "evaluate_deltas", spy(evaluation.evaluate_deltas))
         settings = xp.ExperimentSettings(
             seeds=(1,), train=TrainConfig(epochs=2, temperature=0.2),
@@ -132,7 +133,56 @@ class TestBaselineExperiment:
             coeff=CoeffOptimConfig(max_iterations=4))
         xp.run_baseline_experiment(tmp_path, settings)
         assert [(c.learning_rate, c.temperature) for c in trained] == [(0.05, 0.2)] * 3
-        assert scored == [0.2] * 3
+        # 3 tasks scored by each of the 7 methods, all at the training temperature
+        assert scored == [0.2] * 21
+
+
+def test_cli_pipeline_and_harness_give_the_same_results(tmp_path, capsys):
+    # the commands an operator runs and the harness the experiments run share
+    # their seed rules, merge and scoring: same artifacts, items and scores
+    seed, order = 3, ["B-toy", "L-toy", "M-toy"]
+    data = tmp_path / "data"
+    assert main(["--seed", str(seed), "gen-data", "--out", str(data)]) == 0
+    cli_ids = {}
+    for task in order:
+        plugin, distilled = tmp_path / f"{task}.fgm", tmp_path / f"{task}.fgd"
+        assert main(["--seed", str(seed), "train-branch", "--task", task, "--data", str(data),
+                     "--out", str(plugin), "--epochs", "10"]) == 0
+        assert main(["--seed", str(seed), "distill", "--task", task, "--data", str(data),
+                     "--out", str(distilled), "--ipc", "2", "--iters", "20"]) == 0
+        cli_ids[task] = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                              for path in (plugin, distilled))
+    base = mdl.BaseEncoder.from_seed(seed)
+    artifacts = xp.prepare_branch_artifacts(base, seed, TrainConfig(epochs=10),
+                                            DistillConfig(ipc=2, iterations=20))
+    assert {name: (hashlib.sha256(art.plugin.to_bytes()).hexdigest(),
+                   hashlib.sha256(art.distilled.to_bytes()).hexdigest())
+            for name, art in artifacts.items()} == cli_ids
+
+    for strategy in ("fusion", "mixture"):
+        repo = tmp_path / strategy
+        assert main(["--seed", str(seed), "init", "--strategy", strategy, str(repo)]) == 0
+        for task in order:
+            assert main(["commit", str(repo), "--plugin", str(tmp_path / f"{task}.fgm"),
+                         "--distilled", str(tmp_path / f"{task}.fgd"), "--task", task,
+                         "--data", str(data)]) == 0
+        assert main(["merge", str(repo), "--all"]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(repo), "--tasks", ",".join(order), "--data", str(data)]) == 0
+        (average,) = [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("average:")]
+
+        harness = xp.merge_in_order(tmp_path / f"{strategy}-harness", seed, strategy,
+                                    artifacts, order, CoeffOptimConfig(), TrainConfig(epochs=10))
+        report = evaluation.evaluate_tasks(base, xp.head_deltas(harness),
+                                           xp.task_tests(artifacts), TrainConfig().temperature,
+                                           evaluation.MetricsReport(strategy, order, seed))
+        records = Repository(repo).merge_records()
+        assert [r["item_id"] for r in records] == \
+            [r["item_id"] for r in harness.merge_records()]
+        assert records[-1]["round"] == 3
+        assert any(r["w_branch"] != 0 for r in records)  # not two base models compared
+        assert average == f"average: ACC {report.avg_acc:.3f}  AUC {report.avg_auc:.3f} (round 3)"
 
 
 class TestExperimentCli:
