@@ -338,8 +338,8 @@ def main(argv: list[str] | None = None) -> int:
     except LockHeldError as exc:  # another merge holds the lock: retry, not a bad input
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    except (ForgeError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:  # a bad input, or a path that cannot be opened
+    except (ForgeError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:  # a bad input or path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -38,26 +38,10 @@ DEFAULTS: dict[str, dict] = {
 SEED_ENV_VAR = "FORGE_SEED"
 
 
-def _coerce(section: str, key: str, raw: str):
-    default = DEFAULTS[section][key]
-    if isinstance(default, bool):
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise UsageError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
-    return raw
+# the configparser getter that reads a non-text key, by the type of the
+# key's default, and what its error message says the value should be
+_GETTERS = {bool: ("getboolean", "a boolean"), int: ("getint", "an integer"),
+            float: ("getfloat", "a number")}
 
 
 class RunConfig:
@@ -80,7 +64,15 @@ class RunConfig:
                 for key, raw in parser.items(section):
                     if key not in DEFAULTS[section]:
                         raise UsageError(f"unknown config key [{section}] {key}")
-                    config.set(section, key, _coerce(section, key, raw))
+                    if isinstance(DEFAULTS[section][key], str):
+                        config.set(section, key, raw)
+                        continue
+                    getter, expected = _GETTERS[type(DEFAULTS[section][key])]
+                    try:
+                        config.set(section, key, getattr(parser, getter)(section, key))
+                    except ValueError as exc:
+                        raise UsageError(f"[{section}] {key}: expected {expected}, "
+                                         f"got {raw!r}") from exc
         except (configparser.Error, UnicodeDecodeError) as exc:
             # no section header, a repeated key or section, a line without
             # "=", a bad "%" interpolation, or bytes that are not UTF-8

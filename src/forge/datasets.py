@@ -1,11 +1,12 @@
 """Seeded synthetic classification tasks and dataset file I/O.
 
-Three tasks mirror the class structure of the target benchmark family:
-a grouped 2-class task (B-toy, 60 slide-like groups of 8), a 3-class task
-(L-toy, 900 items), and a 2-class task (M-toy, 600 items). Inputs are
-16x16 oriented gratings with per-class frequency/orientation signatures,
-flattened to 256-dim float32 rows. Patterns are procedural rather than
-blobs so flips and shifts remain meaningful transforms.
+Three tasks, each defined by one ``TOY_TASKS`` entry, mirror the class
+structure of the target benchmark family: a grouped 2-class task (B-toy, 60
+slide-like groups of 8), a 3-class task (L-toy, 900 items), and a 2-class
+task (M-toy, 600 items). Inputs are 16x16 oriented gratings with per-class
+frequency/orientation signatures, flattened to 256-dim float32 rows.
+Patterns are procedural rather than blobs so flips and shifts remain
+meaningful transforms.
 
 Draw order. Each task has its own seeded generator, and its items are
 drawn class by class, each item from one stretch of the standard-normal
@@ -108,31 +109,38 @@ class _ClassPattern:
     phase_jitter: float = 0.3
 
 
+@dataclass(frozen=True)
+class ToyTask:
+    """One seeded toy task: ``groups_per_class * items_per_group`` items per
+    class. With ``group_phase_std`` the task is grouped: each group draws a
+    base phase around the class phase, and its split keeps groups whole."""
+
+    labels: tuple[str, ...]
+    patterns: tuple[_ClassPattern, ...]  # one per label
+    noise_std: float
+    groups_per_class: int
+    items_per_group: int = 1
+    group_phase_std: float | None = None
+
+
 # Per-class signatures. Phases are class-locked so the tasks stay linearly
 # separable in pixel space; difficulty comes mostly from pixel noise rather
 # than pattern jitter, which keeps small distilled sets informative while a
 # tuned adapter still lands below 1.0 on held-out items.
-_TASK_PATTERNS: dict[str, list[_ClassPattern]] = {
-    "B-toy": [_ClassPattern(30.0, 1.6, 0.4, phase_jitter=0.25),
-              _ClassPattern(30.0, 3.2, 2.1, phase_jitter=0.25)],
-    "L-toy": [_ClassPattern(0.0, 3.0, 0.9), _ClassPattern(45.0, 3.0, 2.4),
-              _ClassPattern(90.0, 3.0, 4.0)],
-    "M-toy": [_ClassPattern(120.0, 1.2, 1.3), _ClassPattern(60.0, 5.0, 3.0)],
+TOY_TASKS = {
+    "B-toy": ToyTask(("coarse grating", "fine grating"),
+                     (_ClassPattern(30.0, 1.6, 0.4, phase_jitter=0.25),
+                      _ClassPattern(30.0, 3.2, 2.1, phase_jitter=0.25)),
+                     noise_std=2.0, groups_per_class=30, items_per_group=8,
+                     group_phase_std=0.25),
+    "L-toy": ToyTask(("horizontal grating", "diagonal grating", "vertical grating"),
+                     (_ClassPattern(0.0, 3.0, 0.9), _ClassPattern(45.0, 3.0, 2.4),
+                      _ClassPattern(90.0, 3.0, 4.0)),
+                     noise_std=1.5, groups_per_class=300),
+    "M-toy": ToyTask(("smooth texture", "speckled texture"),
+                     (_ClassPattern(120.0, 1.2, 1.3), _ClassPattern(60.0, 5.0, 3.0)),
+                     noise_std=2.2, groups_per_class=300),
 }
-
-_NOISE_STD = {"B-toy": 2.0, "L-toy": 1.5, "M-toy": 2.2}
-
-TASK_LABELS = {
-    "B-toy": ["coarse grating", "fine grating"],
-    "L-toy": ["horizontal grating", "diagonal grating", "vertical grating"],
-    "M-toy": ["smooth texture", "speckled texture"],
-}
-
-# B-toy: 30 groups per class x 8 items; L-toy: 300 per class; M-toy: 300 per class.
-_B_GROUPS_PER_CLASS = 30
-_B_ITEMS_PER_GROUP = 8
-_L_PER_CLASS = 300
-_M_PER_CLASS = 300
 
 
 def _gratings(pattern: _ClassPattern, z: np.ndarray, phase: float | np.ndarray,
@@ -174,29 +182,6 @@ def _gen_class(rng: np.random.Generator, pattern: _ClassPattern, groups: int,
     return np.concatenate(rows)
 
 
-def _gen_grouped_task(seed: int) -> tuple[TaskSpec, LabeledDataset]:
-    spec = TaskSpec("B-toy", TASK_LABELS["B-toy"], grouped=True)
-    rng = nm.make_rng(nm.derive_seed("task", "B-toy", seed))
-    patterns = _TASK_PATTERNS["B-toy"]
-    inputs = [_gen_class(rng, pattern, _B_GROUPS_PER_CLASS, _B_ITEMS_PER_GROUP,
-                         _NOISE_STD["B-toy"], group_phase_std=0.25) for pattern in patterns]
-    per_class = _B_GROUPS_PER_CLASS * _B_ITEMS_PER_GROUP
-    labels = np.repeat(np.arange(len(patterns)), per_class)
-    groups = np.repeat(np.arange(len(patterns) * _B_GROUPS_PER_CLASS), _B_ITEMS_PER_GROUP)
-    data = LabeledDataset(np.concatenate(inputs), labels, groups, split="all")
-    return spec, data
-
-
-def _gen_flat_task(name: str, per_class: int, seed: int) -> tuple[TaskSpec, LabeledDataset]:
-    spec = TaskSpec(name, TASK_LABELS[name])
-    rng = nm.make_rng(nm.derive_seed("task", name, seed))
-    patterns = _TASK_PATTERNS[name]
-    inputs = [_gen_class(rng, pattern, per_class, 1, _NOISE_STD[name]) for pattern in patterns]
-    labels = np.repeat(np.arange(len(patterns)), per_class)
-    data = LabeledDataset(np.concatenate(inputs), labels, split="all")
-    return spec, data
-
-
 def split_by_group(data: LabeledDataset, train_fraction: float,
                    rng: np.random.Generator) -> tuple[LabeledDataset, LabeledDataset]:
     """Partition whole groups so no group spans both splits."""
@@ -224,17 +209,24 @@ def _split_items(data: LabeledDataset, train_fraction: float,
 
 
 def generate_tasks(seed: int) -> list[tuple[TaskSpec, LabeledDataset, LabeledDataset]]:
-    """The three seeded toy tasks as (spec, train, test) triples."""
+    """The ``TOY_TASKS`` as (spec, train, test) triples, 70% of each task's
+    items (or groups) in train."""
     out = []
-    spec_b, data_b = _gen_grouped_task(seed)
-    rng_b = nm.make_rng(nm.derive_seed("split", "B-toy", seed))
-    train_b, test_b = split_by_group(data_b, 0.7, rng_b)
-    out.append((spec_b, train_b, test_b))
-    for name, per_class in (("L-toy", _L_PER_CLASS), ("M-toy", _M_PER_CLASS)):
-        spec, data = _gen_flat_task(name, per_class, seed)
-        rng = nm.make_rng(nm.derive_seed("split", name, seed))
-        train, test = _split_items(data, 0.7, rng)
-        out.append((spec, train, test))
+    for name, task in TOY_TASKS.items():
+        grouped = task.group_phase_std is not None
+        rng = nm.make_rng(nm.derive_seed("task", name, seed))
+        classes = len(task.patterns)
+        labels = np.repeat(np.arange(classes), task.groups_per_class * task.items_per_group)
+        groups = (np.repeat(np.arange(classes * task.groups_per_class), task.items_per_group)
+                  if grouped else None)
+        # the class blocks are freed once joined, not kept while the next task draws
+        data = LabeledDataset(np.concatenate([
+            _gen_class(rng, pattern, task.groups_per_class, task.items_per_group,
+                       task.noise_std, task.group_phase_std) for pattern in task.patterns]),
+            labels, groups, split="all")
+        split = split_by_group if grouped else _split_items
+        train, test = split(data, 0.7, nm.make_rng(nm.derive_seed("split", name, seed)))
+        out.append((TaskSpec(name, list(task.labels), grouped=grouped), train, test))
     return out
 
 

@@ -191,6 +191,8 @@ class DistilledDataset:
 
     def check(self) -> None:
         """``InputError`` unless the fields still describe a well-formed set."""
+        if self.ipc < 1:  # a set with no rows could never guide a merge round
+            raise InputError("a distilled set needs at least one item per class")
         if len(self.inputs) != self.num_classes * self.ipc:
             raise InputError("distilled set size must be ipc * classes")
         if self.inputs.shape[1] != int(np.prod(self.input_shape)):

@@ -17,7 +17,7 @@ from . import distill as dst
 from . import merge as mrg
 from . import model as mdl
 from . import numerics as nm
-from .datasets import LabeledDataset, TaskSpec, generate_tasks
+from .datasets import TOY_TASKS, LabeledDataset, TaskSpec, generate_tasks
 from .distill import DistillConfig, DistilledDataset
 from .evaluation import MetricsReport, evaluate_tasks
 from .merge import CoeffOptimConfig
@@ -114,9 +114,8 @@ def run_order_experiment(workdir: str | Path, settings: ExperimentSettings,
                          ) -> tuple[list[MetricsReport], list[dict]]:
     """Strategy x task-order x seed sweep; returns runs and summary rows."""
     workdir = Path(workdir)
-    task_names = ["B-toy", "L-toy", "M-toy"]
     if orders is None:
-        orders = [list(p) for p in itertools.permutations(task_names)]
+        orders = [list(p) for p in itertools.permutations(TOY_TASKS)]
     sweep = [(strategy, order, seed, f"{strategy}-{'_'.join(n[0] for n in order)}-s{seed}")
              for strategy in strategies for order in orders for seed in settings.seeds]
     for *_, tag in sweep:  # refused before any training, not at its Repository.init

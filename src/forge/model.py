@@ -10,6 +10,7 @@ the embedding against frozen per-label rows by cosine similarity.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -74,6 +75,23 @@ class BaseEncoder:
         return h.hexdigest()
 
 
+def _label_row(text: str, embed_dim: int) -> np.ndarray:
+    """The frozen, read-only row of label ``text``. It depends only on the
+    text's seed, so each process draws it once and keeps the seed, not the
+    text, however long that is."""
+    row = _seeded_row(nm.derive_seed("label-embedding", text), embed_dim)
+    if np.linalg.norm(row) < 1e-6:
+        raise DegenerateInputError(f"label embedding for {text!r} is degenerate")
+    return row
+
+
+@functools.cache
+def _seeded_row(seed: int, embed_dim: int) -> np.ndarray:
+    row = nm.make_rng(seed).normal(0.0, 1.0, size=embed_dim).astype(nm.DTYPE)
+    row.flags.writeable = False
+    return row
+
+
 class LabelEmbeddingTable:
     """One frozen Gaussian row per label string, keyed by the label text.
 
@@ -81,29 +99,14 @@ class LabelEmbeddingTable:
     tasks share an embedding, mimicking a frozen text encoder.
     """
 
-    def __init__(self, task_name: str, labels: list[str], embed_dim: int,
-                 drawn: dict[str, np.ndarray] | None = None):
-        """``drawn`` maps label text to its row for tables built together at
-        one ``embed_dim``: a label met again reuses its row, not a new draw."""
+    def __init__(self, task_name: str, labels: list[str], embed_dim: int):
         if len(labels) < 2:
             raise ParameterError("a task needs at least two labels")
         if len(set(labels)) != len(labels):
             raise ParameterError("labels must be distinct")
         self.task_name = task_name
         self.labels = list(labels)
-        drawn = {} if drawn is None else drawn
-        for text in labels:
-            if text not in drawn:
-                drawn[text] = self._embed_label(text, embed_dim)
-        self.rows = np.stack([drawn[text] for text in labels])  # float32, C order
-
-    @staticmethod
-    def _embed_label(text: str, embed_dim: int) -> np.ndarray:
-        rng = nm.make_rng(nm.derive_seed("label-embedding", text))
-        row = rng.normal(0.0, 1.0, size=embed_dim).astype(nm.DTYPE)
-        if np.linalg.norm(row) < 1e-6:
-            raise DegenerateInputError(f"label embedding for {text!r} is degenerate")
-        return row
+        self.rows = np.stack([_label_row(text, embed_dim) for text in labels])  # float32, C order
 
     @property
     def num_classes(self) -> int:

@@ -428,13 +428,12 @@ class Repository:
 
     def _guidance_from(self, payloads: list[dict]) -> dict[str, GuidanceSet]:
         """Each distinct distilled id's set and label table, in first-merge order."""
-        drawn: dict[str, np.ndarray] = {}  # label text -> row, one draw per text
         out = {}
         for doc in payloads:  # checked by Commit.checked_payload
             distilled_id, task = doc["distilled_id"], doc["task"]
             if distilled_id not in out:
                 out[distilled_id] = (self.load_distilled(distilled_id), LabelEmbeddingTable(
-                    task["name"], task["labels"], self.base.embed_dim, drawn))
+                    task["name"], task["labels"], self.base.embed_dim))
         return out
 
     def _item_bytes(self, payload: dict) -> bytes:

@@ -42,8 +42,8 @@ EXIT_CODES = {
     errors.InputError: 2, errors.FormatError: 2, errors.IncompatibleModulesError: 2,
     errors.ValidationError: 2, errors.IntegrityError: 2, errors.ConflictError: 2,
     errors.NothingToMergeError: 0, errors.LockHeldError: 3, errors.UsageError: 1,
-    FileNotFoundError: 2, IsADirectoryError: 2, NotADirectoryError: 2, PermissionError: 2,
-    RuntimeError: 3,
+    FileNotFoundError: 2, FileExistsError: 2, IsADirectoryError: 2, NotADirectoryError: 2,
+    PermissionError: 2, RuntimeError: 3,
 }
 
 
@@ -168,11 +168,15 @@ class TestConfig:
         config.apply_env()
         assert config.seed == 77
 
-    def test_bad_bool_rejected(self, tmp_path):
+    @pytest.mark.parametrize("section, key, value, expected", [
+        ("distill", "dsa", "maybe", "a boolean"), ("train", "epochs", "1.5", "an integer"),
+        ("train", "momentum", "high", "a number")], ids=["bool", "int", "float"])
+    def test_bad_value_rejected(self, tmp_path, section, key, value, expected):
         path = tmp_path / "run.ini"
-        path.write_text("[distill]\ndsa = maybe\n")
-        with pytest.raises(UsageError):
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(UsageError) as caught:
             RunConfig.from_file(path)
+        assert str(caught.value) == f"[{section}] {key}: expected {expected}, got {value!r}"
 
     @pytest.mark.parametrize("text", [
         b"epochs = 7\n", b"[train]\nepochs = 7\nepochs = 8\n",
@@ -339,7 +343,7 @@ class TestExitCodes:
                      "--distilled", str(distilled), "--task", "B-toy",
                      "--data", str(data_dir)]) == 2
 
-    def test_poison_contribution_is_two_and_queues_nothing(self, tmp_path, data_dir):
+    def test_poison_contribution_is_two_and_queues_nothing(self, tmp_path, data_dir, capsys):
         import numpy as np
 
         from forge import numerics as nm
@@ -351,20 +355,25 @@ class TestExitCodes:
         assert main(["--seed", "5", "init", "--strategy", "mixture", str(repo)]) == 0
         spec, _ = load_dataset(data_dir / "B-toy" / "train.fgd")
         plugin = PluginModule.fresh(BaseEncoder.from_seed(5), 16, 16.0, nm.make_rng(0))
+        (tmp_path / "ok.fgm").write_bytes(plugin.to_bytes())
         plugin.adapters[0].b[3, 2] = np.nan
-        plugin_path = tmp_path / "nan.fgm"
-        plugin_path.write_bytes(plugin.to_bytes())
+        (tmp_path / "nan.fgm").write_bytes(plugin.to_bytes())
         distilled = DistilledDataset(spec.name, spec.num_classes, 1, spec.input_shape,
                                      np.zeros((spec.num_classes, spec.flat_dim)),
                                      np.arange(spec.num_classes))
-        distilled_path = tmp_path / "d.fgd"
-        distilled_path.write_bytes(distilled.to_bytes())
+        (tmp_path / "d.fgd").write_bytes(distilled.to_bytes())
+        distilled.ipc = 0  # no item per class: no merge round could ever score it
+        distilled.inputs, distilled.labels = distilled.inputs[:0], distilled.labels[:0]
+        (tmp_path / "empty.fgd").write_bytes(distilled.to_bytes())
         objects_before = sorted((repo / "objects").rglob("*"))
-        assert main(["commit", str(repo), "--plugin", str(plugin_path),
-                     "--distilled", str(distilled_path), "--task", "B-toy",
-                     "--data", str(data_dir)]) == 2
-        assert sorted((repo / "objects").rglob("*")) == objects_before
-        assert list((repo / "queue").iterdir()) == []
+        for plugin_name, distilled_name, error in [("nan.fgm", "d.fgd", "not finite"),
+                                                   ("ok.fgm", "empty.fgd", "one item")]:
+            assert main(["commit", str(repo), "--plugin", str(tmp_path / plugin_name),
+                         "--distilled", str(tmp_path / distilled_name), "--task", "B-toy",
+                         "--data", str(data_dir)]) == 2
+            assert error in capsys.readouterr().err
+            assert sorted((repo / "objects").rglob("*")) == objects_before
+            assert list((repo / "queue").iterdir()) == []
 
     @pytest.mark.parametrize("sidecar", ["not json {", '{"id": "x", "task": "B-toy"}',
                                          '["config"]', '{"config": 3}'])
@@ -628,6 +637,14 @@ class TestExitCodes:
         assert main(["--config", str(bad), "gen-data", "--out",
                      str(tmp_path / "x")]) == 1
 
+    def test_gen_data_into_a_regular_file_is_two_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "occupied"
+        out.write_text("kept")
+        assert main(["--seed", "3", "gen-data", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == "kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["occupied"]
+
     def test_allow_negative_is_no_config_key(self, tmp_path, capsys):
         # the search box is [box_min, box_max]; a symmetric box is box_min = -box_max
         bad = tmp_path / "bad.ini"
@@ -638,7 +655,7 @@ class TestExitCodes:
         assert not (tmp_path / "repo").exists()
 
     @pytest.mark.parametrize("error", [*forge_error_classes(), FileNotFoundError,
-                                       IsADirectoryError, NotADirectoryError,
+                                       FileExistsError, IsADirectoryError, NotADirectoryError,
                                        PermissionError, RuntimeError],
                              ids=lambda error: error.__name__)
     def test_exit_code_of_each_error(self, error, monkeypatch):

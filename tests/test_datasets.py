@@ -35,7 +35,7 @@ def _per_item_tasks(seed):
     out = []
     rng = nm.make_rng(nm.derive_seed("task", "B-toy", seed))
     inputs, labels, groups = [], [], []
-    for cls, pattern in enumerate(ds._TASK_PATTERNS["B-toy"]):
+    for cls, pattern in enumerate(ds.TOY_TASKS["B-toy"].patterns):
         for _ in range(30):
             base_phase = pattern.phase + rng.normal(0.0, 0.25)
             inputs.append(_per_item_rows(rng, pattern, 8, 2.0, base_phase))
@@ -51,7 +51,7 @@ def _per_item_tasks(seed):
                            for m in (mask, ~mask))))
     for name, noise_std in (("L-toy", 1.5), ("M-toy", 2.2)):
         rng = nm.make_rng(nm.derive_seed("task", name, seed))
-        patterns = ds._TASK_PATTERNS[name]
+        patterns = ds.TOY_TASKS[name].patterns
         inputs = np.concatenate([_per_item_rows(rng, p, 300, noise_std) for p in patterns])
         labels = np.repeat(np.arange(len(patterns)), 300)
         order = nm.make_rng(nm.derive_seed("split", name, seed)).permutation(len(labels))
@@ -131,7 +131,9 @@ class TestGroupSplit:
         assert set(train.group_ids.tolist()).isdisjoint(test.group_ids.tolist())
 
     def test_fraction_of_groups(self):
-        spec, data = ds._gen_grouped_task(11)
+        _, *splits = ds.generate_tasks(11)[0]
+        data = ds.LabeledDataset(*(np.concatenate([getattr(s, field) for s in splits])
+                                   for field in ("inputs", "labels", "group_ids")))
         train, test = ds.split_by_group(data, 0.7, nm.make_rng(0))
         n_train_groups = len(np.unique(train.group_ids))
         assert n_train_groups == round(60 * 0.7)

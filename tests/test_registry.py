@@ -322,7 +322,7 @@ class TestCommit:
         assert repo.pending() == []
 
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
-    @pytest.mark.parametrize("damage", ["zero row", "other width"])
+    @pytest.mark.parametrize("damage", ["zero row", "other width", "no items"])
     def test_distilled_set_no_merge_can_score_refused_and_the_queue_still_merges(
             self, tmp_path, strategy, damage):
         repo = make_repo(tmp_path / "repo", strategy=strategy)
@@ -332,11 +332,14 @@ class TestCommit:
             # zero biases and bias-free adapters embed a zero row to zero at any
             # coefficients, so queued it would fail every later merge
             contrib.distilled.inputs[0] = 0.0
-        else:  # an 8x8 task against the 256-wide encoder
+        elif damage == "other width":  # an 8x8 task against the 256-wide encoder
             contrib.task = TaskSpec("t1", ["red", "blue"], (8, 8))
             contrib.distilled = DistilledDataset("t1", 2, 1, (8, 8), np.ones((2, 64)), [0, 1])
-        with pytest.raises(ValidationError,
-                           match="zero-norm" if damage == "zero row" else "input dim 64"):
+        else:  # a set with no rows cannot guide any later round
+            d = contrib.distilled
+            d.ipc, d.inputs, d.labels = 0, d.inputs[:0], d.labels[:0]
+        match = {"zero row": "zero-norm", "other width": "input dim 64", "no items": "one item"}
+        with pytest.raises(ValidationError, match=match[damage]):
             repo.commit_contribution(contrib)
         assert repo.all_object_ids() == before
         assert repo.pending() == []
@@ -407,8 +410,7 @@ class TestMerge:
         def no_log_parse(self_):
             raise AssertionError("merge_next parsed the merge log")
 
-        queue_reads, drawn = [], []
-        embed = model.LabelEmbeddingTable._embed_label
+        queue_reads = []
 
         def counted(read):
             def counted_read(self_, *args, **kwargs):
@@ -420,15 +422,14 @@ class TestMerge:
         monkeypatch.setattr(Repository, "merge_records", no_log_parse)
         for name in ("read_text", "read_bytes"):
             monkeypatch.setattr(Path, name, counted(getattr(Path, name)))
-        monkeypatch.setattr(model.LabelEmbeddingTable, "_embed_label", staticmethod(
-            lambda text, dim: drawn.append(text) or embed(text, dim)))
+        model._seeded_row.cache_clear()
         for round_no, (name, labels) in enumerate(specs, start=1):
             queue_reads.clear()
-            drawn.clear()
             assert repo.merge_next()["round"] == round_no
             assert queue_reads == [f"{round_no:06d}.json"]
-            texts = [text for _, ls in specs[:round_no] for text in ls]
-            assert drawn == list(dict.fromkeys(texts))  # one draw per distinct text
+            texts = {text for _, ls in specs[:round_no] for text in ls}
+            # no text is drawn twice in the process, across rounds too
+            assert model._seeded_row.cache_info().misses == len(texts)
 
     @pytest.mark.parametrize("strategy", ["fusion", "mixture"])
     def test_merge_reads_the_ref_once(self, tmp_path, strategy, monkeypatch):
