@@ -53,7 +53,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        parser = configparser.ConfigParser()
+        # configparser would read a [DEFAULT] section into every other
+        # section, or accept it alone and set nothing; a header line cannot
+        # hold a newline, so under this name [DEFAULT] is an unknown section
+        parser = configparser.ConfigParser(default_section="\n")
         config = cls()
         try:
             if not parser.read(path, encoding="utf-8"):

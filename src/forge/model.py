@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -265,7 +266,7 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
     if plugin is not None:
         check_plugin(base, plugin)
         adapters = plugin.adapters
-    width = int(np.prod(x.shape[1:])) if x.data.ndim > 1 else x.data.size
+    width = math.prod(x.shape[1:]) if x.data.ndim > 1 else x.data.size
     if width != base.input_dim:
         raise ShapeError(f"input dim {width} != encoder input {base.input_dim}")
     h = x.data.reshape(-1, width)
@@ -278,16 +279,17 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
         if ad is not None:
             mask = None
             if rng is not None and training and dropout_p > 0.0:
-                mask = (rng.random(h.shape) >= dropout_p).astype(nm.DTYPE) \
-                    / nm.DTYPE(1.0 - dropout_p)
+                # 1/keep in float32 or 0: the bits of (r >= p) / keep
+                mask = (rng.random(h.shape) >= dropout_p) \
+                    * (nm.DTYPE(1.0) / nm.DTYPE(1.0 - dropout_p))
             hp = h if mask is None else h * mask
             at = np.ascontiguousarray(ad.a.T)
             bt = np.ascontiguousarray(ad.b.T)
             q = hp @ at
             scaling = float(ad.scaling())
-            y = y + (q @ bt) * nm.DTYPE(scaling)
+            y += (q @ bt) * nm.DTYPE(scaling)
             side = (scaling, mask, hp, q, at, bt)
-        out = y if lid == last else np.tanh(y)
+        out = y if lid == last else np.tanh(y, out=y)
         cache.append((wt, side, out))
         h = out
 
@@ -319,8 +321,9 @@ def encode(base: BaseEncoder, x: Tensor, plugin: PluginModule | None = None,
 def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit L2 norm (norms in float64), and the float32
     inverse norms as a column."""
-    norms = np.linalg.norm(a.astype(np.float64), axis=1)
-    if np.any(norms < NORM_EPS):
+    a64 = a.astype(np.float64)
+    norms = np.sqrt(np.add.reduce(a64 * a64, axis=1))  # np.linalg.norm's sum
+    if (norms < NORM_EPS).any():
         raise DegenerateInputError("cannot normalize a zero-norm row")
     inv = (1.0 / norms).astype(nm.DTYPE)[:, None]
     return a * inv, inv
@@ -334,25 +337,47 @@ def _label_head(table: LabelEmbeddingTable) -> np.ndarray:
 def classify(embedding: Tensor, table: LabelEmbeddingTable, temperature: float) -> Tensor:
     """Cosine similarity against each label row, divided by temperature; one
     tape node whose backward returns the embedding's gradient."""
-    return _cosine_head(embedding, _label_head(table), temperature)
-
-
-def _cosine_head(embedding: Tensor, rows_t: np.ndarray, temperature: float) -> Tensor:
-    """``classify`` against a prepared ``_label_head``."""
+    rows_t = _label_head(table)
     single = embedding.data.ndim == 1
-    e = embedding.data.reshape(1, -1) if single else embedding.data
+    scale = float(1.0 / temperature)
+    unit, inv, logits = _cosine_logits(
+        embedding.data.reshape(1, -1) if single else embedding.data, rows_t, scale)
+
+    def backward(g: np.ndarray) -> np.ndarray:
+        return _cosine_grad(unit, inv, rows_t, scale,
+                            g.reshape(logits.shape)).reshape(embedding.shape)
+
+    return Tensor(logits.reshape(-1) if single else logits, backward)
+
+
+def _cosine_logits(e: np.ndarray, rows_t: np.ndarray,
+                   scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The [n, d] embeddings ``e`` at unit norm, their inverse norms, and
+    their cosines against a ``_label_head`` times ``scale``."""
     if e.shape[1] != rows_t.shape[0]:
         raise ShapeError(f"embedding dim {e.shape[1]} != table dim {rows_t.shape[0]}")
     unit, inv = _unit_rows(e)
-    scale = float(1.0 / temperature)
-    logits = (unit @ rows_t) * nm.DTYPE(scale)
+    return unit, inv, (unit @ rows_t) * nm.DTYPE(scale)
 
-    def backward(g: np.ndarray) -> np.ndarray:
-        g_unit = (g.reshape(logits.shape) * scale) @ rows_t.T
-        dot = np.sum(unit * g_unit, axis=1, keepdims=True)
-        return ((g_unit - unit * dot) * inv).reshape(embedding.shape)
 
-    return Tensor(logits.reshape(-1) if single else logits, backward)
+def _cosine_grad(unit: np.ndarray, inv: np.ndarray, rows_t: np.ndarray, scale: float,
+                 g: np.ndarray) -> np.ndarray:
+    """The embeddings' gradient, given ``g``, the gradient of
+    ``_cosine_logits``'s logits."""
+    g_unit = (g * scale) @ rows_t.T
+    dot = np.add.reduce(unit * g_unit, axis=1, keepdims=True)
+    return (g_unit - unit * dot) * inv
+
+
+def _head_loss_grad(e: np.ndarray, rows_t: np.ndarray, scale: float,
+                    labels: np.ndarray) -> np.ndarray:
+    """The gradient with respect to the [n, d] embeddings ``e`` of the mean
+    cross-entropy, at the checked ``labels``, of their cosine logits: the
+    float32 and float64 operations of ``classify``, ``softmax_cross_entropy``
+    and their backwards, in the same order, without the loss value."""
+    unit, inv, logits = _cosine_logits(e, rows_t, scale)
+    probs = nm.softmax_parts(logits)[2]
+    return _cosine_grad(unit, inv, rows_t, scale, nm.cross_entropy_grad(probs, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +419,14 @@ def cosine_logits_np(embeddings: np.ndarray, table: LabelEmbeddingTable,
 # ---------------------------------------------------------------------------
 
 
+def _flat_views(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A float32 buffer holding ``arrays`` one after another, and a view of
+    it in the shape of each."""
+    flat = np.concatenate([a.reshape(-1) for a in arrays])
+    offsets = np.cumsum([0] + [a.size for a in arrays]).tolist()
+    return flat, [flat[i:j].reshape(a.shape) for a, i, j in zip(arrays, offsets, offsets[1:])]
+
+
 @dataclass
 class TrainConfig:
     """Single-task adapter training defaults."""
@@ -425,7 +458,10 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
     """Train adapters on one task; base and label rows stay frozen.
 
     ``iterations`` caps the number of SGD steps instead of running full
-    epochs (used for distilled-data evaluation).
+    epochs (used for distilled-data evaluation). Each step runs ``encode``,
+    one ``Tensor.backward`` through it and one ``sgd_step``; the plugin's
+    bytes are those of the node chain ``encode`` -> ``classify`` ->
+    ``softmax_cross_entropy`` -> ``sgd_step`` on ``plugin.parameters()``.
     """
     inputs = np.asarray(inputs, dtype=nm.DTYPE)
     labels = np.asarray(labels, dtype=np.int64)
@@ -434,10 +470,19 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
         raise InputError("cannot train on an empty dataset")
     if labels.shape != (n,):
         raise ShapeError("labels do not match inputs")
+    if labels.min() < 0 or labels.max() >= table.num_classes:
+        raise InputError(f"labels must lie in [0, {table.num_classes}) for task "
+                         f"{table.task_name!r}")
     plugin = PluginModule.fresh(base, config.rank, config.alpha, rng)
-    params = plugin.parameters()
+    # A and B become views of one buffer, so one pass of sgd_step updates
+    # all of them; each step copies the gradients into a buffer of that layout
+    params, views = _flat_views(plugin.parameters())
+    for ad, a, b in zip(plugin.adapters.values(), views[::2], views[1::2]):
+        ad.a, ad.b = a, b
+    grads, grad_views = _flat_views(views)
     state = nm.SgdState(config.learning_rate, config.momentum, config.weight_decay)
     head = _label_head(table)
+    scale = float(1.0 / config.temperature)
 
     steps_done = 0
     budget = iterations if iterations is not None else config.epochs * max(1, -(-n // config.batch_size))
@@ -449,8 +494,9 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
             idx = order[start:start + config.batch_size]
             emb = encode(base, Tensor(inputs[idx]), plugin, training=True, rng=rng,
                          dropout_p=config.dropout_p)
-            logits = _cosine_head(emb, head, config.temperature)
-            loss = nm.softmax_cross_entropy(logits, labels[idx])
-            nm.sgd_step(params, emb.backward(logits.backward(loss.backward())), state)
+            grad = _head_loss_grad(emb.data, head, scale, labels[idx])
+            for view, g in zip(grad_views, emb.backward(grad)):
+                view[...] = g
+            nm.sgd_step([params], [grads], state)
             steps_done += 1
     return plugin

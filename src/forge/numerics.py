@@ -70,8 +70,10 @@ class Tensor:
                 raise ShapeError("backward() without a gradient requires a scalar output")
             g = np.ones_like(self.data)
         # C order: an F-ordered gradient (np.broadcast_to's, say) would send
-        # the node's matmuls down another BLAS path and change float32 bits
-        g = np.array(g, dtype=DTYPE, order="C").reshape(self.data.shape)
+        # the node's matmuls down another BLAS path and change float32 bits.
+        # A C-ordered float32 gradient is passed on as it is: no node's
+        # backward writes into the gradient it is given
+        g = np.asarray(g, dtype=DTYPE, order="C").reshape(self.data.shape)
         return g if self._backward is None else self._backward(g)
 
     def __repr__(self) -> str:
@@ -102,20 +104,33 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise IndexError(f"labels must lie in [0, {c})")
-    z = logits.data.astype(np.float64)
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    z, lse, probs = softmax_parts(logits.data)
     value = float(np.mean(lse - z[np.arange(n), labels]))
-    probs = np.exp(z - lse[:, None]).astype(DTYPE)
 
     def backward(g: np.ndarray) -> np.ndarray:
-        grad = probs.copy()
-        grad[np.arange(n), labels] -= 1.0
-        return grad * (float(g) / n)
+        return cross_entropy_grad(probs.copy(), labels, float(g))
 
     out = Tensor(np.array(value, dtype=DTYPE), backward)
     out._value = value
     return out
+
+
+def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward of ``softmax_cross_entropy`` on [n,c] float32 logits: their
+    float64 copy, each row's log-sum-exp and the float32 softmax."""
+    z = logits.astype(np.float64)
+    zmax = np.maximum.reduce(z, axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.add.reduce(np.exp(z - zmax), axis=1))
+    return z, lse, np.exp(z - lse[:, None]).astype(DTYPE)
+
+
+def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray, g: float = 1.0) -> np.ndarray:
+    """The logits' gradient of ``g`` times the mean cross-entropy at the
+    checked int64 ``labels``, (softmax - onehot) * g/n; overwrites the float32
+    softmax ``probs``."""
+    n = len(labels)
+    probs[np.arange(n), labels] -= 1.0
+    return probs * (g / n)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,19 @@ class TestConfig:
         with pytest.raises(UsageError):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 3\n",
+                                      "[DEFAULT]\nepochs = 3\n[distill]\nipc = 2\n"],
+                             ids=["alone", "with a section"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser's own reading would set nothing from the first file
+        # and blame the second's epochs on [distill]
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        with pytest.raises(UsageError, match=r"^unknown config section \[DEFAULT\]$"):
+            RunConfig.from_file(path)
+        assert main(["--config", str(path), "gen-data", "--out", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
+
     def test_env_seed_fallback(self, monkeypatch):
         monkeypatch.setenv("FORGE_SEED", "77")
         config = RunConfig()

@@ -15,13 +15,23 @@ them.
 
 The values were recorded on x86-64 with numpy's bundled OpenBLAS; a BLAS
 whose kernels sum in another order gives other ids for the same code. There
-are two pin sets, picked by the core name that OpenBLAS reports: the AVX-512
-tier (SkylakeX, the set every other or unknown core is held to) and the AVX2
-tier (Haswell, which Zen shares). The AVX2 sets were recorded with
-OPENBLAS_CORETYPE=Haswell and numpy's AVX-512 dispatch targets disabled
-through NPY_DISABLE_CPU_FEATURES, on one OpenBLAS thread and on two to four;
-OPENBLAS_CORETYPE=Zen, and Haswell with numpy's AVX-512 loops on, gave the
-same ids."""
+are three pin sets, picked by the core name that OpenBLAS reports: the
+AVX-512 tier (SkylakeX, the set every other or unknown core is held to), the
+AVX2 tier (Haswell, which Zen shares) and the SSE tier (Katmai). The AVX2
+sets were recorded with OPENBLAS_CORETYPE=Haswell and numpy's AVX-512
+dispatch targets disabled through NPY_DISABLE_CPU_FEATURES, on one OpenBLAS
+thread and on two to four; OPENBLAS_CORETYPE=Zen, and Haswell with numpy's
+AVX-512 loops on, gave the same ids.
+
+The SSE sets were recorded with OPENBLAS_CORETYPE=Prescott, which numpy
+2.4's bundled OpenBLAS 0.3.31 reports as Katmai (as it does Core2, Penryn
+and Dunnington), and with every numpy dispatch target disabled (X86_V3,
+X86_V4, AVX512_ICL and AVX512_SPR on numpy 2.4), so numpy runs its baseline
+loops as a CPU without AVX2 would. They were checked on one OpenBLAS thread
+and on two; OpenBLAS caps the count at the CPU count, and the two-CPU
+recording host allowed no more. With numpy's X86_V3 loops on, the same
+kernels give other ids, which are not pinned, and the Nehalem kernels
+(OPENBLAS_CORETYPE=Nehalem, Atom or Barcelona) give others again."""
 
 import ctypes
 from pathlib import Path
@@ -74,6 +84,7 @@ BUILDER_IDS = {
 }
 
 AVX2_CORES = {"Haswell", "Zen"}
+SSE_CORES = {"Katmai"}
 # the AVX2 tier's pins for two or more OpenBLAS threads (False) and for one
 # (True): on Haswell's kernels, unlike SkylakeX's, one thread rounds some
 # products differently
@@ -112,6 +123,44 @@ AVX2_PINS = {
                         "513a3835fa8471b6fc83bb33a17aa4ae7669b9135639f41a2664822b84e1046e")}),
 }
 
+# the SSE tier's distilled ids, the same on one thread and on two
+SSE_DISTILLED_IDS = {
+    False: "b15b3013b6e097cfc88837978ded4ce819be03f00b88a4ace188e3abb8c6cdae",
+    True: "a5a0efa5281cca3f59cda8afc09d0834a1ac660feadba8db2bd89e52eb7d4ef2",
+}
+SSE_EDGE_DISTILLED_IDS = {
+    "ipc-above-real-batch": "2de192b961ebe9b7d4715dd931c91d0b7bff5b2f89a3d0cc700759caad09b6bb",
+    "short-real-class": "1798c420d90aa78c7985476abcdbd453c546fcec8fa5f1d552f8bc15d85cf030",
+    "dsa-off": "4d78b46dfadf44abb42623ae10d575c6b38d9eb60529f61d8e871597890fc614",
+}
+# the SSE tier's pins for two OpenBLAS threads (False) and for one (True)
+SSE_PINS = {
+    False: ("cb174e337d5c1da86def0105de1a8c3243dcdeae10c588fb8512fb2cec02d45d",
+            SSE_DISTILLED_IDS, SSE_EDGE_DISTILLED_IDS,
+            {"fusion": (["cb160b93734ccd0ba04489a8b99a4bb50650d3e9a666ab0e0e27a551e2b270a4",
+                         "23d4a0d56cc852028d7275b8d980160995d87dc872750e0c19bf29712f12def8",
+                         "09c575872ac94c54b0899468fb32c7cd6099e9b53ddcce28acf1867f096a6dd1"],
+                        "bad407177b534ec2435991b45f829d13b89295e7b046326276ac81310b823886"),
+             "mixture": (["eda5d3764a60b6ceb3f957056f55433640d95c6bb39f2e8840e67c08c0291795",
+                          "b839b40ba5192d076ee7540af34164ec27df8bbb1c28a45e9c38913ef9a75346",
+                          "94cdeb600d30765b60d5c2c2dd8fd025213335b9088deff001e59bac0055407a"],
+                         "a47b126b527cf1c8dd7d10a214f7a3905cc79e5ef447d94cefde461be2906d86")}),
+    True: ("b004957b86d4af95c291405b18bde037d7741725359ab9041b7d5b4c81af16af",
+           SSE_DISTILLED_IDS, SSE_EDGE_DISTILLED_IDS,
+           {"fusion": (["cb160b93734ccd0ba04489a8b99a4bb50650d3e9a666ab0e0e27a551e2b270a4",
+                        "d821a4f5446c5e5ce065910a29c71902623f830322a0f8adcd42021c41e2a291",
+                        "de3611f9ae5e8fbe06e67df48a28a0c9efa8eea2f9881f4dd33a3ce161a3e414"],
+                       "7531bc4f6265d234ea500414022501cfb836ec3abc0d16cf4f97a3c35abaca61"),
+            "mixture": (["eda5d3764a60b6ceb3f957056f55433640d95c6bb39f2e8840e67c08c0291795",
+                         "a4f7a1b5a63bc7ff2138f9c01387a46b240ff3e0ba8eead9db4556920a32cde0",
+                         "439f7481297cb0513e9ce87ade3074168a49ddec95928730e687b0c48ee963c8"],
+                        "535050dc4f475071da52aaac12a3e62acd6fe4bbb7fa2c89dddeeefddb91aa9b")}),
+}
+
+# each tier's pins by the core names that pick them; any other core is held
+# to the AVX-512 set above
+TIER_PINS = {**dict.fromkeys(AVX2_CORES, AVX2_PINS), **dict.fromkeys(SSE_CORES, SSE_PINS)}
+
 
 def bundled_openblas() -> tuple[str, int]:
     """The core name and thread count of numpy's bundled OpenBLAS, read as
@@ -131,8 +180,8 @@ def bundled_openblas() -> tuple[str, int]:
 
 
 CORE, THREADS = bundled_openblas()
-if CORE in AVX2_CORES:
-    PLUGIN_ID, DISTILLED_IDS, EDGE_DISTILLED_IDS, MERGE_IDS = AVX2_PINS[THREADS == 1]
+if CORE in TIER_PINS:
+    PLUGIN_ID, DISTILLED_IDS, EDGE_DISTILLED_IDS, MERGE_IDS = TIER_PINS[CORE][THREADS == 1]
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDER_IDS))

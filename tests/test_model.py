@@ -262,6 +262,58 @@ class TestTrainPlugin:
                                np.zeros(0, dtype=np.int64), TrainConfig(epochs=1),
                                nm.make_rng(0))
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_the_table_rejected_before_the_first_step(self, base, bad,
+                                                                   monkeypatch):
+        table = LabelEmbeddingTable("t", ["a", "b"], base.embed_dim)
+        encodes = []
+        monkeypatch.setattr(model, "encode", lambda *args, **kwargs: encodes.append(args))
+        x = np.ones((3, base.input_dim), dtype=np.float32)
+        with pytest.raises(InputError, match=r"labels must lie in \[0, 2\)"):
+            model.train_plugin(base, table, x, np.array([0, 1, bad]), TrainConfig(epochs=1),
+                               nm.make_rng(0))
+        assert encodes == []
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"dropout_p": 0.0}, {"momentum": 0.0}, {"weight_decay": 0.0},
+        {"iterations": 5}], ids=["defaults", "no dropout", "no momentum",
+                                  "no weight decay", "iterations cap"])
+    def test_plugin_bytes_match_the_node_chain(self, base, changes):
+        # train_plugin's one head-and-loss gradient and flat update against
+        # a loop over the public nodes: encode -> classify ->
+        # softmax_cross_entropy, each backward handed on by Tensor.backward,
+        # then sgd_step on the four arrays; 40 rows in batches of 16
+        rng = nm.make_rng(37)
+        x = rng.normal(size=(40, base.input_dim)).astype(np.float32)
+        y = np.arange(40) % 3
+        table = LabelEmbeddingTable("chain", ["a", "b", "c"], base.embed_dim)
+        settings = {"epochs": 3, "batch_size": 16, **changes}
+        iterations = settings.pop("iterations", None)
+        cfg = TrainConfig(**settings)
+
+        rng = nm.make_rng(38)
+        plugin = PluginModule.fresh(base, cfg.rank, cfg.alpha, rng)
+        params = plugin.parameters()
+        state = nm.SgdState(cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        budget = 3 * 3 if iterations is None else iterations
+        steps = 0
+        while steps < budget:
+            order = rng.permutation(40)
+            for start in range(0, 40, 16):
+                if steps == budget:
+                    break
+                idx = order[start:start + 16]
+                emb = model.encode(base, Tensor(x[idx]), plugin, training=True, rng=rng,
+                                   dropout_p=cfg.dropout_p)
+                logits = model.classify(emb, table, cfg.temperature)
+                loss = nm.softmax_cross_entropy(logits, y[idx])
+                nm.sgd_step(params, emb.backward(logits.backward(loss.backward())), state)
+                steps += 1
+
+        trained = model.train_plugin(base, table, x, y, cfg, nm.make_rng(38),
+                                     iterations=iterations)
+        assert trained.to_bytes() == plugin.to_bytes()
+
     def test_training_is_deterministic_given_seed(self, base):
         rng = nm.make_rng(33)
         x = rng.normal(size=(40, base.input_dim)).astype(np.float32)

@@ -351,6 +351,11 @@ class TestHandOff:
         assert got.dtype == np.float32 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, g)
 
+    def test_c_ordered_float32_gradient_is_handed_on_uncopied(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        g = np.arange(6, dtype=np.float32)
+        assert np.shares_memory(x.backward(g), g)
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
