@@ -22,11 +22,10 @@ from .model import (
     LoraAdapter,
     PluginModule,
     TrainConfig,
-    classify,
     encode,
     train_plugin,
 )
-from .numerics import SgdState, Tensor, finite_difference_grad, make_rng, sgd_step
+from .numerics import SgdState, make_rng, sgd_step
 from .chain import Chain, Commit
 from .registry import BranchContribution, Repository
 
@@ -37,9 +36,8 @@ __all__ = [
     "DistillConfig", "DistilledDataset", "DsaParams", "ForgeItem",
     "LabelEmbeddingTable", "LabeledDataset", "LoraAdapter", "MergeCoefficients",
     "MetricsReport", "PluginModule", "Repository", "SgdState", "TaskSpec",
-    "Tensor", "TrainConfig", "accuracy", "auc", "baseline_lorahub",
-    "baseline_modelsoup", "classify", "distill_dataset", "encode", "eval_distilled",
-    "finite_difference_grad", "fuse", "generate_tasks", "group_aggregate",
-    "make_rng", "merge_round", "optimize_coefficients", "sgd_step",
-    "split_by_group", "train_plugin",
+    "TrainConfig", "accuracy", "auc", "baseline_lorahub", "baseline_modelsoup",
+    "distill_dataset", "encode", "eval_distilled", "fuse", "generate_tasks",
+    "group_aggregate", "make_rng", "merge_round", "optimize_coefficients",
+    "sgd_step", "split_by_group", "train_plugin",
 ]

@@ -168,7 +168,8 @@ class DistillConfig:
 
     def __post_init__(self) -> None:
         # refused before the first step, not after every iteration has run
-        nm.check_ranges(self, at_least_one=("iterations", "ipc", "real_batch_per_class", "rank"),
+        nm.check_ranges(self, at_least_one=("iterations", "ipc", "real_batch_per_class", "rank",
+                                            "eval_iterations"),
                         positive=("syn_lr", "syn_lr_final", "alpha"))
 
 

@@ -334,50 +334,19 @@ def _label_head(table: LabelEmbeddingTable) -> np.ndarray:
     return np.ascontiguousarray(_unit_rows(table.rows)[0].T)
 
 
-def classify(embedding: Tensor, table: LabelEmbeddingTable, temperature: float) -> Tensor:
-    """Cosine similarity against each label row, divided by temperature; one
-    tape node whose backward returns the embedding's gradient."""
-    rows_t = _label_head(table)
-    single = embedding.data.ndim == 1
-    scale = float(1.0 / temperature)
-    unit, inv, logits = _cosine_logits(
-        embedding.data.reshape(1, -1) if single else embedding.data, rows_t, scale)
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        return _cosine_grad(unit, inv, rows_t, scale,
-                            g.reshape(logits.shape)).reshape(embedding.shape)
-
-    return Tensor(logits.reshape(-1) if single else logits, backward)
-
-
-def _cosine_logits(e: np.ndarray, rows_t: np.ndarray,
-                   scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The [n, d] embeddings ``e`` at unit norm, their inverse norms, and
-    their cosines against a ``_label_head`` times ``scale``."""
-    if e.shape[1] != rows_t.shape[0]:
-        raise ShapeError(f"embedding dim {e.shape[1]} != table dim {rows_t.shape[0]}")
-    unit, inv = _unit_rows(e)
-    return unit, inv, (unit @ rows_t) * nm.DTYPE(scale)
-
-
-def _cosine_grad(unit: np.ndarray, inv: np.ndarray, rows_t: np.ndarray, scale: float,
-                 g: np.ndarray) -> np.ndarray:
-    """The embeddings' gradient, given ``g``, the gradient of
-    ``_cosine_logits``'s logits."""
-    g_unit = (g * scale) @ rows_t.T
-    dot = np.add.reduce(unit * g_unit, axis=1, keepdims=True)
-    return (g_unit - unit * dot) * inv
-
-
 def _head_loss_grad(e: np.ndarray, rows_t: np.ndarray, scale: float,
                     labels: np.ndarray) -> np.ndarray:
     """The gradient with respect to the [n, d] embeddings ``e`` of the mean
     cross-entropy, at the checked ``labels``, of their cosine logits: the
-    float32 and float64 operations of ``classify``, ``softmax_cross_entropy``
-    and their backwards, in the same order, without the loss value."""
-    unit, inv, logits = _cosine_logits(e, rows_t, scale)
-    probs = nm.softmax_parts(logits)[2]
-    return _cosine_grad(unit, inv, rows_t, scale, nm.cross_entropy_grad(probs, labels))
+    cosines of ``e`` at unit norm against a ``_label_head`` times ``scale``.
+    The loss value itself is never computed."""
+    if e.shape[1] != rows_t.shape[0]:
+        raise ShapeError(f"embedding dim {e.shape[1]} != table dim {rows_t.shape[0]}")
+    unit, inv = _unit_rows(e)
+    probs = nm.softmax((unit @ rows_t) * nm.DTYPE(scale))
+    g_unit = (nm.cross_entropy_grad(probs, labels) * scale) @ rows_t.T
+    dot = np.add.reduce(unit * g_unit, axis=1, keepdims=True)
+    return (g_unit - unit * dot) * inv
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +428,9 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
 
     ``iterations`` caps the number of SGD steps instead of running full
     epochs (used for distilled-data evaluation). Each step runs ``encode``,
-    one ``Tensor.backward`` through it and one ``sgd_step``; the plugin's
-    bytes are those of the node chain ``encode`` -> ``classify`` ->
-    ``softmax_cross_entropy`` -> ``sgd_step`` on ``plugin.parameters()``.
+    ``_head_loss_grad`` (the cosine head and the loss as one gradient), one
+    ``Tensor.backward`` through ``encode`` and one ``sgd_step`` on a flat
+    buffer of the adapters' A and B.
     """
     inputs = np.asarray(inputs, dtype=nm.DTYPE)
     labels = np.asarray(labels, dtype=np.int64)

@@ -1,15 +1,16 @@
 """Dense float32 tensors, the gradient hand-off that chains coarse nodes, the
-softmax cross-entropy loss, SGD with momentum, the range check of training
-and distillation settings, the wire format, the checked reader of every
-JSON document forge reads, and the staged write of every file forge writes.
+one softmax and the cross-entropy gradient, SGD with momentum, the range
+check of training and distillation settings, the wire format, the checked
+reader of every JSON document forge reads, and the staged write of every
+file forge writes.
 
 A node is one fused forward computation with its own analytic backward
-(the encoder, the cosine head, the augmentation and the matching loss are
-built in their own modules as ``Tensor(data, backward)``). A node's backward
-takes the gradient of its output and returns the gradients of its inputs;
-there is no graph and no gradient state. The caller chains the nodes it
-built, handing each result to ``Tensor.backward`` of the tensor it belongs
-to, and passes the last result to ``sgd_step``.
+(the encoder, the augmentation and the matching loss are built in their own
+modules as ``Tensor(data, backward)``). A node's backward takes the
+gradient of its output and returns the gradients of its inputs; there is no
+graph and no gradient state. The caller chains the nodes it built, handing
+each result to ``Tensor.backward`` of the tensor it belongs to, and passes
+the last result to ``sgd_step``.
 
 A ``Tensor`` is only a node's output or an input handed to a node. The
 model's state (encoder weights and biases, adapter factors, label rows) is
@@ -86,51 +87,22 @@ class Tensor:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable row softmax of an [n,c] array (plain numpy, no gradient)."""
+    """Row softmax of [n,c] logits, float32: ``exp(z - lse)`` of their float64
+    copy ``z``, ``lse`` being each row's log-sum-exp (plain numpy, no
+    gradient)."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=-1, keepdims=True)).astype(DTYPE)
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean NLL of softmax(logits) at ``labels``; the backward returns the
-    logits' gradient, (softmax - onehot)/n."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy expects [n,c] logits, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise IndexError(f"labels must lie in [0, {c})")
-    z, lse, probs = softmax_parts(logits.data)
-    value = float(np.mean(lse - z[np.arange(n), labels]))
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        return cross_entropy_grad(probs.copy(), labels, float(g))
-
-    out = Tensor(np.array(value, dtype=DTYPE), backward)
-    out._value = value
-    return out
-
-
-def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward of ``softmax_cross_entropy`` on [n,c] float32 logits: their
-    float64 copy, each row's log-sum-exp and the float32 softmax."""
-    z = logits.astype(np.float64)
     zmax = np.maximum.reduce(z, axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.add.reduce(np.exp(z - zmax), axis=1))
-    return z, lse, np.exp(z - lse[:, None]).astype(DTYPE)
+    return np.exp(z - lse[:, None]).astype(DTYPE)
 
 
-def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray, g: float = 1.0) -> np.ndarray:
-    """The logits' gradient of ``g`` times the mean cross-entropy at the
-    checked int64 ``labels``, (softmax - onehot) * g/n; overwrites the float32
-    softmax ``probs``."""
+def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The logits' gradient of the mean cross-entropy at the checked int64
+    ``labels``, (softmax - onehot)/n; overwrites the float32 softmax
+    ``probs``."""
     n = len(labels)
     probs[np.arange(n), labels] -= 1.0
-    return probs * (g / n)
+    return probs * (1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +161,6 @@ def sgd_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
         if state.weight_decay:
             v += DTYPE(state.weight_decay) * p
         p -= DTYPE(state.learning_rate) * v
-
-
-def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor,
-                           eps: float = 1e-2) -> Tensor:
-    """Central-difference gradient of a scalar function of one tensor."""
-    flat = x.data.reshape(-1)
-    grad = np.zeros(flat.shape, dtype=np.float64)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = DTYPE(orig + eps)
-        hi_x = flat[i]
-        hi = f(x)
-        flat[i] = DTYPE(orig - eps)
-        lo_x = flat[i]
-        lo = f(x)
-        flat[i] = orig
-        grad[i] = (hi - lo) / (float(hi_x) - float(lo_x))
-    return Tensor(grad.reshape(x.data.shape))
 
 
 # ---------------------------------------------------------------------------

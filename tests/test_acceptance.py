@@ -22,6 +22,7 @@ from forge.merge import CoeffOptimConfig, MergeCoefficients
 from forge.model import LoraAdapter, PluginModule
 from forge.numerics import Tensor
 from forge.registry import BranchContribution, Repository
+from reference import classify, finite_difference_grad, rel_err, softmax_cross_entropy
 
 SEEDS = (1, 2, 3)
 
@@ -31,12 +32,6 @@ def report(line: str, ok: bool, elapsed: float, budget: float) -> None:
     print(f"\n[{status}] {line} ({elapsed:.1f}s / budget {budget:.0f}s)")
     assert ok, line
     assert elapsed < budget, f"budget exceeded: {elapsed:.1f}s >= {budget:.0f}s"
-
-
-def rel_err(got, want) -> float:
-    got = np.asarray(got, dtype=np.float64)
-    want = np.asarray(want, dtype=np.float64)
-    return float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -133,30 +128,30 @@ def test_criterion_2_gradient_checks():
     base = mdl.BaseEncoder.from_seed(7)
     ok = True
 
-    # cross-entropy w.r.t. logits
+    # cross-entropy w.r.t. logits, on the reference loss whose value the
+    # cosine head's check below differentiates
     for _ in range(20):
         z = Tensor(rng.uniform(-1, 1, size=(4, 3)).astype(np.float32))
         labels = rng.integers(0, 3, size=4)
-        grad = nm.softmax_cross_entropy(z, labels).backward()
-        fd = nm.finite_difference_grad(
-            lambda t: nm.softmax_cross_entropy(t, labels).item(), z, eps=2e-2)
+        grad = softmax_cross_entropy(z, labels).backward()
+        fd = finite_difference_grad(
+            lambda t: softmax_cross_entropy(t, labels).item(), z, eps=2e-2)
         ok &= rel_err(grad, fd.data) < 1e-4
 
-    # cosine head: CE of cosine logits w.r.t. the embedding. Checked at
-    # temperature 0.5: the backward path is identical at any temperature
-    # (one linear scale), while sharper settings make the central-difference
-    # oracle itself ill-conditioned in float32.
+    # cosine head: training's _head_loss_grad, the gradient of the CE of the
+    # cosine logits w.r.t. the embedding, against the float64 loss of the
+    # reference head. Checked at temperature 0.5: the backward path is
+    # identical at any temperature (one linear scale), while sharper settings
+    # make the central-difference oracle itself ill-conditioned in float32.
     table = mdl.LabelEmbeddingTable("probe", ["one pattern", "two pattern"], 8)
+    head = mdl._label_head(table)
     for _ in range(20):
         e = Tensor(rng.uniform(-1, 1, size=(3, 8)).astype(np.float32) + 0.2)
         labels = rng.integers(0, 2, size=3)
-
-        def head_loss(t):
-            return nm.softmax_cross_entropy(mdl.classify(t, table, 0.5), labels)
-
-        logits = mdl.classify(e, table, 0.5)
-        grad = logits.backward(nm.softmax_cross_entropy(logits, labels).backward())
-        fd = nm.finite_difference_grad(lambda t: head_loss(t).item(), e, eps=5e-3)
+        grad = mdl._head_loss_grad(e.data, head, 1.0 / 0.5, labels)
+        fd = finite_difference_grad(
+            lambda t: softmax_cross_entropy(classify(t, table, 0.5), labels).item(), e,
+            eps=5e-3)
         ok &= rel_err(grad, fd.data) < 1e-4
 
     # DSA transforms
@@ -165,7 +160,7 @@ def test_criterion_2_gradient_checks():
         params = dst.DsaParams.sample(nm.make_rng(trial))
         out = dst.dsa_augment(x, params)
         grad = out.backward(2.0 * out.data)  # the gradient of the sum of squares
-        fd = nm.finite_difference_grad(
+        fd = finite_difference_grad(
             lambda t: float(np.sum(np.square(dst.dsa_augment(t, params).data,
                                              dtype=np.float64))), x, eps=1e-2)
         ok &= rel_err(grad, fd.data) < 1e-4
@@ -178,7 +173,7 @@ def test_criterion_2_gradient_checks():
         syn = Tensor(rng.normal(size=(2, base.input_dim)).astype(np.float32))
         feat = feature(syn)
         grad = feat.backward(dst.dm_loss(real, [0], feat, [0]).backward())
-        fd = nm.finite_difference_grad(
+        fd = finite_difference_grad(
             lambda t: dst.dm_loss(real, [0], feature(t), [0]).item(), syn, eps=5e-2)
         ok &= rel_err(grad, fd.data) < 1e-4
 

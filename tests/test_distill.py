@@ -7,11 +7,7 @@ from forge import model
 from forge import numerics as nm
 from forge.errors import FormatError, InputError, ParameterError, ShapeError
 from forge.numerics import Tensor
-
-
-def rel_err(got, want):
-    denom = max(float(np.linalg.norm(want)), 1e-12)
-    return float(np.linalg.norm(np.asarray(got, np.float64) - np.asarray(want, np.float64))) / denom
+from reference import finite_difference_grad, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +53,7 @@ class TestDsaAugment:
 
             out = dst.dsa_augment(x, params, noise)
             grad = out.backward(2.0 * out.data)  # the gradient of the sum of squares
-            fd = nm.finite_difference_grad(
+            fd = finite_difference_grad(
                 lambda t: float(np.sum(np.square(dst.dsa_augment(t, params, noise).data,
                                                  dtype=np.float64))), x, eps=1e-2)
             assert rel_err(grad, fd.data) < 1e-4
@@ -132,7 +128,7 @@ class TestDmLoss:
             syn = Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))
             feat = feature(syn)
             grad = feat.backward(dst.dm_loss(real, [0, 4], feat, [0, 2]).backward())
-            fd = nm.finite_difference_grad(
+            fd = finite_difference_grad(
                 lambda t: dst.dm_loss(real, [0, 4], feature(t), [0, 2]).item(), syn, eps=5e-2)
             assert rel_err(grad, fd.data) < 1e-4
 
@@ -161,7 +157,8 @@ class TestDistill:
 
     @pytest.mark.parametrize("field, value", [
         ("rank", 0), ("real_batch_per_class", 0), ("alpha", float("nan")), ("alpha", 0.0),
-        ("syn_lr", float("nan")), ("syn_lr_final", float("inf"))])
+        ("syn_lr", float("nan")), ("syn_lr_final", float("inf")), ("eval_iterations", 0),
+        ("eval_iterations", -1)])
     def test_setting_out_of_range_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
             dst.DistillConfig(**{field: value})

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from forge import datasets as dsets
 from forge import evaluation as ev
+from forge import experiments as xp
+from forge import model
 from forge import numerics as nm
 from forge.errors import DegenerateInputError, InputError
 
@@ -173,3 +176,26 @@ class TestGroupAggregate:
         logits = np.zeros((2, 2))
         with pytest.raises(InputError):
             ev.evaluate_logits(logits, np.array([0, 1]), np.array([5, 5]))
+
+
+def division_softmax(logits: np.ndarray) -> np.ndarray:
+    """The division form of the row softmax: the exponentials of the
+    max-shifted float64 logits over their sum, cast to float32."""
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
+
+
+class TestOneSoftmax:
+    @pytest.mark.parametrize("task", ["B-toy", "M-toy"], ids=["grouped", "ungrouped"])
+    def test_trained_logits_score_as_with_the_division_softmax(self, task, monkeypatch):
+        # seed 3's toy task, trained for 20 epochs, scored on its test split
+        base = model.BaseEncoder.from_seed(3)
+        spec, train, test = next(t for t in dsets.generate_tasks(3) if t[0].name == task)
+        assert (test.group_ids is not None) == (task == "B-toy")
+        plugin = xp.train_branch(base, spec, train, model.TrainConfig(epochs=20), 3)
+        logits = model.cosine_logits_np(model.encode_np(base, plugin.layer_deltas(), test.inputs),
+                                        xp.table_for(base, spec), model.TrainConfig.temperature)
+        got = ev.evaluate_logits(logits, test.labels, test.group_ids)
+        monkeypatch.setattr(nm, "softmax", division_softmax)
+        assert got == ev.evaluate_logits(logits, test.labels, test.group_ids)

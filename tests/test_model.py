@@ -12,13 +12,9 @@ from forge.model import (
     TrainConfig,
 )
 from forge.numerics import Tensor
+from reference import classify, finite_difference_grad, rel_err, softmax_cross_entropy
 
 TEMPERATURE = TrainConfig.temperature
-
-
-def rel_err(got, want):
-    denom = max(float(np.linalg.norm(want)), 1e-12)
-    return float(np.linalg.norm(np.asarray(got, np.float64) - np.asarray(want, np.float64))) / denom
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +126,11 @@ class TestForward:
 
 class TestEncodeGradients:
     def test_adapter_gradients_match_finite_differences(self, base):
-        # every adapter A and B of the two-layer encoder, through encode ->
-        # classify -> cross-entropy in training mode with dropout 0.1; the rng
-        # is reseeded for each evaluation so the dropout masks stay fixed
+        # every adapter A and B of the two-layer encoder, as training takes
+        # them: encode in training mode with dropout 0.1, then the head and
+        # loss of _head_loss_grad; the loss differentiated is the reference
+        # chain's. The rng is reseeded for each evaluation so the dropout
+        # masks stay fixed
         rng = nm.make_rng(2)
         plugin = PluginModule.fresh(base, 2, 4.0, rng)
         for ad in plugin.adapters.values():
@@ -142,24 +140,23 @@ class TestEncodeGradients:
         x = Tensor(rng.normal(size=(8, base.input_dim)).astype(np.float32))
         labels = np.arange(8) % 3
 
-        def forward():
-            emb = model.encode(base, x, plugin, training=True, rng=nm.make_rng(99),
-                               dropout_p=0.1)
-            logits = model.classify(emb, table, 0.5)
-            return emb, logits, nm.softmax_cross_entropy(logits, labels)
+        def embed():
+            return model.encode(base, x, plugin, training=True, rng=nm.make_rng(99),
+                                dropout_p=0.1)
 
         def loss():
-            return forward()[2]
+            return softmax_cross_entropy(classify(embed(), table, 0.5), labels)
 
         def richardson_fd(t, eps=2e-2):
             # cancels the O(eps^2) truncation error of central differences,
             # which float32 rounding keeps from being shrunk through eps alone
-            fd = lambda e: nm.finite_difference_grad(lambda _: loss().item(), t, e).data
+            fd = lambda e: finite_difference_grad(lambda _: loss().item(), t, e).data
             return (4.0 * fd(eps) - fd(2.0 * eps)) / 3.0
 
         params = plugin.parameters()
-        emb, logits, out = forward()
-        grads = emb.backward(logits.backward(out.backward()))
+        emb = embed()
+        grads = emb.backward(model._head_loss_grad(emb.data, model._label_head(table), 2.0,
+                                                   labels))
         assert len(params) == 4
         # in plugin.parameters() order: the four shapes are distinct
         assert [g.shape for g in grads] == [p.shape for p in params]
@@ -170,45 +167,51 @@ class TestEncodeGradients:
 
 
 class TestClassify:
+    """The cosine head that evaluation runs, ``cosine_logits_np``."""
+
     def test_row_embedding_wins(self, base):
         table = LabelEmbeddingTable("t", ["left", "right", "up"], base.embed_dim)
-        for j in range(3):
-            logits = model.classify(Tensor(table.rows[j].copy()), table, TEMPERATURE)
-            assert np.argmax(logits.data, axis=-1) == j
+        logits = model.cosine_logits_np(table.rows, table, TEMPERATURE)
+        np.testing.assert_array_equal(np.argmax(logits, axis=-1), [0, 1, 2])
 
     def test_orthogonal_embedding_ties_break_low(self):
         table = LabelEmbeddingTable.__new__(LabelEmbeddingTable)
         table.task_name = "t"
         table.labels = ["a", "b"]
         table.rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.float32)
-        logits = model.classify(Tensor(np.array([0.0, 0.0, 1.0], dtype=np.float32)), table,
-                                TEMPERATURE)
-        np.testing.assert_allclose(logits.data, 0.0, atol=1e-6)
-        assert np.argmax(logits.data, axis=-1) == 0
+        logits = model.cosine_logits_np(np.array([[0.0, 0.0, 1.0]], dtype=np.float32), table,
+                                        TEMPERATURE)
+        np.testing.assert_allclose(logits, 0.0, atol=1e-6)
+        assert np.argmax(logits, axis=-1) == [0]
 
     def test_two_class_hand_cosines(self):
         table = LabelEmbeddingTable.__new__(LabelEmbeddingTable)
         table.task_name = "t"
         table.labels = ["a", "b"]
         table.rows = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.float32)
-        e = np.array([2.0, 1.0], dtype=np.float32)
-        logits = model.classify(Tensor(e), table, temperature=1.0).data
-        want = np.array([2.0 / np.sqrt(5.0), 3.0 / np.sqrt(10.0)])
+        e = np.array([[2.0, 1.0]], dtype=np.float32)
+        logits = model.cosine_logits_np(e, table, temperature=1.0)
+        want = np.array([[2.0 / np.sqrt(5.0), 3.0 / np.sqrt(10.0)]])
         np.testing.assert_allclose(logits, want, atol=1e-6)
 
     def test_scale_invariance(self, base):
         rng = nm.make_rng(8)
         table = LabelEmbeddingTable("t", ["one", "two"], base.embed_dim)
-        e = rng.normal(size=base.embed_dim).astype(np.float32)
-        l1 = model.classify(Tensor(e), table, TEMPERATURE).data
-        l2 = model.classify(Tensor(3.7 * e), table, TEMPERATURE).data
+        e = rng.normal(size=(1, base.embed_dim)).astype(np.float32)
+        l1 = model.cosine_logits_np(e, table, TEMPERATURE)
+        l2 = model.cosine_logits_np(3.7 * e, table, TEMPERATURE)
         np.testing.assert_allclose(l1, l2, atol=1e-6)
         assert np.argmax(l1, axis=-1) == np.argmax(l2, axis=-1)
 
     def test_zero_embedding_rejected(self, base):
+        # by evaluation's head and by training's
         table = LabelEmbeddingTable("t", ["one", "two"], base.embed_dim)
+        zero = np.zeros((1, base.embed_dim), dtype=np.float32)
         with pytest.raises(DegenerateInputError):
-            model.classify(Tensor(np.zeros(base.embed_dim, dtype=np.float32)), table, TEMPERATURE)
+            model.cosine_logits_np(zero, table, TEMPERATURE)
+        with pytest.raises(DegenerateInputError):
+            model._head_loss_grad(zero, model._label_head(table), 1.0 / TEMPERATURE,
+                                  np.array([0]))
 
     def test_identical_labels_share_rows_across_tasks(self):
         t1 = LabelEmbeddingTable("task1", ["shared label", "other a"], 32)
@@ -280,7 +283,7 @@ class TestTrainPlugin:
                                   "no weight decay", "iterations cap"])
     def test_plugin_bytes_match_the_node_chain(self, base, changes):
         # train_plugin's one head-and-loss gradient and flat update against
-        # a loop over the public nodes: encode -> classify ->
+        # a loop over tape nodes: encode -> the reference classify ->
         # softmax_cross_entropy, each backward handed on by Tensor.backward,
         # then sgd_step on the four arrays; 40 rows in batches of 16
         rng = nm.make_rng(37)
@@ -305,8 +308,8 @@ class TestTrainPlugin:
                 idx = order[start:start + 16]
                 emb = model.encode(base, Tensor(x[idx]), plugin, training=True, rng=rng,
                                    dropout_p=cfg.dropout_p)
-                logits = model.classify(emb, table, cfg.temperature)
-                loss = nm.softmax_cross_entropy(logits, y[idx])
+                logits = classify(emb, table, cfg.temperature)
+                loss = softmax_cross_entropy(logits, y[idx])
                 nm.sgd_step(params, emb.backward(logits.backward(loss.backward())), state)
                 steps += 1
 
@@ -339,9 +342,9 @@ class TestTrainPlugin:
         def step(p):
             emb = model.encode(base, Tensor(x), p, training=True, rng=nm.make_rng(36),
                                dropout_p=0.1)
-            logits = model.classify(emb, table, TEMPERATURE)
-            grads = emb.backward(logits.backward(nm.softmax_cross_entropy(logits, y).backward()))
-            return [emb.data, *grads]
+            grad = model._head_loss_grad(emb.data, model._label_head(table), 1.0 / TEMPERATURE,
+                                         y)
+            return [emb.data, *emb.backward(grad)]
 
         trained, copied = step(plugin), step(copy)
         assert not np.array_equal(trained[0], model.encode(base, Tensor(x), plugin).data)
