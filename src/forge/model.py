@@ -468,4 +468,7 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
                 view[...] = g
             nm.sgd_step([params], [grads], state)
             steps_done += 1
+    if not np.isfinite(params).all():
+        raise ParameterError("training diverged to non-finite plugin weights; lower "
+                             "the learning rate or raise the temperature")
     return plugin

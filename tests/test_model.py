@@ -258,6 +258,17 @@ class TestTrainPlugin:
         assert base.param_hash() == base_hash
         assert table.param_hash() == table_hash
 
+    # the overflowing steps warn before the weights reach inf or NaN
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("setting", [{"learning_rate": 1e6}, {"temperature": 1e-30}])
+    def test_divergent_training_is_refused(self, base, setting):
+        rng = nm.make_rng(3)
+        x = rng.normal(size=(40, base.input_dim)).astype(np.float32)
+        table = LabelEmbeddingTable("t", ["a", "b"], base.embed_dim)
+        with pytest.raises(ParameterError, match="non-finite plugin weights"):
+            model.train_plugin(base, table, x, np.arange(40) % 2,
+                               TrainConfig(epochs=5, batch_size=16, **setting), rng)
+
     def test_empty_dataset_rejected(self, base):
         table = LabelEmbeddingTable("t", ["a", "b"], base.embed_dim)
         with pytest.raises(InputError):
