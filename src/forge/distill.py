@@ -62,22 +62,20 @@ class DsaParams:
         return rng.normal(0.0, self.noise_std, size=(rows, *shape)).astype(nm.DTYPE)
 
 
-def dsa_augment(batch: Tensor, params: DsaParams,
-                noise: np.ndarray | None = None) -> Tensor:
+def dsa_augment(batch: Tensor, params: DsaParams, noise: np.ndarray) -> Tensor:
     """Apply flip, shift, scale and noise, in that order, to [n, h, w]; one
     tape node whose backward returns the batch's gradient through the
     adjoint of the pixel transforms. The identity transform returns ``batch``.
 
-    ``noise`` holds at least n rows of noise, of which the first n are
-    added; without it ``params.noise(n, (h, w))`` is drawn here. A longer
-    draw's first n rows are those bytes, so a caller augmenting several
-    batches with one ``params`` draws once and passes rows of that draw.
+    ``noise`` holds at least n rows of ``params.noise``, of which the first n
+    are added. A longer draw's first n rows are the bytes of an n-row draw,
+    so a caller augmenting several batches with one ``params`` draws once and
+    passes rows of that draw.
     """
     if batch.data.ndim != 3:
         raise ShapeError(f"dsa_augment expects [n, h, w], got {batch.shape}")
     n, h, w = batch.shape
-    if noise is not None and (noise.ndim != 3 or len(noise) < n
-                              or noise.shape[1:] != (h, w)):
+    if noise.ndim != 3 or len(noise) < n or noise.shape[1:] != (h, w):
         raise ShapeError(f"noise {noise.shape} does not cover a batch of {batch.shape}")
     dy, dx = params.shift
     dst = (slice(None), slice(max(dy, 0), h + min(dy, 0)), slice(max(dx, 0), w + min(dx, 0)))
@@ -97,7 +95,7 @@ def dsa_augment(batch: Tensor, params: DsaParams,
     if scale != 1.0:
         out *= nm.DTYPE(scale)
     if params.noise_std > 0.0:
-        out += (params.noise(n, (h, w)) if noise is None else noise)[:n]
+        out += noise[:n]
 
     def backward(g: np.ndarray) -> np.ndarray:
         if scale != 1.0:

@@ -455,19 +455,22 @@ def train_plugin(base: BaseEncoder, table: LabelEmbeddingTable,
 
     steps_done = 0
     budget = iterations if iterations is not None else config.epochs * max(1, -(-n // config.batch_size))
-    while steps_done < budget:
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            if steps_done >= budget:
-                break
-            idx = order[start:start + config.batch_size]
-            emb = encode(base, Tensor(inputs[idx]), plugin, training=True, rng=rng,
-                         dropout_p=config.dropout_p)
-            grad = _head_loss_grad(emb.data, head, scale, labels[idx])
-            for view, g in zip(grad_views, emb.backward(grad)):
-                view[...] = g
-            nm.sgd_step([params], [grads], state)
-            steps_done += 1
+    # diverging steps overflow to inf and NaN; the one check after the loop
+    # refuses them, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps_done < budget:
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                if steps_done >= budget:
+                    break
+                idx = order[start:start + config.batch_size]
+                emb = encode(base, Tensor(inputs[idx]), plugin, training=True, rng=rng,
+                             dropout_p=config.dropout_p)
+                grad = _head_loss_grad(emb.data, head, scale, labels[idx])
+                for view, g in zip(grad_views, emb.backward(grad)):
+                    view[...] = g
+                nm.sgd_step([params], [grads], state)
+                steps_done += 1
     if not np.isfinite(params).all():
         raise ParameterError("training diverged to non-finite plugin weights; lower "
                              "the learning rate or raise the temperature")

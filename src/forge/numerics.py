@@ -1,8 +1,8 @@
 """Dense float32 tensors, the gradient hand-off that chains coarse nodes, the
 one softmax and the cross-entropy gradient, SGD with momentum, the range
 check of training and distillation settings, the wire format, the checked
-reader of every JSON document forge reads, and the staged write of every
-file forge writes.
+reader of every JSON document forge reads, the staged write of every file
+forge writes, and the one thread that numpy's bundled OpenBLAS runs on.
 
 A node is one fused forward computation with its own analytic backward
 (the encoder, the augmentation and the matching loss are built in their own
@@ -24,6 +24,7 @@ finite-difference checks are not drowned by float32 rounding of the loss.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -31,6 +32,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +40,41 @@ import numpy as np
 from .errors import FormatError, ParameterError, ShapeError
 
 DTYPE = np.float32
+
+
+# ---------------------------------------------------------------------------
+# BLAS
+# ---------------------------------------------------------------------------
+
+
+def _one_thread_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy's wheel bundles, as numpy loaded it, set to one
+    thread; None where numpy's BLAS is not that OpenBLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            lib.scipy_openblas_set_num_threads64_(1)
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+# on some kernels (Haswell's, Katmai's) the thread count changes the order of
+# the float32 sums, and so every content id downstream: forge's BLAS runs on
+# one thread, whatever OPENBLAS_NUM_THREADS says. Another BLAS is left as it is
+_OPENBLAS = _one_thread_openblas()
+
+
+def bundled_openblas() -> tuple[str, int]:
+    """The core name and thread count of numpy's bundled OpenBLAS, or
+    ("unknown", 0) where there is none."""
+    if _OPENBLAS is None:
+        return "unknown", 0
+    return (_OPENBLAS.scipy_openblas_get_corename64_().decode(),
+            _OPENBLAS.scipy_openblas_get_num_threads64_())
 
 
 class Tensor:

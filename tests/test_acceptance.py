@@ -158,10 +158,11 @@ def test_criterion_2_gradient_checks():
     for trial in range(20):
         x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)).astype(np.float32))
         params = dst.DsaParams.sample(nm.make_rng(trial))
-        out = dst.dsa_augment(x, params)
+        noise = params.noise(2, (4, 4))
+        out = dst.dsa_augment(x, params, noise)
         grad = out.backward(2.0 * out.data)  # the gradient of the sum of squares
         fd = finite_difference_grad(
-            lambda t: float(np.sum(np.square(dst.dsa_augment(t, params).data,
+            lambda t: float(np.sum(np.square(dst.dsa_augment(t, params, noise).data,
                                              dtype=np.float64))), x, eps=1e-2)
         ok &= rel_err(grad, fd.data) < 1e-4
 

@@ -356,13 +356,15 @@ class TestExitCodes:
                      "--distilled", str(distilled), "--task", "B-toy",
                      "--data", str(data_dir)]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing steps
-    def test_divergent_training_is_two_and_writes_nothing(self, tmp_path, data_dir):
+    def test_divergent_training_is_two_and_writes_nothing(self, tmp_path, data_dir, capsys):
         config, out = tmp_path / "lr.ini", tmp_path / "nan.fgm"
         config.write_text("[train]\nlearning_rate = 1e6\n")
         assert main(["--config", str(config), "--seed", "3", "train-branch", "--task",
                      "M-toy", "--data", str(data_dir), "--out", str(out), "--epochs", "2"]) == 2
         assert sorted(tmp_path.iterdir()) == [config]
+        assert capsys.readouterr().err == (
+            "error: training diverged to non-finite plugin weights; lower the learning "
+            "rate or raise the temperature\n")
 
     def test_poison_contribution_is_two_and_queues_nothing(self, tmp_path, data_dir, capsys):
         import numpy as np

@@ -17,16 +17,13 @@ recorded with the numpy dispatch targets a CPU of that class runs: SkylakeX
 with all of them, Haswell without the AVX-512 ones, the other three with none
 (numpy's baseline loops). With more targets on, those kernels give other ids.
 
-An id is one string where the OpenBLAS thread count moves nothing, and a pair
-(two or more threads, one thread) where it does, as on Haswell's and Katmai's
-kernels. Every row was checked on one thread and on two, SkylakeX and Haswell
-also on three and four.
-
 A core that PINS lacks, "unknown" included, fails each pinned test with one
-message that names the core and the thread class and prints the ids this run
-computed: recording a family is copying them into a new row."""
+message that names the core and prints the ids this run computed: recording a
+family is copying them into a new row."""
 
-import ctypes
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,32 +58,20 @@ PINS = {
         "mixture item": "10ebcc15595559fb32971aeec82d1c191d414689953fd024b4275c67b6285600",
     },
     "Haswell": {
-        "train": ("a590b4e1ed9cb49eb33f05f6c41d8057b475c19c6c8995ccdfab331226ce5906",
-                  "422834b740d64aa8e794b10102e3b9a0a00af3200b286ed863e1bc681188dd27"),
-        "random-init": ("db9497881fe064f335dfedf109b8d0befc9aa8e596545dc6726855929c3d1abc",
-                        "35069ca08849d201433c1ee87ff451b6a24374fab4f25edb2be1480f255d89b6"),
-        "init-from-real": ("4a82894b27edfd3213fe14e12078a5232246fd1d546d69e0834384330a50a593",
-                           "b2c27b173df6de68aa858b2f097cd5cb79247f4f7cdaceeadef9be57e3314b7f"),
-        "dsa-off": ("67b88adf5a19b73d943774983a12faf6ffaf2b2fdaccece75109da06bde57879",
-                    "4bc0e34d15ad5c40ced55a8d53d906779c35785e4fddea963a1e548c039e3c89"),
+        "train": "422834b740d64aa8e794b10102e3b9a0a00af3200b286ed863e1bc681188dd27",
+        "random-init": "35069ca08849d201433c1ee87ff451b6a24374fab4f25edb2be1480f255d89b6",
+        "init-from-real": "b2c27b173df6de68aa858b2f097cd5cb79247f4f7cdaceeadef9be57e3314b7f",
+        "dsa-off": "4bc0e34d15ad5c40ced55a8d53d906779c35785e4fddea963a1e548c039e3c89",
         "ipc-above-real-batch": "5afb65dfa36e3db8df61e7291f361da65179b6870c94e5921723654585da6665",
         "short-real-class": "25f38233ef8e31ed125ecb894e8aae43cf26f7f54d23a26d5a1e356f46b47647",
-        "fusion 1": ("2fc050c9c433c6d76747d0505356865c0dd0589d701c6c711fe9b1e8cbef60bd",
-                     "3ab17d0f81c26cce74bbb0768d2a3257ced1698fcfb94354ce0fab1550693b22"),
-        "fusion 2": ("52a83eb073ae198ade0181a22ce0d82481ed48cea61cf1d0d67dba751f51681f",
-                     "eb3383a862f9b358a742dcb313eb8ffceef9a118c93a518b409acfc0ad3be86d"),
-        "fusion 3": ("49d59755c4536bf843cbbb609654cb8fb93f4bea274d9845be486dc216390fb4",
-                     "1538b39ba49f4965914df5102a8cfba2c06e2220411102a88b514ca77da3c2b6"),
-        "fusion item": ("0a7364a09e39fddb4afacfede7d8962eff836302fe1c9725e7db41273ee62721",
-                        "45db04b17768d6de351c33db156df1f900ddaf13d55b4d7947c8ab1654fd72b0"),
-        "mixture 1": ("ba644e6b2507dd0683ec40b3eeb78757630c7c2b8d6c816134420275087850a4",
-                      "ca35a36c08e4c4442c0197289915e37f5f2b150838f5a080b3b89b549a1fb32d"),
-        "mixture 2": ("b6ad7b00e1e49bfd35d1c21ad9beb9fbaa8142b1e1df3cf507c40cf6bcd46780",
-                      "83d75595144708678f949b036064d42b70d6bda6d16fbd32112f87167a67f49e"),
-        "mixture 3": ("dcc8a293715d13c5d8497574d2b92aca80cc3c5f2b73a7eee27345b4d78da9e3",
-                      "eb2e560f5061206fa14c058936f7f4b242cf4474e3a67852e5d25c1e011e088b"),
-        "mixture item": ("31815b4067c8fda1c5d379555e1048021d9c3d62f0c25873bc7ee04db0e4e62e",
-                         "513a3835fa8471b6fc83bb33a17aa4ae7669b9135639f41a2664822b84e1046e"),
+        "fusion 1": "3ab17d0f81c26cce74bbb0768d2a3257ced1698fcfb94354ce0fab1550693b22",
+        "fusion 2": "eb3383a862f9b358a742dcb313eb8ffceef9a118c93a518b409acfc0ad3be86d",
+        "fusion 3": "1538b39ba49f4965914df5102a8cfba2c06e2220411102a88b514ca77da3c2b6",
+        "fusion item": "45db04b17768d6de351c33db156df1f900ddaf13d55b4d7947c8ab1654fd72b0",
+        "mixture 1": "ca35a36c08e4c4442c0197289915e37f5f2b150838f5a080b3b89b549a1fb32d",
+        "mixture 2": "83d75595144708678f949b036064d42b70d6bda6d16fbd32112f87167a67f49e",
+        "mixture 3": "eb2e560f5061206fa14c058936f7f4b242cf4474e3a67852e5d25c1e011e088b",
+        "mixture item": "513a3835fa8471b6fc83bb33a17aa4ae7669b9135639f41a2664822b84e1046e",
     },
     "Sandybridge": {
         "train": "12ee356e63fe06a3624f01fe6070d3c984f2d6b13d59bb474c09ec5749db5815",
@@ -121,27 +106,20 @@ PINS = {
         "mixture item": "1562fbd4f969f9351f2b0086fca563f313f5191d7fa12f4fa6ea796f1f7c73aa",
     },
     "Katmai": {
-        "train": ("cb174e337d5c1da86def0105de1a8c3243dcdeae10c588fb8512fb2cec02d45d",
-                  "b004957b86d4af95c291405b18bde037d7741725359ab9041b7d5b4c81af16af"),
+        "train": "b004957b86d4af95c291405b18bde037d7741725359ab9041b7d5b4c81af16af",
         "random-init": "b15b3013b6e097cfc88837978ded4ce819be03f00b88a4ace188e3abb8c6cdae",
         "init-from-real": "a5a0efa5281cca3f59cda8afc09d0834a1ac660feadba8db2bd89e52eb7d4ef2",
         "dsa-off": "4d78b46dfadf44abb42623ae10d575c6b38d9eb60529f61d8e871597890fc614",
         "ipc-above-real-batch": "2de192b961ebe9b7d4715dd931c91d0b7bff5b2f89a3d0cc700759caad09b6bb",
         "short-real-class": "1798c420d90aa78c7985476abcdbd453c546fcec8fa5f1d552f8bc15d85cf030",
         "fusion 1": "cb160b93734ccd0ba04489a8b99a4bb50650d3e9a666ab0e0e27a551e2b270a4",
-        "fusion 2": ("23d4a0d56cc852028d7275b8d980160995d87dc872750e0c19bf29712f12def8",
-                     "d821a4f5446c5e5ce065910a29c71902623f830322a0f8adcd42021c41e2a291"),
-        "fusion 3": ("09c575872ac94c54b0899468fb32c7cd6099e9b53ddcce28acf1867f096a6dd1",
-                     "de3611f9ae5e8fbe06e67df48a28a0c9efa8eea2f9881f4dd33a3ce161a3e414"),
-        "fusion item": ("bad407177b534ec2435991b45f829d13b89295e7b046326276ac81310b823886",
-                        "7531bc4f6265d234ea500414022501cfb836ec3abc0d16cf4f97a3c35abaca61"),
+        "fusion 2": "d821a4f5446c5e5ce065910a29c71902623f830322a0f8adcd42021c41e2a291",
+        "fusion 3": "de3611f9ae5e8fbe06e67df48a28a0c9efa8eea2f9881f4dd33a3ce161a3e414",
+        "fusion item": "7531bc4f6265d234ea500414022501cfb836ec3abc0d16cf4f97a3c35abaca61",
         "mixture 1": "eda5d3764a60b6ceb3f957056f55433640d95c6bb39f2e8840e67c08c0291795",
-        "mixture 2": ("b839b40ba5192d076ee7540af34164ec27df8bbb1c28a45e9c38913ef9a75346",
-                      "a4f7a1b5a63bc7ff2138f9c01387a46b240ff3e0ba8eead9db4556920a32cde0"),
-        "mixture 3": ("94cdeb600d30765b60d5c2c2dd8fd025213335b9088deff001e59bac0055407a",
-                      "439f7481297cb0513e9ce87ade3074168a49ddec95928730e687b0c48ee963c8"),
-        "mixture item": ("a47b126b527cf1c8dd7d10a214f7a3905cc79e5ef447d94cefde461be2906d86",
-                         "535050dc4f475071da52aaac12a3e62acd6fe4bbb7fa2c89dddeeefddb91aa9b"),
+        "mixture 2": "a4f7a1b5a63bc7ff2138f9c01387a46b240ff3e0ba8eead9db4556920a32cde0",
+        "mixture 3": "439f7481297cb0513e9ce87ade3074168a49ddec95928730e687b0c48ee963c8",
+        "mixture item": "535050dc4f475071da52aaac12a3e62acd6fe4bbb7fa2c89dddeeefddb91aa9b",
     },
 }
 
@@ -156,49 +134,26 @@ BUILDER_IDS = {
 }
 
 
-def bundled_openblas() -> tuple[str, int]:
-    """The core name and thread count of numpy's bundled OpenBLAS, or
-    ("unknown", 0)."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            corename = lib.scipy_openblas_get_corename64_
-            threads = lib.scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        threads.argtypes, threads.restype = [], ctypes.c_int
-        return corename().decode(), threads()
-    return "unknown", 0
+CORE = nm.bundled_openblas()[0]
 
 
-CORE, THREADS = bundled_openblas()
-
-
-def pinned(got: dict[str, str], core: str = CORE, threads: int = THREADS) -> dict[str, str]:
+def pinned(got: dict[str, str], core: str = CORE) -> dict[str, str]:
     """The ids that PINS holds for the cases of ``got`` on OpenBLAS core
-    ``core`` at ``threads`` threads; fails the test, printing ``got``, when
-    PINS has no row for ``core``."""
+    ``core``; fails the test, printing ``got``, when PINS has no row for
+    ``core``."""
     if core not in PINS:
-        thread_class = {0: "an unread thread count", 1: "one thread"}.get(
-            threads, "two or more threads")
-        pytest.fail(f"no pinned ids for OpenBLAS core {core!r} on {thread_class}; "
-                    f"this run computed {got}", pytrace=False)
-    row = PINS[core]
-    return {case: row[case] if isinstance(row[case], str) else row[case][threads == 1]
-            for case in got}
+        pytest.fail(f"no pinned ids for OpenBLAS core {core!r}; this run computed {got}",
+                    pytrace=False)
+    return {case: PINS[core][case] for case in got}
 
 
-@pytest.mark.parametrize("core, threads, thread_class", [
-    ("Pentium", 1, "one thread"), ("Pentium", 4, "two or more threads"),
-    ("unknown", 0, "an unread thread count")])
-def test_a_core_without_pins_fails_by_name(core, threads, thread_class):
+@pytest.mark.parametrize("core", ["Pentium", "unknown"])
+def test_a_core_without_pins_fails_by_name(core):
     got = {"train": "0" * 64}
     with pytest.raises(pytest.fail.Exception) as failure:
-        pinned(got, core, threads)
+        pinned(got, core)
     assert str(failure.value) == \
-        f"no pinned ids for OpenBLAS core '{core}' on {thread_class}; this run computed {got}"
+        f"no pinned ids for OpenBLAS core '{core}'; this run computed {got}"
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDER_IDS))
@@ -211,21 +166,54 @@ def test_plugin_builder_ids(builder):
     assert plugin.content_id() == BUILDER_IDS[builder]
 
 
-@pytest.fixture(scope="module")
-def m_toy():
+def m_toy_inputs():
     spec, train, _ = generate_tasks(1)[2]
     assert spec.name == "M-toy"
     return model.BaseEncoder.from_seed(1), spec, train
 
 
-def test_seeded_train_plugin_id(m_toy):
-    base, spec, train = m_toy
+@pytest.fixture(scope="module")
+def m_toy():
+    return m_toy_inputs()
+
+
+def seeded_train_id(base, spec, train) -> str:
     table = model.LabelEmbeddingTable(spec.name, spec.labels, base.embed_dim)
     config = model.TrainConfig(epochs=2, dropout_p=0.1)
     plugin = model.train_plugin(base, table, train.inputs, train.labels, config,
                                 nm.make_rng(11))
-    got = {"train": plugin.content_id()}
+    return plugin.content_id()
+
+
+def test_seeded_train_plugin_id(m_toy):
+    got = {"train": seeded_train_id(*m_toy)}
     assert got == pinned(got)
+
+
+def test_forge_runs_openblas_on_one_thread():
+    if CORE == "unknown":
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    assert nm.bundled_openblas()[1] == 1
+
+
+def test_thread_setting_moves_no_id():
+    # Haswell's kernel sums in another order on two threads than on one, so
+    # two threads gave another training id (a590b4e1...) until forge set one
+    umath = np._core._multiarray_umath
+    if not (CORE != "unknown" and umath.__cpu_features__["AVX2"]
+            and umath.__cpu_features__["FMA3"]):
+        pytest.skip("no bundled OpenBLAS, or a CPU without AVX2 and FMA3, which "
+                    "OpenBLAS's Haswell kernel needs")
+    avx512 = [t for t in umath.__cpu_dispatch__ if t == "X86_V4" or t.startswith("AVX512")]
+    tests, src = Path(__file__).parent, Path(model.__file__).parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2",
+               NPY_DISABLE_CPU_FEATURES=" ".join(avx512),
+               PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    script = ("import test_content_ids as t; from forge import numerics as nm; "
+              "print(t.seeded_train_id(*t.m_toy_inputs()), *nm.bundled_openblas())")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert out == [PINS["Haswell"]["train"], "Haswell", "1"]
 
 
 @pytest.mark.parametrize("init_from_real", [False, True])

@@ -33,15 +33,17 @@ class TestDsaAugment:
     def test_identity_params_are_identity(self):
         rng = nm.make_rng(0)
         x = Tensor(rng.normal(size=(3, 4, 4)).astype(np.float32))
-        out = dst.dsa_augment(x, dst.DsaParams())
+        params = dst.DsaParams()
+        out = dst.dsa_augment(x, params, params.noise(3, (4, 4)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_same_params_same_output(self):
         rng = nm.make_rng(1)
         x = Tensor(rng.normal(size=(2, 6, 6)).astype(np.float32))
         params = dst.DsaParams.sample(nm.make_rng(5))
-        a = dst.dsa_augment(x, params).data
-        b = dst.dsa_augment(Tensor(x.data.copy()), params).data
+        noise = params.noise(2, (6, 6))
+        a = dst.dsa_augment(x, params, noise).data
+        b = dst.dsa_augment(Tensor(x.data.copy()), params, noise).data
         np.testing.assert_array_equal(a, b)
 
     def test_gradient_matches_finite_differences(self):
@@ -49,7 +51,7 @@ class TestDsaAugment:
         for trial in range(40):  # odd trials pass in a longer noise draw
             x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)).astype(np.float32))
             params = dst.DsaParams.sample(nm.make_rng(trial // 2))
-            noise = params.noise(5, (4, 4)) if trial % 2 else None
+            noise = params.noise(5 if trial % 2 else 2, (4, 4))
 
             out = dst.dsa_augment(x, params, noise)
             grad = out.backward(2.0 * out.data)  # the gradient of the sum of squares
@@ -67,8 +69,9 @@ class TestDsaAugment:
         rng = nm.make_rng(3)
         for n in (dst.DistillConfig().ipc, 64):
             x = Tensor(rng.normal(size=(n, 16, 16)).astype(np.float32))
-            np.testing.assert_array_equal(dst.dsa_augment(x, params, noise).data,
-                                          dst.dsa_augment(x, params).data)
+            np.testing.assert_array_equal(
+                dst.dsa_augment(x, params, noise).data,
+                dst.dsa_augment(x, params, params.noise(n, (16, 16))).data)
 
     @pytest.mark.parametrize("shape", [(3, 4, 4), (4, 4, 5), (4, 16), (4, 4, 4, 1)])
     def test_noise_not_covering_the_batch_rejected(self, shape):
@@ -79,7 +82,8 @@ class TestDsaAugment:
 
     def test_flip_is_reindexing(self):
         x = Tensor(np.arange(8, dtype=np.float32).reshape(1, 2, 4))
-        out = dst.dsa_augment(x, dst.DsaParams(flip=True))
+        params = dst.DsaParams(flip=True)
+        out = dst.dsa_augment(x, params, params.noise(1, (2, 4)))
         np.testing.assert_array_equal(out.data[0, 0], [3, 2, 1, 0])
 
 

@@ -290,15 +290,17 @@ class TestElementwiseOps:
         rng = nm.make_rng(37)
         x = Tensor(rng.normal(size=(2, 4, 4)).astype(np.float32))
         params = dst.DsaParams(flip=True, shift=(1, -1))
-        out = dst.dsa_augment(x, params)
+        noise = params.noise(2, (4, 4))
+        out = dst.dsa_augment(x, params, noise)
         grad = out.backward(2.0 * out.data)
         fd = finite_difference_grad(
-            lambda t: sq_sum_value(dst.dsa_augment(t, params)), x, eps=1e-2)
+            lambda t: sq_sum_value(dst.dsa_augment(t, params, noise)), x, eps=1e-2)
         assert rel_err(grad, fd.data) < 1e-4
 
     def test_shift_zero_pads(self):
         x = Tensor(np.ones((1, 2, 2), dtype=np.float32))
-        out = dst.dsa_augment(x, dst.DsaParams(shift=(1, 0)))
+        params = dst.DsaParams(shift=(1, 0))
+        out = dst.dsa_augment(x, params, params.noise(1, (2, 2)))
         np.testing.assert_array_equal(out.data[0], [[0.0, 0.0], [1.0, 1.0]])
 
     def test_finite_outputs(self):
@@ -328,7 +330,7 @@ class TestHandOff:
         params = dst.DsaParams(flip=True, shift=(1, 0), scale=1.1)
 
         def f(t):
-            y = dst.dsa_augment(t, params)
+            y = dst.dsa_augment(t, params, params.noise(3, (2, 3)))
             feats = [model.encode(enc, y) for _ in real]
             return y, feats, [dst.dm_loss(r, [0], feat, [0]) for r, feat in zip(real, feats)]
 
