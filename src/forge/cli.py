@@ -245,14 +245,27 @@ def _cmd_commit(args, config: RunConfig) -> int:
 
 
 def _cmd_merge(args, config: RunConfig) -> int:
+    """Merge the next round (``--next``) or every queued one, printing each
+    round as it commits; a drain's error names the queue entry it stopped on."""
     repo = Repository(args.repo)
-    records = repo.merge_all() if (args.all or not args.next) else [repo.merge_next()]
-    if not records:
-        print("nothing to merge")
-    for record in records:
+    merged = 0
+    while not (args.next and merged):
+        try:
+            record = repo.merge_next()
+        except NothingToMergeError:
+            break
+        except ForgeError as exc:
+            entry = None if args.next else repo.queue_head()  # an unreadable one names itself
+            if entry is None:
+                raise
+            raise type(exc)(f"stopped at queue entry {entry['seq']} (contribution commit "
+                            f"{entry['commit_id']}): {exc}") from exc
         print(f"round {record['round']}: merged {record['task']['name']} "
               f"(w={record['w_main']:.3f}, w'={record['w_branch']:.3f}, "
-              f"objective {record['objective']:.4f})")
+              f"objective {record['objective']:.4f})", flush=True)
+        merged += 1
+    if not merged:
+        print("nothing to merge")
     return 0
 
 

@@ -257,8 +257,9 @@ def dataset_to_bytes(spec: TaskSpec, data: LabeledDataset) -> bytes:
     return b"".join(out)
 
 
-def dataset_from_bytes(buf: bytes) -> tuple[TaskSpec, LabeledDataset]:
-    r = nm.Reader(buf, "dataset")
+def dataset_from_bytes(buf: bytes, artifact: str = "dataset") -> tuple[TaskSpec, LabeledDataset]:
+    """The task and rows in ``buf``; a bad file is ``FormatError`` naming ``artifact``."""
+    r = nm.Reader(buf, artifact)
     r.header(DATASET_MAGIC, DATASET_VERSION)
     (flags,) = r.unpack("<B")
     name = r.str()
@@ -276,6 +277,8 @@ def dataset_from_bytes(buf: bytes) -> tuple[TaskSpec, LabeledDataset]:
         raise r.error(f"inputs have shape {inputs.shape}, expected {(n, spec.flat_dim)}")
     if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise r.error(f"labels must lie in [0, {num_classes})")
+    if not np.isfinite(inputs).all():
+        raise r.error("inputs must be finite")
     return spec, LabeledDataset(inputs, y, groups, split)
 
 
@@ -285,4 +288,4 @@ def save_dataset(path, spec: TaskSpec, data: LabeledDataset) -> None:
 
 def load_dataset(path) -> tuple[TaskSpec, LabeledDataset]:
     with open(path, "rb") as fh:
-        return dataset_from_bytes(fh.read())
+        return dataset_from_bytes(fh.read(), str(path))

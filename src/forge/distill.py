@@ -65,7 +65,7 @@ class DsaParams:
 def dsa_augment(batch: Tensor, params: DsaParams, noise: np.ndarray) -> Tensor:
     """Apply flip, shift, scale and noise, in that order, to [n, h, w]; one
     tape node whose backward returns the batch's gradient through the
-    adjoint of the pixel transforms. The identity transform returns ``batch``.
+    adjoint of the pixel transforms.
 
     ``noise`` holds at least n rows of ``params.noise``, of which the first n
     are added. A longer draw's first n rows are the bytes of an n-row draw,
@@ -82,8 +82,6 @@ def dsa_augment(batch: Tensor, params: DsaParams, noise: np.ndarray) -> Tensor:
     src = (slice(None), slice(max(-dy, 0), h + min(-dy, 0)),
            slice(max(-dx, 0), w + min(-dx, 0)))
     scale = float(params.scale)
-    if not (params.flip or params.shift != (0, 0) or scale != 1.0 or params.noise_std > 0.0):
-        return batch
     out = batch.data[..., ::-1] if params.flip else batch.data
     if params.shift != (0, 0):  # zero padding at the edges
         shifted = np.zeros_like(batch.data)
@@ -92,14 +90,11 @@ def dsa_augment(batch: Tensor, params: DsaParams, noise: np.ndarray) -> Tensor:
     else:
         out = out.copy()
     # out is a fresh array here, so scale and noise go in place
-    if scale != 1.0:
-        out *= nm.DTYPE(scale)
-    if params.noise_std > 0.0:
-        out += noise[:n]
+    out *= nm.DTYPE(scale)
+    out += noise[:n]
 
     def backward(g: np.ndarray) -> np.ndarray:
-        if scale != 1.0:
-            g = g * scale
+        g = g * scale
         if params.shift != (0, 0):
             full = np.zeros_like(g)
             full[src] = g[dst]
@@ -125,26 +120,18 @@ def _class_means(features, starts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dm_loss(real_features: np.ndarray, real_starts, syn_features: Tensor,
-            syn_starts) -> Tensor:
-    """Sum over classes of || mean real features - mean synthetic features ||^2,
-    squares summed in float64. Each side holds its classes as consecutive
-    row blocks, class c's starting at row ``*_starts[c]``. One tape node whose
-    backward returns the gradient of ``syn_features``; the real features are
-    constants."""
+            syn_starts) -> np.ndarray:
+    """The gradient with respect to ``syn_features`` of the matching loss, the
+    sum over classes of || mean real features - mean synthetic features ||^2:
+    each synthetic row of class c gets -2 (real mean - synthetic mean) / n_c.
+    Each side holds its classes as consecutive row blocks, class c's starting
+    at row ``*_starts[c]``; the real features are constants."""
     real_means, _ = _class_means(real_features, real_starts)
     syn_means, counts = _class_means(syn_features.data, syn_starts)
     if len(real_means) != len(syn_means):
         raise InputError("real and synthetic features hold different numbers of classes")
     diffs = real_means - syn_means
-    value = float(np.sum(np.square(diffs, dtype=np.float64)))
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        factor = 2.0 * float(g)
-        return np.repeat(-(factor * diffs) / counts[:, None].astype(nm.DTYPE), counts, axis=0)
-
-    out = Tensor(np.array(value, dtype=nm.DTYPE), backward)
-    out._value = value
-    return out
+    return np.repeat(-(2.0 * diffs) / counts[:, None].astype(nm.DTYPE), counts, axis=0)
 
 
 @dataclass
@@ -294,9 +281,9 @@ def distill(spec: TaskSpec, data: LabeledDataset, base: BaseEncoder,
             syn_aug = dsa_augment(syn, params, noise[syn_noise])
         real_features = mdl.encode(base, real, plugin).data
         syn_features = mdl.encode(base, syn_aug, plugin)
-        loss = dm_loss(real_features, real_starts, syn_features, syn_starts)
-        # one chain for the one leaf: dm_loss -> encode -> dsa_augment
-        grad = syn_aug.backward(syn_features.backward(loss.backward()))
+        # one chain for the one leaf: dm_loss's gradient -> encode -> dsa_augment
+        grad = syn_aug.backward(syn_features.backward(
+            dm_loss(real_features, real_starts, syn_features, syn_starts)))
         syn_state.learning_rate = _cosine_lr(step, config.iterations,
                                              config.syn_lr, config.syn_lr_final)
         nm.sgd_step([syn.data], [grad], syn_state)

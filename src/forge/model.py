@@ -356,10 +356,11 @@ def _head_loss_grad(e: np.ndarray, rows_t: np.ndarray, scale: float,
 
 def encode_np(base: BaseEncoder, deltas: dict[int, np.ndarray] | None,
               x: np.ndarray) -> np.ndarray:
-    """Plain-numpy embedding with per-layer weight deltas folded in."""
+    """Plain-numpy embedding of the [n, input_dim] rows ``x`` with per-layer
+    weight deltas folded in."""
     h = np.asarray(x, dtype=nm.DTYPE)
-    if h.ndim == 1:
-        h = h[None, :]
+    if h.ndim != 2:
+        raise ShapeError(f"encode_np takes [n, {base.input_dim}] rows, got shape {h.shape}")
     if h.shape[1] != base.input_dim:
         raise ShapeError(f"input dim {h.shape[1]} != encoder input {base.input_dim}")
     last = len(base.weights) - 1

@@ -5,20 +5,19 @@ reader of every JSON document forge reads, the staged write of every file
 forge writes, and the one thread that numpy's bundled OpenBLAS runs on.
 
 A node is one fused forward computation with its own analytic backward
-(the encoder, the augmentation and the matching loss are built in their own
-modules as ``Tensor(data, backward)``). A node's backward takes the
-gradient of its output and returns the gradients of its inputs; there is no
-graph and no gradient state. The caller chains the nodes it built, handing
-each result to ``Tensor.backward`` of the tensor it belongs to, and passes
-the last result to ``sgd_step``.
+(the encoder and the augmentation are built in their own modules as
+``Tensor(data, backward)``). A node's backward takes the gradient of its
+output and returns the gradients of its inputs; there is no graph and no
+gradient state. A loss is no node: training's ``model._head_loss_grad`` and
+distillation's ``distill.dm_loss`` return the gradient of their loss with
+respect to the features, and the caller chains it through the nodes it built,
+handing each result to ``Tensor.backward`` of the tensor it belongs to, and
+passes the last result to ``sgd_step``.
 
 A ``Tensor`` is only a node's output or an input handed to a node. The
 model's state (encoder weights and biases, adapter factors, label rows) is
 plain float32, C-ordered arrays: ``sgd_step`` updates them in place and
 ``tensor_to_bytes`` writes them.
-
-Scalar losses keep a float64 copy of their value (``Tensor.item``) so that
-finite-difference checks are not drowned by float32 rounding of the loss.
 """
 
 from __future__ import annotations
@@ -80,33 +79,23 @@ def bundled_openblas() -> tuple[str, int]:
 class Tensor:
     """Dense float32 array plus, on a node's output, that node's backward."""
 
-    __slots__ = ("data", "_backward", "_value")
+    __slots__ = ("data", "_backward")
 
     def __init__(self, data,
                  backward: Callable[[np.ndarray], np.ndarray | list[np.ndarray]] | None = None):
         self.data = np.asarray(data, dtype=DTYPE, order="C")
         self._backward = backward
-        self._value: float | None = None  # float64 value for scalar losses
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
-        return self._value if self._value is not None else float(self.data.reshape(()))
-
-    def backward(self, g: np.ndarray | None = None) -> np.ndarray | list[np.ndarray]:
-        """Hand ``g``, the gradient of a loss with respect to this tensor (1
-        for a scalar when omitted), to the backward of the node that made the
-        tensor, and return what it returns: the gradients of that node's
-        inputs. A leaf was made by no node, so it returns ``g`` itself.
+    def backward(self, g: np.ndarray) -> np.ndarray | list[np.ndarray]:
+        """Hand ``g``, the gradient of a loss with respect to this tensor, to
+        the backward of the node that made the tensor, and return what it
+        returns: the gradients of that node's inputs. A leaf was made by no
+        node, so it returns ``g`` itself.
         """
-        if g is None:
-            if self.data.size != 1:
-                raise ShapeError("backward() without a gradient requires a scalar output")
-            g = np.ones_like(self.data)
         # C order: an F-ordered gradient (np.broadcast_to's, say) would send
         # the node's matmuls down another BLAS path and change float32 bits.
         # A C-ordered float32 gradient is passed on as it is: no node's

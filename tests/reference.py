@@ -6,8 +6,12 @@
   ``model._head_loss_grad`` runs, in the same order, so the chain
   ``encode`` -> ``classify`` -> ``softmax_cross_entropy`` -> ``sgd_step``
   trains a plugin to the same bytes as ``model.train_plugin``.
-  ``softmax_cross_entropy`` also keeps the loss value in float64, the
-  value that finite differences of the head are taken of.
+- ``dm_loss`` is the matching loss as one tape node, frozen as distillation
+  ran it before ``distill.dm_loss`` returned its gradient: its backward at
+  g = 1 must give that gradient's bytes.
+- ``Loss`` is a scalar loss node: it keeps the loss value in float64, the
+  value that finite differences are taken of, and its ``backward()`` with no
+  gradient starts the chain at g = 1. Both loss references return one.
 - ``finite_difference_grad`` is the central-difference oracle of every
   gradient test, and ``rel_err`` the distance they compare with.
 """
@@ -48,6 +52,22 @@ def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor,
     return Tensor(grad.reshape(x.data.shape))
 
 
+class Loss(Tensor):
+    """A scalar loss node with its float64 value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float, backward: Callable[[np.ndarray], np.ndarray]):
+        super().__init__(np.array(value, dtype=DTYPE), backward)
+        self.value = value
+
+    def item(self) -> float:
+        return self.value
+
+    def backward(self, g: np.ndarray | None = None) -> np.ndarray:
+        return super().backward(np.ones((), DTYPE) if g is None else g)
+
+
 def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a64 = a.astype(np.float64)
     inv = (1.0 / np.sqrt(np.add.reduce(a64 * a64, axis=1))).astype(DTYPE)[:, None]
@@ -86,6 +106,31 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         grad[np.arange(n), labels] -= 1.0
         return grad * (float(g) / n)
 
-    out = Tensor(np.array(value, dtype=DTYPE), backward)
-    out._value = value
-    return out
+    return Loss(value, backward)
+
+
+def _class_means(features: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Each class block's mean row, by sums over zero-padded blocks, and its
+    row count; block c starts at row ``starts[c]``."""
+    starts = np.asarray(starts)
+    counts = np.append(starts[1:], len(features)) - starts
+    blocks, width = len(counts), counts.max()
+    rows = np.arange(len(features)) + np.repeat(np.arange(blocks) * width - starts, counts)
+    padded = np.zeros((blocks * width, features.shape[1]), DTYPE)
+    padded[rows] = features
+    return padded.reshape(blocks, width, -1).sum(axis=1) / counts[:, None].astype(DTYPE), counts
+
+
+def dm_loss(real_features: np.ndarray, real_starts, syn_features: Tensor, syn_starts) -> Loss:
+    """Sum over classes of || mean real features - mean synthetic features ||^2,
+    squares summed in float64; the backward returns the gradient of
+    ``syn_features``, the real features being constants."""
+    real_means, _ = _class_means(real_features, real_starts)
+    syn_means, counts = _class_means(syn_features.data, syn_starts)
+    diffs = real_means - syn_means
+
+    def backward(g: np.ndarray) -> np.ndarray:
+        factor = 2.0 * float(g)
+        return np.repeat(-(factor * diffs) / counts[:, None].astype(DTYPE), counts, axis=0)
+
+    return Loss(float(np.sum(np.square(diffs, dtype=np.float64))), backward)

@@ -619,6 +619,27 @@ class TestExitCodes:
         assert main(["merge", str(repo)]) == 2
         assert "000001.json" in capsys.readouterr().err
 
+    def test_drain_stopped_by_a_lost_object_reports_the_rounds_it_merged(self, tmp_path,
+                                                                          data_dir, capsys):
+        from forge import numerics as nm
+        from forge.model import BaseEncoder, PluginModule
+
+        repo, argv = self.mixture_repo_and_commit_argv(tmp_path, data_dir)
+        commits, plugins = [], []
+        for seed in (1, 2, 3):  # three contributions, each with its own plugin object
+            plugin = PluginModule.fresh(BaseEncoder.from_seed(5), 16, 16.0, nm.make_rng(seed))
+            (tmp_path / "p.fgm").write_bytes(plugin.to_bytes())
+            assert main(argv) == 0
+            commits.append(capsys.readouterr().out.split()[1])
+            plugins.append(hashlib.sha256(plugin.to_bytes()).hexdigest())
+        (repo / "objects" / plugins[2][:2] / plugins[2][2:]).unlink()
+        assert main(["merge", str(repo), "--all"]) == 2
+        out, err = capsys.readouterr()
+        assert [line.split(":")[0] for line in out.splitlines()] == ["round 1", "round 2"]
+        assert err.startswith("error: stopped at queue entry 3 (contribution commit "
+                              f"{commits[2]}") and plugins[2] in err
+        assert Repository(repo).chain().round == 2
+
     def test_stray_queue_file_is_no_entry_and_entries_merge_by_number(self, tmp_path,
                                                                       data_dir, capsys):
         repo, argv = self.mixture_repo_and_commit_argv(tmp_path, data_dir)
@@ -703,6 +724,36 @@ class TestExitCodes:
         assert main(["--seed", "5", command[0], "--task", "M-toy", "--data", str(data),
                      "--out", str(out), *command[1:]]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("command", ["train-branch", "distill", "eval"])
+    def test_split_with_a_nan_pixel_is_two_before_any_step(self, tmp_path, data_dir, command,
+                                                           capsys, monkeypatch):
+        import numpy as np
+
+        from forge import datasets as dsets
+        from forge import numerics as nm
+
+        data = self.data_copy(tmp_path, data_dir)
+        split = data / "M-toy" / ("test.fgd" if command == "eval" else "train.fgd")
+        spec, rows = dsets.load_dataset(split)
+        rows.inputs[3, 17] = np.nan
+        dsets.save_dataset(split, spec, rows)
+        out = tmp_path / "artifact"
+        argv = {"train-branch": ["train-branch", "--task", "M-toy", "--out", str(out)],
+                "distill": ["distill", "--task", "M-toy", "--out", str(out), "--iters", "300"],
+                "eval": ["eval", str(tmp_path / "repo"), "--tasks", "M-toy"]}[command]
+        if command == "eval":
+            assert main(["--seed", "5", "init", "--strategy", "mixture",
+                         str(tmp_path / "repo")]) == 0
+        steps = []
+        monkeypatch.setattr(nm, "sgd_step", lambda *args: steps.append(args))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["--seed", "5", *argv, "--data", str(data)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {split}: inputs must be finite\n"
+        assert steps == [] and sorted(tmp_path.rglob("*")) == before
 
     def test_commit_needs_only_the_manifest(self, tmp_path, data_dir):
         repo, argv = self.mixture_repo_and_commit_argv(tmp_path, data_dir)

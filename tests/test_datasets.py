@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,13 @@ class TestFileFormat:
         narrow = ds.LabeledDataset(train.inputs[:, :200], train.labels)
         with pytest.raises(FormatError, match="shape"):
             ds.dataset_from_bytes(ds.dataset_to_bytes(spec, narrow))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_naming_the_file(self, tmp_path, tasks, bad):
+        spec, train, _ = tasks[2]
+        inputs = train.inputs.copy()
+        inputs[4, 100] = bad
+        path = tmp_path / "train.fgd"
+        ds.save_dataset(path, spec, ds.LabeledDataset(inputs, train.labels))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: inputs must be finite$"):
+            ds.load_dataset(path)

@@ -7,6 +7,7 @@ from forge import model
 from forge import numerics as nm
 from forge.errors import FormatError, InputError, ParameterError, ShapeError
 from forge.numerics import Tensor
+import reference
 from reference import finite_difference_grad, rel_err
 
 
@@ -90,14 +91,17 @@ class TestDsaAugment:
 class TestDmLoss:
     def test_zero_iff_identical_means(self, base):
         rng = nm.make_rng(3)
+        # the loss value is the frozen reference's; dm_loss gives its gradient
         batch = Tensor(rng.normal(size=(6, base.input_dim)).astype(np.float32))
-        loss = dst.dm_loss(model.encode(base, batch).data, [0, 2],
-                           model.encode(base, Tensor(batch.data.copy())), [0, 2])
-        assert loss.item() == pytest.approx(0.0, abs=1e-10)
+        real = model.encode(base, batch).data
+        syn = model.encode(base, Tensor(batch.data.copy()))
+        assert reference.dm_loss(real, [0, 2], syn, [0, 2]).item() == \
+            pytest.approx(0.0, abs=1e-10)
+        assert not np.any(dst.dm_loss(real, [0, 2], syn, [0, 2]))
         # different means as features give exactly the sum of ||v_c||^2
         mu = rng.normal(size=(2, 8)).astype(np.float32)
         v = rng.normal(size=(2, 8)).astype(np.float32)
-        loss2 = dst.dm_loss(mu, [0, 1], Tensor(mu + v), [0, 1])
+        loss2 = reference.dm_loss(mu, [0, 1], Tensor(mu + v), [0, 1])
         assert loss2.item() == pytest.approx(float(np.sum(v.astype(np.float64) ** 2)),
                                              rel=1e-5)
         assert loss2.item() > 0
@@ -108,7 +112,24 @@ class TestDmLoss:
         for _ in range(10):
             real = feature(rng.normal(size=(5, base.input_dim))).data
             syn = feature(rng.normal(size=(4, base.input_dim)))
-            assert dst.dm_loss(real, [0, 3], syn, [0, 2]).item() >= 0.0
+            assert reference.dm_loss(real, [0, 3], syn, [0, 2]).item() >= 0.0
+
+    @pytest.mark.parametrize("real_rows, syn_rows", [
+        ((64, 64, 64), (10, 10, 10)), ((64, 10), (3, 5)), ((1, 4), (1, 2))],
+        ids=["equal blocks", "unequal blocks", "one-row block"])
+    def test_gradient_is_the_frozen_node_backward(self, base, real_rows, syn_rows):
+        # distill's per-step gradient: the frozen node's backward at g = 1, bit for bit
+        rng = nm.make_rng(sum(real_rows) + sum(syn_rows))
+        plugin = dst.random_feature_plugin(base, 4, 4.0, rng)
+        rows = lambda n: Tensor(rng.normal(size=(n, base.input_dim)).astype(np.float32))
+        real = model.encode(base, rows(sum(real_rows)), plugin).data
+        syn = model.encode(base, rows(sum(syn_rows)), plugin)
+        real_starts, syn_starts = (np.cumsum([0, *n[:-1]]) for n in (real_rows, syn_rows))
+        got = dst.dm_loss(real, real_starts, syn, syn_starts)
+        want = reference.dm_loss(real, real_starts, syn, syn_starts).backward()
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape == syn.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_missing_class_rejected(self, base):
         x = model.encode(base, Tensor(np.ones((2, base.input_dim), np.float32)))
@@ -131,9 +152,10 @@ class TestDmLoss:
         for _ in range(5):  # two classes: 4 and 3 real rows, 2 synthetic rows each
             syn = Tensor(rng.normal(size=(4, base.input_dim)).astype(np.float32))
             feat = feature(syn)
-            grad = feat.backward(dst.dm_loss(real, [0, 4], feat, [0, 2]).backward())
+            grad = feat.backward(dst.dm_loss(real, [0, 4], feat, [0, 2]))
             fd = finite_difference_grad(
-                lambda t: dst.dm_loss(real, [0, 4], feature(t), [0, 2]).item(), syn, eps=5e-2)
+                lambda t: reference.dm_loss(real, [0, 4], feature(t), [0, 2]).item(), syn,
+                eps=5e-2)
             assert rel_err(grad, fd.data) < 1e-4
 
     def test_single_item_step_follows_analytic_gradient(self):
@@ -143,9 +165,9 @@ class TestDmLoss:
         real = rng.normal(size=(7, 8)).astype(np.float32)
         s0 = rng.normal(size=(2, 8)).astype(np.float32)
         s = Tensor(s0.copy())
-        loss = dst.dm_loss(real, [0, 4], s, [0, 1])
+        grad = dst.dm_loss(real, [0, 4], s, [0, 1])
         lr = 0.25
-        nm.sgd_step([s.data], [loss.backward()], nm.SgdState(learning_rate=lr))
+        nm.sgd_step([s.data], [grad], nm.SgdState(learning_rate=lr))
         mu = np.stack([real[:4].mean(axis=0), real[4:].mean(axis=0)])
         np.testing.assert_allclose(s.data, s0 - lr * 2.0 * (s0 - mu), atol=1e-5)
 
@@ -231,9 +253,9 @@ class TestDistill:
                 real_starts = np.cumsum([0, *map(len, takes[:-1])])
                 real = model.encode(base, Tensor(data.inputs[np.concatenate(takes)]), plugin)
                 feat = model.encode(base, syn, plugin)
-                loss = dst.dm_loss(real.data, real_starts, feat, syn_starts)
-                losses.append(loss.item())
-                nm.sgd_step([syn.data], [feat.backward(loss.backward())], state)
+                losses.append(reference.dm_loss(real.data, real_starts, feat, syn_starts).item())
+                grad = dst.dm_loss(real.data, real_starts, feat, syn_starts)
+                nm.sgd_step([syn.data], [feat.backward(grad)], state)
             if np.mean(losses[-10:]) <= np.mean(losses[:10]):
                 wins += 1
         assert wins >= 8

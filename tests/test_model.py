@@ -113,6 +113,11 @@ class TestForward:
         with pytest.raises(ShapeError, match="input dim 64"):
             model.encode_np(base, None, np.ones((2, 64), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(), (256,), (2, 16, 16)])
+    def test_encode_np_refuses_input_that_is_not_rows(self, base, shape):
+        with pytest.raises(ShapeError, match="rows"):
+            model.encode_np(base, None, np.ones(shape, dtype=np.float32))
+
     def test_encode_np_agrees_with_tape_forward(self, base):
         rng = nm.make_rng(6)
         plugin = PluginModule.fresh(base, 8, 8.0, rng)
